@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 for input diagnostics (unreadable or
 malformed files, chain validation failures), 2 for solver failures (no
 applicable kernel, unsatisfiable single-factor chains, oracle rejection
-or disagreement under ``--verify``).
+or disagreement under ``--verify``). Any other :class:`MatchainError`
+ends the same way, reported without a traceback: with 1 while the inputs
+are read, with 2 while a statement is compiled.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ import shlex
 import sys
 
 from .codegen import emit_records, emit_text
-from .errors import (
-    KernelConfigError,
-    NoKernelApplicableError,
-    ProblemFileError,
-    UnsatisfiableError,
-)
+from .errors import MatchainError
 from .expr import load_problem, validate
 from .kernels import load_kernel_config, metric_by_name
 from .oracle import MAX_FACTORS, brute_force_min
@@ -90,13 +87,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             _fail(str(exc))
             return 1
-        except KernelConfigError as exc:
+        except MatchainError as exc:
             _fail(f"{args.kernels}: {exc}")
             return 1
 
     try:
         problem = load_problem(problem_text)
-    except ProblemFileError as exc:
+    except MatchainError as exc:
         _fail(f"{args.problem}: {exc}")
         return 1
 
@@ -113,15 +110,20 @@ def main(argv=None) -> int:
     for stmt in problem.computes:
         try:
             plan = solve(stmt.chain, db, metric)
-        except (NoKernelApplicableError, UnsatisfiableError) as exc:
+            # Left-to-right order can hit a database gap the DP avoids.
+            naive = naive_cost(stmt.chain, db, metric) if args.naive else None
+        except MatchainError as exc:
             _fail(f"{args.problem}: line {stmt.lineno}: {exc}")
             failed = True
             continue
 
         extra = []
         if args.naive:
-            naive = naive_cost(stmt.chain, db, metric)
-            ratio = naive / plan.total_cost if plan.total_cost else float("inf")
+            if plan.total_cost:
+                ratio = naive / plan.total_cost
+            else:
+                # A zero-cost plan (a copy) is as good as a zero-cost naive one.
+                ratio = 1.0 if naive == 0 else float("inf")
             extra.append(("naive", naive, ratio))
         if args.verify:
             if len(stmt.chain.factors) > MAX_FACTORS:

@@ -21,6 +21,7 @@ which no real machine delivers. The charge approximates its traffic.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
@@ -350,6 +351,10 @@ _TAG_NAMES = {
 _REQ_NAMES = dict(PROPERTY_NAMES)
 _REQ_NAMES["square"] = Property.SQUARE
 
+#: (m, k, n) points at which every configured cost polynomial is checked.
+_COST_SAMPLES = ((1, 1, 1), (2, 3, 5), (64, 48, 32))
+
+
 def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
     """Compile a cost polynomial over m, k, n (operators +, *, / only)."""
     try:
@@ -377,7 +382,24 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
                 lineno, "cost polynomial supports only +, *, /, integers, and m, k, n"
             )
     code = compile(tree, "<kernel-config>", "eval")
-    return lambda m, k, n: eval(code, {"__builtins__": {}}, {"m": m, "k": k, "n": n})
+    cost = lambda m, k, n: eval(code, {"__builtins__": {}}, {"m": m, "k": k, "n": n})
+    # The solver evaluates costs deep inside the DP, so a polynomial that
+    # divides by zero or leaves the float range is rejected here, with its
+    # line number. Only +, * and / over non-negative constants and positive
+    # dims are allowed, so a denominator that is zero at some point is zero
+    # at every sample too.
+    for mkn in _COST_SAMPLES:
+        try:
+            value = float(cost(*mkn))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise KernelConfigError(
+                lineno, f"cost polynomial {poly!r} fails at (m, k, n) = {mkn}: {exc}"
+            )
+        if not (math.isfinite(value) and value >= 0):
+            raise KernelConfigError(
+                lineno, f"cost polynomial {poly!r} gives {value!r} at (m, k, n) = {mkn}"
+            )
+    return cost
 
 
 def _split_groups(value: str, arity: int, what: str, lineno: int) -> list[list[str]]:

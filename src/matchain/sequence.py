@@ -7,11 +7,21 @@ binary kernel. Unary preps for op1 precede those for op2. The result is
 the minimum-cost sequence under the metric, with ties broken by sequence
 length and then by the tuple of kernel ids.
 
+The search has a structural step and a cost step. Which sequences apply
+depends only on the key ``(op1.props, op1.tag, op2.props, op2.tag)``:
+unary matching never looks at dimensions, and binary matching only checks
+that the effective dims conform. So the candidates are enumerated once
+per key and kept in a table, where an empty list records a gap in the
+database. Every prep keeps its operand's effective dims (peeling a
+pending transpose stores the transposed shape; an inverse is square) and
+effective properties. So for op1 of effective shape m x k and op2 of
+k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
+and the binary kernel at (m, k, n), and every candidate yields the same
+output properties, which depend only on the key and on whether m == n.
+
 ``copy`` never appears as a prep: it leaves its input unchanged, so any
 sequence containing it is dominated by the same sequence without it
-(cost no higher under any additive metric, and shorter). It is excluded
-from the search rather than filtered by the tie-break, which also keeps
-the common all-tag-free case to a single database scan.
+(cost no higher under any additive metric, and shorter).
 
 Sequences carry kernels and targets only; operand names are bound later
 by :func:`render_calls`, so memoized results are shared across operands
@@ -38,6 +48,9 @@ from .kernels import (
 #: Maximum number of kernel calls per combination step.
 L = 3
 
+#: How a unary call's comment writes the tag component it peels.
+_PEEL_MATH = {"t": "^T", "inv": "^-1"}
+
 
 @dataclass(frozen=True)
 class SeqStep:
@@ -62,27 +75,59 @@ class SequenceResult:
         return tuple(step.kernel.id for step in self.steps)
 
 
-def _prep_chains(op: TaggedOperand, db, metric, max_len: int):
-    """All discharge chains of length <= max_len starting from ``op``.
+def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: bool):
+    """Every chain of at most ``max_len`` unary kernels applicable to ``op``.
 
-    Yields (steps, cost, result) triples, including the empty chain.
+    Returns (steps, result) pairs in breadth-first order, starting with the
+    empty chain; each step applies to ``target``. ``copy`` (no peel) is
+    left out unless ``with_copy``.
     """
-    out = [((), 0.0, op)]
-    frontier = [((), 0.0, op)]
+    frontier = out = [((), op)]
     for _ in range(max_len):
-        grown = []
-        for steps, cost, cur in frontier:
-            for kernel, _ in match(cur, None, db):
-                if kernel.peel is None:
-                    continue
-                result = kernel.apply_unary(cur, "")
-                step_cost = metric.call_cost(
-                    kernel, call_mkn((cur,)), (result.rows, result.cols)
-                )
-                grown.append((steps + (kernel,), cost + step_cost, result))
-        out.extend(grown)
-        frontier = grown
+        frontier = [
+            (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
+            for steps, cur in frontier
+            for kernel, _ in match(cur, None, db)
+            if with_copy or kernel.peel is not None
+        ]
+        out.extend(frontier)
     return out
+
+
+def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
+    """Structural step: (steps, kernel ids) of every sequence computing
+    ``op1 * op2``, in search order."""
+    chains2 = _unary_chains(op2, db, L - 1, "op2", False)
+    out = []
+    for pre1, cur1 in _unary_chains(op1, db, L - 1, "op1", False):
+        for pre2, cur2 in chains2:
+            if len(pre1) + len(pre2) < L:
+                for kernel, _ in match(cur1, cur2, db):
+                    steps = pre1 + pre2 + (SeqStep(kernel, "both"),)
+                    out.append((steps, tuple(s.kernel.id for s in steps)))
+    return out
+
+
+def _cheapest(candidates, m: int, k: int, n: int, metric):
+    """Cost step: steps and total of the cheapest candidate for op1 of
+    effective shape m x k times op2 of k x n. Ties go to fewer steps, then
+    to the smaller id tuple, then to the earlier candidate."""
+    args = {
+        "op1": ((m, k, k), (m, k)),
+        "op2": ((k, n, n), (k, n)),
+        "both": ((m, k, n), (m, n)),
+    }
+    best = None
+    best_key = None
+    for steps, ids in candidates:
+        total = 0.0
+        for step in steps:
+            total += metric.call_cost(step.kernel, *args[step.target])
+        cand_key = (total, len(steps), ids)
+        if best_key is None or cand_key < best_key:
+            best_key = cand_key
+            best = steps
+    return best, best_key[0]
 
 
 def find_sequence(
@@ -91,16 +136,21 @@ def find_sequence(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
     memo: dict | None = None,
+    table: dict | None = None,
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
-    ``memo`` maps signature pairs to results; share one dict only across
-    calls with the same db and metric. Raises
-    :class:`NoKernelApplicableError` when the database has no route.
+    ``memo`` maps signature pairs (dims included) to results; share one
+    dict only across calls with the same db and metric. ``table`` maps
+    structural keys to candidate lists, failures included; share one only
+    across calls with the same db. Without it the structural step runs
+    afresh. Raises :class:`NoKernelApplicableError` when the database has
+    no route.
     """
     if db is None:
         db = default_db()
-    if op1.eff_dims[1] != op2.eff_dims[0]:
+    (m, k), (k2, n) = op1.eff_dims, op2.eff_dims
+    if k != k2:
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
@@ -110,35 +160,26 @@ def find_sequence(
         if hit is not None:
             return hit
 
-    best = None
-    best_key = None
-    for steps1, cost1, cur1 in _prep_chains(op1, db, metric, L - 1):
-        budget = L - 1 - len(steps1)
-        for steps2, cost2, cur2 in _prep_chains(op2, db, metric, budget):
-            for kernel, _ in match(cur1, cur2, db):
-                out = kernel.apply_binary(cur1, cur2, "")
-                bin_cost = metric.call_cost(
-                    kernel, call_mkn((cur1, cur2)), (out.rows, out.cols)
-                )
-                steps = (
-                    tuple(SeqStep(k, "op1") for k in steps1)
-                    + tuple(SeqStep(k, "op2") for k in steps2)
-                    + (SeqStep(kernel, "both"),)
-                )
-                total = cost1 + cost2 + bin_cost
-                cand_key = (total, len(steps), tuple(s.kernel.id for s in steps))
-                if best_key is None or cand_key < best_key:
-                    best_key = cand_key
-                    best = SequenceResult(steps, total, out)
-
-    if best is None:
+    if table is None:
+        table = {}
+    skey = (op1.props, op1.tag, op2.props, op2.tag)
+    entry = table.get(skey)
+    if entry is None:
+        entry = table[skey] = (_candidates(op1, op2, db), {})
+    candidates, out_props = entry
+    if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
+    steps, total = _cheapest(candidates, m, k, n, metric)
+    square = m == n
+    if square not in out_props:
+        out_props[square] = steps[-1].kernel.apply_binary(op1, op2, "").props
+    result = SequenceResult(steps, total, TaggedOperand(m, n, out_props[square]))
     if memo is not None:
-        memo[key] = best
-    return best
+        memo[key] = result
+    return result
 
 
 def materialize(
@@ -156,32 +197,18 @@ def materialize(
     """
     if db is None:
         db = default_db()
-    best = None
-    best_key = None
-    frontier = [((), 0.0, op)]
-    for _ in range(L):
-        grown = []
-        for steps, cost, cur in frontier:
-            for kernel, _ in match(cur, None, db):
-                result = kernel.apply_unary(cur, "")
-                step_cost = metric.call_cost(
-                    kernel, call_mkn((cur,)), (result.rows, result.cols)
-                )
-                grown.append((steps + (kernel,), cost + step_cost, result))
-        for steps, cost, cur in grown:
-            if steps and cur.tag is UnaryTag.ID:
-                cand_key = (cost, len(steps), tuple(k.id for k in steps))
-                if best_key is None or cand_key < best_key:
-                    best_key = cand_key
-                    best = SequenceResult(
-                        tuple(SeqStep(k, "op1") for k in steps), cost, cur
-                    )
-        frontier = grown
-    if best is None:
+    candidates = [
+        (steps, tuple(s.kernel.id for s in steps))
+        for steps, cur in _unary_chains(op, db, L, "op1", True)
+        if steps and cur.tag is UnaryTag.ID
+    ]
+    if not candidates:
         raise UnsatisfiableError(
             f"no unary kernel sequence materializes {_describe(op)}"
         )
-    return best
+    m, n = op.eff_dims
+    steps, total = _cheapest(candidates, m, n, n, metric)
+    return SequenceResult(steps, total, TaggedOperand(m, n, op.eff_props))
 
 
 def render_calls(
@@ -201,45 +228,23 @@ def render_calls(
     """
     cur = {"op1": op1, "op2": op2}
     calls = []
-    final = None
     for at, step in enumerate(seq.steps):
         is_last = at == len(seq.steps) - 1
         kernel = step.kernel
         if step.target == "both":
-            left, right = cur["op1"], cur["op2"]
+            inputs = (cur["op1"], cur["op2"])
             name = out_name if is_last else alloc_temp(None)
-            result = kernel.apply_binary(left, right, name)
-            cost = metric.call_cost(
-                kernel, call_mkn((left, right)), (result.rows, result.cols)
-            )
-            calls.append(
-                KernelCall(
-                    kernel.id,
-                    (left.name, right.name),
-                    name,
-                    cost,
-                    f"{name} := {left.display} * {right.display}",
-                )
-            )
+            result = kernel.apply_binary(*inputs, name)
+            math = f"{inputs[0].display} * {inputs[1].display}"
         else:
-            inp = cur[step.target]
-            name = out_name if is_last else alloc_temp(inp)
-            result = kernel.apply_unary(inp, name)
-            cost = metric.call_cost(
-                kernel, call_mkn((inp,)), (result.rows, result.cols)
-            )
-            if kernel.peel == "t":
-                math = f"{inp.name}^T"
-            elif kernel.peel == "inv":
-                math = f"{inp.name}^-1"
-            else:
-                math = inp.name
-            calls.append(
-                KernelCall(kernel.id, (inp.name,), name, cost, f"{name} := {math}")
-            )
-            cur[step.target] = result
-        final = result
-    return calls, final
+            inputs = (cur[step.target],)
+            name = out_name if is_last else alloc_temp(inputs[0])
+            result = cur[step.target] = kernel.apply_unary(inputs[0], name)
+            math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
+        cost = metric.call_cost(kernel, call_mkn(inputs), (result.rows, result.cols))
+        names = tuple(op.name for op in inputs)
+        calls.append(KernelCall(kernel.id, names, name, cost, f"{name} := {math}"))
+    return calls, result
 
 
 def _describe(op: TaggedOperand) -> str:

@@ -102,6 +102,7 @@ def build_tables(
         db = default_db()
     if memo is None:
         memo = {}
+    table: dict = {}
     factors = chain.factors
     n = len(factors)
 
@@ -128,8 +129,10 @@ def build_tables(
             for k in range(i, j):
                 left = tmps[i][k]
                 right = tmps[k + 1][j]
+                if left is None or right is None:  # an uncovered part
+                    continue
                 try:
-                    seq = find_sequence(left, right, db, metric, memo)
+                    seq = find_sequence(left, right, db, metric, memo, table)
                 except NoKernelApplicableError:
                     continue
                 cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * r
@@ -187,23 +190,27 @@ def _extract(
     right, rtree = _extract(tables, k + 1, j, None, names, calls, metric)
 
     seg_free = tables.free[i][j]
-    r = tables.ranges[i][j]
     if out_name is None:
         out_name = names.fresh(seg_free)
+    seq = tables.sequences[i][j]
+    r = tables.ranges[i][j]
+    seq_calls, named = _render(seq, left, right, out_name, seg_free, r, names, metric)
+    calls.extend(seq_calls)
+    return named, (ltree, rtree)
+
+
+def _render(seq, left, right, out_name, free, r, names: _TempNames, metric):
+    """Rendered calls of ``seq``, looped over ``free`` and charged ``r`` times."""
 
     def alloc(inp: TaggedOperand | None) -> str:
         # A discharge temp varies over exactly the indices its input does.
         if inp is None:
-            return names.fresh(seg_free)
+            return names.fresh(free)
         return names.fresh(names.indices.get(inp.name, ()))
 
-    seq_calls, named = render_calls(
-        tables.sequences[i][j], left, right, out_name, alloc, metric
-    )
-    for call in seq_calls:
-        calls.append(replace(call, loops=seg_free, multiplicity=r))
-    names.declare(out_name, seg_free)
-    return named, (ltree, rtree)
+    seq_calls, named = render_calls(seq, left, right, out_name, alloc, metric)
+    names.declare(out_name, free)
+    return [replace(call, loops=free, multiplicity=r) for call in seq_calls], named
 
 
 def solve(
@@ -234,18 +241,8 @@ def solve(
         free = _free_indices(factors, 0, 0)
         r = index_range(free)
         names.declare(op.name, free)
-
-        def alloc(inp: TaggedOperand | None) -> str:
-            if inp is None:
-                return names.fresh(free)
-            return names.fresh(names.indices.get(inp.name, ()))
-
-        seq_calls, _ = render_calls(seq, op, None, target, alloc, metric)
-        calls = tuple(
-            replace(call, loops=free, multiplicity=r) for call in seq_calls
-        )
-        total = seq.total_cost * r
-        return Plan(target, calls, total, 0, metric.name)
+        calls, _ = _render(seq, op, None, target, free, r, names, metric)
+        return Plan(target, tuple(calls), seq.total_cost * r, 0, metric.name)
 
     tables = build_tables(chain, db, metric)
     n = tables.n
@@ -287,15 +284,13 @@ def naive_cost(
         raise InvalidChainError(diagnostics)
     factors = chain.factors
     if len(factors) == 1:
-        op = _base_operand(factors[0])
-        seq = materialize(op, db, metric)
-        return seq.total_cost * index_range(_free_indices(factors, 0, 0))
+        return solve(chain, db, metric).total_cost
 
-    memo: dict = {}
+    table: dict = {}
     acc = _base_operand(factors[0])
     total = 0.0
     for t in range(1, len(factors)):
-        seq = find_sequence(acc, _base_operand(factors[t]), db, metric, memo)
+        seq = find_sequence(acc, _base_operand(factors[t]), db, metric, table=table)
         total += seq.total_cost * index_range(_free_indices(factors, 0, t))
         acc = seq.output
     return total

@@ -95,6 +95,16 @@ class TestTextOutput:
         assert "# total_flops=333333\n" in out
 
 
+    def test_naive_ratio_of_zero_cost_plan_is_one(self, tmp_path, capsys):
+        text = "matrix A 4 4\nmatrix C 4 4\ncompute C = A\n"
+        code, out, err = run(tmp_path, capsys, text, "--naive")
+        assert code == 0
+        assert out.endswith("# total_flops=0\n# naive_flops=0 ratio=1\n")
+        code, out, err = run(tmp_path, capsys, text, "--naive", "--format", "records")
+        assert code == 0
+        assert out.endswith("\nnaive total=0.0 ratio=1.0\n")
+
+
 class TestRecordsOutput:
     def test_records_parse_back(self, tmp_path, capsys):
         code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--format", "records")
@@ -144,6 +154,15 @@ class TestKernelConfig:
         assert code == 1
         assert out == ""
         assert "line 1" in err
+
+
+    def test_cost_that_divides_by_zero_exits_one(self, tmp_path, capsys):
+        kernels = tmp_path / "kernels.cfg"
+        kernels.write_text("# fused\nkernel gemm arity=2 tags=id,t;id,t req=; cost=m/0\n")
+        code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--kernels", str(kernels))
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "division by zero" in err
 
 
 class TestFailureModes:
@@ -198,6 +217,19 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert code == 2
         assert "matchain: " in captured.err
+
+    def test_naive_gap_exits_two(self, tmp_path, capsys):
+        # With getri limited to SPD inputs, A * B^-1 has no route: the DP
+        # computes A * (B^-1 * C), but the left-to-right order cannot.
+        kernels = tmp_path / "kernels.cfg"
+        kernels.write_text("kernel getri arity=1 tags=inv,invt req=spd cost=2*m*m*m\n")
+        text = "".join(f"matrix {x} 4 4\n" for x in "ABCD") + "compute D = A * B^-1 * C\n"
+        args = ("--kernels", str(kernels), "--naive")
+        code, out, err = run(tmp_path, capsys, text, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("matchain: ") and "line 5" in err
+        assert "Traceback" not in err
 
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))

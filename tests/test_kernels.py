@@ -261,6 +261,15 @@ class TestConfig:
             "kernel bad arity=1 tags=id req= cost=m-n",
             "kernel bad arity=1 tags=id req= cost=0.5*m",
             "kernel bad arity=1 tags=id req= cost=q*m",
+            "kernel bad arity=1 tags=id req= cost=m/0",
+            "kernel bad arity=2 tags=id;id req=; cost=m*k/(n*0+0)",
+            pytest.param(
+                "kernel bad arity=1 tags=id req= cost=m*" + "9" * 400, id="float-overflow"
+            ),
+            pytest.param(
+                "kernel bad arity=1 tags=id req= cost=m/1*" + "9" * 200 + "*" + "9" * 200,
+                id="infinite",
+            ),
             "kernel bad arity=1 tags=whoosh req= cost=m",
             "kernel bad arity=1 tags=id req=hermitian cost=m",
             "kernel bad arity=1 tags=t,inv req= cost=m",

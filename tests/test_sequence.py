@@ -1,8 +1,10 @@
 """Kernel sequence search for a single combination step."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchain import (
     FLOPS,
@@ -14,14 +16,18 @@ from matchain import (
     default_db,
     find_sequence,
     load_kernel_config,
+    match,
     materialize,
+    matrix,
+    parse,
+    solve,
 )
 from matchain.errors import NoKernelApplicableError, UnsatisfiableError
-from matchain.kernels import Kernel
-from matchain.sequence import L, render_calls
+from matchain.kernels import Kernel, call_mkn
+from matchain.sequence import L, _describe, render_calls
 from matchain.properties import Property
 
-from helpers import random_operand_pair
+from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
 
 P = Property
 
@@ -283,3 +289,177 @@ class TestFailure:
         db = [k for k in default_db() if k.id in ("gemm", "copy")]
         with pytest.raises(NoKernelApplicableError):
             find_sequence(op(4, 4, tag=UnaryTag.INV, name="A"), op(4, 4, name="B"), db)
+
+
+# --------------------------------------------------------------------------
+# Reference: the exhaustive search without a structural table or memo. It
+# prices every step on the operand it actually applies to, so it checks
+# that preps keep effective dims and that candidates share output props.
+
+
+def _reference_chains(op, db, metric, max_len, with_copy=False):
+    out = [((), 0.0, op)]
+    frontier = [((), 0.0, op)]
+    for _ in range(max_len):
+        grown = []
+        for steps, cost, cur in frontier:
+            for kernel, _ in match(cur, None, db):
+                if kernel.peel is None and not with_copy:
+                    continue
+                result = kernel.apply_unary(cur, "")
+                step_cost = metric.call_cost(
+                    kernel, call_mkn((cur,)), (result.rows, result.cols)
+                )
+                grown.append((steps + (kernel,), cost + step_cost, result))
+        out.extend(grown)
+        frontier = grown
+    return out
+
+
+def reference_sequence(op1, op2, db, metric):
+    """((kernel id, target) pairs, total, output), or None without a route."""
+    best = best_key = None
+    for steps1, cost1, cur1 in _reference_chains(op1, db, metric, L - 1):
+        budget = L - 1 - len(steps1)
+        for steps2, cost2, cur2 in _reference_chains(op2, db, metric, budget):
+            for kernel, _ in match(cur1, cur2, db):
+                out = kernel.apply_binary(cur1, cur2, "")
+                bin_cost = metric.call_cost(
+                    kernel, call_mkn((cur1, cur2)), (out.rows, out.cols)
+                )
+                steps = (
+                    tuple((k.id, "op1") for k in steps1)
+                    + tuple((k.id, "op2") for k in steps2)
+                    + ((kernel.id, "both"),)
+                )
+                total = cost1 + cost2 + bin_cost
+                key = (total, len(steps), tuple(kid for kid, _ in steps))
+                if best_key is None or key < best_key:
+                    best_key, best = key, (steps, total, out)
+    return best
+
+
+def reference_materialize(op, db, metric):
+    """(kernel ids, total, output), or None without a route."""
+    best = best_key = None
+    for steps, cost, cur in _reference_chains(op, db, metric, L, with_copy=True):
+        if steps and cur.tag is UnaryTag.ID:
+            key = (cost, len(steps), tuple(k.id for k in steps))
+            if best_key is None or key < best_key:
+                best_key, best = key, (key[2], cost, cur)
+    return best
+
+
+#: Costs that tell m, k and n apart, so a step priced at the wrong
+#: dimensions changes the total. No copy and no general inverse, so
+#: inverses of full operands are gaps.
+ASYMMETRIC_CONFIG = """
+kernel gemm arity=2 tags=id,t;id,t req=; cost=m*m*n
+kernel trsm arity=2 tags=inv,invt;id req=lower_triangular; cost=k*k*k
+kernel lmm arity=2 tags=id;t req=;upper_triangular cost=m*k*k+n
+kernel transp arity=1 tags=t,invt req= cost=m*n*n/2
+kernel trtri arity=1 tags=inv,invt req=lower_triangular cost=m*m*n+2*k
+kernel dginv arity=1 tags=inv req=diagonal cost=m*n/2
+"""
+
+DATABASES = {
+    "default": default_db(),
+    "asymmetric": load_kernel_config(ASYMMETRIC_CONFIG, base=[]),
+}
+
+DIMS = st.sampled_from([1, 2, 3, 5])
+
+
+@st.composite
+def tagged_operands(draw, rows, cols, name):
+    """An operand of effective shape rows x cols, as the DP presents it."""
+    tags = [UnaryTag.ID, UnaryTag.T]
+    if rows == cols:
+        tags += [UnaryTag.INV, UnaryTag.INVT]
+    tag = draw(st.sampled_from(tags))
+    swapped = tag in (UnaryTag.T, UnaryTag.INVT)
+    stored = (cols, rows) if swapped else (rows, cols)
+    menu = SQUARE_MENU if stored[0] == stored[1] else RECT_MENU
+    if stored[1] == 1 and stored[0] > 1:
+        menu = menu + [frozenset({P.VECTOR})]
+    props = draw(st.sampled_from(menu))
+    return TaggedOperand(*stored, close(props, *stored), tag, name)
+
+
+@st.composite
+def operand_pairs(draw):
+    m, k, n = draw(DIMS), draw(DIMS), draw(DIMS)
+    return draw(tagged_operands(m, k, "A")), draw(tagged_operands(k, n, "B"))
+
+
+def rescaled(op, factor):
+    """The same structural key at other dims: each dim but 1 times factor."""
+    def scale(d):
+        return d if d == 1 else d * factor
+
+    return replace(op, rows=scale(op.rows), cols=scale(op.cols))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(operand_pairs(), min_size=1, max_size=3),
+        factor=st.integers(2, 7),
+        db_name=st.sampled_from(sorted(DATABASES)),
+        metric=st.sampled_from([FLOPS, MEMORY]),
+    )
+    def test_find_sequence_matches_exhaustive_search(self, pairs, factor, db_name, metric):
+        # One memo and one table for all draws: each rescaled pair hits the
+        # structural entry (or recorded gap) made at the first dims.
+        db = DATABASES[db_name]
+        memo, table = {}, {}
+        for op1, op2 in pairs:
+            for a, b in ((op1, op2), (rescaled(op1, factor), rescaled(op2, factor))):
+                want = reference_sequence(a, b, db, metric)
+                if want is None:
+                    with pytest.raises(NoKernelApplicableError) as info:
+                        find_sequence(a, b, db, metric, memo, table)
+                    assert str(info.value) == (
+                        f"no kernel sequence of length <= {L} computes "
+                        f"{_describe(a)} * {_describe(b)}"
+                    )
+                    continue
+                got = find_sequence(a, b, db, metric, memo, table)
+                steps, total, output = want
+                assert tuple((s.kernel.id, s.target) for s in got.steps) == steps
+                assert got.total_cost == total
+                assert got.output == output
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        op=st.tuples(DIMS, DIMS).flatmap(lambda d: tagged_operands(*d, "A")),
+        db_name=st.sampled_from(sorted(DATABASES)),
+        metric=st.sampled_from([FLOPS, MEMORY]),
+    )
+    def test_materialize_matches_exhaustive_search(self, op, db_name, metric):
+        db = DATABASES[db_name]
+        want = reference_materialize(op, db, metric)
+        if want is None:
+            with pytest.raises(UnsatisfiableError):
+                materialize(op, db, metric)
+            return
+        got = materialize(op, db, metric)
+        assert got.kernel_ids == want[0]
+        assert got.total_cost == want[1]
+        assert got.output == want[2]
+
+    def test_each_solve_uses_its_own_database(self):
+        # Both databases meet the same structural keys, and both live in
+        # one list object, as a recycled id() would look. A table kept
+        # across solve calls would hand the second the first one's kernels.
+        chain = parse("D = A * B * C", [matrix(x, 6, 6) for x in "ABCD"])
+        cases = (
+            ("kernel fastmm arity=2 tags=id;id req=; cost=m*n", "fastmm", 2 * 36),
+            ("kernel gemm arity=2 tags=id;id req=; cost=3*m*k*n", "gemm", 2 * 648),
+        )
+        db = []
+        for config, kernel_id, total in cases:
+            db[:] = load_kernel_config(config)
+            plan = solve(chain, db)
+            assert {c.kernel_id for c in plan.calls} == {kernel_id}
+            assert plan.total_cost == total

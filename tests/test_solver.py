@@ -351,6 +351,29 @@ class TestFailures:
         assert info.value.segment == (0, 1)
         assert "A" in str(info.value) and "B" in str(info.value)
 
+    def test_uncovered_part_leaves_other_splits(self):
+        # Without explicit inverses A * B^-1 has no route, but B^-1 * C is
+        # a solve, so A * (B^-1 * C) still covers the chain.
+        db = [k for k in default_db() if k.id not in ("getri", "trtri")]
+        chain = chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD"))
+        plan = solve(chain, db)
+        assert [c.kernel_id for c in plan.calls] == ["gesv", "gemm"]
+        assert plan.parenthesization == (0, (1, 2))
+        assert plan.total_cost == pytest.approx(2 * 64 / 3 + 2 * 64 + 2 * 64)
+        with pytest.raises(NoKernelApplicableError):
+            naive_cost(chain, db)
+
+    def test_uncovered_part_inside_uncovered_chain(self):
+        db = [k for k in default_db() if k.id in ("trmm", "copy")]
+        chain = chain_of(
+            "D = L * A * B",
+            matrix("L", 4, 4, {P.LOWER_TRIANGULAR}),
+            *(matrix(x, 4, 4) for x in "ABD"),
+        )
+        with pytest.raises(NoKernelApplicableError) as info:
+            solve(chain, db)
+        assert info.value.segment == (1, 2)
+
     def test_single_factor_unsatisfiable(self):
         db = [k for k in default_db() if k.arity == 2]
         chain = chain_of("B = A^T", matrix("A", 4, 4), matrix("B", 4, 4))
