@@ -49,13 +49,14 @@ from .properties import (
     transpose_props,
 )
 from .sequence import SequenceResult, find_sequence, materialize
-from .solver import DPTables, Plan, build_tables, index_range, naive_cost, solve
+from .solver import DPStats, DPTables, Plan, build_tables, index_range, naive_cost, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
     "ComputeStatement",
+    "DPStats",
     "DPTables",
     "Diagnostic",
     "DiagnosticKind",

@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 for input diagnostics (unreadable or
 malformed files, chain validation failures), 2 for solver failures (no
-applicable kernel, unsatisfiable single-factor chains, oracle rejection
-or disagreement under ``--verify``). Any other :class:`MatchainError`
-ends the same way, reported without a traceback: with 1 while the inputs
-are read, with 2 while a statement is compiled.
+applicable kernel, unsatisfiable single-factor chains, a kernel cost too
+large for a float, oracle rejection or disagreement under ``--verify``).
+Any other :class:`MatchainError` ends the same way, reported without a
+traceback: with 1 while the inputs are read, with 2 while a statement is
+compiled.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help=f"check each plan against the brute-force oracle (max {MAX_FACTORS} factors)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="run seed recorded in the records summary",
     )
     return parser
 
@@ -142,7 +137,7 @@ def main(argv=None) -> int:
 
         if args.format == "records":
             block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
-            block.append(emit_records(plan, seed=args.seed).rstrip("\n"))
+            block.append(emit_records(plan).rstrip("\n"))
             for kind, *values in extra:
                 if kind == "naive":
                     naive, ratio = values

@@ -51,7 +51,7 @@ def _fmt_loops(loops) -> str:
     return ",".join(f"{ix.name}:{ix.range}" for ix in loops)
 
 
-def emit_records(plan: Plan, seed: int | None = None) -> str:
+def emit_records(plan: Plan) -> str:
     """Machine-readable record stream: one ``call`` line per kernel call
     and a trailing ``summary`` line. Costs use full repr precision."""
     lines = []
@@ -73,8 +73,6 @@ def emit_records(plan: Plan, seed: int | None = None) -> str:
         f"total={plan.total_cost!r}",
         f"parens={shlex.quote(_parens_str(plan.parenthesization))}",
     ]
-    if seed is not None:
-        summary.append(f"seed={seed}")
     lines.append("summary " + " ".join(summary))
     return "\n".join(lines) + "\n"
 

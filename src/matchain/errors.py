@@ -79,5 +79,16 @@ class NoKernelApplicableError(MatchainError):
         self.segment = segment
 
 
+class CostOverflowError(MatchainError):
+    """A kernel's cost at some dimensions lies beyond the float range."""
+
+    def __init__(self, kernel_id: str, mkn: tuple[int, int, int]):
+        super().__init__(
+            f"cost of {kernel_id} at (m, k, n) = {mkn} is too large for a float"
+        )
+        self.kernel_id = kernel_id
+        self.mkn = mkn
+
+
 class UnsatisfiableError(MatchainError):
     """A single-factor chain carries a tag no unary kernel discharges."""

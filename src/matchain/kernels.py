@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-from .errors import KernelConfigError
+from .errors import CostOverflowError, KernelConfigError
 from .expr import UnaryTag, effective_dims
 from .properties import (
     PROPERTY_NAMES,
@@ -163,13 +163,23 @@ class KernelCall:
 # --------------------------------------------------------------------------
 # Cost metrics
 
+# Dimensions are Python ints of any size, so a cost can leave the float
+# range: int-to-float conversion and true division raise OverflowError,
+# and float arithmetic gives inf. Either becomes a CostOverflowError.
+
 class FlopMetric:
     """Scalar floating-point operation count (kernel formula in m, k, n)."""
 
     name = "flops"
 
     def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int], out_dims) -> float:
-        return float(kernel.flops(*mkn))
+        try:
+            cost = float(kernel.flops(*mkn))
+        except OverflowError:
+            raise CostOverflowError(kernel.id, mkn) from None
+        if not cost < math.inf:  # inf or nan
+            raise CostOverflowError(kernel.id, mkn)
+        return cost
 
 
 class MemoryMetric:
@@ -178,7 +188,10 @@ class MemoryMetric:
     name = "memory"
 
     def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int], out_dims) -> float:
-        return float(out_dims[0] * out_dims[1])
+        try:
+            return float(out_dims[0] * out_dims[1])
+        except OverflowError:
+            raise CostOverflowError(kernel.id, mkn) from None
 
 
 FLOPS = FlopMetric()
@@ -219,89 +232,95 @@ def _unary(tags, req):
     return Variant((InputPattern(tags, req),))
 
 
+#: The built-in kernels, most specific first. Built once, so every
+#: default database holds the same frozen kernels and compares equal.
+_BUILTIN = (
+    Kernel(
+        "diagmm", 2,
+        (_binary(_ID, _DIAG, _ID, _ANY),),
+        lambda m, k, n: m * n,
+    ),
+    Kernel(
+        "diagsv", 2,
+        (_binary(_INV, _DIAG, _ID, _ANY),),
+        lambda m, k, n: 2 * m * n,
+    ),
+    Kernel(
+        "trtrmm", 2,
+        (
+            _binary(_ID, _LOW, _ID, _LOW),
+            _binary(_ID, _UP, _ID, _UP),
+        ),
+        lambda m, k, n: m * k * n / 3,
+    ),
+    Kernel(
+        "trmm", 2,
+        (
+            _binary(_ID_T, _LOW, _ID, _ANY),
+            _binary(_ID_T, _UP, _ID, _ANY),
+        ),
+        lambda m, k, n: m * m * n,
+    ),
+    Kernel(
+        "trsm", 2,
+        (
+            _binary(_INV_INVT, _LOW, _ID, _ANY),
+            _binary(_INV_INVT, _UP, _ID, _ANY),
+        ),
+        lambda m, k, n: m * m * n,
+    ),
+    Kernel(
+        "posv", 2,
+        (_binary(_INV, _SPD, _ID, _ANY),),
+        lambda m, k, n: m ** 3 / 3 + 2 * m * m * n,
+    ),
+    Kernel(
+        "gesv", 2,
+        (_binary(_INV, _SQ, _ID, _ANY),),
+        lambda m, k, n: 2 * m ** 3 / 3 + 2 * m * m * n,
+    ),
+    Kernel(
+        "gemm", 2,
+        (_binary(_ID_T, _ANY, _ID_T, _ANY),),
+        lambda m, k, n: 2 * m * k * n,
+    ),
+    Kernel(
+        "trtri", 1,
+        (
+            _unary(_INV_INVT, _LOW),
+            _unary(_INV_INVT, _UP),
+        ),
+        lambda m, k, n: m ** 3 / 3,
+        peel="inv",
+    ),
+    Kernel(
+        "getri", 1,
+        (_unary(_INV_INVT, _SQ),),
+        lambda m, k, n: 2 * m ** 3,
+        peel="inv",
+    ),
+    Kernel(
+        "transp", 1,
+        (_unary(_T_INVT, _ANY),),
+        lambda m, k, n: m * n,
+        peel="t",
+    ),
+    Kernel(
+        "copy", 1,
+        (_unary(_ID, _ANY),),
+        lambda m, k, n: 0,
+    ),
+)
+
+
 def default_db() -> list[Kernel]:
     """The built-in kernel set, most specific first.
 
     The order is the deterministic order reported by :func:`match`; cost
-    still decides selection, so order only breaks exact ties.
+    still decides selection, so order only breaks exact ties. Each call
+    returns a new list, which the caller may edit, of the same kernels.
     """
-    return [
-        Kernel(
-            "diagmm", 2,
-            (_binary(_ID, _DIAG, _ID, _ANY),),
-            lambda m, k, n: m * n,
-        ),
-        Kernel(
-            "diagsv", 2,
-            (_binary(_INV, _DIAG, _ID, _ANY),),
-            lambda m, k, n: 2 * m * n,
-        ),
-        Kernel(
-            "trtrmm", 2,
-            (
-                _binary(_ID, _LOW, _ID, _LOW),
-                _binary(_ID, _UP, _ID, _UP),
-            ),
-            lambda m, k, n: m * k * n / 3,
-        ),
-        Kernel(
-            "trmm", 2,
-            (
-                _binary(_ID_T, _LOW, _ID, _ANY),
-                _binary(_ID_T, _UP, _ID, _ANY),
-            ),
-            lambda m, k, n: m * m * n,
-        ),
-        Kernel(
-            "trsm", 2,
-            (
-                _binary(_INV_INVT, _LOW, _ID, _ANY),
-                _binary(_INV_INVT, _UP, _ID, _ANY),
-            ),
-            lambda m, k, n: m * m * n,
-        ),
-        Kernel(
-            "posv", 2,
-            (_binary(_INV, _SPD, _ID, _ANY),),
-            lambda m, k, n: m ** 3 / 3 + 2 * m * m * n,
-        ),
-        Kernel(
-            "gesv", 2,
-            (_binary(_INV, _SQ, _ID, _ANY),),
-            lambda m, k, n: 2 * m ** 3 / 3 + 2 * m * m * n,
-        ),
-        Kernel(
-            "gemm", 2,
-            (_binary(_ID_T, _ANY, _ID_T, _ANY),),
-            lambda m, k, n: 2 * m * k * n,
-        ),
-        Kernel(
-            "trtri", 1,
-            (
-                _unary(_INV_INVT, _LOW),
-                _unary(_INV_INVT, _UP),
-            ),
-            lambda m, k, n: m ** 3 / 3,
-            peel="inv",
-        ),
-        Kernel(
-            "getri", 1,
-            (_unary(_INV_INVT, _SQ),),
-            lambda m, k, n: 2 * m ** 3,
-            peel="inv",
-        ),
-        Kernel(
-            "transp", 1,
-            (_unary(_T_INVT, _ANY),),
-            lambda m, k, n: m * n,
-            peel="t",
-        ),
-        Kernel(
-            "copy", 1,
-            (_unary(_ID, _ANY),),
-            lambda m, k, n: 0,
-        ),
-    ]
+    return list(_BUILTIN)
 
 
 def match(

@@ -8,6 +8,16 @@ ranges of the segment's free indices. The update keeps the strict
 less-than comparison of the recurrence, so the smallest split index wins
 exact ties.
 
+The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
+meets few distinct operand pairs. So each filled cell gets a small int
+id per distinct operand signature, and a split looks up the pair of its
+two cells' ids in a dict that the fill owns: ``find_sequence`` runs once
+per distinct pair, and a pair the database cannot cover is recorded as
+such and skipped at every later split. The structural candidate table
+that ``find_sequence`` fills depends only on the kernels, so the solver
+keeps the one of the most recent database across ``build_tables`` and
+``naive_cost`` calls, and starts a fresh one for any other database.
+
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
 are discharged inside the sequence finder when the factor is combined,
 which is what lets an inverse become a solve instead of an explicit
@@ -58,6 +68,23 @@ def _base_operand(factor: Factor) -> TaggedOperand:
     return TaggedOperand(op.rows, op.cols, op.properties, factor.tag, op.display)
 
 
+@dataclass(frozen=True)
+class DPStats:
+    """Work counters of one DP fill.
+
+    ``splits`` counts the splits (i, k, j) whose two parts were both
+    covered, ``signatures`` the distinct operand signatures among the
+    filled cells, ``pairs`` the distinct signature pairs looked up (one
+    ``find_sequence`` call each) and ``no_route`` the pairs among them
+    that the database cannot cover.
+    """
+
+    splits: int
+    signatures: int
+    pairs: int
+    no_route: int
+
+
 @dataclass
 class DPTables:
     """Filled DP state for one chain; indices run over factor positions."""
@@ -69,6 +96,7 @@ class DPTables:
     solution: list[list[int | None]]
     free: list[list[tuple[IndexDecl, ...]]]
     ranges: list[list[int]]
+    stats: DPStats
 
 
 @dataclass(frozen=True)
@@ -84,6 +112,25 @@ class Plan:
     total_cost: float
     parenthesization: object
     metric_name: str
+
+
+#: The structural table of the most recent database: (its kernels, table).
+_structural: tuple[tuple[Kernel, ...] | None, dict] = (None, {})
+
+
+def _structural_table(db: Sequence[Kernel]) -> dict:
+    """The structural table for ``db``, kept while the database is unchanged.
+
+    Candidates depend only on the kernels, so one table serves every solve
+    on an equal database. The built-in kernels are shared objects, so the
+    comparison of two default databases is one identity test per kernel.
+    Any other database gets a fresh table.
+    """
+    global _structural
+    kernels = tuple(db)
+    if kernels != _structural[0]:
+        _structural = (kernels, {})
+    return _structural[1]
 
 
 def build_tables(
@@ -102,7 +149,7 @@ def build_tables(
         db = default_db()
     if memo is None:
         memo = {}
-    table: dict = {}
+    table = _structural_table(db)
     factors = chain.factors
     n = len(factors)
 
@@ -112,9 +159,18 @@ def build_tables(
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
+    # ids[i][j] numbers the signature of tmps[i][j]; 0 marks an uncovered
+    # cell. pairs maps a pair of ids to its sequence, or to None when the
+    # database has no route, so find_sequence runs once per distinct pair.
+    ids = [[0] * n for _ in range(n)]
+    interned: dict = {}
+    pairs: dict = {}
+    unseen = object()
+    uncovered_splits = no_route = 0
 
     for i in range(n):
-        tmps[i][i] = _base_operand(factors[i])
+        tmps[i][i] = op = _base_operand(factors[i])
+        ids[i][i] = interned.setdefault(op.signature(), len(interned) + 1)
         costs[i][i] = 0.0
         free[i][i] = _free_indices(factors, i, i)
         ranges[i][i] = index_range(free[i][i])
@@ -122,27 +178,45 @@ def build_tables(
     for l in range(1, n):
         for i in range(n - l):
             j = i + l
-            free[i][j] = _free_indices(factors, i, j)
-            r = index_range(free[i][j])
-            ranges[i][j] = r
-            costs_i = costs[i]
+            seg_free = free[i][j - 1]
+            for ix in factors[j].operand.indices:
+                if ix not in seg_free:
+                    seg_free += (ix,)
+            free[i][j] = seg_free
+            r = ranges[i][j] = index_range(seg_free)
+            costs_i, ids_i = costs[i], ids[i]
+            best, best_k, best_seq = inf, None, None
             for k in range(i, j):
-                left = tmps[i][k]
-                right = tmps[k + 1][j]
-                if left is None or right is None:  # an uncovered part
-                    continue
-                try:
-                    seq = find_sequence(left, right, db, metric, memo, table)
-                except NoKernelApplicableError:
+                key = (ids_i[k], ids[k + 1][j])
+                seq = pairs.get(key, unseen)
+                if seq is unseen:
+                    if not (key[0] and key[1]):  # an uncovered part
+                        uncovered_splits += 1
+                        continue
+                    try:
+                        seq = find_sequence(
+                            tmps[i][k], tmps[k + 1][j], db, metric, memo, table
+                        )
+                    except NoKernelApplicableError:
+                        seq = None
+                        no_route += 1
+                    pairs[key] = seq
+                if seq is None:
                     continue
                 cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * r
-                if cost < costs_i[j]:
-                    costs_i[j] = cost
-                    solution[i][j] = k
-                    sequences[i][j] = seq
-                    tmps[i][j] = seq.output
+                if cost < best:
+                    best, best_k, best_seq = cost, k, seq
+            if best_seq is not None:
+                costs_i[j] = best
+                solution[i][j] = best_k
+                sequences[i][j] = best_seq
+                tmps[i][j] = out = best_seq.output
+                ids_i[j] = interned.setdefault(out.signature(), len(interned) + 1)
 
-    return DPTables(n, tmps, costs, sequences, solution, free, ranges)
+    stats = DPStats(
+        (n ** 3 - n) // 6 - uncovered_splits, len(interned), len(pairs), no_route
+    )
+    return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
 
 class _TempNames:
@@ -286,7 +360,7 @@ def naive_cost(
     if len(factors) == 1:
         return solve(chain, db, metric).total_cost
 
-    table: dict = {}
+    table = _structural_table(db)
     acc = _base_operand(factors[0])
     total = 0.0
     for t in range(1, len(factors)):

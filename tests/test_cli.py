@@ -116,13 +116,13 @@ class TestRecordsOutput:
     def test_statement_and_annotations_present(self, tmp_path, capsys):
         code, out, err = run(
             tmp_path, capsys, VECTOR_CHAIN,
-            "--format", "records", "--naive", "--verify", "--seed", "5",
+            "--format", "records", "--naive", "--verify",
         )
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "statement lineno=6 source='y = M1 * M2 * x'"
         assert lines[3] == (
-            "summary target=y metric=flops total=40000.0 parens='(0 (1 2))' seed=5"
+            "summary target=y metric=flops total=40000.0 parens='(0 (1 2))'"
         )
         assert lines[4] == "naive total=2020000.0 ratio=50.5"
         assert lines[5] == "verify oracle=agree oracle_total=40000.0"
@@ -229,6 +229,19 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert err.startswith("matchain: ") and "line 5" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "dim, source, kernel",
+        [(10 ** 110, "C = A^-1 * B", "gesv"), (10 ** 200, "C = A * B", "gemm")],
+    )
+    def test_cost_overflow_exits_two(self, tmp_path, capsys, dim, source, kernel):
+        text = "".join(f"matrix {x} {dim} {dim}\n" for x in "ABC")
+        code, out, err = run(tmp_path, capsys, text + f"compute {source}\n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("matchain: ") and "line 4" in err
+        assert f"cost of {kernel} at (m, k, n) = ({dim}, {dim}, {dim})" in err
         assert "Traceback" not in err
 
     def test_verify_rejects_long_chains(self, tmp_path, capsys):

@@ -150,11 +150,6 @@ class TestRecords:
         )
         assert lines[0].startswith("call kernel=gemm in1=A in2=B out=T0 ")
 
-    def test_seed_recorded_when_given(self):
-        plan = plan_for("B = A", matrix("A", 2, 2), matrix("B", 2, 2))
-        assert emit_records(plan, seed=7).splitlines()[-1].endswith(" seed=7")
-        assert " seed=" not in emit_records(plan)
-
     def test_loops_and_mult_only_when_present(self):
         i = IndexDecl("i", 8)
         plan = plan_for(

@@ -4,28 +4,35 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchain import (
     FLOPS,
     MEMORY,
+    DPStats,
     IndexDecl,
     Property,
     UnaryTag,
     brute_force_min,
     build_tables,
     default_db,
+    find_sequence,
     index_range,
+    load_kernel_config,
     matrix,
     naive_cost,
     parse,
     solve,
     vector,
 )
+from matchain import solver
 from matchain.errors import (
+    CostOverflowError,
     InvalidChainError,
     NoKernelApplicableError,
     UnsatisfiableError,
 )
+from matchain.solver import _base_operand
 
 from helpers import random_chain
 
@@ -141,6 +148,21 @@ class TestTables:
         plan = solve(chain)
         ids = [c.kernel_id for c in plan.calls]
         assert ids == ["trtrmm", "trmm"]
+
+    def test_stats_count_distinct_pairs(self):
+        # An untagged chain over two dims meets few distinct operand pairs,
+        # so find_sequence runs far fewer times than there are splits.
+        rng = random.Random(67)
+        dims = [rng.choice((16, 32)) for _ in range(41)]
+        decls = [matrix(f"A{t}", dims[t], dims[t + 1]) for t in range(40)]
+        text = "Y = " + " * ".join(f"A{t}" for t in range(40))
+        chain = chain_of(text, *decls, matrix("Y", dims[0], dims[40]))
+        stats = build_tables(chain).stats
+        assert stats.splits == (40 ** 3 - 40) // 6
+        assert stats.no_route == 0
+        assert stats.signatures <= 8
+        assert stats.pairs <= stats.signatures ** 2
+        assert stats.pairs * 100 < stats.splits
 
 
 class TestPlanInvariants:
@@ -362,6 +384,11 @@ class TestFailures:
         assert plan.total_cost == pytest.approx(2 * 64 / 3 + 2 * 64 + 2 * 64)
         with pytest.raises(NoKernelApplicableError):
             naive_cost(chain, db)
+        # Four splits: A * B^-1 has no route, which leaves one split of
+        # [0, 2] with an uncovered part. A and C share a signature.
+        assert build_tables(chain, db).stats == DPStats(
+            splits=3, signatures=3, pairs=3, no_route=1
+        )
 
     def test_uncovered_part_inside_uncovered_chain(self):
         db = [k for k in default_db() if k.id in ("trmm", "copy")]
@@ -380,9 +407,130 @@ class TestFailures:
         with pytest.raises(UnsatisfiableError):
             solve(chain, db)
 
+    @pytest.mark.parametrize(
+        "dim, source, metric, kernel",
+        [
+            (10 ** 110, "C = A^-1 * B", FLOPS, "gesv"),
+            (10 ** 200, "C = A * B", FLOPS, "gemm"),
+            (10 ** 200, "C = A * B", MEMORY, "gemm"),
+        ],
+    )
+    def test_cost_overflow_is_typed(self, dim, source, metric, kernel):
+        chain = chain_of(source, *(matrix(x, dim, dim) for x in "ABC"))
+        with pytest.raises(CostOverflowError) as info:
+            solve(chain, metric=metric)
+        assert info.value.kernel_id == kernel
+        assert info.value.mkn == (dim, dim, dim)
+
+    def test_infinite_float_cost_is_typed(self):
+        # A float factor makes the product overflow to inf, not raise.
+        db = load_kernel_config("kernel gemm arity=2 tags=id;id req=; cost=m/1*k*n\n")
+        dim = 10 ** 110
+        chain = chain_of("C = A * B", *(matrix(x, dim, dim) for x in "ABC"))
+        with pytest.raises(CostOverflowError, match="cost of gemm"):
+            solve(chain, db)
+
     def test_costs_stay_finite_for_default_db(self):
         rng = random.Random(61)
         for _ in range(120):
             chain = random_chain(rng)
             plan = solve(chain)
             assert math.isfinite(plan.total_cost)
+
+
+class TestStructuralTable:
+    def test_kept_for_equal_databases_only(self):
+        table = solver._structural_table(default_db())
+        assert solver._structural_table(default_db()) is table
+        db = default_db()
+        db[-1] = load_kernel_config("kernel copy arity=1 tags=id req= cost=m*n")[-1]
+        assert solver._structural_table(db) is not table
+
+    @pytest.mark.parametrize(
+        "second, kernel_ids",
+        [
+            ([k for k in default_db() if k.id != "gesv"], ["getri", "gemm"]),
+            (
+                load_kernel_config("kernel gesv arity=2 tags=inv;id req=; cost=9*m*m*m"),
+                ["getri", "gemm"],
+            ),
+            (
+                load_kernel_config("kernel fastsv arity=2 tags=inv;id req=; cost=m*n"),
+                ["fastsv"],
+            ),
+        ],
+    )
+    def test_solve_after_default_uses_second_database(self, second, kernel_ids):
+        chain = chain_of("C = A^-1 * B", *(matrix(x, 6, 6) for x in "ABC"))
+        assert [c.kernel_id for c in solve(chain).calls] == ["gesv"]
+        assert [c.kernel_id for c in solve(chain, second).calls] == kernel_ids
+
+
+# --------------------------------------------------------------------------
+# Reference: the DP loop without signature ids, asking find_sequence at
+# every split with a memo and a structural table of its own.
+
+
+def reference_tables(chain, db, metric):
+    factors = chain.factors
+    n = len(factors)
+    memo, table = {}, {}
+    tmps = [[None] * n for _ in range(n)]
+    costs = [[math.inf] * n for _ in range(n)]
+    sequences = [[None] * n for _ in range(n)]
+    solution = [[None] * n for _ in range(n)]
+    free = [[()] * n for _ in range(n)]
+    ranges = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            for factor in factors[i : j + 1]:
+                for ix in factor.operand.indices:
+                    if ix not in free[i][j]:
+                        free[i][j] += (ix,)
+            ranges[i][j] = math.prod(ix.range for ix in free[i][j])
+    for i in range(n):
+        tmps[i][i] = _base_operand(factors[i])
+        costs[i][i] = 0.0
+    for l in range(1, n):
+        for i in range(n - l):
+            j = i + l
+            for k in range(i, j):
+                left, right = tmps[i][k], tmps[k + 1][j]
+                if left is None or right is None:
+                    continue
+                try:
+                    seq = find_sequence(left, right, db, metric, memo, table)
+                except NoKernelApplicableError:
+                    continue
+                cost = costs[i][k] + costs[k + 1][j] + seq.total_cost * ranges[i][j]
+                if cost < costs[i][j]:
+                    costs[i][j] = cost
+                    solution[i][j] = k
+                    sequences[i][j] = seq
+                    tmps[i][j] = seq.output
+    return tmps, costs, sequences, solution, free, ranges
+
+
+DATABASES = {
+    "default": default_db(),
+    "gap": [k for k in default_db() if k.id not in ("getri", "trtri")],
+}
+INDEX_POOL = (IndexDecl("i", 3), IndexDecl("j", 4), IndexDecl("k", 2))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        db_name=st.sampled_from(sorted(DATABASES)),
+        metric=st.sampled_from([FLOPS, MEMORY]),
+    )
+    def test_tables_match_uninterned_loop(self, seed, db_name, metric):
+        rng = random.Random(seed)
+        chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
+        db = DATABASES[db_name]
+        got = build_tables(chain, db, metric)
+        want = reference_tables(chain, db, metric)
+        assert (
+            got.tmps, got.costs, got.sequences, got.solution, got.free, got.ranges
+        ) == want
