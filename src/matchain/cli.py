@@ -63,25 +63,34 @@ def _fail(message: str) -> None:
     print(f"matchain: {message}", file=sys.stderr)
 
 
+def _read(path: str) -> str | None:
+    """The text of ``path``, or None once the reason it cannot be read is
+    reported."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: not UTF-8 text ({exc})")
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     metric = metric_by_name(args.metric)
 
-    try:
-        with open(args.problem, encoding="utf-8") as handle:
-            problem_text = handle.read()
-    except OSError as exc:
-        _fail(str(exc))
+    problem_text = _read(args.problem)
+    if problem_text is None:
         return 1
 
     db = None
     if args.kernels:
-        try:
-            with open(args.kernels, encoding="utf-8") as handle:
-                db = load_kernel_config(handle.read())
-        except OSError as exc:
-            _fail(str(exc))
+        kernel_text = _read(args.kernels)
+        if kernel_text is None:
             return 1
+        try:
+            db = load_kernel_config(kernel_text)
         except MatchainError as exc:
             _fail(f"{args.kernels}: {exc}")
             return 1

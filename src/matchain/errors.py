@@ -80,14 +80,33 @@ class NoKernelApplicableError(MatchainError):
 
 
 class CostOverflowError(MatchainError):
-    """A kernel's cost at some dimensions lies beyond the float range."""
+    """A cost lies beyond the float range.
 
-    def __init__(self, kernel_id: str, mkn: tuple[int, int, int]):
-        super().__init__(
-            f"cost of {kernel_id} at (m, k, n) = {mkn} is too large for a float"
-        )
+    Either one call's cost does: ``kernel_id`` at dimensions ``mkn``. Or
+    every call's cost fits but the total of the chain segment ``segment``
+    (start, end) does not, once its calls are charged its index
+    multiplicity ``multiplicity``; ``kernel_id`` and ``mkn`` then name the
+    segment's final call.
+    """
+
+    def __init__(
+        self,
+        kernel_id: str,
+        mkn: tuple[int, int, int],
+        multiplicity: int = 1,
+        segment: tuple[int, int] | None = None,
+    ):
+        what = f"cost of {kernel_id} at (m, k, n) = {mkn}"
+        if segment is not None:
+            what = (
+                f"total cost of factors {segment[0]}..{segment[1]} ({what}, "
+                f"index multiplicity {multiplicity})"
+            )
+        super().__init__(f"{what} is too large for a float")
         self.kernel_id = kernel_id
         self.mkn = mkn
+        self.multiplicity = multiplicity
+        self.segment = segment
 
 
 class UnsatisfiableError(MatchainError):

@@ -23,6 +23,7 @@ from .errors import (
     ExprSyntaxError,
     InconsistentPropertiesError,
     NestedUnaryError,
+    ParseError,
     ProblemFileError,
     UndeclaredSymbolError,
 )
@@ -188,19 +189,16 @@ _SUFFIX_TAGS = {"^T": UnaryTag.T, "^-1": UnaryTag.INV, "^-T": UnaryTag.INVT}
 
 
 class _Parser:
-    def __init__(self, text: str, declarations: Iterable[Operand | IndexDecl]):
+    """Parses one statement against declarations looked up by name."""
+
+    def __init__(
+        self, text: str, operands: dict[str, Operand], indexes: dict[str, IndexDecl]
+    ):
         self.text = text
         self.tokens = _tokenize(text)
         self.at = 0
-        self.operands: dict[str, Operand] = {}
-        self.indexes: dict[str, IndexDecl] = {}
-        for decl in declarations:
-            if isinstance(decl, Operand):
-                self.operands[decl.name] = decl
-            elif isinstance(decl, IndexDecl):
-                self.indexes[decl.name] = decl
-            else:
-                raise TypeError(f"unsupported declaration {decl!r}")
+        self.operands = operands
+        self.indexes = indexes
 
     def peek(self):
         return self.tokens[self.at]
@@ -237,9 +235,11 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "(":
             # Grouping is not part of the grammar; recognize it only to give a
-            # targeted error when it is used to stack unary operators.
-            open_pos = pos
-            self.take()
+            # targeted error when it is used to stack unary operators. The
+            # innermost group decides the error, so enclosing ones are skipped
+            # here rather than recursed into, however deep they nest.
+            while self.peek()[1] == "(":
+                open_pos = self.take()[2]
             inner = self.factor()
             self.expect(")")
             kind, text, suffix_pos = self.peek()
@@ -306,9 +306,20 @@ def parse(text: str, declarations: Iterable[Operand | IndexDecl]) -> Chain:
     """Parse an assignment statement against the given declarations.
 
     Raises :class:`ExprSyntaxError`, :class:`UndeclaredSymbolError`, or
-    :class:`NestedUnaryError`; all carry the source position.
+    :class:`NestedUnaryError`; all carry the source position. Raises
+    ``TypeError`` for a declaration that is neither an :class:`Operand`
+    nor an :class:`IndexDecl`.
     """
-    return _Parser(text, declarations).statement()
+    operands: dict[str, Operand] = {}
+    indexes: dict[str, IndexDecl] = {}
+    for decl in declarations:
+        if isinstance(decl, Operand):
+            operands[decl.name] = decl
+        elif isinstance(decl, IndexDecl):
+            indexes[decl.name] = decl
+        else:
+            raise TypeError(f"unsupported declaration {decl!r}")
+    return _Parser(text, operands, indexes).statement()
 
 
 # --------------------------------------------------------------------------
@@ -480,11 +491,11 @@ def load_problem(text: str) -> Problem:
                     operands[name] = vector(name, dims[0], props, indices)
             elif directive == "compute":
                 stmt = line[len("compute"):].strip()
-                decls = list(indexes.values()) + list(operands.values())
                 try:
-                    chain = parse(stmt, decls)
-                except Exception as exc:
-                    pos = getattr(exc, "position", None)
+                    # The parser reads the declarations so far in place.
+                    chain = _Parser(stmt, operands, indexes).statement()
+                except ParseError as exc:
+                    pos = exc.position
                     at = "" if pos is None else f" (column {pos + 1} of statement)"
                     raise ProblemFileError(lineno, f"{exc}{at}")
                 computes.append(ComputeStatement(lineno, stmt, chain))

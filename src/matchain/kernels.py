@@ -377,8 +377,10 @@ _COST_SAMPLES = ((1, 1, 1), (2, 3, 5), (64, 48, 32))
 def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
     """Compile a cost polynomial over m, k, n (operators +, *, / only)."""
     try:
+        # Compiling runs nothing; the tree is checked before it is evaluated.
         tree = ast.parse(poly, mode="eval")
-    except SyntaxError:
+        code = compile(tree, "<kernel-config>", "eval")
+    except (SyntaxError, RecursionError):  # the latter: nested too deep
         raise KernelConfigError(lineno, f"unparsable cost polynomial {poly!r}")
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp):
@@ -400,7 +402,6 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
             raise KernelConfigError(
                 lineno, "cost polynomial supports only +, *, /, integers, and m, k, n"
             )
-    code = compile(tree, "<kernel-config>", "eval")
     cost = lambda m, k, n: eval(code, {"__builtins__": {}}, {"m": m, "k": k, "n": n})
     # The solver evaluates costs deep inside the DP, so a polynomial that
     # divides by zero or leaves the float range is rejected here, with its

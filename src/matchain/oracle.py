@@ -10,14 +10,14 @@ sequence finder they certify. Exponential in the factor count; capped at
 ``random_instance`` and ``structural_residual`` ground the symbolic
 property claims numerically: an inferred property is sound when a random
 instance of the inputs yields a product whose off-pattern entries vanish.
+They are the only numpy users in the package and import it when called,
+so importing matchain (or running its CLI) does not load numpy.
 """
 
 from __future__ import annotations
 
 from math import inf
 from collections.abc import Sequence
-
-import numpy as np
 
 from .errors import NoKernelApplicableError
 from .expr import Chain, UnaryTag
@@ -196,6 +196,8 @@ def random_instance(
     props: frozenset[Property], rows: int, cols: int, rng: np.random.Generator
 ) -> np.ndarray:
     """A random dense matrix actually having the claimed properties."""
+    import numpy as np
+
     a = rng.uniform(-1.0, 1.0, size=(rows, cols))
     if Property.IDENTITY in props:
         return np.eye(rows)
@@ -234,6 +236,8 @@ def structural_residual(m: np.ndarray, props: frozenset[Property]) -> float:
     Zero means the matrix conforms exactly; the denominator is the
     largest magnitude in the matrix (or 1 for a zero matrix).
     """
+    import numpy as np
+
     scale = float(np.max(np.abs(m))) or 1.0
     worst = 0.0
 
@@ -262,6 +266,8 @@ def structural_residual(m: np.ndarray, props: frozenset[Property]) -> float:
 
 
 def _rect_diag(m: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros_like(m)
     for at in range(min(m.shape)):
         out[at, at] = m[at, at]

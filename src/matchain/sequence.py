@@ -52,16 +52,42 @@ L = 3
 _PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqStep:
     """One call in a sequence: the kernel and which operand it applies to.
 
     ``target`` is ``"op1"`` or ``"op2"`` for unary discharge steps and
-    ``"both"`` for the final binary kernel.
+    ``"both"`` for the final binary kernel. Steps are made only by
+    :func:`_step`, one per (kernel, target), so identity is equality.
     """
 
     kernel: Kernel
     target: str
+
+
+#: Every step made so far, keyed by (id(kernel), target). A step holds its
+#: kernel, so the id cannot be reused by another kernel while it is here.
+_STEPS: dict[tuple[int, str], SeqStep] = {}
+
+#: Every candidate made so far, ``steps -> (steps, kernel ids)``, shared by
+#: the candidate lists of every structural table.
+_CANDIDATES: dict[tuple[SeqStep, ...], tuple] = {}
+
+
+def _step(kernel: Kernel, target: str) -> SeqStep:
+    key = (id(kernel), target)
+    step = _STEPS.get(key)
+    if step is None:
+        step = _STEPS[key] = SeqStep(kernel, target)
+    return step
+
+
+def _candidate(steps: tuple[SeqStep, ...]) -> tuple:
+    """The shared ``(steps, kernel ids)`` pair for ``steps``."""
+    cand = _CANDIDATES.get(steps)
+    if cand is None:
+        cand = _CANDIDATES[steps] = (steps, tuple(s.kernel.id for s in steps))
+    return cand
 
 
 @dataclass(frozen=True)
@@ -85,7 +111,7 @@ def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: b
     frontier = out = [((), op)]
     for _ in range(max_len):
         frontier = [
-            (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
+            (steps + (_step(kernel, target),), kernel.apply_unary(cur, ""))
             for steps, cur in frontier
             for kernel, _ in match(cur, None, db)
             if with_copy or kernel.peel is not None
@@ -103,8 +129,7 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
         for pre2, cur2 in chains2:
             if len(pre1) + len(pre2) < L:
                 for kernel, _ in match(cur1, cur2, db):
-                    steps = pre1 + pre2 + (SeqStep(kernel, "both"),)
-                    out.append((steps, tuple(s.kernel.id for s in steps)))
+                    out.append(_candidate(pre1 + pre2 + (_step(kernel, "both"),)))
     return out
 
 
@@ -198,7 +223,7 @@ def materialize(
     if db is None:
         db = default_db()
     candidates = [
-        (steps, tuple(s.kernel.id for s in steps))
+        _candidate(steps)
         for steps, cur in _unary_chains(op, db, L, "op1", True)
         if steps and cur.tag is UnaryTag.ID
     ]

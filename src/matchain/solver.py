@@ -34,11 +34,13 @@ from math import inf
 from collections.abc import Iterable, Sequence
 
 from .errors import (
+    CostOverflowError,
     InvalidChainError,
+    MatchainError,
     NoKernelApplicableError,
 )
 from .expr import Chain, Factor, IndexDecl, validate
-from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, default_db
+from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
 from .sequence import SequenceResult, find_sequence, materialize, render_calls
 
 
@@ -50,6 +52,15 @@ def index_range(
     for ix in {d for d in left} | {d for d in right}:
         r *= ix.range
     return r
+
+
+def _as_float(r: int) -> float:
+    """A multiplicity as a float, ``inf`` beyond the float range (which a
+    product of index ranges can reach, and ``float * int`` would raise on)."""
+    try:
+        return float(r)
+    except OverflowError:
+        return inf
 
 
 def _free_indices(factors: Sequence[Factor], i: int, j: int) -> tuple[IndexDecl, ...]:
@@ -141,9 +152,9 @@ def build_tables(
 ) -> DPTables:
     """Run the DP for ``chain``; the chain must already validate cleanly.
 
-    Splits for which no kernel sequence exists are skipped; if a whole
-    segment has no solution the error surfaces in plan extraction (or in
-    ``solve``), naming the smallest offending segment.
+    Splits for which no kernel sequence exists, or whose cost leaves the
+    float range, are skipped; if a whole segment has no solution the error
+    surfaces in ``solve``, naming the smallest offending segment.
     """
     if db is None:
         db = default_db()
@@ -184,6 +195,7 @@ def build_tables(
                     seg_free += (ix,)
             free[i][j] = seg_free
             r = ranges[i][j] = index_range(seg_free)
+            scale = _as_float(r)
             costs_i, ids_i = costs[i], ids[i]
             best, best_k, best_seq = inf, None, None
             for k in range(i, j):
@@ -203,7 +215,7 @@ def build_tables(
                     pairs[key] = seq
                 if seq is None:
                     continue
-                cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * r
+                cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * scale
                 if cost < best:
                     best, best_k, best_seq = cost, k, seq
             if best_seq is not None:
@@ -316,21 +328,47 @@ def solve(
         r = index_range(free)
         names.declare(op.name, free)
         calls, _ = _render(seq, op, None, target, free, r, names, metric)
-        return Plan(target, tuple(calls), seq.total_cost * r, 0, metric.name)
+        total = seq.total_cost * _as_float(r)
+        if not total < inf:
+            kernel_id = seq.steps[-1].kernel.id
+            raise CostOverflowError(kernel_id, call_mkn((seq.output,)), r, (0, 0))
+        return Plan(target, tuple(calls), total, 0, metric.name)
 
     tables = build_tables(chain, db, metric)
     n = tables.n
     if tables.costs[0][n - 1] == inf:
-        i, j = _smallest_uncovered(tables)
-        raise NoKernelApplicableError(
-            f"no kernel sequence covers factors {i}..{j} "
-            f"({' * '.join(f.display for f in factors[i : j + 1])})",
-            segment=(i, j),
-        )
+        raise _uncovered_error(tables, factors, db, metric)
 
     calls: list[KernelCall] = []
     _, tree = _extract(tables, 0, n - 1, target, names, calls, metric)
     return Plan(target, tuple(calls), tables.costs[0][n - 1], tree, metric.name)
+
+
+def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
+    """The error that names the smallest uncovered segment.
+
+    Every part of that segment is covered, so each of its splits has either
+    no kernel sequence or one whose cost, charged the segment's index
+    multiplicity, leaves the float range. The DP does not tell them apart
+    on its hot path, so the splits are looked up again here.
+    """
+    i, j = _smallest_uncovered(tables)
+    table = _structural_table(db)
+    for k in range(i, j):
+        left, right = tables.tmps[i][k], tables.tmps[k + 1][j]
+        try:
+            seq = find_sequence(left, right, db, metric, table=table)
+        except NoKernelApplicableError:
+            continue
+        mkn = call_mkn((left, right))
+        return CostOverflowError(
+            seq.steps[-1].kernel.id, mkn, tables.ranges[i][j], (i, j)
+        )
+    return NoKernelApplicableError(
+        f"no kernel sequence covers factors {i}..{j} "
+        f"({' * '.join(f.display for f in factors[i : j + 1])})",
+        segment=(i, j),
+    )
 
 
 def _smallest_uncovered(tables: DPTables) -> tuple[int, int]:
@@ -364,7 +402,12 @@ def naive_cost(
     acc = _base_operand(factors[0])
     total = 0.0
     for t in range(1, len(factors)):
-        seq = find_sequence(acc, _base_operand(factors[t]), db, metric, table=table)
-        total += seq.total_cost * index_range(_free_indices(factors, 0, t))
+        right = _base_operand(factors[t])
+        seq = find_sequence(acc, right, db, metric, table=table)
+        r = index_range(_free_indices(factors, 0, t))
+        total += seq.total_cost * _as_float(r)
+        if not total < inf:
+            mkn = call_mkn((acc, right))
+            raise CostOverflowError(seq.steps[-1].kernel.id, mkn, r, (0, t))
         acc = seq.output
     return total

@@ -172,6 +172,19 @@ class TestFailureModes:
         assert code == 1
         assert captured.err.startswith("matchain: ")
 
+    @pytest.mark.parametrize("which", ["problem", "kernels"])
+    def test_file_not_utf8(self, tmp_path, capsys, which):
+        problem, kernels = tmp_path / "problem.mc", tmp_path / "kernels.cfg"
+        problem.write_text(VECTOR_CHAIN)
+        kernels.write_text("")
+        bad = problem if which == "problem" else kernels
+        bad.write_bytes(b"matrix A 2 2 \xff\n")
+        code = main([str(problem), "--kernels", str(kernels)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"matchain: {bad}: not UTF-8 text")
+
     def test_problem_error_line_number(self, tmp_path, capsys):
         code, out, err = run(tmp_path, capsys, "matrix A 4\n")
         assert code == 1
@@ -243,6 +256,22 @@ class TestFailureModes:
         assert err.startswith("matchain: ") and "line 4" in err
         assert f"cost of {kernel} at (m, k, n) = ({dim}, {dim}, {dim})" in err
         assert "Traceback" not in err
+
+    def test_multiplicity_overflow_exits_two(self, tmp_path, capsys):
+        big = 10 ** 100
+        text = (
+            "index i 100000000000\n"
+            f"matrix A {big} {big} indices=i\nmatrix B {big} {big}\n"
+            f"matrix C {big} {big} indices=i\ncompute C[i] = A[i] * B\n"
+        )
+        for args in ((), ("--naive",)):
+            code, out, err = run(tmp_path, capsys, text, *args)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("matchain: ") and "line 5" in err
+            assert "total cost of factors 0..1" in err
+            assert "index multiplicity 100000000000" in err
+            assert "no kernel sequence" not in err and "Traceback" not in err
 
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))

@@ -110,6 +110,26 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("X A * B", decls())
 
+    def test_foreign_declaration_rejected(self):
+        with pytest.raises(TypeError, match="unsupported declaration"):
+            parse("X = A", [matrix("A", 2, 2), matrix("X", 2, 2), "B"])
+
+    @pytest.mark.parametrize(
+        "text, error, position",
+        [
+            ("X = " + "(" * 5000 + "A" + ")" * 5000, ExprSyntaxError, 4 + 4999),
+            ("X = " + "(" * 5000 + "A^T)^T", NestedUnaryError, 4 + 5000 + 4),
+            ("X = " + "(" * 5000, ExprSyntaxError, 4 + 5000),
+        ],
+        ids=["grouped", "nested-suffix", "unclosed"],
+    )
+    def test_deeply_nested_parentheses(self, text, error, position):
+        # The innermost group decides the error, without recursing per level.
+        decls = [matrix("A", 3, 3), matrix("X", 3, 3)]
+        with pytest.raises(error) as info:
+            parse(text, decls)
+        assert info.value.position == position
+
     def test_unknown_character(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse("X = A @ B", decls())
@@ -280,6 +300,26 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError) as info:
             load_problem("matrix A 4 4\n\ncompute X = A * Q\n")
         assert info.value.lineno == 3
+
+    def test_compute_sees_only_earlier_declarations(self):
+        text = "matrix A 4 4\nmatrix X 4 4\ncompute X = A * B\nmatrix B 4 4\n"
+        with pytest.raises(ProblemFileError, match="undeclared symbol 'B'") as info:
+            load_problem(text)
+        assert info.value.lineno == 3
+        text = "index i 2\nmatrix A 4 4\ncompute X[i] = A * B[i]\nmatrix B 4 4 indices=i\n"
+        with pytest.raises(ProblemFileError) as info:
+            load_problem(text)
+        assert info.value.lineno == 3
+
+    def test_compute_resolves_each_statement_separately(self):
+        text = (
+            "matrix A 2 3\nmatrix B 3 2\nmatrix X 2 2\ncompute X = A * B\n"
+            "matrix C 2 2\ncompute X = X * C\n"
+        )
+        first, second = load_problem(text).computes
+        assert [f.operand.name for f in first.chain.factors] == ["A", "B"]
+        assert [f.operand.name for f in second.chain.factors] == ["X", "C"]
+        assert second.chain.factors[1].operand.rows == 2
 
     def test_inconsistent_props_reported(self):
         with pytest.raises(ProblemFileError):

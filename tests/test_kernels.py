@@ -270,6 +270,14 @@ class TestConfig:
                 "kernel bad arity=1 tags=id req= cost=m/1*" + "9" * 200 + "*" + "9" * 200,
                 id="infinite",
             ),
+            pytest.param(
+                "kernel bad arity=1 tags=id req= cost=" + "+".join(["m"] * 1500),
+                id="too-deep-to-compile",
+            ),
+            pytest.param(
+                "kernel bad arity=1 tags=id req= cost=" + "+".join(["m"] * 20000),
+                id="too-deep-to-parse",
+            ),
             "kernel bad arity=1 tags=whoosh req= cost=m",
             "kernel bad arity=1 tags=id req=hermitian cost=m",
             "kernel bad arity=1 tags=t,inv req= cost=m",

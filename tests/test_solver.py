@@ -430,6 +430,63 @@ class TestFailures:
         with pytest.raises(CostOverflowError, match="cost of gemm"):
             solve(chain, db)
 
+    def test_multiplicity_overflow_is_typed(self):
+        # Each gemm's cost fits a float; charged 10^11 times it does not.
+        big, i = 10 ** 100, IndexDecl("i", 10 ** 11)
+        chain = chain_of(
+            "C[i] = A[i] * B",
+            i,
+            matrix("A", big, big, indices=(i,)),
+            matrix("B", big, big),
+            matrix("C", big, big, indices=(i,)),
+        )
+        for run in (solve, naive_cost):
+            with pytest.raises(CostOverflowError) as info:
+                run(chain)
+            assert info.value.kernel_id == "gemm"
+            assert info.value.mkn == (big, big, big)
+            assert info.value.multiplicity == 10 ** 11
+            assert info.value.segment == (0, 1)
+            assert "factors 0..1" in str(info.value)
+
+    @pytest.mark.parametrize("source", ["C[i,j] = A[i] * B[j]", "C[i,j] = D[i,j]^T"])
+    def test_multiplicity_beyond_float_range_is_typed(self, source):
+        # 10^320 cannot even be converted to a float.
+        i, j = IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 160)
+        decls = (
+            i,
+            j,
+            matrix("A", 2, 2, indices=(i,)),
+            matrix("B", 2, 2, indices=(j,)),
+            matrix("C", 2, 2, indices=(i, j)),
+            matrix("D", 2, 2, indices=(i, j)),
+        )
+        chain = chain_of(source, *decls)
+        for run in (solve, naive_cost):
+            with pytest.raises(CostOverflowError) as info:
+                run(chain)
+            assert info.value.multiplicity == 10 ** 320
+
+    def test_overflowing_segment_avoided_by_plan(self):
+        # (A[i] * B) overflows once charged 10^11 times, A[i] * (B * c) does not.
+        big, i = 10 ** 100, IndexDecl("i", 10 ** 11)
+        chain = chain_of(
+            "y[i] = A[i] * B * c",
+            i,
+            matrix("A", big, big, indices=(i,)),
+            matrix("B", big, big),
+            vector("c", big),
+            vector("y", big, indices=(i,)),
+        )
+        tables = build_tables(chain)
+        assert tables.costs[0][1] == math.inf
+        plan = solve(chain)
+        assert plan.parenthesization == (0, (1, 2))
+        assert math.isfinite(plan.total_cost)
+        with pytest.raises(CostOverflowError) as info:
+            naive_cost(chain)
+        assert info.value.segment == (0, 1)
+
     def test_costs_stay_finite_for_default_db(self):
         rng = random.Random(61)
         for _ in range(120):
