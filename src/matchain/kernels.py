@@ -10,8 +10,9 @@ Costs are analytic. The FLOP metric uses each kernel's operation-count
 formula in the effective dimensions ``m, k, n`` (left m x k times right
 k x n; unary kernels see their input as m x n and k = n). The memory
 metric charges the element count of each call's output, a stand-in for
-write traffic. Both are additive over calls, which is all the solver
-assumes; new metrics only need a ``call_cost``.
+write traffic; every call writes an m x n result. Both are additive over
+calls, which is all the solver assumes; a new metric needs only
+``call_cost(kernel, mkn)``.
 
 Note that ``transp`` is charged m*n flops even though transposition does
 no arithmetic; a free transpose would make explicit transposes costless,
@@ -79,38 +80,27 @@ class InputPattern:
 
 
 @dataclass(frozen=True)
-class Variant:
-    """One alternative pattern tuple for a kernel (length == arity).
-
-    Kernels that accept either triangle orientation carry one variant per
-    orientation; the first matching variant is the recorded binding.
-    """
-
-    patterns: tuple[InputPattern, ...]
-
-
-@dataclass(frozen=True)
 class Kernel:
     """A computational building block with patterns and a FLOP formula.
 
     ``peel`` applies to unary kernels only and names the tag component the
     kernel discharges: ``"t"`` (transp: T -> Id, InvT -> Inv), ``"inv"``
     (getri/trtri: Inv -> Id, InvT -> T), or ``None`` (copy, tag Id only).
+    ``variants`` holds one pattern tuple (length == arity) per accepted
+    orientation; the kernel applies when any of them accepts the operands.
     """
 
     id: str
     arity: int
-    variants: tuple[Variant, ...]
+    variants: tuple[tuple[InputPattern, ...], ...]
     flops: Callable[[int, int, int], float]
     peel: str | None = None
 
-    def match_variant(self, ops: Sequence[TaggedOperand]) -> Variant | None:
-        if len(ops) != self.arity:
-            return None
-        for variant in self.variants:
-            if all(p.matches(op) for p, op in zip(variant.patterns, ops)):
-                return variant
-        return None
+    def accepts(self, ops: Sequence[TaggedOperand]) -> bool:
+        return len(ops) == self.arity and any(
+            all(p.matches(op) for p, op in zip(patterns, ops))
+            for patterns in self.variants
+        )
 
     def apply_unary(self, op: TaggedOperand, name: str) -> TaggedOperand:
         """Result of this unary kernel on ``op``: stored output + remaining tag."""
@@ -172,7 +162,7 @@ class FlopMetric:
 
     name = "flops"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int], out_dims) -> float:
+    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> float:
         try:
             cost = float(kernel.flops(*mkn))
         except OverflowError:
@@ -183,13 +173,13 @@ class FlopMetric:
 
 
 class MemoryMetric:
-    """Element count of each call's output (write-traffic proxy)."""
+    """Element count of each call's m x n output (write-traffic proxy)."""
 
     name = "memory"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int], out_dims) -> float:
+    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> float:
         try:
-            return float(out_dims[0] * out_dims[1])
+            return float(mkn[0] * mkn[2])
         except OverflowError:
             raise CostOverflowError(kernel.id, mkn) from None
 
@@ -225,11 +215,11 @@ _SPD = frozenset({Property.SPD, Property.SQUARE})
 
 
 def _binary(tags1, req1, tags2, req2):
-    return Variant((InputPattern(tags1, req1), InputPattern(tags2, req2)))
+    return (InputPattern(tags1, req1), InputPattern(tags2, req2))
 
 
 def _unary(tags, req):
-    return Variant((InputPattern(tags, req),))
+    return (InputPattern(tags, req),)
 
 
 #: The built-in kernels, most specific first. Built once, so every
@@ -327,7 +317,7 @@ def match(
     left: TaggedOperand,
     right: TaggedOperand | None = None,
     db: Sequence[Kernel] | None = None,
-) -> list[tuple[Kernel, Variant]]:
+) -> list[Kernel]:
     """All kernels applicable to the operand (pair), in database order.
 
     Binary matching additionally checks that the effective dimensions
@@ -338,12 +328,7 @@ def match(
     ops = (left,) if right is None else (left, right)
     if right is not None and left.eff_dims[1] != right.eff_dims[0]:
         return []
-    out = []
-    for kernel in db:
-        variant = kernel.match_variant(ops)
-        if variant is not None:
-            out.append((kernel, variant))
-    return out
+    return [kernel for kernel in db if kernel.accepts(ops)]
 
 
 def call_mkn(ops: Sequence[TaggedOperand]) -> tuple[int, int, int]:
@@ -506,7 +491,7 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
         if arity == 1:
             peel = _unary_peel(patterns[0].tags, lineno)
         cost = _compile_cost(fields["cost"], lineno)
-        kernel = Kernel(kid, arity, (Variant(tuple(patterns)),), cost, peel=peel)
+        kernel = Kernel(kid, arity, (tuple(patterns),), cost, peel=peel)
 
         if kid in position:
             db[position[kid]] = kernel

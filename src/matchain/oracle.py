@@ -42,11 +42,11 @@ def _discharge_chains(op: TaggedOperand, db, metric, budget: int):
     results = [(0.0, 0, (), op)]
     if budget == 0:
         return results
-    for kernel, _ in match(op, None, db):
+    for kernel in match(op, None, db):
         if kernel.peel is None:
             continue
         out = kernel.apply_unary(op, "")
-        cost = metric.call_cost(kernel, call_mkn((op,)), (out.rows, out.cols))
+        cost = metric.call_cost(kernel, call_mkn((op,)))
         for tail_cost, tail_len, tail_ids, tail_op in _discharge_chains(
             out, db, metric, budget - 1
         ):
@@ -73,11 +73,8 @@ def best_pair_cost(
         for cost2, len2, _, cur2 in _discharge_chains(
             op2, db, metric, _SEQ_LEN - 1 - len1
         ):
-            for kernel, _ in match(cur1, cur2, db):
-                out = kernel.apply_binary(cur1, cur2, "")
-                total = cost1 + cost2 + metric.call_cost(
-                    kernel, call_mkn((cur1, cur2)), (out.rows, out.cols)
-                )
+            for kernel in match(cur1, cur2, db):
+                total = cost1 + cost2 + metric.call_cost(kernel, call_mkn((cur1, cur2)))
                 if total < best:
                     best = total
     return best
@@ -163,9 +160,9 @@ def brute_force_min(
             yield 0.0, 0, op
             if budget == 0:
                 return
-            for kernel, _ in match(op, None, db):
+            for kernel in match(op, None, db):
                 out = kernel.apply_unary(op, "")
-                cost = metric.call_cost(kernel, call_mkn((op,)), (out.rows, out.cols))
+                cost = metric.call_cost(kernel, call_mkn((op,)))
                 for tail_cost, tail_len, tail_op in unary_chains(out, budget - 1):
                     yield cost + tail_cost, 1 + tail_len, tail_op
 
@@ -176,7 +173,8 @@ def brute_force_min(
                 best = cost
         if best == inf:
             raise NoKernelApplicableError(f"no unary sequence materializes {op}")
-        return best * seg_range(0, 0), 0
+        # A range product can exceed the float range; 0.0 times it is 0.
+        return (best * seg_range(0, 0) if best else 0.0), 0
 
     best, best_tree = inf, None
     for tree in _trees(0, n - 1):

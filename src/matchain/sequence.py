@@ -23,33 +23,22 @@ output properties, which depend only on the key and on whether m == n.
 sequence containing it is dominated by the same sequence without it
 (cost no higher under any additive metric, and shorter).
 
-Sequences carry kernels and targets only; operand names are bound later
-by :func:`render_calls`, so memoized results are shared across operands
+Sequences carry kernels and targets only; the solver binds operand names
+when it renders the plan, so memoized results are shared across operands
 with equal signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .errors import NoKernelApplicableError, UnsatisfiableError
 from .expr import UnaryTag
-from .kernels import (
-    FLOPS,
-    Kernel,
-    KernelCall,
-    TaggedOperand,
-    call_mkn,
-    default_db,
-    match,
-)
+from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match
 
 #: Maximum number of kernel calls per combination step.
 L = 3
-
-#: How a unary call's comment writes the tag component it peels.
-_PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +102,7 @@ def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: b
         frontier = [
             (steps + (_step(kernel, target),), kernel.apply_unary(cur, ""))
             for steps, cur in frontier
-            for kernel, _ in match(cur, None, db)
+            for kernel in match(cur, None, db)
             if with_copy or kernel.peel is not None
         ]
         out.extend(frontier)
@@ -128,7 +117,7 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
     for pre1, cur1 in _unary_chains(op1, db, L - 1, "op1", False):
         for pre2, cur2 in chains2:
             if len(pre1) + len(pre2) < L:
-                for kernel, _ in match(cur1, cur2, db):
+                for kernel in match(cur1, cur2, db):
                     out.append(_candidate(pre1 + pre2 + (_step(kernel, "both"),)))
     return out
 
@@ -137,17 +126,13 @@ def _cheapest(candidates, m: int, k: int, n: int, metric):
     """Cost step: steps and total of the cheapest candidate for op1 of
     effective shape m x k times op2 of k x n. Ties go to fewer steps, then
     to the smaller id tuple, then to the earlier candidate."""
-    args = {
-        "op1": ((m, k, k), (m, k)),
-        "op2": ((k, n, n), (k, n)),
-        "both": ((m, k, n), (m, n)),
-    }
+    args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
     best = None
     best_key = None
     for steps, ids in candidates:
         total = 0.0
         for step in steps:
-            total += metric.call_cost(step.kernel, *args[step.target])
+            total += metric.call_cost(step.kernel, args[step.target])
         cand_key = (total, len(steps), ids)
         if best_key is None or cand_key < best_key:
             best_key = cand_key
@@ -234,42 +219,6 @@ def materialize(
     m, n = op.eff_dims
     steps, total = _cheapest(candidates, m, n, n, metric)
     return SequenceResult(steps, total, TaggedOperand(m, n, op.eff_props))
-
-
-def render_calls(
-    seq: SequenceResult,
-    op1: TaggedOperand,
-    op2: TaggedOperand | None,
-    out_name: str,
-    alloc_temp: Callable[[], str],
-    metric=FLOPS,
-) -> tuple[list[KernelCall], TaggedOperand]:
-    """Bind operand names to a sequence, producing concrete calls.
-
-    ``op1``/``op2`` are the named operands the sequence was found for;
-    intermediate outputs draw names from ``alloc_temp`` (called with the
-    step's input operand, or None for a binary step) and the final call
-    writes ``out_name``. Returns the calls and the named final operand.
-    """
-    cur = {"op1": op1, "op2": op2}
-    calls = []
-    for at, step in enumerate(seq.steps):
-        is_last = at == len(seq.steps) - 1
-        kernel = step.kernel
-        if step.target == "both":
-            inputs = (cur["op1"], cur["op2"])
-            name = out_name if is_last else alloc_temp(None)
-            result = kernel.apply_binary(*inputs, name)
-            math = f"{inputs[0].display} * {inputs[1].display}"
-        else:
-            inputs = (cur[step.target],)
-            name = out_name if is_last else alloc_temp(inputs[0])
-            result = cur[step.target] = kernel.apply_unary(inputs[0], name)
-            math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
-        cost = metric.call_cost(kernel, call_mkn(inputs), (result.rows, result.cols))
-        names = tuple(op.name for op in inputs)
-        calls.append(KernelCall(kernel.id, names, name, cost, f"{name} := {math}"))
-    return calls, result
 
 
 def _describe(op: TaggedOperand) -> str:

@@ -29,7 +29,7 @@ materialization strategy could be swapped in and compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf
 from collections.abc import Iterable, Sequence
 
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .expr import Chain, Factor, IndexDecl, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import SequenceResult, find_sequence, materialize, render_calls
+from .sequence import SequenceResult, find_sequence, materialize
 
 
 def index_range(
@@ -61,6 +61,12 @@ def _as_float(r: int) -> float:
         return float(r)
     except OverflowError:
         return inf
+
+
+def _charged(cost: float, r: int) -> float:
+    """``cost`` charged ``r`` times. A 0 cost stays 0 at any multiplicity,
+    where ``0.0 * inf`` would be nan."""
+    return cost * _as_float(r) if cost else 0.0
 
 
 def _free_indices(factors: Sequence[Factor], i: int, j: int) -> tuple[IndexDecl, ...]:
@@ -285,18 +291,43 @@ def _extract(
     return named, (ltree, rtree)
 
 
-def _render(seq, left, right, out_name, free, r, names: _TempNames, metric):
-    """Rendered calls of ``seq``, looped over ``free`` and charged ``r`` times."""
+#: How a unary call's comment writes the tag component it peels.
+_PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
-    def alloc(inp: TaggedOperand | None) -> str:
-        # A discharge temp varies over exactly the indices its input does.
-        if inp is None:
-            return names.fresh(free)
-        return names.fresh(names.indices.get(inp.name, ()))
 
-    seq_calls, named = render_calls(seq, left, right, out_name, alloc, metric)
+def _render(seq, op1, op2, out_name, free, r, names: _TempNames, metric):
+    """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
+
+    Every call loops over ``free`` and is charged ``r`` times; the last one
+    writes ``out_name``. A binary temp varies over the segment's free
+    indices, a discharge temp over exactly the indices its input does.
+    Returns the calls and the named final operand.
+    """
+    cur = {"op1": op1, "op2": op2}
+    calls = []
+    last = len(seq.steps) - 1
+    for at, step in enumerate(seq.steps):
+        kernel = step.kernel
+        if step.target == "both":
+            inputs = (cur["op1"], cur["op2"])
+            name = out_name if at == last else names.fresh(free)
+            result = kernel.apply_binary(*inputs, name)
+            math = f"{inputs[0].display} * {inputs[1].display}"
+        else:
+            inputs = (cur[step.target],)
+            if at == last:
+                name = out_name
+            else:
+                name = names.fresh(names.indices.get(inputs[0].name, ()))
+            result = cur[step.target] = kernel.apply_unary(inputs[0], name)
+            math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
+        cost = metric.call_cost(kernel, call_mkn(inputs))
+        arg_names = tuple(op.name for op in inputs)
+        calls.append(
+            KernelCall(kernel.id, arg_names, name, cost, f"{name} := {math}", free, r)
+        )
     names.declare(out_name, free)
-    return [replace(call, loops=free, multiplicity=r) for call in seq_calls], named
+    return calls, result
 
 
 def solve(
@@ -328,7 +359,7 @@ def solve(
         r = index_range(free)
         names.declare(op.name, free)
         calls, _ = _render(seq, op, None, target, free, r, names, metric)
-        total = seq.total_cost * _as_float(r)
+        total = _charged(seq.total_cost, r)
         if not total < inf:
             kernel_id = seq.steps[-1].kernel.id
             raise CostOverflowError(kernel_id, call_mkn((seq.output,)), r, (0, 0))
@@ -405,7 +436,7 @@ def naive_cost(
         right = _base_operand(factors[t])
         seq = find_sequence(acc, right, db, metric, table=table)
         r = index_range(_free_indices(factors, 0, t))
-        total += seq.total_cost * _as_float(r)
+        total += _charged(seq.total_cost, r)
         if not total < inf:
             mkn = call_mkn((acc, right))
             raise CostOverflowError(seq.steps[-1].kernel.id, mkn, r, (0, t))

@@ -273,6 +273,20 @@ class TestFailureModes:
             assert "index multiplicity 100000000000" in err
             assert "no kernel sequence" not in err and "Traceback" not in err
 
+    def test_zero_cost_beyond_float_range_exits_zero(self, tmp_path, capsys):
+        big = 10 ** 160
+        text = (
+            f"index i {big}\nindex j {big}\n"
+            "matrix C 2 2 indices=i,j\nmatrix D 2 2 indices=i,j\n"
+            "compute C[i,j] = D[i,j]\n"
+        )
+        for args in ((), ("--naive",), ("--verify",)):
+            code, out, err = run(tmp_path, capsys, text, *args)
+            assert code == 0
+            assert err == ""
+            assert "copy(D[i,j])" in out
+            assert "# total_flops=0\n" in out
+
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))
         text = decls + "matrix Z 4 4\ncompute Z = " + " * ".join(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from matchain import (
     FLOPS,
     MEMORY,
+    IndexDecl,
     TaggedOperand,
     UnaryTag,
     best_pair_cost,
@@ -21,10 +22,12 @@ from matchain import (
     matrix,
     parse,
     solve,
+    vector,
 )
 from matchain.errors import NoKernelApplicableError, UnsatisfiableError
 from matchain.kernels import Kernel, call_mkn
-from matchain.sequence import L, _describe, render_calls
+from matchain.sequence import L, _describe
+from matchain.solver import _render, _TempNames
 from matchain.properties import Property
 
 from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
@@ -224,10 +227,15 @@ class TestMaterialize:
             materialize(op(6, 6, tag=UnaryTag.INV, name="A"), db)
 
 
+def render(seq, op1, op2, out_name, names=None, metric=FLOPS):
+    """The solver's rendering of ``seq`` outside any loop."""
+    return _render(seq, op1, op2, out_name, (), 1, names or _TempNames(), metric)
+
+
 class TestRenderCalls:
     def test_single_call_names(self):
         seq = find_sequence(op(8, 5, name="A"), op(5, 3, name="B"))
-        calls, final = render_calls(seq, op(8, 5, name="A"), op(5, 3, name="B"), "C", lambda _: "T0")
+        calls, final = render(seq, op(8, 5, name="A"), op(5, 3, name="B"), "C")
         assert len(calls) == 1
         call = calls[0]
         assert call.kernel_id == "gemm"
@@ -237,11 +245,10 @@ class TestRenderCalls:
         assert final.name == "C"
 
     def test_prep_names_thread_through(self):
-        names = iter(["T0"])
         a = op(10, 10, tag=UnaryTag.INVT, name="A")
         b = op(10, 4, name="B")
         seq = find_sequence(a, b)
-        calls, final = render_calls(seq, a, b, "C", lambda _: next(names))
+        calls, final = render(seq, a, b, "C")
         assert [c.kernel_id for c in calls] == ["transp", "gesv"]
         assert calls[0].inputs == ("A",)
         assert calls[0].output == "T0"
@@ -253,29 +260,47 @@ class TestRenderCalls:
 
     def test_costs_sum_to_total(self):
         rng = random.Random(23)
-        counter = [0]
-
-        def alloc(_):
-            counter[0] += 1
-            return f"T{counter[0]}"
-
+        names = _TempNames()
         for _ in range(100):
             left, right = random_operand_pair(rng)
-            try:
-                seq = find_sequence(left, right)
-            except NoKernelApplicableError:
-                continue
-            calls, final = render_calls(seq, left, right, "OUT", alloc)
-            assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
-            assert final.name == "OUT"
-            assert final.signature() == seq.output.signature()
+            for metric in (FLOPS, MEMORY):
+                try:
+                    seq = find_sequence(left, right, metric=metric)
+                except NoKernelApplicableError:
+                    continue
+                calls, final = render(seq, left, right, "OUT", names, metric)
+                assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
+                assert final.name == "OUT"
+                assert final.signature() == seq.output.signature()
 
     def test_memory_metric_threads(self):
         a = op(10, 10, tag=UnaryTag.INVT, name="A")
         b = op(10, 4, name="B")
         seq = find_sequence(a, b, metric=MEMORY)
-        calls, _ = render_calls(seq, a, b, "C", lambda _: "T0", metric=MEMORY)
+        calls, _ = render(seq, a, b, "C", metric=MEMORY)
         assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
+
+    def test_discharge_temp_varies_over_its_input(self):
+        # Every call loops over the segment's indices, but a discharge temp
+        # is indexed only by the indices its input carries.
+        i = IndexDecl("i", 8)
+        decls = (
+            i,
+            matrix("A", 4, 10, indices=(i,)),
+            matrix("B", 10, 10),
+            matrix("X", 4, 10, indices=(i,)),
+            matrix("M", 6, 6, indices=(i,)),
+            vector("b", 6),
+            vector("y", 6, indices=(i,)),
+        )
+        cases = (
+            ("X[i] = A[i] * B^-1", "T0 := B^-1", "X[i] := A[i] * T0"),
+            ("y[i] = M[i]^-T * b", "T0[i] := M[i]^T", "y[i] := T0[i]^-1 * b"),
+        )
+        for source, *comments in cases:
+            plan = solve(parse(source, decls))
+            assert [c.comment for c in plan.calls] == comments
+            assert all(c.loops == (i,) and c.multiplicity == 8 for c in plan.calls)
 
 
 class TestFailure:
@@ -303,13 +328,11 @@ def _reference_chains(op, db, metric, max_len, with_copy=False):
     for _ in range(max_len):
         grown = []
         for steps, cost, cur in frontier:
-            for kernel, _ in match(cur, None, db):
+            for kernel in match(cur, None, db):
                 if kernel.peel is None and not with_copy:
                     continue
                 result = kernel.apply_unary(cur, "")
-                step_cost = metric.call_cost(
-                    kernel, call_mkn((cur,)), (result.rows, result.cols)
-                )
+                step_cost = metric.call_cost(kernel, call_mkn((cur,)))
                 grown.append((steps + (kernel,), cost + step_cost, result))
         out.extend(grown)
         frontier = grown
@@ -322,11 +345,9 @@ def reference_sequence(op1, op2, db, metric):
     for steps1, cost1, cur1 in _reference_chains(op1, db, metric, L - 1):
         budget = L - 1 - len(steps1)
         for steps2, cost2, cur2 in _reference_chains(op2, db, metric, budget):
-            for kernel, _ in match(cur1, cur2, db):
+            for kernel in match(cur1, cur2, db):
                 out = kernel.apply_binary(cur1, cur2, "")
-                bin_cost = metric.call_cost(
-                    kernel, call_mkn((cur1, cur2)), (out.rows, out.cols)
-                )
+                bin_cost = metric.call_cost(kernel, call_mkn((cur1, cur2)))
                 steps = (
                     tuple((k.id, "op1") for k in steps1)
                     + tuple((k.id, "op2") for k in steps2)
@@ -463,3 +484,25 @@ class TestAgainstReference:
             plan = solve(chain, db)
             assert {c.kernel_id for c in plan.calls} == {kernel_id}
             assert plan.total_cost == total
+
+
+class TestOutputShape:
+    """A call's m x n result is what MEMORY charges from its (m, k, n)."""
+
+    def test_memory_cost_is_result_size(self):
+        # Small dims make square operands, which most kernels require.
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(2000):
+            pair = random_operand_pair(rng, dim_max=2)
+            for db in DATABASES.values():
+                for inputs in ((pair[0],), (pair[1],), pair):
+                    for kernel in match(*inputs, db=db):
+                        if kernel.arity == 1:
+                            out = kernel.apply_unary(inputs[0], "")
+                        else:
+                            out = kernel.apply_binary(*inputs, "")
+                        cost = MEMORY.call_cost(kernel, call_mkn(inputs))
+                        assert cost == out.rows * out.cols
+                        seen.add(kernel)
+        assert seen == {k for db in DATABASES.values() for k in db}

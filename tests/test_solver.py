@@ -467,6 +467,22 @@ class TestFailures:
                 run(chain)
             assert info.value.multiplicity == 10 ** 320
 
+    def test_zero_cost_beyond_float_range_stays_zero(self):
+        # A copy costs 0 flops; 0.0 * inf would be nan, read as an overflow.
+        i, j = IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 160)
+        decls = (
+            i,
+            j,
+            matrix("C", 2, 2, indices=(i, j)),
+            matrix("D", 2, 2, indices=(i, j)),
+        )
+        chain = chain_of("C[i,j] = D[i,j]", *decls)
+        plan = solve(chain)
+        assert [c.kernel_id for c in plan.calls] == ["copy"]
+        assert plan.calls[0].multiplicity == 10 ** 320
+        assert plan.total_cost == 0.0
+        assert naive_cost(chain) == 0.0
+
     def test_overflowing_segment_avoided_by_plan(self):
         # (A[i] * B) overflows once charged 10^11 times, A[i] * (B * c) does not.
         big, i = 10 ** 100, IndexDecl("i", 10 ** 11)
