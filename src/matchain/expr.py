@@ -36,6 +36,10 @@ class UnaryTag(enum.Enum):
     INV = "^-1"
     INVT = "^-T"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and skips Enum's Python-level one.
+    __hash__ = object.__hash__
+
 
 #: Effective-dimension swap table: T and INVT exchange rows and columns.
 _SWAPS = frozenset({UnaryTag.T, UnaryTag.INVT})

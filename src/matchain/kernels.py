@@ -40,9 +40,9 @@ from .properties import (
 class TaggedOperand:
     """A stored operand (dims + closed props) with its pending unary tag.
 
-    ``name`` is display-only and excluded from :meth:`signature`, so memo
-    entries keyed on signatures are shared across operands that differ
-    only in name.
+    ``name`` is display-only and excluded from :meth:`signature`, so the
+    DP's signature ids, and anything else keyed on signatures, treat
+    operands that differ only in name as one.
     """
 
     rows: int

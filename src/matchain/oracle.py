@@ -125,6 +125,15 @@ def brute_force_min(
                     r *= ix.range
         return r
 
+    def charge(cost: float, r: int) -> float:
+        # A range product can exceed the float range; 0.0 times it is 0.
+        if not cost:
+            return 0.0
+        try:
+            return cost * r
+        except OverflowError:
+            return inf
+
     pair_memo: dict = {}
 
     def pair_cost(a: TaggedOperand, b: TaggedOperand) -> float:
@@ -151,7 +160,7 @@ def brute_force_min(
         ldims, rdims = lop.eff_dims, rop.eff_dims
         props = infer_properties(lop.eff_props, ldims, rop.eff_props, rdims)
         out = TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID)
-        return lcost + rcost + step * seg_range(i, j), out
+        return lcost + rcost + charge(step, seg_range(i, j)), out
 
     if n == 1:
         # Exhaustive unary search (copy included, unlike discharge chains):
@@ -172,9 +181,12 @@ def brute_force_min(
             if length >= 1 and cur.tag is UnaryTag.ID and cost < best:
                 best = cost
         if best == inf:
-            raise NoKernelApplicableError(f"no unary sequence materializes {op}")
-        # A range product can exceed the float range; 0.0 times it is 0.
-        return (best * seg_range(0, 0) if best else 0.0), 0
+            props = ",".join(sorted(p.value for p in op.props)) or "none"
+            raise NoKernelApplicableError(
+                f"no unary sequence materializes a {op.rows}x{op.cols} operand "
+                f"tagged {op.tag.name} with props {props}"
+            )
+        return charge(best, seg_range(0, 0)), 0
 
     best, best_tree = inf, None
     for tree in _trees(0, n - 1):

@@ -32,6 +32,10 @@ class Property(enum.Enum):
     VECTOR = "vector"
     SQUARE = "square"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and skips Enum's Python-level one.
+    __hash__ = object.__hash__
+
     def __repr__(self):  # keeps frozensets of properties readable in test output
         return self.value
 

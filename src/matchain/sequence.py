@@ -24,8 +24,9 @@ sequence containing it is dominated by the same sequence without it
 (cost no higher under any additive metric, and shorter).
 
 Sequences carry kernels and targets only; the solver binds operand names
-when it renders the plan, so memoized results are shared across operands
-with equal signatures.
+when it renders the plan, so one result serves every operand pair with
+equal signatures. Steps, candidates and output property sets are
+interned module-wide, so the structural tables share them.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ _STEPS: dict[tuple[int, str], SeqStep] = {}
 #: Every candidate made so far, ``steps -> (steps, kernel ids)``, shared by
 #: the candidate lists of every structural table.
 _CANDIDATES: dict[tuple[SeqStep, ...], tuple] = {}
+
+#: Every output property set made so far, each mapped to itself, so the
+#: structural tables share one frozenset per distinct set.
+_PROPS: dict[frozenset, frozenset] = {}
 
 
 def _step(kernel: Kernel, target: str) -> SeqStep:
@@ -150,12 +155,14 @@ def find_sequence(
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
-    ``memo`` maps signature pairs (dims included) to results; share one
-    dict only across calls with the same db and metric. ``table`` maps
-    structural keys to candidate lists, failures included; share one only
-    across calls with the same db. Without it the structural step runs
-    afresh. Raises :class:`NoKernelApplicableError` when the database has
-    no route.
+    ``table`` maps structural keys to candidate lists, failures included;
+    share one only across calls with the same db. Without it the
+    structural step runs afresh. ``memo`` is optional and off by default:
+    the DP already calls this once per distinct signature pair. When
+    given, it maps signature pairs (dims included) to results, one entry
+    per successful call, which lets a caller count distinct pairs; share
+    one only across calls with the same db and metric. Raises
+    :class:`NoKernelApplicableError` when the database has no route.
     """
     if db is None:
         db = default_db()
@@ -164,8 +171,8 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    key = (op1.signature(), op2.signature())
     if memo is not None:
+        key = (op1.signature(), op2.signature())
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -185,7 +192,8 @@ def find_sequence(
     steps, total = _cheapest(candidates, m, k, n, metric)
     square = m == n
     if square not in out_props:
-        out_props[square] = steps[-1].kernel.apply_binary(op1, op2, "").props
+        props = steps[-1].kernel.apply_binary(op1, op2, "").props
+        out_props[square] = _PROPS.setdefault(props, props)
     result = SequenceResult(steps, total, TaggedOperand(m, n, out_props[square]))
     if memo is not None:
         memo[key] = result

@@ -13,9 +13,10 @@ meets few distinct operand pairs. So each filled cell gets a small int
 id per distinct operand signature, and a split looks up the pair of its
 two cells' ids in a dict that the fill owns: ``find_sequence`` runs once
 per distinct pair, and a pair the database cannot cover is recorded as
-such and skipped at every later split. The structural candidate table
-that ``find_sequence`` fills depends only on the kernels, so the solver
-keeps the one of the most recent database across ``build_tables`` and
+such and skipped at every later split. That dict is the fill's only
+cache of sequences. The structural candidate table that
+``find_sequence`` fills depends only on the kernels, so the solver keeps
+the one of the most recent database across ``build_tables`` and
 ``naive_cost`` calls, and starts a fresh one for any other database.
 
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
@@ -160,12 +161,12 @@ def build_tables(
 
     Splits for which no kernel sequence exists, or whose cost leaves the
     float range, are skipped; if a whole segment has no solution the error
-    surfaces in ``solve``, naming the smallest offending segment.
+    surfaces in ``solve``, naming the smallest offending segment. A given
+    ``memo`` is passed to every ``find_sequence`` call, one per distinct
+    pair, and ends with one entry per pair that has a route.
     """
     if db is None:
         db = default_db()
-    if memo is None:
-        memo = {}
     table = _structural_table(db)
     factors = chain.factors
     n = len(factors)
@@ -224,6 +225,17 @@ def build_tables(
                 cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * scale
                 if cost < best:
                     best, best_k, best_seq = cost, k, seq
+            if best_seq is None and scale == inf:
+                # 0.0 * inf is nan above, which no split wins, so a 0-cost
+                # sequence under a multiplicity beyond the float range is
+                # charged again here, off the per-split path.
+                for k in range(i, j):
+                    seq = pairs.get((ids_i[k], ids[k + 1][j]))
+                    if seq is not None:
+                        charged = _charged(seq.total_cost, r)
+                        cost = costs_i[k] + costs[k + 1][j] + charged
+                        if cost < best:
+                            best, best_k, best_seq = cost, k, seq
             if best_seq is not None:
                 costs_i[j] = best
                 solution[i][j] = best_k

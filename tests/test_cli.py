@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
+import os
 import subprocess
 import sys
 
@@ -132,6 +133,34 @@ class TestRecordsOutput:
         code2, out2, _ = run(tmp_path, capsys, INDEXED, "--format", "records")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # Tags and properties hash by identity, strings by the seed; set
+        # and dict order must reach neither the plan nor its rendering.
+        problem = tmp_path / "problem.mc"
+        problem.write_text(
+            "index i 3\nindex j 4\n"
+            "matrix A 6 6 lower_triangular nonsingular indices=i\n"
+            "matrix B 6 6 spd\nmatrix C 6 4 upper_triangular indices=j\n"
+            "matrix D 6 6 orthogonal\nvector x 4 indices=i\n"
+            "vector y 6 indices=i,j\nmatrix W 6 6 indices=i\nmatrix Z 6 6\n"
+            "compute y[i,j] = A[i]^-1 * B^-1 * C[j] * x[i]\n"
+            "compute W[i] = D^T * B^-T * A[i]^T\n"
+            "compute Z = B^-1\n"
+        )
+        outs = set()
+        for seed in ("0", "1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "matchain", str(problem), "--format",
+                 "records", "--naive"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 0, result.stderr
+            outs.add(result.stdout)
+        assert len(outs) == 1
 
 
 class TestKernelConfig:
@@ -286,6 +315,27 @@ class TestFailureModes:
             assert err == ""
             assert "copy(D[i,j])" in out
             assert "# total_flops=0\n" in out
+
+    def test_zero_cost_split_beyond_float_range_exits_zero(self, tmp_path, capsys):
+        # The split loop charged 0.0 * inf = nan here, and the plan failed.
+        kernels = tmp_path / "kernels.cfg"
+        kernels.write_text("kernel gemm arity=2 tags=id;id req=; cost=0*m\n")
+        big = 10 ** 160
+        text = (
+            f"index i {big}\nindex j {big}\n"
+            "matrix A 2 2 indices=i,j\nmatrix B 2 2 indices=i,j\n"
+            "matrix C 2 2 indices=i,j\n"
+            "compute C[i,j] = A[i,j] * B[i,j]\n"
+        )
+        for args in ((), ("--naive",), ("--verify",)):
+            code, out, err = run(
+                tmp_path, capsys, text, "--kernels", str(kernels), *args
+            )
+            assert code == 0
+            assert err == ""
+            assert "C[i,j] := gemm(A[i,j], B[i,j])" in out
+            assert "# total_flops=0\n" in out
+        assert "# oracle=agree" in out
 
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))

@@ -1,0 +1,60 @@
+"""Golden digest of the planner's output over a fixed set of random chains.
+
+The digest covers ``emit_records`` of every plan and the ``naive_cost`` of
+every chain drawn by ``helpers.random_chain`` from fixed seeds: tagged and
+propertied chains with and without indices, under the default database
+and one without ``getri``/``trtri``, and under both metrics. Speed-ups and
+refactorings must leave it unchanged. It changes only when plans or costs
+change on purpose, for example with loop-aware costing of discharge
+steps; such a change updates ``DIGEST`` here and says so in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+from matchain import (
+    FLOPS,
+    MEMORY,
+    IndexDecl,
+    default_db,
+    emit_records,
+    naive_cost,
+    solve,
+)
+from matchain.errors import MatchainError
+
+from helpers import random_chain
+
+DIGEST = "933cc2691845c81e1c2e620071232adfc8f4e80432efd1530882e5ccc0a6cec5"
+
+DATABASES = (
+    default_db(),
+    [k for k in default_db() if k.id not in ("getri", "trtri")],
+)
+INDEX_POOL = (IndexDecl("i", 3), IndexDecl("j", 4), IndexDecl("k", 2))
+
+
+def chains():
+    rng = random.Random(20240601)
+    for at in range(300):
+        pool = INDEX_POOL if at % 2 else ()
+        yield random_chain(rng, n_min=1, n_max=8, dim_max=12, index_pool=pool)
+
+
+def outcome(run) -> str:
+    try:
+        return run()
+    except MatchainError as exc:
+        # The error class only: its message is not part of the plan.
+        return f"error {type(exc).__name__}\n"
+
+
+def test_plans_match_golden_digest():
+    digest = hashlib.sha256()
+    for chain in chains():
+        for db in DATABASES:
+            for metric in (FLOPS, MEMORY):
+                plan = outcome(lambda: emit_records(solve(chain, db, metric)))
+                naive = outcome(lambda: f"naive {naive_cost(chain, db, metric)!r}\n")
+                digest.update((plan + naive).encode())
+    assert digest.hexdigest() == DIGEST

@@ -92,6 +92,17 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(chain)
 
+    def test_single_factor_error_lists_props_sorted(self):
+        db = [k for k in default_db() if k.arity == 2]
+        a = matrix("A", 4, 4, {P.NONSINGULAR, P.LOWER_TRIANGULAR})
+        chain = parse("B = A^-1", [a, matrix("B", 4, 4)])
+        with pytest.raises(NoKernelApplicableError) as info:
+            brute_force_min(chain, db)
+        assert str(info.value) == (
+            "no unary sequence materializes a 4x4 operand tagged INV "
+            "with props lower_triangular,nonsingular,square"
+        )
+
     def test_pair_oracle_infinity_when_uncovered(self):
         db = [k for k in default_db() if k.arity == 1]
         assert best_pair_cost(op(4, 4), op(4, 4), db, FLOPS) == float("inf")

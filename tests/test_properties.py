@@ -1,11 +1,13 @@
 """Property vocabulary: closure, consistency, and the inference maps."""
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from matchain import close, infer_properties, inverse_props, transpose_props
+from matchain import UnaryTag, close, infer_properties, inverse_props, transpose_props
 from matchain.errors import (
     DimensionPropertyMismatchError,
     InconsistentPropertiesError,
@@ -194,3 +196,19 @@ def test_closure_monotone_square(props):
     assert frozenset(props) <= got
     for prop in got:
         assert IMPLICATIONS.get(prop, frozenset()) <= got
+
+
+@pytest.mark.parametrize("member", [*UnaryTag, *Property], ids=repr)
+def test_members_survive_pickle_and_deepcopy(member):
+    # Members hash by identity, so a copy must be the member itself.
+    keys = {m: m.value for m in [*UnaryTag, *Property]}
+    copies = [copy.deepcopy(member), copy.copy(member)]
+    copies += [
+        pickle.loads(pickle.dumps(member, proto))
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert twin is member
+        assert hash(twin) == hash(member)
+        assert twin in frozenset(keys)
+        assert keys[twin] == member.value

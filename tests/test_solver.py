@@ -165,6 +165,22 @@ class TestTables:
         assert stats.pairs * 100 < stats.splits
 
 
+    def test_given_memo_holds_one_entry_per_routed_pair(self):
+        # perfbench's tracer counts distinct pairs through the memo.
+        rng = random.Random(71)
+        no_route = 0
+        for _ in range(40):
+            chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
+            for db in DATABASES.values():
+                memo = {}
+                got = build_tables(chain, db, memo=memo)
+                want = build_tables(chain, db)
+                assert got == want
+                assert len(memo) == got.stats.pairs - got.stats.no_route
+                no_route += got.stats.no_route
+        assert no_route > 0
+
+
 class TestPlanInvariants:
     def test_call_costs_sum_to_total(self):
         rng = random.Random(31)
@@ -482,6 +498,19 @@ class TestFailures:
         assert plan.calls[0].multiplicity == 10 ** 320
         assert plan.total_cost == 0.0
         assert naive_cost(chain) == 0.0
+
+    def test_zero_cost_split_beyond_float_range_stays_zero(self):
+        # Every split here charges 0.0 * inf, which is nan in the split loop.
+        db = load_kernel_config("kernel gemm arity=2 tags=id;id req=; cost=0*m\n")
+        i, j = IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 160)
+        decls = [i, j] + [matrix(x, 2, 2, indices=(i, j)) for x in "ABCY"]
+        chain = chain_of("Y[i,j] = A[i,j] * B[i,j] * C[i,j]", *decls)
+        plan = solve(chain, db)
+        assert [c.kernel_id for c in plan.calls] == ["gemm", "gemm"]
+        assert plan.parenthesization == (0, (1, 2))
+        assert plan.total_cost == 0.0
+        assert naive_cost(chain, db) == 0.0
+        assert brute_force_min(chain, db) == (0.0, (0, (1, 2)))
 
     def test_overflowing_segment_avoided_by_plan(self):
         # (A[i] * B) overflows once charged 10^11 times, A[i] * (B * c) does not.
