@@ -121,14 +121,23 @@ def main(argv=None) -> int:
             failed = True
             continue
 
-        extra = []
+        records = args.format == "records"
+        if records:
+            block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
+            block.append(emit_records(plan).rstrip("\n"))
+        else:
+            block = [f"# compute {stmt.source}"]
+            block.append(emit_text(plan).rstrip("\n"))
         if args.naive:
             if plan.total_cost:
                 ratio = naive / plan.total_cost
             else:
                 # A zero-cost plan (a copy) is as good as a zero-cost naive one.
                 ratio = 1.0 if naive == 0 else float("inf")
-            extra.append(("naive", naive, ratio))
+            if records:
+                block.append(f"naive total={naive!r} ratio={ratio!r}")
+            else:
+                block.append(f"# naive_{plan.metric_name}={int(naive)} ratio={ratio:g}")
         if args.verify:
             if len(stmt.chain.factors) > MAX_FACTORS:
                 _fail(
@@ -140,37 +149,17 @@ def main(argv=None) -> int:
             oracle_min, _ = brute_force_min(stmt.chain, db, metric)
             tolerance = 1e-9 * max(1.0, abs(oracle_min))
             agree = abs(plan.total_cost - oracle_min) <= tolerance
-            extra.append(("verify", agree, oracle_min))
+            if records:
+                word = "agree" if agree else "disagree"
+                block.append(f"verify oracle={word} oracle_total={oracle_min!r}")
+            elif agree:
+                block.append("# oracle=agree")
+            else:
+                block.append(
+                    f"# oracle=disagree oracle_{plan.metric_name}={int(oracle_min)}"
+                )
             if not agree:
                 failed = True
-
-        if args.format == "records":
-            block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
-            block.append(emit_records(plan).rstrip("\n"))
-            for kind, *values in extra:
-                if kind == "naive":
-                    naive, ratio = values
-                    block.append(f"naive total={naive!r} ratio={ratio!r}")
-                else:
-                    agree, oracle_min = values
-                    word = "agree" if agree else "disagree"
-                    block.append(f"verify oracle={word} oracle_total={oracle_min!r}")
-        else:
-            block = [f"# compute {stmt.source}"]
-            block.append(emit_text(plan).rstrip("\n"))
-            for kind, *values in extra:
-                if kind == "naive":
-                    naive, ratio = values
-                    block.append(
-                        f"# naive_{plan.metric_name}={int(naive)} ratio={ratio:g}"
-                    )
-                else:
-                    agree, oracle_min = values
-                    word = "agree" if agree else "disagree"
-                    line = f"# oracle={word}"
-                    if not agree:
-                        line += f" oracle_{plan.metric_name}={int(oracle_min)}"
-                    block.append(line)
         blocks.append("\n".join(block))
 
     if blocks:

@@ -78,26 +78,22 @@ def emit_records(plan: Plan) -> str:
 
 
 def _parse_parens(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    at = 0
-
-    def node():
-        nonlocal at
-        tok = tokens[at]
-        at += 1
+    """The tree that :func:`_parens_str` wrote as ``text``."""
+    # stack[-1] holds the parsed children of the innermost open "(".
+    stack: list[list] = [[]]
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
-            left = node()
-            right = node()
-            if tokens[at] != ")":
-                raise ValueError(f"malformed parenthesization {text!r}")
-            at += 1
-            return (left, right)
-        return int(tok)
-
-    tree = node()
-    if at != len(tokens):
+            stack.append([])
+        elif tok == ")" and len(stack) > 1 and len(stack[-1]) == 2:
+            node = tuple(stack.pop())
+            stack[-1].append(node)
+        elif tok == ")":
+            raise ValueError(f"malformed parenthesization {text!r}")
+        else:
+            stack[-1].append(int(tok))
+    if len(stack) != 1 or len(stack[0]) != 1:
         raise ValueError(f"malformed parenthesization {text!r}")
-    return tree
+    return stack[0][0]
 
 
 def _parse_loops(text: str) -> tuple[IndexDecl, ...]:
@@ -110,8 +106,20 @@ def _parse_loops(text: str) -> tuple[IndexDecl, ...]:
     return tuple(out)
 
 
+#: The fields a record of each kind must have.
+_REQUIRED = {
+    "call": ("kernel", "out", "cost", "math"),
+    "summary": ("target", "metric", "total", "parens"),
+}
+
+
 def parse_records(text: str) -> Plan:
-    """Reconstruct a Plan from :func:`emit_records` output."""
+    """Reconstruct a Plan from :func:`emit_records` output.
+
+    Raises ``ValueError`` on any malformed stream, naming the missing
+    field, the malformed parenthesization or the value that is not a
+    number, and when the stream has no summary line.
+    """
     calls = []
     summary: dict[str, str] | None = None
     for raw in text.splitlines():
@@ -125,6 +133,9 @@ def parse_records(text: str) -> Plan:
             if not eq:
                 raise ValueError(f"malformed record field {tok!r}")
             fields[key] = value
+        missing = [key for key in _REQUIRED.get(kind, ()) if key not in fields]
+        if missing:
+            raise ValueError(f"{kind} record lacks {', '.join(map(repr, missing))}")
         if kind == "call":
             inputs = [fields[k] for k in ("in1", "in2") if k in fields]
             calls.append(

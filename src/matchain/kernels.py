@@ -417,17 +417,25 @@ def _split_groups(value: str, arity: int, what: str, lineno: int) -> list[list[s
 
 
 def _unary_peel(tags: frozenset[UnaryTag], lineno: int) -> str | None:
+    """What a unary kernel accepting ``tags`` peels: nothing for a copy
+    (``tags=id`` alone), else ``"t"`` or ``"inv"``. A peel applied to a
+    tag-free operand would compute a transpose or inverse the chain does
+    not ask for, so ``id`` mixed with other tags is rejected."""
+    if tags == {UnaryTag.ID}:
+        return None
+    if UnaryTag.ID in tags:
+        raise KernelConfigError(
+            lineno, "a unary kernel takes tags=id alone (a copy) or tags from t, inv, invt"
+        )
     if UnaryTag.T in tags:
         if UnaryTag.INV in tags:
             raise KernelConfigError(lineno, "unary kernel cannot peel both t and inv")
         return "t"
     if UnaryTag.INV in tags:
         return "inv"
-    if tags == frozenset({UnaryTag.INVT}):
-        raise KernelConfigError(
-            lineno, "tags=invt alone is ambiguous; include t or inv to pick the peel"
-        )
-    return None
+    raise KernelConfigError(
+        lineno, "tags=invt alone is ambiguous; include t or inv to pick the peel"
+    )
 
 
 def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[Kernel]:
@@ -438,7 +446,8 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
         kernel <id> arity=<1|2> tags=<g1[;g2]> req=<g1[;g2]> cost=<poly>
 
     where each ``tags`` group lists allowed pending tags (id, t, inv,
-    invt), each ``req`` group lists required stored properties, and the
+    invt; a unary kernel takes ``id`` alone, a copy, or tags from t, inv
+    and invt), each ``req`` group lists required stored properties, and the
     cost polynomial uses +, *, / over integers and m, k, n. A kernel whose
     id already exists replaces it in place; new ids append to the end.
     """

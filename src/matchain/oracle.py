@@ -37,23 +37,21 @@ MAX_FACTORS = 8
 _SEQ_LEN = 3
 
 
-def _discharge_chains(op: TaggedOperand, db, metric, budget: int):
-    """Every way to apply at most ``budget`` unary kernels to ``op``."""
-    results = [(0.0, 0, (), op)]
+def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
+    """Every way to apply at most ``budget`` unary kernels to ``op``, as
+    (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``."""
+    yield 0.0, 0, op
     if budget == 0:
-        return results
+        return
     for kernel in match(op, None, db):
-        if kernel.peel is None:
+        if kernel.peel is None and not with_copy:
             continue
         out = kernel.apply_unary(op, "")
         cost = metric.call_cost(kernel, call_mkn((op,)))
-        for tail_cost, tail_len, tail_ids, tail_op in _discharge_chains(
-            out, db, metric, budget - 1
+        for tail_cost, tail_len, tail_op in _unary_chains(
+            out, db, metric, budget - 1, with_copy
         ):
-            results.append(
-                (cost + tail_cost, 1 + tail_len, (kernel.id,) + tail_ids, tail_op)
-            )
-    return results
+            yield cost + tail_cost, 1 + tail_len, tail_op
 
 
 def best_pair_cost(
@@ -69,9 +67,9 @@ def best_pair_cost(
     if db is None:
         db = default_db()
     best = inf
-    for cost1, len1, _, cur1 in _discharge_chains(op1, db, metric, _SEQ_LEN - 1):
-        for cost2, len2, _, cur2 in _discharge_chains(
-            op2, db, metric, _SEQ_LEN - 1 - len1
+    for cost1, len1, cur1 in _unary_chains(op1, db, metric, _SEQ_LEN - 1, False):
+        for cost2, _, cur2 in _unary_chains(
+            op2, db, metric, _SEQ_LEN - 1 - len1, False
         ):
             for kernel in match(cur1, cur2, db):
                 total = cost1 + cost2 + metric.call_cost(kernel, call_mkn((cur1, cur2)))
@@ -163,21 +161,11 @@ def brute_force_min(
         return lcost + rcost + charge(step, seg_range(i, j)), out
 
     if n == 1:
-        # Exhaustive unary search (copy included, unlike discharge chains):
-        # the cheapest chain of 1..3 calls ending tag-free.
-        def unary_chains(op: TaggedOperand, budget: int):
-            yield 0.0, 0, op
-            if budget == 0:
-                return
-            for kernel in match(op, None, db):
-                out = kernel.apply_unary(op, "")
-                cost = metric.call_cost(kernel, call_mkn((op,)))
-                for tail_cost, tail_len, tail_op in unary_chains(out, budget - 1):
-                    yield cost + tail_cost, 1 + tail_len, tail_op
-
+        # Exhaustive unary search (copy included, unlike discharge before a
+        # product): the cheapest chain of 1..3 calls ending tag-free.
         best = inf
         op = leaf(0)
-        for cost, length, cur in unary_chains(op, _SEQ_LEN):
+        for cost, length, cur in _unary_chains(op, db, metric, _SEQ_LEN, True):
             if length >= 1 and cur.tag is UnaryTag.ID and cost < best:
                 best = cost
         if best == inf:

@@ -25,8 +25,10 @@ sequence containing it is dominated by the same sequence without it
 
 Sequences carry kernels and targets only; the solver binds operand names
 when it renders the plan, so one result serves every operand pair with
-equal signatures. Steps, candidates and output property sets are
-interned module-wide, so the structural tables share them.
+equal signatures. Candidates live in one module-wide pool keyed by their
+(kernel, target) pairs, so every structural table shares them and two
+equal candidates are one object; output property sets are shared the
+same way.
 """
 
 from __future__ import annotations
@@ -48,39 +50,32 @@ class SeqStep:
 
     ``target`` is ``"op1"`` or ``"op2"`` for unary discharge steps and
     ``"both"`` for the final binary kernel. Steps are made only by
-    :func:`_step`, one per (kernel, target), so identity is equality.
+    :func:`_candidate`, so equal candidates share one steps tuple.
     """
 
     kernel: Kernel
     target: str
 
 
-#: Every step made so far, keyed by (id(kernel), target). A step holds its
-#: kernel, so the id cannot be reused by another kernel while it is here.
-_STEPS: dict[tuple[int, str], SeqStep] = {}
-
-#: Every candidate made so far, ``steps -> (steps, kernel ids)``, shared by
-#: the candidate lists of every structural table.
-_CANDIDATES: dict[tuple[SeqStep, ...], tuple] = {}
+#: Every candidate made so far, ``(steps, kernel ids)``, keyed by its
+#: ``(id(kernel), target)`` pairs and shared by the candidate lists of every
+#: structural table. A candidate holds its kernels, so no id in a key can be
+#: reused by another kernel while the key is here.
+_CANDIDATES: dict[tuple, tuple] = {}
 
 #: Every output property set made so far, each mapped to itself, so the
 #: structural tables share one frozenset per distinct set.
 _PROPS: dict[frozenset, frozenset] = {}
 
 
-def _step(kernel: Kernel, target: str) -> SeqStep:
-    key = (id(kernel), target)
-    step = _STEPS.get(key)
-    if step is None:
-        step = _STEPS[key] = SeqStep(kernel, target)
-    return step
-
-
-def _candidate(steps: tuple[SeqStep, ...]) -> tuple:
-    """The shared ``(steps, kernel ids)`` pair for ``steps``."""
-    cand = _CANDIDATES.get(steps)
+def _candidate(calls: tuple) -> tuple:
+    """The shared ``(steps, kernel ids)`` pair for ``calls``, a tuple of
+    ``(kernel, target)`` pairs."""
+    key = tuple((id(kernel), target) for kernel, target in calls)
+    cand = _CANDIDATES.get(key)
     if cand is None:
-        cand = _CANDIDATES[steps] = (steps, tuple(s.kernel.id for s in steps))
+        steps = tuple(SeqStep(kernel, target) for kernel, target in calls)
+        cand = _CANDIDATES[key] = (steps, tuple(kernel.id for kernel, _ in calls))
     return cand
 
 
@@ -98,15 +93,15 @@ class SequenceResult:
 def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: bool):
     """Every chain of at most ``max_len`` unary kernels applicable to ``op``.
 
-    Returns (steps, result) pairs in breadth-first order, starting with the
-    empty chain; each step applies to ``target``. ``copy`` (no peel) is
-    left out unless ``with_copy``.
+    Returns (calls, result) pairs in breadth-first order, starting with the
+    empty chain; each call is a ``(kernel, target)`` pair. ``copy`` (no
+    peel) is left out unless ``with_copy``.
     """
     frontier = out = [((), op)]
     for _ in range(max_len):
         frontier = [
-            (steps + (_step(kernel, target),), kernel.apply_unary(cur, ""))
-            for steps, cur in frontier
+            (calls + ((kernel, target),), kernel.apply_unary(cur, ""))
+            for calls, cur in frontier
             for kernel in match(cur, None, db)
             if with_copy or kernel.peel is not None
         ]
@@ -123,7 +118,7 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
         for pre2, cur2 in chains2:
             if len(pre1) + len(pre2) < L:
                 for kernel in match(cur1, cur2, db):
-                    out.append(_candidate(pre1 + pre2 + (_step(kernel, "both"),)))
+                    out.append(_candidate(pre1 + pre2 + ((kernel, "both"),)))
     return out
 
 
@@ -150,19 +145,14 @@ def find_sequence(
     op2: TaggedOperand,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
-    memo: dict | None = None,
     table: dict | None = None,
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
     ``table`` maps structural keys to candidate lists, failures included;
     share one only across calls with the same db. Without it the
-    structural step runs afresh. ``memo`` is optional and off by default:
-    the DP already calls this once per distinct signature pair. When
-    given, it maps signature pairs (dims included) to results, one entry
-    per successful call, which lets a caller count distinct pairs; share
-    one only across calls with the same db and metric. Raises
-    :class:`NoKernelApplicableError` when the database has no route.
+    structural step runs afresh. Raises :class:`NoKernelApplicableError`
+    when the database has no route.
     """
     if db is None:
         db = default_db()
@@ -171,12 +161,6 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    if memo is not None:
-        key = (op1.signature(), op2.signature())
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-
     if table is None:
         table = {}
     skey = (op1.props, op1.tag, op2.props, op2.tag)
@@ -194,10 +178,7 @@ def find_sequence(
     if square not in out_props:
         props = steps[-1].kernel.apply_binary(op1, op2, "").props
         out_props[square] = _PROPS.setdefault(props, props)
-    result = SequenceResult(steps, total, TaggedOperand(m, n, out_props[square]))
-    if memo is not None:
-        memo[key] = result
-    return result
+    return SequenceResult(steps, total, TaggedOperand(m, n, out_props[square]))
 
 
 def materialize(
@@ -216,9 +197,9 @@ def materialize(
     if db is None:
         db = default_db()
     candidates = [
-        _candidate(steps)
-        for steps, cur in _unary_chains(op, db, L, "op1", True)
-        if steps and cur.tag is UnaryTag.ID
+        _candidate(calls)
+        for calls, cur in _unary_chains(op, db, L, "op1", True)
+        if calls and cur.tag is UnaryTag.ID
     ]
     if not candidates:
         raise UnsatisfiableError(

@@ -24,8 +24,7 @@ are discharged inside the sequence finder when the factor is combined,
 which is what lets an inverse become a solve instead of an explicit
 inversion. The one exception is a chain of length 1, whose tag has no
 combination to defer into and is materialized by the cheapest unary
-sequence. Both choices live in ``_base_operand`` / ``solve`` so an eager
-materialization strategy could be swapped in and compared.
+sequence.
 """
 
 from __future__ import annotations
@@ -68,16 +67,6 @@ def _charged(cost: float, r: int) -> float:
     """``cost`` charged ``r`` times. A 0 cost stays 0 at any multiplicity,
     where ``0.0 * inf`` would be nan."""
     return cost * _as_float(r) if cost else 0.0
-
-
-def _free_indices(factors: Sequence[Factor], i: int, j: int) -> tuple[IndexDecl, ...]:
-    """Free indices of segment [i, j], in chain-appearance order."""
-    out = []
-    for factor in factors[i : j + 1]:
-        for ix in factor.operand.indices:
-            if ix not in out:
-                out.append(ix)
-    return tuple(out)
 
 
 def _base_operand(factor: Factor) -> TaggedOperand:
@@ -162,8 +151,9 @@ def build_tables(
     Splits for which no kernel sequence exists, or whose cost leaves the
     float range, are skipped; if a whole segment has no solution the error
     surfaces in ``solve``, naming the smallest offending segment. A given
-    ``memo`` is passed to every ``find_sequence`` call, one per distinct
-    pair, and ends with one entry per pair that has a route.
+    ``memo`` receives the fill's sequences under their operands'
+    signatures, ``(signature, signature) -> sequence``, one entry per
+    distinct pair that has a route.
     """
     if db is None:
         db = default_db()
@@ -190,7 +180,7 @@ def build_tables(
         tmps[i][i] = op = _base_operand(factors[i])
         ids[i][i] = interned.setdefault(op.signature(), len(interned) + 1)
         costs[i][i] = 0.0
-        free[i][i] = _free_indices(factors, i, i)
+        free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
 
     for l in range(1, n):
@@ -214,7 +204,7 @@ def build_tables(
                         continue
                     try:
                         seq = find_sequence(
-                            tmps[i][k], tmps[k + 1][j], db, metric, memo, table
+                            tmps[i][k], tmps[k + 1][j], db, metric, table
                         )
                     except NoKernelApplicableError:
                         seq = None
@@ -243,6 +233,11 @@ def build_tables(
                 tmps[i][j] = out = best_seq.output
                 ids_i[j] = interned.setdefault(out.signature(), len(interned) + 1)
 
+    if memo is not None:
+        signatures = {at: sig for sig, at in interned.items()}
+        for (a, b), seq in pairs.items():
+            if seq is not None:
+                memo[signatures[a], signatures[b]] = seq
     stats = DPStats(
         (n ** 3 - n) // 6 - uncovered_splits, len(interned), len(pairs), no_route
     )
@@ -252,17 +247,11 @@ def build_tables(
 class _TempNames:
     def __init__(self):
         self.counter = 0
-        self.indices: dict[str, tuple[IndexDecl, ...]] = {}
-
-    def declare(self, name: str, indices: tuple[IndexDecl, ...]):
-        self.indices[name] = indices
 
     def fresh(self, indices: tuple[IndexDecl, ...]) -> str:
         base = f"T{self.counter}"
         self.counter += 1
-        name = base if not indices else f"{base}[{','.join(ix.name for ix in indices)}]"
-        self.indices[name] = indices
-        return name
+        return base if not indices else f"{base}[{','.join(ix.name for ix in indices)}]"
 
 
 def _extract(
@@ -281,24 +270,20 @@ def _extract(
     chain's target.
     """
     if i == j:
-        op = tables.tmps[i][i]
-        names.declare(op.name, tables.free[i][i])
-        return op, i
+        return tables.tmps[i][i], i
 
     k = tables.solution[i][j]
-    if k is None:
-        raise NoKernelApplicableError(
-            f"no kernel sequence covers factors {i}..{j}", segment=(i, j)
-        )
     left, ltree = _extract(tables, i, k, None, names, calls, metric)
     right, rtree = _extract(tables, k + 1, j, None, names, calls, metric)
 
-    seg_free = tables.free[i][j]
+    free = tables.free
     if out_name is None:
-        out_name = names.fresh(seg_free)
-    seq = tables.sequences[i][j]
-    r = tables.ranges[i][j]
-    seq_calls, named = _render(seq, left, right, out_name, seg_free, r, names, metric)
+        out_name = names.fresh(free[i][j])
+    indices = {"op1": free[i][k], "op2": free[k + 1][j]}
+    seq, r = tables.sequences[i][j], tables.ranges[i][j]
+    seq_calls, named = _render(
+        seq, left, right, indices, out_name, free[i][j], r, names, metric
+    )
     calls.extend(seq_calls)
     return named, (ltree, rtree)
 
@@ -307,12 +292,13 @@ def _extract(
 _PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
-def _render(seq, op1, op2, out_name, free, r, names: _TempNames, metric):
+def _render(seq, op1, op2, indices, out_name, free, r, names: _TempNames, metric):
     """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
 
-    Every call loops over ``free`` and is charged ``r`` times; the last one
-    writes ``out_name``. A binary temp varies over the segment's free
-    indices, a discharge temp over exactly the indices its input does.
+    ``indices`` maps ``"op1"`` (and ``"op2"``) to that operand's free
+    indices. Every call loops over ``free`` and is charged ``r`` times; the
+    last one writes ``out_name``. A binary temp varies over the segment's
+    free indices, a discharge temp over exactly the indices its input does.
     Returns the calls and the named final operand.
     """
     cur = {"op1": op1, "op2": op2}
@@ -327,10 +313,7 @@ def _render(seq, op1, op2, out_name, free, r, names: _TempNames, metric):
             math = f"{inputs[0].display} * {inputs[1].display}"
         else:
             inputs = (cur[step.target],)
-            if at == last:
-                name = out_name
-            else:
-                name = names.fresh(names.indices.get(inputs[0].name, ()))
+            name = out_name if at == last else names.fresh(indices[step.target])
             result = cur[step.target] = kernel.apply_unary(inputs[0], name)
             math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
         cost = metric.call_cost(kernel, call_mkn(inputs))
@@ -338,7 +321,6 @@ def _render(seq, op1, op2, out_name, free, r, names: _TempNames, metric):
         calls.append(
             KernelCall(kernel.id, arg_names, name, cost, f"{name} := {math}", free, r)
         )
-    names.declare(out_name, free)
     return calls, result
 
 
@@ -367,10 +349,9 @@ def solve(
     if len(factors) == 1:
         op = _base_operand(factors[0])
         seq = materialize(op, db, metric)
-        free = _free_indices(factors, 0, 0)
+        free = factors[0].operand.indices
         r = index_range(free)
-        names.declare(op.name, free)
-        calls, _ = _render(seq, op, None, target, free, r, names, metric)
+        calls, _ = _render(seq, op, None, {"op1": free}, target, free, r, names, metric)
         total = _charged(seq.total_cost, r)
         if not total < inf:
             kernel_id = seq.steps[-1].kernel.id
@@ -443,11 +424,15 @@ def naive_cost(
 
     table = _structural_table(db)
     acc = _base_operand(factors[0])
+    prefix_free = factors[0].operand.indices
     total = 0.0
     for t in range(1, len(factors)):
+        for ix in factors[t].operand.indices:
+            if ix not in prefix_free:
+                prefix_free += (ix,)
         right = _base_operand(factors[t])
         seq = find_sequence(acc, right, db, metric, table=table)
-        r = index_range(_free_indices(factors, 0, t))
+        r = index_range(prefix_free)
         total += _charged(seq.total_cost, r)
         if not total < inf:
             mkn = call_mkn((acc, right))

@@ -185,6 +185,18 @@ class TestKernelConfig:
         assert "line 1" in err
 
 
+    @pytest.mark.parametrize("tags", ["id,t", "id,inv", "id,invt"])
+    def test_unary_kernel_mixing_id_with_a_peel_exits_one(self, tmp_path, capsys, tags):
+        kernels = tmp_path / "kernels.cfg"
+        kernels.write_text(
+            "kernel tmm arity=2 tags=t;id req=; cost=1+0*m\n"
+            f"kernel mixed arity=1 tags={tags} req=square cost=0*m\n"
+        )
+        code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--kernels", str(kernels))
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "tags=id alone" in err
+
     def test_cost_that_divides_by_zero_exits_one(self, tmp_path, capsys):
         kernels = tmp_path / "kernels.cfg"
         kernels.write_text("# fused\nkernel gemm arity=2 tags=id,t;id,t req=; cost=m/0\n")

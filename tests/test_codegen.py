@@ -216,6 +216,24 @@ class TestRecords:
         )
         assert parse_records(text) == plan
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("summary target=x", "summary record lacks 'metric', 'total', 'parens'"),
+            ("call kernel=gemm", "call record lacks 'out', 'cost', 'math'"),
+            (
+                "summary target=x metric=flops total=1.0 parens='(0'",
+                "malformed parenthesization '\\(0'",
+            ),
+            ("summary target=x metric=flops total=1.0 parens=", "malformed"),
+            ("summary target=x metric=flops total=one parens=0", "could not convert"),
+            ("call kernel=copy in1=A out=B cost=0.0 math=B loops=i:0", "range >= 1"),
+        ],
+    )
+    def test_malformed_stream_raises_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_records(text + "\n")
+
     def test_emission_deterministic(self):
         rng1 = random.Random(71)
         rng2 = random.Random(71)

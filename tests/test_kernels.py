@@ -296,6 +296,23 @@ class TestConfig:
             load_kernel_config(line + "\n")
         assert info.value.lineno == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Once compiled, x = A * y became inv2(A) then tmm: (A^-1)^T y.
+            "kernel tmm arity=2 tags=t;id req=; cost=1+0*m\n"
+            "kernel inv2 arity=1 tags=id,inv req=square cost=0*m\n",
+            # The peel of tags=id,t would have mapped tag id to an inverse.
+            "# copy or transpose\nkernel ct arity=1 tags=id,t req= cost=m*n\n",
+            # X = A^-T compiled to c2(A), dropping the inverse-transpose.
+            "\nkernel c2 arity=1 tags=id,invt req= cost=0*m\n",
+        ],
+    )
+    def test_rejects_unary_mixing_id_with_a_peel(self, config):
+        with pytest.raises(KernelConfigError, match="tags=id alone") as info:
+            load_kernel_config(config)
+        assert info.value.lineno == 2
+
     def test_comments_ignored(self):
         db = load_kernel_config("# nothing here\n\n")
         assert [k.id for k in db] == EXPECTED_ORDER

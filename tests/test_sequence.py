@@ -125,23 +125,6 @@ class TestSearchShape:
                 continue
             assert "copy" not in seq.kernel_ids
 
-    def test_memo_transparent(self):
-        rng = random.Random(13)
-        memo = {}
-        for _ in range(100):
-            left, right = random_operand_pair(rng)
-            try:
-                fresh = find_sequence(left, right)
-            except NoKernelApplicableError:
-                with pytest.raises(NoKernelApplicableError):
-                    find_sequence(left, right, memo=memo)
-                continue
-            cached = find_sequence(left, right, memo=memo)
-            again = find_sequence(left, right, memo=memo)
-            assert cached.kernel_ids == fresh.kernel_ids
-            assert cached.total_cost == fresh.total_cost
-            assert again is cached
-
     def test_nonconforming_dims_raise_value_error(self):
         with pytest.raises(ValueError):
             find_sequence(op(4, 5), op(6, 2))
@@ -229,7 +212,8 @@ class TestMaterialize:
 
 def render(seq, op1, op2, out_name, names=None, metric=FLOPS):
     """The solver's rendering of ``seq`` outside any loop."""
-    return _render(seq, op1, op2, out_name, (), 1, names or _TempNames(), metric)
+    indices = {"op1": (), "op2": ()}
+    return _render(seq, op1, op2, indices, out_name, (), 1, names or _TempNames(), metric)
 
 
 class TestRenderCalls:
@@ -317,7 +301,7 @@ class TestFailure:
 
 
 # --------------------------------------------------------------------------
-# Reference: the exhaustive search without a structural table or memo. It
+# Reference: the exhaustive search without a structural table. It
 # prices every step on the operand it actually applies to, so it checks
 # that preps keep effective dims and that candidates share output props.
 
@@ -430,22 +414,22 @@ class TestAgainstReference:
         metric=st.sampled_from([FLOPS, MEMORY]),
     )
     def test_find_sequence_matches_exhaustive_search(self, pairs, factor, db_name, metric):
-        # One memo and one table for all draws: each rescaled pair hits the
-        # structural entry (or recorded gap) made at the first dims.
+        # One table for all draws: each rescaled pair hits the structural
+        # entry (or recorded gap) made at the first dims.
         db = DATABASES[db_name]
-        memo, table = {}, {}
+        table = {}
         for op1, op2 in pairs:
             for a, b in ((op1, op2), (rescaled(op1, factor), rescaled(op2, factor))):
                 want = reference_sequence(a, b, db, metric)
                 if want is None:
                     with pytest.raises(NoKernelApplicableError) as info:
-                        find_sequence(a, b, db, metric, memo, table)
+                        find_sequence(a, b, db, metric, table)
                     assert str(info.value) == (
                         f"no kernel sequence of length <= {L} computes "
                         f"{_describe(a)} * {_describe(b)}"
                     )
                     continue
-                got = find_sequence(a, b, db, metric, memo, table)
+                got = find_sequence(a, b, db, metric, table)
                 steps, total, output = want
                 assert tuple((s.kernel.id, s.target) for s in got.steps) == steps
                 assert got.total_cost == total

@@ -165,18 +165,33 @@ class TestTables:
         assert stats.pairs * 100 < stats.splits
 
 
-    def test_given_memo_holds_one_entry_per_routed_pair(self):
+    def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
         # perfbench's tracer counts distinct pairs through the memo.
+        found = {}
+
+        def recording(op1, op2, *args):
+            seq = find_sequence(op1, op2, *args)
+            found[op1.signature(), op2.signature()] = seq
+            return seq
+
+        monkeypatch.setattr(solver, "find_sequence", recording)
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
             chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
             for db in DATABASES.values():
-                memo = {}
-                got = build_tables(chain, db, memo=memo)
                 want = build_tables(chain, db)
+                memo = {}
+                found.clear()
+                got = build_tables(chain, db, memo=memo)
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
+                # Each key pairs two filled cells' signatures, and each value
+                # is the sequence the fill got, and kept, for that pair.
+                filled = {op.signature() for row in got.tmps for op in row if op}
+                for (sig1, sig2), seq in memo.items():
+                    assert sig1 in filled and sig2 in filled
+                    assert seq is found[sig1, sig2]
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -570,13 +585,13 @@ class TestStructuralTable:
 
 # --------------------------------------------------------------------------
 # Reference: the DP loop without signature ids, asking find_sequence at
-# every split with a memo and a structural table of its own.
+# every split with a structural table of its own.
 
 
 def reference_tables(chain, db, metric):
     factors = chain.factors
     n = len(factors)
-    memo, table = {}, {}
+    table = {}
     tmps = [[None] * n for _ in range(n)]
     costs = [[math.inf] * n for _ in range(n)]
     sequences = [[None] * n for _ in range(n)]
@@ -601,7 +616,7 @@ def reference_tables(chain, db, metric):
                 if left is None or right is None:
                     continue
                 try:
-                    seq = find_sequence(left, right, db, metric, memo, table)
+                    seq = find_sequence(left, right, db, metric, table)
                 except NoKernelApplicableError:
                     continue
                 cost = costs[i][k] + costs[k + 1][j] + seq.total_cost * ranges[i][j]
