@@ -82,11 +82,12 @@ class NoKernelApplicableError(MatchainError):
 class CostOverflowError(MatchainError):
     """A cost lies beyond the float range.
 
-    Either one call's cost does: ``kernel_id`` at dimensions ``mkn``. Or
+    Either one call's cost does: ``kernel_id`` at dimensions ``mkn``, in
+    the chain segment ``segment`` (start, end) when the solver knows it. Or
     every call's cost fits but the total of the chain segment ``segment``
-    (start, end) does not, once its calls are charged its index
-    multiplicity ``multiplicity``; ``kernel_id`` and ``mkn`` then name the
-    segment's final call.
+    does not, once its calls are charged its index multiplicity
+    ``multiplicity``; ``kernel_id`` and ``mkn`` then name the segment's
+    final call, and the message names the segment.
     """
 
     def __init__(

@@ -10,9 +10,15 @@ Costs are analytic. The FLOP metric uses each kernel's operation-count
 formula in the effective dimensions ``m, k, n`` (left m x k times right
 k x n; unary kernels see their input as m x n and k = n). The memory
 metric charges the element count of each call's output, a stand-in for
-write traffic; every call writes an m x n result. Both are additive over
-calls, which is all the solver assumes; a new metric needs only
-``call_cost(kernel, mkn)``.
+write traffic; every call writes an m x n result. A new metric needs only
+``call_cost(kernel, mkn)``, and the search relies on two things of it:
+costs are additive over calls, and ``call_cost`` returns a non-negative
+float or raises :class:`CostOverflowError`. Non-negativity is what lets
+``sequence.py`` drop ``copy`` as a prep, which can only add cost, and
+lets the solver skip a split whose two sub-costs alone already reach the
+best split found. Both built-in metrics are products of positive dims;
+config polynomials use only ``+``, ``*`` and ``/`` over non-negative
+integers and dims of at least 1.
 
 Note that ``transp`` is charged m*n flops even though transposition does
 no arithmetic; a free transpose would make explicit transposes costless,
@@ -155,7 +161,10 @@ class KernelCall:
 
 # Dimensions are Python ints of any size, so a cost can leave the float
 # range: int-to-float conversion and true division raise OverflowError,
-# and float arithmetic gives inf. Either becomes a CostOverflowError.
+# and float arithmetic gives inf. A config polynomial can also divide by a
+# quotient that underflowed to 0.0, as ``1/(1/(m*m*m*m))`` does at
+# m = 10^100, which raises ZeroDivisionError. Each becomes a
+# CostOverflowError.
 
 class FlopMetric:
     """Scalar floating-point operation count (kernel formula in m, k, n)."""
@@ -165,7 +174,7 @@ class FlopMetric:
     def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> float:
         try:
             cost = float(kernel.flops(*mkn))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise CostOverflowError(kernel.id, mkn) from None
         if not cost < math.inf:  # inf or nan
             raise CostOverflowError(kernel.id, mkn)

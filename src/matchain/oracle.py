@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import inf
 from collections.abc import Sequence
 
-from .errors import NoKernelApplicableError
+from .errors import CostOverflowError, NoKernelApplicableError
 from .expr import Chain, UnaryTag
 from .kernels import (
     FLOPS,
@@ -39,7 +39,8 @@ _SEQ_LEN = 3
 
 def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
     """Every way to apply at most ``budget`` unary kernels to ``op``, as
-    (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``."""
+    (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``.
+    A call whose cost leaves the float range ends no chain."""
     yield 0.0, 0, op
     if budget == 0:
         return
@@ -47,7 +48,10 @@ def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
         if kernel.peel is None and not with_copy:
             continue
         out = kernel.apply_unary(op, "")
-        cost = metric.call_cost(kernel, call_mkn((op,)))
+        try:
+            cost = metric.call_cost(kernel, call_mkn((op,)))
+        except CostOverflowError:
+            continue
         for tail_cost, tail_len, tail_op in _unary_chains(
             out, db, metric, budget - 1, with_copy
         ):
@@ -62,7 +66,8 @@ def best_pair_cost(
 ) -> float:
     """Minimum cost over all kernel sequences of length <= 3 for op1 * op2.
 
-    Returns ``inf`` when no sequence exists.
+    A sequence with a call whose cost leaves the float range is skipped.
+    Returns ``inf`` when no other sequence exists.
     """
     if db is None:
         db = default_db()
@@ -72,7 +77,11 @@ def best_pair_cost(
             op2, db, metric, _SEQ_LEN - 1 - len1, False
         ):
             for kernel in match(cur1, cur2, db):
-                total = cost1 + cost2 + metric.call_cost(kernel, call_mkn((cur1, cur2)))
+                try:
+                    call = metric.call_cost(kernel, call_mkn((cur1, cur2)))
+                except CostOverflowError:
+                    continue
+                total = cost1 + cost2 + call
                 if total < best:
                     best = total
     return best

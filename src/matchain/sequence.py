@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import NoKernelApplicableError, UnsatisfiableError
+from .errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
 from .expr import UnaryTag
 from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match
 
@@ -125,18 +125,25 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
 def _cheapest(candidates, m: int, k: int, n: int, metric):
     """Cost step: steps and total of the cheapest candidate for op1 of
     effective shape m x k times op2 of k x n. Ties go to fewer steps, then
-    to the smaller id tuple, then to the earlier candidate."""
+    to the smaller id tuple, then to the earlier candidate. A candidate with
+    a call whose cost leaves the float range is skipped; when every one has
+    such a call, the first candidate's :class:`CostOverflowError` is raised."""
     args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
-    best = None
-    best_key = None
+    best = best_key = overflow = None
     for steps, ids in candidates:
         total = 0.0
-        for step in steps:
-            total += metric.call_cost(step.kernel, args[step.target])
+        try:
+            for step in steps:
+                total += metric.call_cost(step.kernel, args[step.target])
+        except CostOverflowError as exc:
+            overflow = overflow or exc
+            continue
         cand_key = (total, len(steps), ids)
         if best_key is None or cand_key < best_key:
             best_key = cand_key
             best = steps
+    if best is None:
+        raise overflow
     return best, best_key[0]
 
 
@@ -152,7 +159,8 @@ def find_sequence(
     ``table`` maps structural keys to candidate lists, failures included;
     share one only across calls with the same db. Without it the
     structural step runs afresh. Raises :class:`NoKernelApplicableError`
-    when the database has no route.
+    when the database has no route, and :class:`CostOverflowError` when
+    every route has a call whose cost leaves the float range.
     """
     if db is None:
         db = default_db()

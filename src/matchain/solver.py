@@ -13,8 +13,29 @@ meets few distinct operand pairs. So each filled cell gets a small int
 id per distinct operand signature, and a split looks up the pair of its
 two cells' ids in a dict that the fill owns: ``find_sequence`` runs once
 per distinct pair, and a pair the database cannot cover is recorded as
-such and skipped at every later split. That dict is the fill's only
-cache of sequences. The structural candidate table that
+such and skipped at every later split, as is a pair every one of whose
+routes has a call whose cost leaves the float range. That dict is the
+fill's only cache of sequences.
+
+Most splits are never looked up at all. A split (i, k, j) costs its two
+sub-costs plus its sequence's cost, and every cost is non-negative (the
+metric contract in ``kernels.py``). So when the sub-costs alone,
+``lb = costs[i][k] + costs[k+1][j]``, already reach the best cost found at
+a smaller k, the split is skipped before its pair is built. The plans stay
+exactly those of the unbounded loop:
+
+- float addition is monotone, so ``lb + seq_cost >= lb`` and a skipped
+  split could at best tie, which the smaller k wins anyway under the
+  strict less-than;
+- a kept split's cost is the same float as without the bound,
+  ``(costs[i][k] + costs[k+1][j]) + seq_cost``, summed left to right;
+- a split with an uncovered part has ``lb = inf`` and is skipped by the
+  same test;
+- under a multiplicity beyond the float range no split cost is finite, so
+  ``best`` stays ``inf`` through the loop, only uncovered splits are
+  skipped, and the rescan after the loop sees every covered split's pair.
+
+The structural candidate table that
 ``find_sequence`` fills depends only on the kernels, so the solver keeps
 the one of the most recent database across ``build_tables`` and
 ``naive_cost`` calls, and starts a fresh one for any other database.
@@ -82,8 +103,9 @@ class DPStats:
     ``splits`` counts the splits (i, k, j) whose two parts were both
     covered, ``signatures`` the distinct operand signatures among the
     filled cells, ``pairs`` the distinct signature pairs looked up (one
-    ``find_sequence`` call each) and ``no_route`` the pairs among them
-    that the database cannot cover.
+    ``find_sequence`` call each; a split whose sub-costs already reach the
+    best split of its cell looks up none) and ``no_route`` the pairs among
+    them that the database cannot cover.
     """
 
     splits: int
@@ -149,8 +171,9 @@ def build_tables(
     """Run the DP for ``chain``; the chain must already validate cleanly.
 
     Splits for which no kernel sequence exists, or whose cost leaves the
-    float range, are skipped; if a whole segment has no solution the error
-    surfaces in ``solve``, naming the smallest offending segment. A given
+    float range, are skipped, and so are splits that cannot beat a smaller
+    k's (see the module docstring); if a whole segment has no solution the
+    error surfaces in ``solve``, naming the smallest offending segment. A given
     ``memo`` receives the fill's sequences under their operands'
     signatures, ``(signature, signature) -> sequence``, one entry per
     distinct pair that has a route.
@@ -186,22 +209,24 @@ def build_tables(
     for l in range(1, n):
         for i in range(n - l):
             j = i + l
-            seg_free = free[i][j - 1]
+            seg_free, r = free[i][j - 1], ranges[i][j - 1]
             for ix in factors[j].operand.indices:
                 if ix not in seg_free:
                     seg_free += (ix,)
-            free[i][j] = seg_free
-            r = ranges[i][j] = index_range(seg_free)
+                    r *= ix.range
+            free[i][j], ranges[i][j] = seg_free, r
             scale = _as_float(r)
             costs_i, ids_i = costs[i], ids[i]
             best, best_k, best_seq = inf, None, None
             for k in range(i, j):
+                lb = costs_i[k] + costs[k + 1][j]
+                if lb >= best:  # its cost, lb + seq cost, cannot be < best
+                    if lb == inf:  # an uncovered part
+                        uncovered_splits += 1
+                    continue
                 key = (ids_i[k], ids[k + 1][j])
                 seq = pairs.get(key, unseen)
                 if seq is unseen:
-                    if not (key[0] and key[1]):  # an uncovered part
-                        uncovered_splits += 1
-                        continue
                     try:
                         seq = find_sequence(
                             tmps[i][k], tmps[k + 1][j], db, metric, table
@@ -209,10 +234,12 @@ def build_tables(
                     except NoKernelApplicableError:
                         seq = None
                         no_route += 1
+                    except CostOverflowError:
+                        seq = None
                     pairs[key] = seq
                 if seq is None:
                     continue
-                cost = costs_i[k] + costs[k + 1][j] + seq.total_cost * scale
+                cost = lb + seq.total_cost * scale
                 if cost < best:
                     best, best_k, best_seq = cost, k, seq
             if best_seq is None and scale == inf:
@@ -371,10 +398,11 @@ def solve(
 def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
     """The error that names the smallest uncovered segment.
 
-    Every part of that segment is covered, so each of its splits has either
-    no kernel sequence or one whose cost, charged the segment's index
-    multiplicity, leaves the float range. The DP does not tell them apart
-    on its hot path, so the splits are looked up again here.
+    Every part of that segment is covered, so each of its splits has no
+    kernel sequence, or only sequences with a call whose cost leaves the
+    float range, or one whose cost, charged the segment's index
+    multiplicity, leaves it. The DP does not tell them apart on its hot
+    path, so the splits are looked up again here.
     """
     i, j = _smallest_uncovered(tables)
     table = _structural_table(db)
@@ -384,6 +412,9 @@ def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
             seq = find_sequence(left, right, db, metric, table=table)
         except NoKernelApplicableError:
             continue
+        except CostOverflowError as exc:  # one call's cost, not a total
+            exc.segment = (i, j)
+            return exc
         mkn = call_mkn((left, right))
         return CostOverflowError(
             seq.steps[-1].kernel.id, mkn, tables.ranges[i][j], (i, j)

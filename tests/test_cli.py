@@ -298,6 +298,20 @@ class TestFailureModes:
         assert f"cost of {kernel} at (m, k, n) = ({dim}, {dim}, {dim})" in err
         assert "Traceback" not in err
 
+    def test_overflowing_split_avoided_exits_zero(self, tmp_path, capsys):
+        # (A B) c has a gemm beyond the float range; A (B c) costs 4e200.
+        big = 10 ** 200
+        text = (
+            f"matrix A {big} 1\nmatrix B 1 {big}\nvector c {big}\nvector x {big}\n"
+            "compute x = A * B * c\n"
+        )
+        for args in ((), ("--verify",)):
+            code, out, err = run(tmp_path, capsys, text, "--format", "records", *args)
+            assert code == 0
+            assert err == ""
+            assert "total=4e+200 parens='(0 (1 2))'" in out
+        assert "verify oracle=agree oracle_total=4e+200" in out
+
     def test_multiplicity_overflow_exits_two(self, tmp_path, capsys):
         big = 10 ** 100
         text = (

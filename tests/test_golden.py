@@ -3,10 +3,14 @@
 The digest covers ``emit_records`` of every plan and the ``naive_cost`` of
 every chain drawn by ``helpers.random_chain`` from fixed seeds: tagged and
 propertied chains with and without indices, under the default database
-and one without ``getri``/``trtri``, and under both metrics. Speed-ups and
-refactorings must leave it unchanged. It changes only when plans or costs
-change on purpose, for example with loop-aware costing of discharge
-steps; such a change updates ``DIGEST`` here and says so in CHANGES.md.
+and one without ``getri``/``trtri``, and under both metrics. Those chains
+have at most 8 factors, where the DP's bound on a split's sub-costs skips
+few splits, so ``LONG_DIGEST`` covers ``emit_records`` of 20 chains of 20
+to 30 factors, with tags, properties and indices, under the default
+database and both metrics. Speed-ups and refactorings must leave both
+digests unchanged. They change only when plans or costs change on
+purpose, for example with loop-aware costing of discharge steps; such a
+change updates the digests here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -26,6 +30,7 @@ from matchain.errors import MatchainError
 from helpers import random_chain
 
 DIGEST = "933cc2691845c81e1c2e620071232adfc8f4e80432efd1530882e5ccc0a6cec5"
+LONG_DIGEST = "63805770d3e703fc7c92285764c245cb01a9f36bc6da7050ea8ff16792a605ea"
 
 DATABASES = (
     default_db(),
@@ -39,6 +44,12 @@ def chains():
     for at in range(300):
         pool = INDEX_POOL if at % 2 else ()
         yield random_chain(rng, n_min=1, n_max=8, dim_max=12, index_pool=pool)
+
+
+def long_chains():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        yield random_chain(rng, n_min=20, n_max=30, dim_max=40, index_pool=INDEX_POOL)
 
 
 def outcome(run) -> str:
@@ -58,3 +69,12 @@ def test_plans_match_golden_digest():
                 naive = outcome(lambda: f"naive {naive_cost(chain, db, metric)!r}\n")
                 digest.update((plan + naive).encode())
     assert digest.hexdigest() == DIGEST
+
+
+def test_long_plans_match_golden_digest():
+    digest = hashlib.sha256()
+    for chain in long_chains():
+        for metric in (FLOPS, MEMORY):
+            plan = outcome(lambda: emit_records(solve(chain, None, metric)))
+            digest.update(plan.encode())
+    assert digest.hexdigest() == LONG_DIGEST

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from matchain import (
     FLOPS,
@@ -16,7 +16,7 @@ from matchain import (
     match,
     metric_by_name,
 )
-from matchain.errors import KernelConfigError
+from matchain.errors import CostOverflowError, KernelConfigError
 from matchain.kernels import call_mkn
 from matchain.properties import Property
 
@@ -159,6 +159,34 @@ class TestCostShape:
     def test_costs_nonnegative(self, m, k, n):
         for kernel in default_db():
             assert kernel.flops(m, k, n) >= 0
+
+
+#: Config cost polynomials: +, * and / over integers and m, k, n.
+POLYNOMIALS = st.recursive(
+    st.one_of(st.sampled_from("mkn"), st.integers(0, 10 ** 6).map(str)),
+    lambda inner: st.tuples(inner, st.sampled_from("+*/"), inner).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})"
+    ),
+    max_leaves=12,
+)
+POSITIVE_DIMS = st.one_of(st.integers(1, 64), st.integers(1, 10 ** 120))
+
+
+class TestCostSign:
+    @given(POLYNOMIALS, POSITIVE_DIMS, POSITIVE_DIMS, POSITIVE_DIMS)
+    # A quotient that underflows to 0.0 becomes a divisor.
+    @example("(1/(1/(m*m*m*m)))", 10 ** 100, 1, 1)
+    def test_accepted_polynomial_is_nonnegative_or_overflows(self, poly, m, k, n):
+        # The solver's bound and copy-dominance rest on this contract.
+        try:
+            db = load_kernel_config(f"kernel p arity=2 tags=id;id req=; cost={poly}\n")
+        except KernelConfigError:
+            return
+        try:
+            cost = FLOPS.call_cost(db[-1], (m, k, n))
+        except CostOverflowError:
+            return
+        assert type(cost) is float and cost >= 0
 
 
 class TestMetrics:

@@ -1,5 +1,6 @@
 """Chain solver: DP tables, plan extraction, and index handling."""
 
+import dataclasses
 import math
 import random
 
@@ -164,6 +165,34 @@ class TestTables:
         assert stats.pairs <= stats.signatures ** 2
         assert stats.pairs * 100 < stats.splits
 
+
+    def test_split_that_cannot_win_is_never_looked_up(self, monkeypatch):
+        # k=0, A (B x), costs 20,000 + 20,000 flops. At k=1 the sub-cost
+        # A B alone is 2,000,000, so (A B) x, a pair of signatures seen
+        # nowhere else (A B is {square, full}, A and B only {square}), is
+        # skipped before find_sequence is asked for it.
+        chain = chain_of(
+            "y = A * B * x",
+            matrix("A", 100, 100),
+            matrix("B", 100, 100),
+            vector("x", 100),
+            vector("y", 100),
+        )
+        asked = []
+
+        def recording(op1, op2, *args):
+            asked.append((op1.signature(), op2.signature()))
+            return find_sequence(op1, op2, *args)
+
+        monkeypatch.setattr(solver, "find_sequence", recording)
+        tables = build_tables(chain)
+        assert tables.costs[0][1] == 2_000_000
+        assert tables.costs[0][2] == 40_000
+        assert tables.solution[0][2] == 0
+        ab_x = (tables.tmps[0][1].signature(), tables.tmps[2][2].signature())
+        assert ab_x not in asked
+        assert len(asked) == 2
+        assert tables.stats == DPStats(splits=4, signatures=3, pairs=2, no_route=0)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
         # perfbench's tracer counts distinct pairs through the memo.
@@ -452,6 +481,36 @@ class TestFailures:
             solve(chain, metric=metric)
         assert info.value.kernel_id == kernel
         assert info.value.mkn == (dim, dim, dim)
+        assert info.value.segment == (0, 1)
+
+    def test_overflowing_split_skipped(self):
+        # (A B) c prices a 10^200 x 10^200 gemm beyond the float range;
+        # A (B c) costs 2e200 + 2e200.
+        big = 10 ** 200
+        chain = chain_of(
+            "x = A * B * c",
+            matrix("A", big, 1),
+            matrix("B", 1, big),
+            vector("c", big),
+            vector("x", big),
+        )
+        tables = build_tables(chain)
+        assert tables.costs[0][1] == math.inf
+        assert tables.stats.no_route == 0
+        plan = solve(chain)
+        assert plan.parenthesization == (0, (1, 2))
+        assert plan.total_cost == 4e200
+        assert brute_force_min(chain) == (4e200, (0, (1, 2)))
+
+    def test_overflowing_candidate_skipped(self):
+        # huge costs 10^400 at these dims; gemm, 2 * 10^300, still fits.
+        db = load_kernel_config("kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n")
+        big = 10 ** 100
+        chain = chain_of("C = A * B", *(matrix(x, big, big) for x in "ABC"))
+        plan = solve(chain, db)
+        assert [c.kernel_id for c in plan.calls] == ["gemm"]
+        assert plan.total_cost == 2e300
+        assert brute_force_min(chain, db) == (2e300, (0, 1))
 
     def test_infinite_float_cost_is_typed(self):
         # A float factor makes the product overflow to inf, not raise.
@@ -631,6 +690,9 @@ def reference_tables(chain, db, metric):
 DATABASES = {
     "default": default_db(),
     "gap": [k for k in default_db() if k.id not in ("getri", "trtri")],
+    # Every split of a cell ties under FLOPS, so the bound skips all but
+    # the first covered split with a route, which the tie rule picks.
+    "zero": [dataclasses.replace(k, flops=lambda m, k, n: 0 * m) for k in default_db()],
 }
 INDEX_POOL = (IndexDecl("i", 3), IndexDecl("j", 4), IndexDecl("k", 2))
 
