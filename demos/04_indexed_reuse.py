@@ -2,9 +2,10 @@
 
 When a factor carries an index, the whole statement runs once per index
 value. Subproducts that use no indexed factor are loop invariant; the
-solver costs each segment by the ranges of the indices it actually
-touches, so invariant work is paid once and the emitted program hoists
-it out of the loop.
+solver costs each call by the ranges of the indices it actually touches,
+so invariant work is paid once and the emitted program hoists it out of
+the loop. That holds for a discharge step too: inverting an unindexed
+factor runs once, even when the product it feeds runs in the loop.
 """
 
 from matchain import IndexDecl, emit_text, matrix, parse, solve, vector
@@ -64,4 +65,20 @@ chain = parse(
 )
 plan = solve(chain)
 print("chain: H[i,j] = a[i]^T * B * c[j]   with i in 1..3, j in 1..5")
+print(emit_text(plan))
+
+# An inversion the loop never changes: getri(B) reads only B, so it runs
+# once before the loop, and only the products run per index value:
+# 250,000 + 8 x 250,000 flops instead of 8 x 500,000.
+chain = parse(
+    "X[i] = A[i] * B^-1",
+    [
+        i,
+        matrix("A", 50, 50, indices=(i,)),
+        matrix("B", 50, 50),
+        matrix("X", 50, 50, indices=(i,)),
+    ],
+)
+plan = solve(chain)
+print("chain: X[i] = A[i] * B^-1   with i in 1..8")
 print(emit_text(plan))

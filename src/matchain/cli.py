@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from math import inf
 
 from .codegen import emit_records, emit_text
-from .errors import MatchainError
+from .errors import CostOverflowError, MatchainError
 from .expr import load_problem, validate
 from .kernels import load_kernel_config, metric_by_name
 from .oracle import MAX_FACTORS, brute_force_min
@@ -76,6 +77,16 @@ def _read(path: str) -> str | None:
     return None
 
 
+def _naive(chain, db, metric) -> float:
+    """The left-to-right cost, ``inf`` when some call or the total leaves
+    the float range. Left-to-right order can also hit a database gap the
+    DP avoids, which raises."""
+    try:
+        return naive_cost(chain, db, metric)
+    except CostOverflowError:
+        return inf
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     metric = metric_by_name(args.metric)
@@ -114,8 +125,7 @@ def main(argv=None) -> int:
     for stmt in problem.computes:
         try:
             plan = solve(stmt.chain, db, metric)
-            # Left-to-right order can hit a database gap the DP avoids.
-            naive = naive_cost(stmt.chain, db, metric) if args.naive else None
+            naive = _naive(stmt.chain, db, metric) if args.naive else None
         except MatchainError as exc:
             _fail(f"{args.problem}: line {stmt.lineno}: {exc}")
             failed = True
@@ -137,7 +147,8 @@ def main(argv=None) -> int:
             if records:
                 block.append(f"naive total={naive!r} ratio={ratio!r}")
             else:
-                block.append(f"# naive_{plan.metric_name}={int(naive)} ratio={ratio:g}")
+                shown = int(naive) if naive < inf else "inf"
+                block.append(f"# naive_{plan.metric_name}={shown} ratio={ratio:g}")
         if args.verify:
             if len(stmt.chain.factors) > MAX_FACTORS:
                 _fail(

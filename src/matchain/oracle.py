@@ -37,6 +37,17 @@ MAX_FACTORS = 8
 _SEQ_LEN = 3
 
 
+def _charge(cost: float, r: int) -> float:
+    """``cost`` paid ``r`` times. A range product can exceed the float
+    range; 0.0 times it is 0."""
+    if not cost:
+        return 0.0
+    try:
+        return cost * r
+    except OverflowError:
+        return inf
+
+
 def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
     """Every way to apply at most ``budget`` unary kernels to ``op``, as
     (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``.
@@ -63,12 +74,16 @@ def best_pair_cost(
     op2: TaggedOperand,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
+    mults: tuple[int, int, int] = (1, 1, 1),
 ) -> float:
     """Minimum cost over all kernel sequences of length <= 3 for op1 * op2.
 
+    ``mults`` holds how many times the unary calls on op1, those on op2 and
+    the binary call run: ``(r1, r2, r)``, each paid that many times.
     A sequence with a call whose cost leaves the float range is skipped.
     Returns ``inf`` when no other sequence exists.
     """
+    r1, r2, r = mults
     if db is None:
         db = default_db()
     best = inf
@@ -81,7 +96,7 @@ def best_pair_cost(
                     call = metric.call_cost(kernel, call_mkn((cur1, cur2)))
                 except CostOverflowError:
                     continue
-                total = cost1 + cost2 + call
+                total = _charge(cost1, r1) + _charge(cost2, r2) + _charge(call, r)
                 if total < best:
                     best = total
     return best
@@ -132,21 +147,12 @@ def brute_force_min(
                     r *= ix.range
         return r
 
-    def charge(cost: float, r: int) -> float:
-        # A range product can exceed the float range; 0.0 times it is 0.
-        if not cost:
-            return 0.0
-        try:
-            return cost * r
-        except OverflowError:
-            return inf
-
     pair_memo: dict = {}
 
-    def pair_cost(a: TaggedOperand, b: TaggedOperand) -> float:
-        key = (a.signature(), b.signature())
+    def pair_cost(a: TaggedOperand, b: TaggedOperand, mults) -> float:
+        key = (a.signature(), b.signature(), mults)
         if key not in pair_memo:
-            pair_memo[key] = best_pair_cost(a, b, db, metric)
+            pair_memo[key] = best_pair_cost(a, b, db, metric, mults)
         return pair_memo[key]
 
     def leaf(i: int) -> TaggedOperand:
@@ -154,20 +160,24 @@ def brute_force_min(
         return TaggedOperand(op.rows, op.cols, op.properties, factors[i].tag)
 
     def evaluate(tree) -> tuple[float, TaggedOperand]:
+        # A combination runs its binary call once per value of the indices
+        # of its whole span, and each operand's unary calls once per value
+        # of the indices of that operand's span.
         if isinstance(tree, int):
             return 0.0, leaf(tree)
         lcost, lop = evaluate(tree[0])
         rcost, rop = evaluate(tree[1])
         if lcost == inf or rcost == inf:
             return inf, None
-        step = pair_cost(lop, rop)
+        (i, k), (_, j) = _span(tree[0]), _span(tree[1])
+        mults = (seg_range(i, k), seg_range(k + 1, j), seg_range(i, j))
+        step = pair_cost(lop, rop, mults)
         if step == inf:
             return inf, None
-        i, j = _span(tree)
         ldims, rdims = lop.eff_dims, rop.eff_dims
         props = infer_properties(lop.eff_props, ldims, rop.eff_props, rdims)
         out = TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID)
-        return lcost + rcost + charge(step, seg_range(i, j)), out
+        return lcost + rcost + step, out
 
     if n == 1:
         # Exhaustive unary search (copy included, unlike discharge before a
@@ -183,7 +193,7 @@ def brute_force_min(
                 f"no unary sequence materializes a {op.rows}x{op.cols} operand "
                 f"tagged {op.tag.name} with props {props}"
             )
-        return charge(best, seg_range(0, 0)), 0
+        return _charge(best, seg_range(0, 0)), 0
 
     best, best_tree = inf, None
     for tree in _trees(0, n - 1):

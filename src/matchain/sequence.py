@@ -34,6 +34,7 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from collections.abc import Sequence
 
 from .errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
@@ -122,19 +123,45 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
     return out
 
 
-def _cheapest(candidates, m: int, k: int, n: int, metric):
+def _as_float(r: int) -> float:
+    """A multiplicity as a float, ``inf`` beyond the float range (which a
+    product of index ranges can reach, and ``float * int`` would raise on)."""
+    try:
+        return float(r)
+    except OverflowError:
+        return inf
+
+
+def _charged(cost: float, r: int) -> float:
+    """``cost`` charged ``r`` times. A 0 cost stays 0 at any multiplicity,
+    where ``0.0 * inf`` would be nan."""
+    return cost * _as_float(r) if cost else 0.0
+
+
+def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     """Cost step: steps and total of the cheapest candidate for op1 of
-    effective shape m x k times op2 of k x n. Ties go to fewer steps, then
-    to the smaller id tuple, then to the earlier candidate. A candidate with
-    a call whose cost leaves the float range is skipped; when every one has
-    such a call, the first candidate's :class:`CostOverflowError` is raised."""
+    effective shape m x k times op2 of k x n. With ``mults``, an
+    ``(r1, r2, r)`` triple, op1's preps are charged ``r1`` times, op2's
+    ``r2`` times and the binary call ``r`` times (a 0 cost stays 0), and the
+    total is the charged one. Ties go to fewer steps, then to the smaller id
+    tuple, then to the earlier candidate. A candidate with a call whose cost
+    leaves the float range is skipped; when every one has such a call, the
+    first candidate's :class:`CostOverflowError` is raised."""
     args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
+    scales = None
+    if mults is not None:
+        scales = dict(zip(("op1", "op2", "both"), map(_as_float, mults)))
     best = best_key = overflow = None
     for steps, ids in candidates:
         total = 0.0
         try:
-            for step in steps:
-                total += metric.call_cost(step.kernel, args[step.target])
+            if scales is None:
+                for step in steps:
+                    total += metric.call_cost(step.kernel, args[step.target])
+            else:
+                for step in steps:
+                    cost = metric.call_cost(step.kernel, args[step.target])
+                    total += cost * scales[step.target] if cost else 0.0
         except CostOverflowError as exc:
             overflow = overflow or exc
             continue
@@ -153,14 +180,20 @@ def find_sequence(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
     table: dict | None = None,
+    mults: tuple[int, int, int] | None = None,
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
     ``table`` maps structural keys to candidate lists, failures included;
     share one only across calls with the same db. Without it the
-    structural step runs afresh. Raises :class:`NoKernelApplicableError`
-    when the database has no route, and :class:`CostOverflowError` when
-    every route has a call whose cost leaves the float range.
+    structural step runs afresh. ``mults`` gives the multiplicities
+    ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
+    run; then the search minimizes, and ``total_cost`` is, the charged
+    cost. When the three are equal, the cheapest sequence is the cheapest
+    uncharged one, and its total is charged ``r`` times as a whole. Raises
+    :class:`NoKernelApplicableError` when the database has no route, and
+    :class:`CostOverflowError` when every route has a call whose cost
+    leaves the float range.
     """
     if db is None:
         db = default_db()
@@ -181,7 +214,11 @@ def find_sequence(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    steps, total = _cheapest(candidates, m, k, n, metric)
+    if mults is not None and mults[0] == mults[2] and mults[1] == mults[2]:
+        steps, total = _cheapest(candidates, m, k, n, metric)
+        total = _charged(total, mults[2])
+    else:
+        steps, total = _cheapest(candidates, m, k, n, metric, mults)
     square = m == n
     if square not in out_props:
         props = steps[-1].kernel.apply_binary(op1, op2, "").props

@@ -3,37 +3,44 @@
 The DP fills four tables over subchains [i, j]: the temp descriptor, the
 accumulated cost, the winning kernel sequence, and the split index. Each
 combination step queries the sequence finder on the two sub-results and
-scales the sequence cost by the index multiplicity r, the product of the
-ranges of the segment's free indices. The update keeps the strict
-less-than comparison of the recurrence, so the smallest split index wins
-exact ties.
+charges each call the index multiplicity of what it reads, the product of
+the ranges of its free indices: op1's discharge preps run under the left
+part's loops, op2's under the right part's, and the binary call under the
+whole segment's, whose multiplicity is r. So a discharge of a loop
+invariant operand is paid once, not once per iteration, and is emitted
+outside the loops. When both parts have the segment's multiplicity, as at
+every split of an unindexed chain, the sequence's total is charged r
+times as a whole (``find_sequence``'s ``mults``). The update keeps the strict less-than comparison of the
+recurrence, so the smallest split index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand signature, and a split looks up the pair of its
-two cells' ids in a dict that the fill owns: ``find_sequence`` runs once
-per distinct pair, and a pair the database cannot cover is recorded as
-such and skipped at every later split, as is a pair every one of whose
-routes has a call whose cost leaves the float range. That dict is the
+id per distinct operand signature and free-index tuple, and a split looks
+up the pair of its two cells' ids in a dict that the fill owns. A pair of
+ids fixes the three multiplicities, so the dict holds each pair's charged
+cost: ``find_sequence`` runs once per distinct pair, and a pair the
+database cannot cover is charged ``inf``, as is a pair every one of whose
+routes has a call whose cost leaves the float range. Those dicts are the
 fill's only cache of sequences.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
-sub-costs plus its sequence's cost, and every cost is non-negative (the
+sub-costs plus its pair's charge, and every cost is non-negative (the
 metric contract in ``kernels.py``). So when the sub-costs alone,
 ``lb = costs[i][k] + costs[k+1][j]``, already reach the best cost found at
 a smaller k, the split is skipped before its pair is built. The plans stay
 exactly those of the unbounded loop:
 
-- float addition is monotone, so ``lb + seq_cost >= lb`` and a skipped
+- float addition is monotone, so ``lb + charge >= lb`` and a skipped
   split could at best tie, which the smaller k wins anyway under the
   strict less-than;
 - a kept split's cost is the same float as without the bound,
-  ``(costs[i][k] + costs[k+1][j]) + seq_cost``, summed left to right;
+  ``(costs[i][k] + costs[k+1][j]) + charge``, summed left to right;
 - a split with an uncovered part has ``lb = inf`` and is skipped by the
-  same test;
-- under a multiplicity beyond the float range no split cost is finite, so
-  ``best`` stays ``inf`` through the loop, only uncovered splits are
-  skipped, and the rescan after the loop sees every covered split's pair.
+  same test.
+
+A charge beyond the float range is ``inf`` and wins no split, but a 0
+cost stays 0 at any multiplicity, where ``0.0 * inf`` would be nan, so a
+0-cost sequence still wins under a multiplicity beyond the float range.
 
 The structural candidate table that
 ``find_sequence`` fills depends only on the kernels, so the solver keeps
@@ -62,7 +69,7 @@ from .errors import (
 )
 from .expr import Chain, Factor, IndexDecl, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import SequenceResult, find_sequence, materialize
+from .sequence import SequenceResult, _charged, find_sequence, materialize
 
 
 def index_range(
@@ -73,21 +80,6 @@ def index_range(
     for ix in {d for d in left} | {d for d in right}:
         r *= ix.range
     return r
-
-
-def _as_float(r: int) -> float:
-    """A multiplicity as a float, ``inf`` beyond the float range (which a
-    product of index ranges can reach, and ``float * int`` would raise on)."""
-    try:
-        return float(r)
-    except OverflowError:
-        return inf
-
-
-def _charged(cost: float, r: int) -> float:
-    """``cost`` charged ``r`` times. A 0 cost stays 0 at any multiplicity,
-    where ``0.0 * inf`` would be nan."""
-    return cost * _as_float(r) if cost else 0.0
 
 
 def _base_operand(factor: Factor) -> TaggedOperand:
@@ -101,11 +93,11 @@ class DPStats:
     """Work counters of one DP fill.
 
     ``splits`` counts the splits (i, k, j) whose two parts were both
-    covered, ``signatures`` the distinct operand signatures among the
-    filled cells, ``pairs`` the distinct signature pairs looked up (one
-    ``find_sequence`` call each; a split whose sub-costs already reach the
-    best split of its cell looks up none) and ``no_route`` the pairs among
-    them that the database cannot cover.
+    covered, ``signatures`` the distinct (operand signature, free indices)
+    keys among the filled cells, ``pairs`` the distinct pairs of keys
+    looked up (one ``find_sequence`` call each; a split whose sub-costs
+    already reach the best split of its cell looks up none) and
+    ``no_route`` the pairs among them that the database cannot cover.
     """
 
     splits: int
@@ -116,7 +108,11 @@ class DPStats:
 
 @dataclass
 class DPTables:
-    """Filled DP state for one chain; indices run over factor positions."""
+    """Filled DP state for one chain; indices run over factor positions.
+
+    A sequence's ``total_cost`` is what its combination is charged, index
+    multiplicities included (``find_sequence``'s ``mults``).
+    """
 
     n: int
     tmps: list[list[TaggedOperand | None]]
@@ -174,9 +170,9 @@ def build_tables(
     float range, are skipped, and so are splits that cannot beat a smaller
     k's (see the module docstring); if a whole segment has no solution the
     error surfaces in ``solve``, naming the smallest offending segment. A given
-    ``memo`` receives the fill's sequences under their operands'
-    signatures, ``(signature, signature) -> sequence``, one entry per
-    distinct pair that has a route.
+    ``memo`` receives the fill's sequences under their operands' keys,
+    ``((signature, free indices), (signature, free indices)) -> sequence``,
+    one entry per distinct pair that has a route.
     """
     if db is None:
         db = default_db()
@@ -190,21 +186,23 @@ def build_tables(
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
-    # ids[i][j] numbers the signature of tmps[i][j]; 0 marks an uncovered
-    # cell. pairs maps a pair of ids to its sequence, or to None when the
-    # database has no route, so find_sequence runs once per distinct pair.
+    # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
+    # marks an uncovered cell. charges maps a pair of ids to its charged
+    # cost, inf when no route has a cost within the float range, and routes
+    # to its sequence, so find_sequence runs once per distinct pair.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
-    pairs: dict = {}
-    unseen = object()
+    charges: dict = {}
+    routes: dict = {}
     uncovered_splits = no_route = 0
 
     for i in range(n):
         tmps[i][i] = op = _base_operand(factors[i])
-        ids[i][i] = interned.setdefault(op.signature(), len(interned) + 1)
         costs[i][i] = 0.0
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
+        key = (op.signature(), free[i][i])
+        ids[i][i] = interned.setdefault(key, len(interned) + 1)
 
     for l in range(1, n):
         for i in range(n - l):
@@ -215,58 +213,48 @@ def build_tables(
                     seg_free += (ix,)
                     r *= ix.range
             free[i][j], ranges[i][j] = seg_free, r
-            scale = _as_float(r)
             costs_i, ids_i = costs[i], ids[i]
-            best, best_k, best_seq = inf, None, None
+            best, best_k = inf, None
             for k in range(i, j):
                 lb = costs_i[k] + costs[k + 1][j]
-                if lb >= best:  # its cost, lb + seq cost, cannot be < best
+                if lb >= best:  # its cost, lb + charge, cannot be < best
                     if lb == inf:  # an uncovered part
                         uncovered_splits += 1
                     continue
                 key = (ids_i[k], ids[k + 1][j])
-                seq = pairs.get(key, unseen)
-                if seq is unseen:
+                charge = charges.get(key)
+                if charge is None:
+                    # Without free indices every call runs once.
+                    mults = (ranges[i][k], ranges[k + 1][j], r) if seg_free else None
                     try:
-                        seq = find_sequence(
-                            tmps[i][k], tmps[k + 1][j], db, metric, table
+                        seq = routes[key] = find_sequence(
+                            tmps[i][k], tmps[k + 1][j], db, metric, table, mults
                         )
+                        charge = seq.total_cost
                     except NoKernelApplicableError:
-                        seq = None
+                        charge = inf
                         no_route += 1
                     except CostOverflowError:
-                        seq = None
-                    pairs[key] = seq
-                if seq is None:
-                    continue
-                cost = lb + seq.total_cost * scale
+                        charge = inf
+                    charges[key] = charge
+                cost = lb + charge
                 if cost < best:
-                    best, best_k, best_seq = cost, k, seq
-            if best_seq is None and scale == inf:
-                # 0.0 * inf is nan above, which no split wins, so a 0-cost
-                # sequence under a multiplicity beyond the float range is
-                # charged again here, off the per-split path.
-                for k in range(i, j):
-                    seq = pairs.get((ids_i[k], ids[k + 1][j]))
-                    if seq is not None:
-                        charged = _charged(seq.total_cost, r)
-                        cost = costs_i[k] + costs[k + 1][j] + charged
-                        if cost < best:
-                            best, best_k, best_seq = cost, k, seq
-            if best_seq is not None:
+                    best, best_k = cost, k
+            if best_k is not None:
                 costs_i[j] = best
                 solution[i][j] = best_k
-                sequences[i][j] = best_seq
-                tmps[i][j] = out = best_seq.output
-                ids_i[j] = interned.setdefault(out.signature(), len(interned) + 1)
+                seq = routes[ids_i[best_k], ids[best_k + 1][j]]
+                sequences[i][j] = seq
+                tmps[i][j] = out = seq.output
+                key = (out.signature(), seg_free)
+                ids_i[j] = interned.setdefault(key, len(interned) + 1)
 
     if memo is not None:
-        signatures = {at: sig for sig, at in interned.items()}
-        for (a, b), seq in pairs.items():
-            if seq is not None:
-                memo[signatures[a], signatures[b]] = seq
+        keys = {at: key for key, at in interned.items()}
+        for (a, b), seq in routes.items():
+            memo[keys[a], keys[b]] = seq
     stats = DPStats(
-        (n ** 3 - n) // 6 - uncovered_splits, len(interned), len(pairs), no_route
+        (n ** 3 - n) // 6 - uncovered_splits, len(interned), len(charges), no_route
     )
     return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
@@ -303,13 +291,16 @@ def _extract(
     left, ltree = _extract(tables, i, k, None, names, calls, metric)
     right, rtree = _extract(tables, k + 1, j, None, names, calls, metric)
 
-    free = tables.free
+    free, ranges = tables.free, tables.ranges
     if out_name is None:
         out_name = names.fresh(free[i][j])
-    indices = {"op1": free[i][k], "op2": free[k + 1][j]}
-    seq, r = tables.sequences[i][j], tables.ranges[i][j]
+    loops = {
+        "op1": (free[i][k], ranges[i][k]),
+        "op2": (free[k + 1][j], ranges[k + 1][j]),
+        "both": (free[i][j], ranges[i][j]),
+    }
     seq_calls, named = _render(
-        seq, left, right, indices, out_name, free[i][j], r, names, metric
+        tables.sequences[i][j], left, right, loops, out_name, names, metric
     )
     calls.extend(seq_calls)
     return named, (ltree, rtree)
@@ -319,34 +310,38 @@ def _extract(
 _PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
-def _render(seq, op1, op2, indices, out_name, free, r, names: _TempNames, metric):
+def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
     """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
 
-    ``indices`` maps ``"op1"`` (and ``"op2"``) to that operand's free
-    indices. Every call loops over ``free`` and is charged ``r`` times; the
-    last one writes ``out_name``. A binary temp varies over the segment's
-    free indices, a discharge temp over exactly the indices its input does.
-    Returns the calls and the named final operand.
+    ``loops`` maps each step target, ``"op1"``, ``"op2"`` and ``"both"``,
+    to the free indices its calls loop over and their multiplicity: a
+    discharge prep runs under its input's loops, the binary call under the
+    segment's, so a prep can be hoisted out of loops its product runs
+    under. The last call writes ``out_name``; any other temp varies over
+    its call's loops, which for a prep are exactly its input's indices. The
+    binary call's result is ``seq.output`` named, since every candidate
+    yields the same output. Returns the calls and the named final operand.
     """
     cur = {"op1": op1, "op2": op2}
     calls = []
     last = len(seq.steps) - 1
     for at, step in enumerate(seq.steps):
         kernel = step.kernel
+        free, mult = loops[step.target]
+        name = out_name if at == last else names.fresh(free)
         if step.target == "both":
             inputs = (cur["op1"], cur["op2"])
-            name = out_name if at == last else names.fresh(free)
-            result = kernel.apply_binary(*inputs, name)
+            out = seq.output
+            result = TaggedOperand(out.rows, out.cols, out.props, out.tag, name)
             math = f"{inputs[0].display} * {inputs[1].display}"
         else:
             inputs = (cur[step.target],)
-            name = out_name if at == last else names.fresh(indices[step.target])
             result = cur[step.target] = kernel.apply_unary(inputs[0], name)
             math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
         cost = metric.call_cost(kernel, call_mkn(inputs))
         arg_names = tuple(op.name for op in inputs)
         calls.append(
-            KernelCall(kernel.id, arg_names, name, cost, f"{name} := {math}", free, r)
+            KernelCall(kernel.id, arg_names, name, cost, f"{name} := {math}", free, mult)
         )
     return calls, result
 
@@ -378,7 +373,7 @@ def solve(
         seq = materialize(op, db, metric)
         free = factors[0].operand.indices
         r = index_range(free)
-        calls, _ = _render(seq, op, None, {"op1": free}, target, free, r, names, metric)
+        calls, _ = _render(seq, op, None, {"op1": (free, r)}, target, names, metric)
         total = _charged(seq.total_cost, r)
         if not total < inf:
             kernel_id = seq.steps[-1].kernel.id
@@ -400,8 +395,8 @@ def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
 
     Every part of that segment is covered, so each of its splits has no
     kernel sequence, or only sequences with a call whose cost leaves the
-    float range, or one whose cost, charged the segment's index
-    multiplicity, leaves it. The DP does not tell them apart on its hot
+    float range, or one whose cost, charged its calls' index
+    multiplicities, leaves it. The DP does not tell them apart on its hot
     path, so the splits are looked up again here.
     """
     i, j = _smallest_uncovered(tables)
@@ -441,8 +436,9 @@ def naive_cost(
 ) -> float:
     """Cost of strict left-to-right evaluation with the same database.
 
-    Each prefix combination is charged the index multiplicity of the
-    prefix it produces, mirroring the DP's costing of the left-deep tree.
+    Each prefix combination is charged as the DP charges a split: the
+    accumulated prefix's preps its multiplicity, the next factor's preps
+    that factor's, and the binary call that of the prefix it produces.
     """
     if db is None:
         db = default_db()
@@ -455,18 +451,21 @@ def naive_cost(
 
     table = _structural_table(db)
     acc = _base_operand(factors[0])
-    prefix_free = factors[0].operand.indices
+    acc_free = factors[0].operand.indices
     total = 0.0
     for t in range(1, len(factors)):
-        for ix in factors[t].operand.indices:
+        right_free = factors[t].operand.indices
+        prefix_free = acc_free
+        for ix in right_free:
             if ix not in prefix_free:
                 prefix_free += (ix,)
         right = _base_operand(factors[t])
-        seq = find_sequence(acc, right, db, metric, table=table)
         r = index_range(prefix_free)
-        total += _charged(seq.total_cost, r)
+        mults = (index_range(acc_free), index_range(right_free), r)
+        seq = find_sequence(acc, right, db, metric, table, mults)
+        total += seq.total_cost
         if not total < inf:
             mkn = call_mkn((acc, right))
             raise CostOverflowError(seq.steps[-1].kernel.id, mkn, r, (0, t))
-        acc = seq.output
+        acc, acc_free = seq.output, prefix_free
     return total

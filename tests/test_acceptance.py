@@ -19,6 +19,7 @@ from matchain import (
     structural_residual,
     vector,
 )
+from matchain.cli import main
 from matchain.errors import NoKernelApplicableError, UnsatisfiableError
 
 from helpers import random_chain
@@ -196,3 +197,39 @@ def test_criterion_8_scaling_stays_near_cubic():
     # Cubic growth predicts ~8x; allow headroom for noise, with a floor on
     # the denominator so a fast small run cannot fail the ratio spuriously.
     assert t80 / max(t40, 0.05) <= 12.0
+
+
+def test_criterion_9_invariant_discharge_hoisted(tmp_path, capsys):
+    i = IndexDecl("i", 8)
+    chain = parse(
+        "X[i] = A[i] * B^-1",
+        [
+            i,
+            matrix("A", 50, 50, indices=(i,)),
+            matrix("B", 50, 50),
+            matrix("X", 50, 50, indices=(i,)),
+        ],
+    )
+    plan = solve(chain)
+
+    # Hand-derived: getri(B) costs 2*50^3 = 250,000 flops and reads no
+    # indexed operand, so it runs once; the loop runs 8 gemms of 2*50^3.
+    getri, gemm = plan.calls
+    assert (getri.kernel_id, getri.loops, getri.multiplicity) == ("getri", (), 1)
+    assert (gemm.kernel_id, gemm.loops, gemm.multiplicity) == ("gemm", (i,), 8)
+    assert plan.total_cost == 250_000 + 8 * 250_000 == 2_250_000
+    assert brute_force_min(chain)[0] == 2_250_000
+
+    problem = tmp_path / "hoist.mc"
+    problem.write_text(
+        "index i 8\nmatrix A 50 50 indices=i\nmatrix B 50 50\n"
+        "matrix X 50 50 indices=i\ncompute X[i] = A[i] * B^-1\n"
+    )
+    assert main([str(problem), "--verify"]) == 0
+    text = capsys.readouterr().out
+    assert text.index("T0 := getri(B)") < text.index("for i in 1..8:")
+    assert "# total_flops=2250000\n# oracle=agree" in text
+    assert main([str(problem), "--verify", "--format", "records"]) == 0
+    records = capsys.readouterr().out
+    assert "call kernel=getri in1=B out=T0 cost=250000.0 math='T0 := B^-1'\n" in records
+    assert "verify oracle=agree oracle_total=2250000.0" in records

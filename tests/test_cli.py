@@ -312,6 +312,21 @@ class TestFailureModes:
             assert "total=4e+200 parens='(0 (1 2))'" in out
         assert "verify oracle=agree oracle_total=4e+200" in out
 
+    def test_naive_overflow_reported_as_inf(self, tmp_path, capsys):
+        # Left to right, (A B) prices a gemm beyond the float range; the
+        # plan, A (B c), still prints and the statement succeeds.
+        big = 10 ** 200
+        text = (
+            f"matrix A {big} 1\nmatrix B 1 {big}\nvector c {big}\nvector x {big}\n"
+            "compute x = A * B * c\n"
+        )
+        code, out, err = run(tmp_path, capsys, text, "--naive", "--format", "records")
+        assert (code, err) == (0, "")
+        assert "total=4e+200 parens='(0 (1 2))'\nnaive total=inf ratio=inf" in out
+        code, out, err = run(tmp_path, capsys, text, "--naive")
+        assert (code, err) == (0, "")
+        assert out.endswith("\n# naive_flops=inf ratio=inf\n")
+
     def test_multiplicity_overflow_exits_two(self, tmp_path, capsys):
         big = 10 ** 100
         text = (

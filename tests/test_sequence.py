@@ -212,8 +212,8 @@ class TestMaterialize:
 
 def render(seq, op1, op2, out_name, names=None, metric=FLOPS):
     """The solver's rendering of ``seq`` outside any loop."""
-    indices = {"op1": (), "op2": ()}
-    return _render(seq, op1, op2, indices, out_name, (), 1, names or _TempNames(), metric)
+    loops = {"op1": ((), 1), "op2": ((), 1), "both": ((), 1)}
+    return _render(seq, op1, op2, loops, out_name, names or _TempNames(), metric)
 
 
 class TestRenderCalls:
@@ -265,8 +265,8 @@ class TestRenderCalls:
         assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
 
     def test_discharge_temp_varies_over_its_input(self):
-        # Every call loops over the segment's indices, but a discharge temp
-        # is indexed only by the indices its input carries.
+        # A discharge runs under, and its temp is indexed by, only the
+        # indices its input carries; the product runs under the segment's.
         i = IndexDecl("i", 8)
         decls = (
             i,
@@ -278,13 +278,18 @@ class TestRenderCalls:
             vector("y", 6, indices=(i,)),
         )
         cases = (
-            ("X[i] = A[i] * B^-1", "T0 := B^-1", "X[i] := A[i] * T0"),
-            ("y[i] = M[i]^-T * b", "T0[i] := M[i]^T", "y[i] := T0[i]^-1 * b"),
+            (
+                "X[i] = A[i] * B^-1",
+                [("T0 := B^-1", (), 1), ("X[i] := A[i] * T0", (i,), 8)],
+            ),
+            (
+                "y[i] = M[i]^-T * b",
+                [("T0[i] := M[i]^T", (i,), 8), ("y[i] := T0[i]^-1 * b", (i,), 8)],
+            ),
         )
-        for source, *comments in cases:
+        for source, calls in cases:
             plan = solve(parse(source, decls))
-            assert [c.comment for c in plan.calls] == comments
-            assert all(c.loops == (i,) and c.multiplicity == 8 for c in plan.calls)
+            assert [(c.comment, c.loops, c.multiplicity) for c in plan.calls] == calls
 
 
 class TestFailure:

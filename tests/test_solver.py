@@ -200,7 +200,7 @@ class TestTables:
 
         def recording(op1, op2, *args):
             seq = find_sequence(op1, op2, *args)
-            found[op1.signature(), op2.signature()] = seq
+            found.setdefault((op1.signature(), op2.signature()), []).append(seq)
             return seq
 
         monkeypatch.setattr(solver, "find_sequence", recording)
@@ -215,12 +215,18 @@ class TestTables:
                 got = build_tables(chain, db, memo=memo)
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
-                # Each key pairs two filled cells' signatures, and each value
-                # is the sequence the fill got, and kept, for that pair.
-                filled = {op.signature() for row in got.tmps for op in row if op}
-                for (sig1, sig2), seq in memo.items():
-                    assert sig1 in filled and sig2 in filled
-                    assert seq is found[sig1, sig2]
+                # Each key pairs two filled cells' (signature, free indices)
+                # keys, and each value is a sequence the fill got, and kept,
+                # for that pair.
+                filled = {
+                    (got.tmps[i][j].signature(), got.free[i][j])
+                    for i in range(got.n)
+                    for j in range(i, got.n)
+                    if got.tmps[i][j]
+                }
+                for (key1, key2), seq in memo.items():
+                    assert key1 in filled and key2 in filled
+                    assert any(seq is f for f in found[key1[0], key2[0]])
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -391,6 +397,60 @@ class TestIndices:
         assert plan.calls[0].loops == (i,)
         assert plan.calls[0].multiplicity == 4
         assert plan.total_cost == 4 * 18
+
+    def test_naive_hoists_invariant_discharge(self):
+        # Left to right, A[i] * B^-1 is the whole chain: getri(B) runs once.
+        i = IndexDecl("i", 8)
+        chain = chain_of(
+            "X[i] = A[i] * B^-1",
+            i,
+            matrix("A", 50, 50, indices=(i,)),
+            matrix("B", 50, 50),
+            matrix("X", 50, 50, indices=(i,)),
+        )
+        assert naive_cost(chain) == 2 * 50 ** 3 + 8 * (2 * 50 ** 3)
+
+
+def _indices_of(name):
+    """The index names an emitted operand name carries: ``T0[i,j]`` ->
+    ``("i", "j")``."""
+    inside = name.partition("[")[2].rstrip("]")
+    return tuple(inside.split(",")) if inside else ()
+
+
+class TestLoopAwareCharging:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        db_name=st.sampled_from(["default", "gap"]),
+        metric=st.sampled_from([FLOPS, MEMORY]),
+    )
+    def test_calls_charged_by_their_own_loops(self, seed, db_name, metric):
+        rng = random.Random(seed)
+        chain = random_chain(rng, n_max=5, dim_max=8, index_pool=INDEX_POOL)
+        db = DATABASES[db_name]
+        try:
+            plan = solve(chain, db, metric)
+        except (NoKernelApplicableError, UnsatisfiableError):
+            return
+        for call in plan.calls:
+            assert call.multiplicity == math.prod(ix.range for ix in call.loops)
+            loops = tuple(ix.name for ix in call.loops)
+            ins = [_indices_of(name) for name in call.inputs]
+            if len(ins) == 1:  # a discharge runs under its input's loops
+                assert loops == ins[0]
+            else:  # a product under its inputs' together
+                assert loops == ins[0] + tuple(x for x in ins[1] if x not in ins[0])
+        total = sum(c.cost * c.multiplicity for c in plan.calls)
+        assert total == pytest.approx(plan.total_cost)
+        assert plan.total_cost == pytest.approx(
+            brute_force_min(chain, db, metric)[0]
+        )
+        try:  # left to right can meet a gap the DP avoids
+            naive = naive_cost(chain, db, metric)
+        except NoKernelApplicableError:
+            return
+        assert naive >= plan.total_cost * (1 - 1e-12)
 
 
 class TestMetrics:
@@ -644,7 +704,8 @@ class TestStructuralTable:
 
 # --------------------------------------------------------------------------
 # Reference: the DP loop without signature ids, asking find_sequence at
-# every split with a structural table of its own.
+# every split with a structural table of its own, and charging each
+# split's preps the multiplicity of their own part.
 
 
 def reference_tables(chain, db, metric):
@@ -674,11 +735,12 @@ def reference_tables(chain, db, metric):
                 left, right = tmps[i][k], tmps[k + 1][j]
                 if left is None or right is None:
                     continue
+                mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
                 try:
-                    seq = find_sequence(left, right, db, metric, table)
+                    seq = find_sequence(left, right, db, metric, table, mults)
                 except NoKernelApplicableError:
                     continue
-                cost = costs[i][k] + costs[k + 1][j] + seq.total_cost * ranges[i][j]
+                cost = costs[i][k] + costs[k + 1][j] + seq.total_cost
                 if cost < costs[i][j]:
                     costs[i][j] = cost
                     solution[i][j] = k
