@@ -7,16 +7,20 @@ unary suffix: ``^T`` (transpose), ``^-1`` (inverse), or ``^-T``
 
     X[i,j] = A[i] * B^T * C * d[j]
 
-All model types are immutable; parsing is a pure function of the text and
-the declarations.
+All model types are immutable named tuples; parsing is a pure function of
+the text and the declarations. The types that check their fields,
+:class:`IndexDecl`, :class:`Operand` and :class:`Chain`, check them in
+``__new__``, and their ``_make`` goes through it, so ``_replace`` checks
+the new fields the same way.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .errors import (
     DimensionPropertyMismatchError,
@@ -50,43 +54,56 @@ def effective_dims(rows: int, cols: int, tag: UnaryTag) -> tuple[int, int]:
     return (cols, rows) if tag in _SWAPS else (rows, cols)
 
 
-@dataclass(frozen=True)
-class IndexDecl:
+class IndexDecl(namedtuple("IndexDecl", "name range")):
     """A declared index set with its cardinality."""
 
+    __slots__ = ()
     name: str
     range: int
 
-    def __post_init__(self):
-        if self.range < 1:
-            raise ValueError(f"index {self.name!r} needs range >= 1, got {self.range}")
+    def __new__(cls, name: str, range: int) -> IndexDecl:
+        if range < 1:
+            raise ValueError(f"index {name!r} needs range >= 1, got {range}")
+        return super().__new__(cls, name, range)
+
+    @classmethod
+    def _make(cls, iterable) -> IndexDecl:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(namedtuple("Operand", "name rows cols properties indices")):
     """A named matrix or vector, its dimensions, properties, and indices.
 
     ``properties`` is normalized to its implication closure on construction,
     which also rejects inconsistent or dimension-incompatible sets.
     """
 
+    __slots__ = ()
     name: str
     rows: int
     cols: int
-    properties: frozenset[Property] = frozenset()
-    indices: tuple[IndexDecl, ...] = ()
+    properties: frozenset[Property]
+    indices: tuple[IndexDecl, ...]
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(
-                f"operand {self.name!r} needs positive dims, got {self.rows}x{self.cols}"
-            )
-        object.__setattr__(
-            self, "properties", close(self.properties, self.rows, self.cols)
-        )
-        names = [ix.name for ix in self.indices]
+    def __new__(
+        cls,
+        name: str,
+        rows: int,
+        cols: int,
+        properties: frozenset[Property] = frozenset(),
+        indices: tuple[IndexDecl, ...] = (),
+    ) -> Operand:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"operand {name!r} needs positive dims, got {rows}x{cols}")
+        properties = close(properties, rows, cols)
+        names = [ix.name for ix in indices]
         if len(names) != len(set(names)):
-            raise ValueError(f"operand {self.name!r} repeats an index: {names}")
+            raise ValueError(f"operand {name!r} repeats an index: {names}")
+        return super().__new__(cls, name, rows, cols, properties, indices)
+
+    @classmethod
+    def _make(cls, iterable) -> Operand:
+        return cls(*iterable)
 
     @property
     def display(self) -> str:
@@ -116,8 +133,7 @@ def vector(
     return Operand(name, rows, 1, props, tuple(indices))
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """An operand occurrence with its unary tag."""
 
     operand: Operand
@@ -136,17 +152,24 @@ class Factor:
         return self.operand.display + self.tag.value
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(namedtuple("Chain", "target target_indices factors")):
     """A product of factors assigned to a (possibly indexed) target."""
 
+    __slots__ = ()
     target: str
     target_indices: tuple[IndexDecl, ...]
     factors: tuple[Factor, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(
+        cls, target: str, target_indices: tuple[IndexDecl, ...], factors: tuple[Factor, ...]
+    ) -> Chain:
+        if not factors:
             raise ValueError("a chain needs at least one factor")
+        return super().__new__(cls, target, target_indices, factors)
+
+    @classmethod
+    def _make(cls, iterable) -> Chain:
+        return cls(*iterable)
 
     @property
     def target_display(self) -> str:
@@ -335,8 +358,7 @@ class DiagnosticKind(enum.Enum):
     INDEX_MISMATCH = "IndexMismatch"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     kind: DiagnosticKind
     position: int | None
     message: str
@@ -401,15 +423,13 @@ def validate(chain: Chain) -> list[Diagnostic]:
 # --------------------------------------------------------------------------
 # Problem files
 
-@dataclass(frozen=True)
-class ComputeStatement:
+class ComputeStatement(NamedTuple):
     lineno: int
     source: str
     chain: Chain
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     indices: tuple[IndexDecl, ...]
     operands: tuple[Operand, ...]
     computes: tuple[ComputeStatement, ...]

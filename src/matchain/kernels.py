@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from .errors import CostOverflowError, KernelConfigError
 from .expr import UnaryTag, effective_dims
@@ -42,8 +42,7 @@ from .properties import (
 )
 
 
-@dataclass(frozen=True)
-class TaggedOperand:
+class TaggedOperand(NamedTuple):
     """A stored operand (dims + closed props) with its pending unary tag.
 
     ``name`` is display-only and excluded from :meth:`signature`, so the
@@ -74,8 +73,7 @@ class TaggedOperand:
         return self.name + self.tag.value
 
 
-@dataclass(frozen=True)
-class InputPattern:
+class InputPattern(NamedTuple):
     """Per-input requirement: allowed pending tags, required stored props."""
 
     tags: frozenset[UnaryTag]
@@ -85,8 +83,7 @@ class InputPattern:
         return op.tag in self.tags and self.required <= op.props
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """A computational building block with patterns and a FLOP formula.
 
     ``peel`` applies to unary kernels only and names the tag component the
@@ -137,8 +134,7 @@ class Kernel:
         return TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID, name)
 
 
-@dataclass(frozen=True)
-class KernelCall:
+class KernelCall(NamedTuple):
     """One emitted instruction.
 
     ``cost`` is the single-instance cost under the active metric;

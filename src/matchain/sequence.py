@@ -33,9 +33,9 @@ same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from .errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
 from .expr import UnaryTag
@@ -45,13 +45,14 @@ from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match
 L = 3
 
 
-@dataclass(frozen=True, eq=False)
-class SeqStep:
+class SeqStep(NamedTuple):
     """One call in a sequence: the kernel and which operand it applies to.
 
     ``target`` is ``"op1"`` or ``"op2"`` for unary discharge steps and
-    ``"both"`` for the final binary kernel. Steps are made only by
-    :func:`_candidate`, so equal candidates share one steps tuple.
+    ``"both"`` for the final binary kernel. Steps compare by value, like
+    any named tuple, but are made only by :func:`_candidate`, which pools
+    them: equal candidates share one steps tuple, so equal steps are one
+    object.
     """
 
     kernel: Kernel
@@ -80,8 +81,7 @@ def _candidate(calls: tuple) -> tuple:
     return cand
 
 
-@dataclass(frozen=True)
-class SequenceResult:
+class SequenceResult(NamedTuple):
     steps: tuple[SeqStep, ...]
     total_cost: float
     output: TaggedOperand

@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .errors import (
     CostOverflowError,
@@ -88,8 +89,7 @@ def _base_operand(factor: Factor) -> TaggedOperand:
     return TaggedOperand(op.rows, op.cols, op.properties, factor.tag, op.display)
 
 
-@dataclass(frozen=True)
-class DPStats:
+class DPStats(NamedTuple):
     """Work counters of one DP fill.
 
     ``splits`` counts the splits (i, k, j) whose two parts were both
@@ -106,12 +106,13 @@ class DPStats:
     no_route: int
 
 
-@dataclass
-class DPTables:
+class DPTables(NamedTuple):
     """Filled DP state for one chain; indices run over factor positions.
 
-    A sequence's ``total_cost`` is what its combination is charged, index
-    multiplicities included (``find_sequence``'s ``mults``).
+    The tuple is immutable, but its tables are lists that the fill built
+    and the caller owns. A sequence's ``total_cost`` is what its
+    combination is charged, index multiplicities included
+    (``find_sequence``'s ``mults``).
     """
 
     n: int
@@ -314,21 +315,27 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
     """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
 
     ``loops`` maps each step target, ``"op1"``, ``"op2"`` and ``"both"``,
-    to the free indices its calls loop over and their multiplicity: a
+    to the free indices of what its calls read and their multiplicity: a
     discharge prep runs under its input's loops, the binary call under the
     segment's, so a prep can be hoisted out of loops its product runs
-    under. The last call writes ``out_name``; any other temp varies over
-    its call's loops, which for a prep are exactly its input's indices. The
-    binary call's result is ``seq.output`` named, since every candidate
-    yields the same output. Returns the calls and the named final operand.
+    under. A call's loops are the segment's (``"op1"``'s when ``seq`` has
+    no binary call), in the segment's order, restricted to its target's
+    indices, so a prep that varies over every index of its product shares
+    the product's loop nest. The last call writes ``out_name``; any other
+    temp is named by its target's indices, in their own order, which for a
+    prep are its input's. The binary call's result is ``seq.output``
+    named, since every candidate yields the same output. Returns the calls
+    and the named final operand.
     """
     cur = {"op1": op1, "op2": op2}
     calls = []
+    nest = loops.get("both", loops["op1"])[0]
     last = len(seq.steps) - 1
     for at, step in enumerate(seq.steps):
         kernel = step.kernel
         free, mult = loops[step.target]
         name = out_name if at == last else names.fresh(free)
+        call_loops = tuple(ix for ix in nest if ix in free)
         if step.target == "both":
             inputs = (cur["op1"], cur["op2"])
             out = seq.output
@@ -341,7 +348,9 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
         cost = metric.call_cost(kernel, call_mkn(inputs))
         arg_names = tuple(op.name for op in inputs)
         calls.append(
-            KernelCall(kernel.id, arg_names, name, cost, f"{name} := {math}", free, mult)
+            KernelCall(
+                kernel.id, arg_names, name, cost, f"{name} := {math}", call_loops, mult
+            )
         )
     return calls, result
 

@@ -1,7 +1,6 @@
 """Kernel sequence search for a single combination step."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,7 +406,7 @@ def rescaled(op, factor):
     def scale(d):
         return d if d == 1 else d * factor
 
-    return replace(op, rows=scale(op.rows), cols=scale(op.cols))
+    return op._replace(rows=scale(op.rows), cols=scale(op.cols))
 
 
 class TestAgainstReference:

@@ -1,6 +1,5 @@
 """Chain solver: DP tables, plan extraction, and index handling."""
 
-import dataclasses
 import math
 import random
 
@@ -17,9 +16,11 @@ from matchain import (
     brute_force_min,
     build_tables,
     default_db,
+    emit_text,
     find_sequence,
     index_range,
     load_kernel_config,
+    load_problem,
     matrix,
     naive_cost,
     parse,
@@ -433,12 +434,20 @@ class TestLoopAwareCharging:
             plan = solve(chain, db, metric)
         except (NoKernelApplicableError, UnsatisfiableError):
             return
+        reader = {name: call for call in plan.calls for name in call.inputs}
         for call in plan.calls:
             assert call.multiplicity == math.prod(ix.range for ix in call.loops)
             loops = tuple(ix.name for ix in call.loops)
             ins = [_indices_of(name) for name in call.inputs]
-            if len(ins) == 1:  # a discharge runs under its input's loops
-                assert loops == ins[0]
+            if len(ins) == 1:
+                # A discharge runs under its input's loops, nested in the
+                # order of the binary call it feeds.
+                fed = call
+                while len(fed.inputs) == 1 and fed.output in reader:
+                    fed = reader[fed.output]
+                order = tuple(ix.name for ix in fed.loops)
+                assert sorted(loops) == sorted(ins[0])
+                assert loops == tuple(x for x in order if x in ins[0])
             else:  # a product under its inputs' together
                 assert loops == ins[0] + tuple(x for x in ins[1] if x not in ins[0])
         total = sum(c.cost * c.multiplicity for c in plan.calls)
@@ -451,6 +460,25 @@ class TestLoopAwareCharging:
         except NoKernelApplicableError:
             return
         assert naive >= plan.total_cost * (1 - 1e-12)
+
+    def test_discharge_shares_its_product_loop_nest(self):
+        problem = load_problem(
+            "index i 8\n"
+            "index j 5\n"
+            "matrix A 6 6 indices=j\n"
+            "matrix M 6 6 indices=i,j\n"
+            "compute X[i,j] = A[j] * M[i,j]^-1\n"
+        )
+        plan = solve(problem.computes[0].chain)
+        assert [c.kernel_id for c in plan.calls] == ["getri", "gemm"]
+        for call in plan.calls:
+            assert [(ix.name, ix.range) for ix in call.loops] == [("j", 5), ("i", 8)]
+            assert call.multiplicity == 40
+        # The temp keeps its input's index order in its name.
+        assert plan.calls[0].output == "T0[i,j]"
+        assert plan.total_cost == 34560
+        # One nest holds both calls.
+        assert emit_text(plan).count("for ") == 2
 
 
 class TestMetrics:
@@ -754,7 +782,7 @@ DATABASES = {
     "gap": [k for k in default_db() if k.id not in ("getri", "trtri")],
     # Every split of a cell ties under FLOPS, so the bound skips all but
     # the first covered split with a route, which the tie rule picks.
-    "zero": [dataclasses.replace(k, flops=lambda m, k, n: 0 * m) for k in default_db()],
+    "zero": [k._replace(flops=lambda m, k, n: 0 * m) for k in default_db()],
 }
 INDEX_POOL = (IndexDecl("i", 3), IndexDecl("j", 4), IndexDecl("k", 2))
 
