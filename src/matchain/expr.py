@@ -262,22 +262,21 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "(":
             # Grouping is not part of the grammar; recognize it only to give a
-            # targeted error when it is used to stack unary operators. The
-            # innermost group decides the error, so enclosing ones are skipped
-            # here rather than recursed into, however deep they nest.
+            # targeted error: a tagged lone factor with a suffix after its
+            # ``)`` stacks unary operators, and any other group, a lone factor
+            # or a longer chain, is reported at its ``(``. The innermost group
+            # decides the error, so enclosing ones are skipped here rather
+            # than recursed into, however deep they nest.
             while self.peek()[1] == "(":
                 open_pos = self.take()[2]
             inner = self.factor()
-            self.expect(")")
-            kind, text, suffix_pos = self.peek()
-            if kind == "suffix":
-                if inner.tag is not UnaryTag.ID:
+            if self.peek()[1] == ")":
+                self.take()
+                kind, text, suffix_pos = self.peek()
+                if kind == "suffix" and inner.tag is not UnaryTag.ID:
                     raise NestedUnaryError(
                         "unary operators cannot be nested", suffix_pos
                     )
-                raise ExprSyntaxError(
-                    "parentheses are not part of the chain grammar", open_pos
-                )
             raise ExprSyntaxError(
                 "parentheses are not part of the chain grammar", open_pos
             )

@@ -42,10 +42,15 @@ A charge beyond the float range is ``inf`` and wins no split, but a 0
 cost stays 0 at any multiplicity, where ``0.0 * inf`` would be nan, so a
 0-cost sequence still wins under a multiplicity beyond the float range.
 
-The structural candidate table that
-``find_sequence`` fills depends only on the kernels, so the solver keeps
-the one of the most recent database across ``build_tables`` and
-``naive_cost`` calls, and starts a fresh one for any other database.
+The fill is the only code that prices a split. ``build_tables(splits=)``
+restricts it to given splits per cell, and ``naive_cost`` is the fill
+over the left-deep tree, so the left-to-right order is charged, and a
+failure in it diagnosed, as the optimal order is.
+
+The structural candidate table that ``find_sequence`` fills depends only
+on the kernels, so the solver keeps the one of the most recent database
+across ``build_tables`` calls, and starts a fresh one for any other
+database.
 
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
 are discharged inside the sequence finder when the factor is combined,
@@ -58,7 +63,7 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, prod
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -73,14 +78,10 @@ from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default
 from .sequence import SequenceResult, _charged, find_sequence, materialize
 
 
-def index_range(
-    left: Iterable[IndexDecl], right: Iterable[IndexDecl] = ()
-) -> int:
-    """Multiplicity of a combination: product of ranges of the free indices."""
-    r = 1
-    for ix in {d for d in left} | {d for d in right}:
-        r *= ix.range
-    return r
+def index_range(indices: Iterable[IndexDecl]) -> int:
+    """Multiplicity of a combination: product of ranges of its distinct
+    free indices."""
+    return prod(ix.range for ix in indices)
 
 
 def _base_operand(factor: Factor) -> TaggedOperand:
@@ -92,12 +93,14 @@ def _base_operand(factor: Factor) -> TaggedOperand:
 class DPStats(NamedTuple):
     """Work counters of one DP fill.
 
-    ``splits`` counts the splits (i, k, j) whose two parts were both
-    covered, ``signatures`` the distinct (operand signature, free indices)
-    keys among the filled cells, ``pairs`` the distinct pairs of keys
-    looked up (one ``find_sequence`` call each; a split whose sub-costs
-    already reach the best split of its cell looks up none) and
-    ``no_route`` the pairs among them that the database cannot cover.
+    ``splits`` counts the splits (i, k, j) the fill tried whose two parts
+    were both covered: at most ``(n^3 - n) / 6`` when it tries every split,
+    at most ``n - 1`` over the left-deep tree. ``signatures`` counts the
+    distinct (operand signature, free indices) keys among the filled cells,
+    ``pairs`` the distinct pairs of keys looked up (one ``find_sequence``
+    call each; a split whose sub-costs already reach the best split of its
+    cell looks up none) and ``no_route`` the pairs among them that the
+    database cannot cover.
     """
 
     splits: int
@@ -164,14 +167,21 @@ def build_tables(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
     memo: dict | None = None,
+    *,
+    splits: dict[tuple[int, int], Sequence[int]] | None = None,
 ) -> DPTables:
     """Run the DP for ``chain``; the chain must already validate cleanly.
 
+    ``splits`` maps a cell ``(i, j)`` to the split indices k to try there,
+    in increasing order; a cell it leaves out stays unfilled, so it should
+    hold both parts of every split it lists. ``None`` tries every k, which
+    is what ``solve`` does; ``naive_cost`` passes the left-deep tree's.
     Splits for which no kernel sequence exists, or whose cost leaves the
     float range, are skipped, and so are splits that cannot beat a smaller
     k's (see the module docstring); if a whole segment has no solution the
-    error surfaces in ``solve``, naming the smallest offending segment. A given
-    ``memo`` receives the fill's sequences under their operands' keys,
+    error surfaces in ``solve`` or ``naive_cost``, naming the smallest
+    offending segment among the cells tried. A given ``memo`` receives
+    the fill's sequences under their operands' keys,
     ``((signature, free indices), (signature, free indices)) -> sequence``,
     one entry per distinct pair that has a route.
     """
@@ -195,7 +205,7 @@ def build_tables(
     interned: dict = {}
     charges: dict = {}
     routes: dict = {}
-    uncovered_splits = no_route = 0
+    tried = uncovered_splits = no_route = 0
 
     for i in range(n):
         tmps[i][i] = op = _base_operand(factors[i])
@@ -214,9 +224,11 @@ def build_tables(
                     seg_free += (ix,)
                     r *= ix.range
             free[i][j], ranges[i][j] = seg_free, r
+            ks = range(i, j) if splits is None else splits.get((i, j), ())
+            tried += len(ks)
             costs_i, ids_i = costs[i], ids[i]
             best, best_k = inf, None
-            for k in range(i, j):
+            for k in ks:
                 lb = costs_i[k] + costs[k + 1][j]
                 if lb >= best:  # its cost, lb + charge, cannot be < best
                     if lb == inf:  # an uncovered part
@@ -254,9 +266,7 @@ def build_tables(
         keys = {at: key for key, at in interned.items()}
         for (a, b), seq in routes.items():
             memo[keys[a], keys[b]] = seq
-    stats = DPStats(
-        (n ** 3 - n) // 6 - uncovered_splits, len(interned), len(charges), no_route
-    )
+    stats = DPStats(tried - uncovered_splits, len(interned), len(charges), no_route)
     return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
 
@@ -399,8 +409,11 @@ def solve(
     return Plan(target, tuple(calls), tables.costs[0][n - 1], tree, metric.name)
 
 
-def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
-    """The error that names the smallest uncovered segment.
+def _uncovered_error(
+    tables: DPTables, factors, db, metric, splits=None
+) -> MatchainError:
+    """The error that names the smallest uncovered segment among the cells
+    that ``splits``, as given to ``build_tables``, lets the fill try.
 
     Every part of that segment is covered, so each of its splits has no
     kernel sequence, or only sequences with a call whose cost leaves the
@@ -408,9 +421,15 @@ def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
     multiplicities, leaves it. The DP does not tell them apart on its hot
     path, so the splits are looked up again here.
     """
-    i, j = _smallest_uncovered(tables)
+    n = tables.n
+    i, j = next(
+        (i, i + l)
+        for l in range(1, n)
+        for i in range(n - l)
+        if tables.costs[i][i + l] == inf and (splits is None or (i, i + l) in splits)
+    )
     table = _structural_table(db)
-    for k in range(i, j):
+    for k in range(i, j) if splits is None else splits[i, j]:
         left, right = tables.tmps[i][k], tables.tmps[k + 1][j]
         try:
             seq = find_sequence(left, right, db, metric, table=table)
@@ -430,14 +449,6 @@ def _uncovered_error(tables: DPTables, factors, db, metric) -> MatchainError:
     )
 
 
-def _smallest_uncovered(tables: DPTables) -> tuple[int, int]:
-    for l in range(1, tables.n):
-        for i in range(tables.n - l):
-            if tables.costs[i][i + l] == inf:
-                return i, i + l
-    raise AssertionError("no uncovered segment")
-
-
 def naive_cost(
     chain: Chain,
     db: Sequence[Kernel] | None = None,
@@ -445,9 +456,9 @@ def naive_cost(
 ) -> float:
     """Cost of strict left-to-right evaluation with the same database.
 
-    Each prefix combination is charged as the DP charges a split: the
-    accumulated prefix's preps its multiplicity, the next factor's preps
-    that factor's, and the binary call that of the prefix it produces.
+    It is the DP fill restricted to the left-deep tree, whose cell
+    ``(0, t)`` splits only at ``t - 1``, so each prefix combination is
+    priced, charged and diagnosed exactly as ``solve`` prices a split.
     """
     if db is None:
         db = default_db()
@@ -455,26 +466,12 @@ def naive_cost(
     if diagnostics:
         raise InvalidChainError(diagnostics)
     factors = chain.factors
-    if len(factors) == 1:
+    n = len(factors)
+    if n == 1:
         return solve(chain, db, metric).total_cost
 
-    table = _structural_table(db)
-    acc = _base_operand(factors[0])
-    acc_free = factors[0].operand.indices
-    total = 0.0
-    for t in range(1, len(factors)):
-        right_free = factors[t].operand.indices
-        prefix_free = acc_free
-        for ix in right_free:
-            if ix not in prefix_free:
-                prefix_free += (ix,)
-        right = _base_operand(factors[t])
-        r = index_range(prefix_free)
-        mults = (index_range(acc_free), index_range(right_free), r)
-        seq = find_sequence(acc, right, db, metric, table, mults)
-        total += seq.total_cost
-        if not total < inf:
-            mkn = call_mkn((acc, right))
-            raise CostOverflowError(seq.steps[-1].kernel.id, mkn, r, (0, t))
-        acc, acc_free = seq.output, prefix_free
-    return total
+    left_deep = {(0, t): (t - 1,) for t in range(1, n)}
+    tables = build_tables(chain, db, metric, splits=left_deep)
+    if tables.costs[0][n - 1] == inf:
+        raise _uncovered_error(tables, factors, db, metric, left_deep)
+    return tables.costs[0][n - 1]

@@ -1,11 +1,27 @@
-"""Shared test utilities: seeded random chains with consistent properties."""
+"""Shared test utilities: seeded random chains with consistent properties,
+and the environment of a child Python process."""
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
+import matchain
 from matchain import Chain, Factor, IndexDecl, Operand, TaggedOperand, UnaryTag
 from matchain.properties import Property
+
+#: The directory that holds the ``matchain`` package under test.
+SRC = str(Path(matchain.__file__).resolve().parents[1])
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with ``SRC`` first on ``PYTHONPATH``, so
+    that a child ``python -m matchain`` imports the same package without an
+    install; ``extra`` sets further variables."""
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    path = os.pathsep.join([SRC] + [p for p in inherited if p])
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 #: Property menus compatible with the stored dimensions they are drawn for.
 SQUARE_MENU = [
@@ -93,3 +109,20 @@ def random_operand_pair(
         op = factor.operand
         out.append(TaggedOperand(op.rows, op.cols, op.properties, factor.tag, op.name))
     return out[0], out[1]
+
+
+def tree_splits(tree) -> dict[tuple[int, int], tuple[int]]:
+    """The ``build_tables(splits=)`` map that restricts the DP fill to
+    ``tree``, a parenthesization over factor positions (a bare int for a
+    leaf): each inner node's cell tries only the node's own split."""
+    out: dict[tuple[int, int], tuple[int]] = {}
+
+    def span(node) -> tuple[int, int]:
+        if isinstance(node, int):
+            return node, node
+        (i, k), (_, j) = span(node[0]), span(node[1])
+        out[i, j] = (k,)
+        return i, j
+
+    span(tree)
+    return out

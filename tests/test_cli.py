@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
-import os
 import subprocess
 import sys
 
@@ -8,6 +7,8 @@ import pytest
 
 from matchain import parse_records
 from matchain.cli import main
+
+from helpers import child_env
 
 VECTOR_CHAIN = """\
 # vector chain
@@ -156,7 +157,7 @@ class TestRecordsOutput:
                  "records", "--naive"],
                 capture_output=True,
                 text=True,
-                env={**os.environ, "PYTHONHASHSEED": seed},
+                env=child_env(PYTHONHASHSEED=seed),
             )
             assert result.returncode == 0, result.stderr
             outs.add(result.stdout)
@@ -231,6 +232,17 @@ class TestFailureModes:
         assert code == 1
         assert "line 1" in err
 
+    def test_paper_example_reports_parentheses(self, tmp_path, capsys):
+        text = (
+            "matrix A 10 4\nvector b 10\nvector x 4\n"
+            "compute x = (A^T * A)^-1 * A^T * b\n"
+        )
+        code, out, err = run(tmp_path, capsys, text)
+        assert code == 1
+        assert out == ""
+        assert "line 4" in err
+        assert "parentheses are not part of the chain grammar" in err
+
     def test_diagnostics_reported_with_location(self, tmp_path, capsys):
         text = (
             "matrix A 4 5\n"
@@ -283,6 +295,8 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert err.startswith("matchain: ") and "line 5" in err
+        # The gap is named by its segment, as solve names one.
+        assert "no kernel sequence covers factors 0..1 (A * B^-1)" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -414,6 +428,7 @@ class TestInstalledScript:
             [sys.executable, "-m", "matchain", str(problem)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "# total_flops=40000" in result.stdout

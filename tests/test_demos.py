@@ -1,15 +1,13 @@
 """Every script under demos/ runs to completion against the current API."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import matchain
+from helpers import child_env
 
-SRC = Path(matchain.__file__).resolve().parents[1]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -20,10 +18,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    path = os.pathsep.join([str(SRC)] + [p for p in inherited if p])
-    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr

@@ -91,6 +91,22 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("X = (A) * B", decls())
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("X = (A^T * A)^-1 * B", 4),
+            ("X = A * ((A * A))^-1 * B", 9),
+            ("X = (A * B", 4),
+        ],
+    )
+    def test_grouped_chain_names_parentheses(self, text, position):
+        # A group holding more than one factor is reported at its innermost
+        # ``(``, not as a missing ``)`` where the second factor starts.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text, decls())
+        assert str(info.value) == "parentheses are not part of the chain grammar"
+        assert info.value.position == position
+
     def test_index_use_must_match_declaration(self):
         with pytest.raises(ExprSyntaxError):
             parse("X = G * B", decls())  # G declared with [i]

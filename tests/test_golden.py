@@ -7,11 +7,13 @@ and one without ``getri``/``trtri``, and under both metrics. Those chains
 have at most 8 factors, where the DP's bound on a split's sub-costs skips
 few splits, so ``LONG_DIGEST`` covers ``emit_records`` of 20 chains of 20
 to 30 factors, with tags, properties and indices, under the default
-database and both metrics. Speed-ups and refactorings must leave both
-digests unchanged. They change only when plans or costs change on
-purpose, as they did when discharge steps came to be charged their own
-input's loops; such a change updates the digests here and says so in
-CHANGES.md.
+database and both metrics, and ``LONG_NAIVE_DIGEST`` their ``naive_cost``,
+pinned from the left-to-right loop that ``naive_cost`` ran before it
+became the DP fill restricted to the left-deep tree. Speed-ups and
+refactorings must leave the digests unchanged. They change only when
+plans or costs change on purpose, as they did when discharge steps came
+to be charged their own input's loops; such a change updates the digests
+here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -32,6 +34,7 @@ from helpers import random_chain
 
 DIGEST = "951541061b8bbbfa61cc29c72dd74147458f37833d1eb49467bcc51c62552aff"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
+LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
 
 DATABASES = (
     default_db(),
@@ -79,3 +82,12 @@ def test_long_plans_match_golden_digest():
             plan = outcome(lambda: emit_records(solve(chain, None, metric)))
             digest.update(plan.encode())
     assert digest.hexdigest() == LONG_DIGEST
+
+
+def test_long_naive_costs_match_golden_digest():
+    digest = hashlib.sha256()
+    for chain in long_chains():
+        for metric in (FLOPS, MEMORY):
+            naive = outcome(lambda: f"naive {naive_cost(chain, None, metric)!r}\n")
+            digest.update(naive.encode())
+    assert digest.hexdigest() == LONG_NAIVE_DIGEST

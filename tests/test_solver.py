@@ -36,7 +36,7 @@ from matchain.errors import (
 )
 from matchain.solver import _base_operand
 
-from helpers import random_chain
+from helpers import random_chain, tree_splits
 
 P = Property
 
@@ -327,8 +327,6 @@ class TestIndices:
         assert index_range(()) == 1
         assert index_range((i,)) == 8
         assert index_range((i, j)) == 32
-        assert index_range((i,), (j,)) == 32
-        assert index_range((i, j), (j,)) == 32
 
     def test_hoisting_factors_out_of_loop(self):
         # G[i] = A * B * c[i]: combining A * B once outside the loop beats
@@ -530,8 +528,10 @@ class TestFailures:
         assert [c.kernel_id for c in plan.calls] == ["gesv", "gemm"]
         assert plan.parenthesization == (0, (1, 2))
         assert plan.total_cost == pytest.approx(2 * 64 / 3 + 2 * 64 + 2 * 64)
-        with pytest.raises(NoKernelApplicableError):
+        with pytest.raises(NoKernelApplicableError) as info:
             naive_cost(chain, db)
+        assert info.value.segment == (0, 1)
+        assert "factors 0..1" in str(info.value)
         # Four splits: A * B^-1 has no route, which leaves one split of
         # [0, 2] with an uncovered part. A and C share a signature.
         assert build_tables(chain, db).stats == DPStats(
@@ -803,3 +803,65 @@ class TestAgainstReference:
         assert (
             got.tmps, got.costs, got.sequences, got.solution, got.free, got.ranges
         ) == want
+
+
+def restricted_cases():
+    """Seeded chains of 2 to 7 factors, with and without indices, under both
+    databases without zero costs and both metrics."""
+    rng = random.Random(20261018)
+    for at in range(200):
+        pool = INDEX_POOL if at % 2 else ()
+        chain = random_chain(rng, n_max=7, dim_max=12, index_pool=pool)
+        for db_name in ("default", "gap"):
+            for metric in (FLOPS, MEMORY):
+                yield chain, DATABASES[db_name], metric
+
+
+class TestRestrictedFill:
+    def test_fill_restricted_to_plan_tree_reproduces_its_cost(self):
+        checked = 0
+        for chain, db, metric in restricted_cases():
+            try:
+                plan = solve(chain, db, metric)
+            except NoKernelApplicableError:
+                continue
+            splits = tree_splits(plan.parenthesization)
+            tables = build_tables(chain, db, metric, splits=splits)
+            assert tables.costs[0][tables.n - 1] == plan.total_cost
+            assert tables.stats.splits == len(splits)
+            checked += 1
+        assert checked > 700
+
+    def test_fill_restricted_to_oracle_tree_reaches_its_minimum(self):
+        checked = 0
+        for chain, db, metric in restricted_cases():
+            try:
+                best, tree = brute_force_min(chain, db, metric)
+            except NoKernelApplicableError:
+                continue
+            tables = build_tables(chain, db, metric, splits=tree_splits(tree))
+            assert tables.costs[0][tables.n - 1] == pytest.approx(best, rel=1e-9)
+            checked += 1
+        assert checked > 700
+
+    def test_left_deep_fill_tries_one_split_per_prefix(self):
+        covered = 0
+        for chain, db, metric in restricted_cases():
+            n = len(chain.factors)
+            left_deep = {(0, t): (t - 1,) for t in range(1, n)}
+            tables = build_tables(chain, db, metric, splits=left_deep)
+            try:
+                naive = naive_cost(chain, db, metric)
+            except NoKernelApplicableError as exc:
+                assert tables.costs[0][n - 1] == math.inf
+                assert exc.segment[0] == 0
+                continue
+            assert tables.costs[0][n - 1] == naive
+            assert tables.stats.splits == n - 1
+            # A cell the map leaves out stays unfilled.
+            for i in range(1, n):
+                for j in range(i + 1, n):
+                    assert tables.costs[i][j] == math.inf
+                    assert tables.solution[i][j] is None
+            covered += 1
+        assert covered > 700

@@ -1,16 +1,14 @@
 """Start-up cost: importing matchain and running its CLI leave numpy alone."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
 import matchain
 from matchain import Property, random_instance
 
-SRC = str(Path(matchain.__file__).resolve().parents[1])
+from helpers import child_env
 
 PROBLEM = """\
 matrix A 10 10 lower_triangular
@@ -28,10 +26,8 @@ RUN_WITHOUT_NUMPY = (
 
 
 def python(*args):
-    path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=child_env()
     )
 
 
