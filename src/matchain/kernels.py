@@ -20,6 +20,12 @@ best split found. Both built-in metrics are products of positive dims;
 config polynomials use only ``+``, ``*`` and ``/`` over non-negative
 integers and dims of at least 1.
 
+Every kernel comes from one reader, :func:`load_kernel_config`. The
+built-in database is a kernel-config text at the end of this module,
+read once at import, so the checks that guard a user's file guard the
+built-ins too. Each cost polynomial is checked as a syntax tree and then
+compiled once to a plain function of (m, k, n).
+
 Note that ``transp`` is charged m*n flops even though transposition does
 no arithmetic; a free transpose would make explicit transposes costless,
 which no real machine delivers. The charge approximates its traffic.
@@ -37,9 +43,21 @@ from .expr import UnaryTag, effective_dims
 from .properties import (
     PROPERTY_NAMES,
     Property,
-    apply_tag_props,
     infer_properties,
+    inverse_props,
+    transpose_props,
 )
+
+
+def _tag_props(props: frozenset[Property], tag: UnaryTag) -> frozenset[Property]:
+    """The closed properties of a stored operand seen through its pending tag."""
+    if tag is UnaryTag.ID:
+        return props
+    if tag is UnaryTag.T:
+        return transpose_props(props)
+    if tag is UnaryTag.INV:
+        return inverse_props(props)
+    return transpose_props(inverse_props(props))
 
 
 class TaggedOperand(NamedTuple):
@@ -65,7 +83,7 @@ class TaggedOperand(NamedTuple):
 
     @property
     def eff_props(self) -> frozenset[Property]:
-        return apply_tag_props(self.props, self.tag)
+        return _tag_props(self.props, self.tag)
 
     @property
     def display(self) -> str:
@@ -111,17 +129,11 @@ class Kernel(NamedTuple):
             raise ValueError(f"{self.id} is not unary")
         if self.peel == "t":
             remaining = UnaryTag.ID if op.tag is UnaryTag.T else UnaryTag.INV
-            out = TaggedOperand(
-                op.cols, op.rows, apply_tag_props(op.props, UnaryTag.T), remaining, name
-            )
-        elif self.peel == "inv":
+            return TaggedOperand(op.cols, op.rows, transpose_props(op.props), remaining, name)
+        if self.peel == "inv":
             remaining = UnaryTag.ID if op.tag is UnaryTag.INV else UnaryTag.T
-            out = TaggedOperand(
-                op.rows, op.cols, apply_tag_props(op.props, UnaryTag.INV), remaining, name
-            )
-        else:
-            out = TaggedOperand(op.rows, op.cols, op.props, UnaryTag.ID, name)
-        return out
+            return TaggedOperand(op.rows, op.cols, inverse_props(op.props), remaining, name)
+        return TaggedOperand(op.rows, op.cols, op.props, UnaryTag.ID, name)
 
     def apply_binary(
         self, left: TaggedOperand, right: TaggedOperand, name: str
@@ -202,122 +214,6 @@ def metric_by_name(name: str):
         raise ValueError(f"unknown metric {name!r}; choose from {sorted(METRICS)}")
 
 
-# --------------------------------------------------------------------------
-# The built-in database
-
-_ID = frozenset({UnaryTag.ID})
-_ID_T = frozenset({UnaryTag.ID, UnaryTag.T})
-_INV = frozenset({UnaryTag.INV})
-_INV_INVT = frozenset({UnaryTag.INV, UnaryTag.INVT})
-_T_INVT = frozenset({UnaryTag.T, UnaryTag.INVT})
-
-_ANY = frozenset()
-_SQ = frozenset({Property.SQUARE})
-_LOW = frozenset({Property.LOWER_TRIANGULAR, Property.SQUARE})
-_UP = frozenset({Property.UPPER_TRIANGULAR, Property.SQUARE})
-_DIAG = frozenset({Property.DIAGONAL, Property.SQUARE})
-_SPD = frozenset({Property.SPD, Property.SQUARE})
-
-
-def _binary(tags1, req1, tags2, req2):
-    return (InputPattern(tags1, req1), InputPattern(tags2, req2))
-
-
-def _unary(tags, req):
-    return (InputPattern(tags, req),)
-
-
-#: The built-in kernels, most specific first. Built once, so every
-#: default database holds the same frozen kernels and compares equal.
-_BUILTIN = (
-    Kernel(
-        "diagmm", 2,
-        (_binary(_ID, _DIAG, _ID, _ANY),),
-        lambda m, k, n: m * n,
-    ),
-    Kernel(
-        "diagsv", 2,
-        (_binary(_INV, _DIAG, _ID, _ANY),),
-        lambda m, k, n: 2 * m * n,
-    ),
-    Kernel(
-        "trtrmm", 2,
-        (
-            _binary(_ID, _LOW, _ID, _LOW),
-            _binary(_ID, _UP, _ID, _UP),
-        ),
-        lambda m, k, n: m * k * n / 3,
-    ),
-    Kernel(
-        "trmm", 2,
-        (
-            _binary(_ID_T, _LOW, _ID, _ANY),
-            _binary(_ID_T, _UP, _ID, _ANY),
-        ),
-        lambda m, k, n: m * m * n,
-    ),
-    Kernel(
-        "trsm", 2,
-        (
-            _binary(_INV_INVT, _LOW, _ID, _ANY),
-            _binary(_INV_INVT, _UP, _ID, _ANY),
-        ),
-        lambda m, k, n: m * m * n,
-    ),
-    Kernel(
-        "posv", 2,
-        (_binary(_INV, _SPD, _ID, _ANY),),
-        lambda m, k, n: m ** 3 / 3 + 2 * m * m * n,
-    ),
-    Kernel(
-        "gesv", 2,
-        (_binary(_INV, _SQ, _ID, _ANY),),
-        lambda m, k, n: 2 * m ** 3 / 3 + 2 * m * m * n,
-    ),
-    Kernel(
-        "gemm", 2,
-        (_binary(_ID_T, _ANY, _ID_T, _ANY),),
-        lambda m, k, n: 2 * m * k * n,
-    ),
-    Kernel(
-        "trtri", 1,
-        (
-            _unary(_INV_INVT, _LOW),
-            _unary(_INV_INVT, _UP),
-        ),
-        lambda m, k, n: m ** 3 / 3,
-        peel="inv",
-    ),
-    Kernel(
-        "getri", 1,
-        (_unary(_INV_INVT, _SQ),),
-        lambda m, k, n: 2 * m ** 3,
-        peel="inv",
-    ),
-    Kernel(
-        "transp", 1,
-        (_unary(_T_INVT, _ANY),),
-        lambda m, k, n: m * n,
-        peel="t",
-    ),
-    Kernel(
-        "copy", 1,
-        (_unary(_ID, _ANY),),
-        lambda m, k, n: 0,
-    ),
-)
-
-
-def default_db() -> list[Kernel]:
-    """The built-in kernel set, most specific first.
-
-    The order is the deterministic order reported by :func:`match`; cost
-    still decides selection, so order only breaks exact ties. Each call
-    returns a new list, which the caller may edit, of the same kernels.
-    """
-    return list(_BUILTIN)
-
-
 def match(
     left: TaggedOperand,
     right: TaggedOperand | None = None,
@@ -363,13 +259,24 @@ _REQ_NAMES["square"] = Property.SQUARE
 #: (m, k, n) points at which every configured cost polynomial is checked.
 _COST_SAMPLES = ((1, 1, 1), (2, 3, 5), (64, 48, 32))
 
+#: The parameters of every compiled cost polynomial: ``lambda m, k, n: ...``.
+_COST_ARGS = ast.arguments(
+    posonlyargs=[],
+    args=[ast.arg(name, lineno=1, col_offset=0) for name in "mkn"],
+    kwonlyargs=[],
+    kw_defaults=[],
+    defaults=[],
+)
+
 
 def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
-    """Compile a cost polynomial over m, k, n (operators +, *, / only)."""
+    """Compile a cost polynomial over m, k, n (operators +, *, / only) to a
+    plain function of (m, k, n), as fast per call as a written lambda."""
     try:
         # Compiling runs nothing; the tree is checked before it is evaluated.
         tree = ast.parse(poly, mode="eval")
-        code = compile(tree, "<kernel-config>", "eval")
+        function = ast.Lambda(_COST_ARGS, tree.body, lineno=1, col_offset=0)
+        code = compile(ast.Expression(function), "<kernel-config>", "eval")
     except (SyntaxError, RecursionError):  # the latter: nested too deep
         raise KernelConfigError(lineno, f"unparsable cost polynomial {poly!r}")
     for node in ast.walk(tree):
@@ -392,7 +299,7 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
             raise KernelConfigError(
                 lineno, "cost polynomial supports only +, *, /, integers, and m, k, n"
             )
-    cost = lambda m, k, n: eval(code, {"__builtins__": {}}, {"m": m, "k": k, "n": n})
+    cost = eval(code, {"__builtins__": {}})
     # The solver evaluates costs deep inside the DP, so a polynomial that
     # divides by zero or leaves the float range is rejected here, with its
     # line number. Only +, * and / over non-negative constants and positive
@@ -448,13 +355,17 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
 
     Line format (``#`` comments allowed)::
 
-        kernel <id> arity=<1|2> tags=<g1[;g2]> req=<g1[;g2]> cost=<poly>
+        kernel <id> arity=<1|2> tags=<g1[;g2]> req=<g1[;g2]>[|<g1[;g2]>...] cost=<poly>
 
     where each ``tags`` group lists allowed pending tags (id, t, inv,
     invt; a unary kernel takes ``id`` alone, a copy, or tags from t, inv
     and invt), each ``req`` group lists required stored properties, and the
-    cost polynomial uses +, *, / over integers and m, k, n. A kernel whose
-    id already exists replaces it in place; new ids append to the end.
+    cost polynomial uses +, *, / over integers and m, k, n. ``req`` may
+    hold ``|``-separated alternatives, such as the two orientations of a
+    triangular operand; each is one variant with the line's tags, and the
+    kernel applies when any of them accepts. A kernel whose id already
+    exists replaces it in place, all its variants at once; new ids append
+    to the end.
     """
     db = list(default_db() if base is None else base)
     position = {kernel.id: at for at, kernel in enumerate(db)}
@@ -484,28 +395,33 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
         arity = int(fields["arity"])
 
         tag_groups = _split_groups(fields["tags"], arity, "tags", lineno)
-        req_groups = _split_groups(fields["req"], arity, "req", lineno)
-        patterns = []
-        for tag_names, req_names in zip(tag_groups, req_groups):
-            tags = set()
-            for name in tag_names:
-                if name not in _TAG_NAMES:
-                    raise KernelConfigError(lineno, f"unknown tag {name!r}")
-                tags.add(_TAG_NAMES[name])
-            if not tags:
-                tags.add(UnaryTag.ID)
-            required = set()
-            for name in req_names:
-                if name not in _REQ_NAMES:
-                    raise KernelConfigError(lineno, f"unknown property {name!r}")
-                required.add(_REQ_NAMES[name])
-            patterns.append(InputPattern(frozenset(tags), frozenset(required)))
+        alternatives = [
+            _split_groups(req, arity, "req", lineno) for req in fields["req"].split("|")
+        ]
+        variants = []
+        for req_groups in alternatives:
+            patterns = []
+            for tag_names, req_names in zip(tag_groups, req_groups):
+                tags = set()
+                for name in tag_names:
+                    if name not in _TAG_NAMES:
+                        raise KernelConfigError(lineno, f"unknown tag {name!r}")
+                    tags.add(_TAG_NAMES[name])
+                if not tags:
+                    tags.add(UnaryTag.ID)
+                required = set()
+                for name in req_names:
+                    if name not in _REQ_NAMES:
+                        raise KernelConfigError(lineno, f"unknown property {name!r}")
+                    required.add(_REQ_NAMES[name])
+                patterns.append(InputPattern(frozenset(tags), frozenset(required)))
+            variants.append(tuple(patterns))
 
         peel = None
         if arity == 1:
-            peel = _unary_peel(patterns[0].tags, lineno)
+            peel = _unary_peel(variants[0][0].tags, lineno)
         cost = _compile_cost(fields["cost"], lineno)
-        kernel = Kernel(kid, arity, (tuple(patterns),), cost, peel=peel)
+        kernel = Kernel(kid, arity, tuple(variants), cost, peel=peel)
 
         if kid in position:
             db[position[kid]] = kernel
@@ -513,3 +429,39 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
             position[kid] = len(db)
             db.append(kernel)
     return db
+
+
+# --------------------------------------------------------------------------
+# The built-in database
+
+#: The built-in kernels, most specific first, in the kernel-config format.
+#: The diagonal and triangular patterns require ``square`` as well, so a
+#: rectangular diagonal or trapezoidal operand matches none of them.
+_BUILTIN_CONFIG = """
+kernel diagmm arity=2 tags=id;id       cost=m*n               req=diagonal,square;
+kernel diagsv arity=2 tags=inv;id      cost=2*m*n             req=diagonal,square;
+kernel trtrmm arity=2 tags=id;id       cost=m*k*n/3           req=lower_triangular,square;lower_triangular,square|upper_triangular,square;upper_triangular,square
+kernel trmm   arity=2 tags=id,t;id     cost=m*m*n             req=lower_triangular,square;|upper_triangular,square;
+kernel trsm   arity=2 tags=inv,invt;id cost=m*m*n             req=lower_triangular,square;|upper_triangular,square;
+kernel posv   arity=2 tags=inv;id      cost=m*m*m/3+2*m*m*n   req=spd,square;
+kernel gesv   arity=2 tags=inv;id      cost=2*m*m*m/3+2*m*m*n req=square;
+kernel gemm   arity=2 tags=id,t;id,t   cost=2*m*k*n           req=;
+kernel trtri  arity=1 tags=inv,invt    cost=m*m*m/3           req=lower_triangular,square|upper_triangular,square
+kernel getri  arity=1 tags=inv,invt    cost=2*m*m*m           req=square
+kernel transp arity=1 tags=t,invt      cost=m*n               req=
+kernel copy   arity=1 tags=id          cost=0                 req=
+"""
+
+#: Read once, so every default database holds the same kernels and
+#: compares equal.
+_BUILTIN = tuple(load_kernel_config(_BUILTIN_CONFIG, ()))
+
+
+def default_db() -> list[Kernel]:
+    """The built-in kernel set, most specific first.
+
+    The order is the deterministic order reported by :func:`match`; cost
+    still decides selection, so order only breaks exact ties. Each call
+    returns a new list, which the caller may edit, of the same kernels.
+    """
+    return list(_BUILTIN)

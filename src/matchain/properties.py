@@ -141,22 +141,6 @@ def inverse_props(props: frozenset[Property]) -> frozenset[Property]:
     return frozenset(props | {Property.NONSINGULAR})
 
 
-def apply_tag_props(props, tag):
-    """Apply a unary tag's property transform (tag from expr.UnaryTag)."""
-    # Local import: expr depends on this module for close().
-    from .expr import UnaryTag
-
-    if tag is UnaryTag.ID:
-        return props
-    if tag is UnaryTag.T:
-        return transpose_props(props)
-    if tag is UnaryTag.INV:
-        return inverse_props(props)
-    if tag is UnaryTag.INVT:
-        return transpose_props(inverse_props(props))
-    raise ValueError(f"unknown tag {tag!r}")
-
-
 def infer_properties(
     lprops: frozenset[Property],
     ldims: tuple[int, int],

@@ -392,6 +392,43 @@ class TestFailureModes:
             assert "# total_flops=0\n" in out
         assert "# oracle=agree" in out
 
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("text", "# oracle=disagree oracle_flops=12345"),
+            ("records", "verify oracle=disagree oracle_total=12345.0"),
+        ],
+    )
+    def test_verify_disagreement_exits_two(self, tmp_path, capsys, monkeypatch, fmt, line):
+        # The only report of a solver bug: the oracle finds a different minimum.
+        monkeypatch.setattr("matchain.cli.brute_force_min", lambda *args: (12345.0, None))
+        code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--verify", "--format", fmt)
+        assert code == 2
+        assert out.rstrip("\n").endswith(line)
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "source, kernels, message",
+        [
+            ("X[i,i] = A[i]", "", "line 4: IndexMismatch: target repeats an index"),
+            ("X[i = A[i]", "", "line 4: expected ',' or ']' in index list"),
+            ("X[] = A[i]", "", "line 4: expected an index name"),
+            (
+                "X[i] = A[i]",
+                "kernel k arity=1 tags=t req= cost=m bogus=1",
+                "line 1: unexpected field 'bogus=1'",
+            ),
+        ],
+    )
+    def test_input_errors_exit_one(self, tmp_path, capsys, source, kernels, message):
+        config = tmp_path / "kernels.cfg"
+        config.write_text(kernels + "\n")
+        text = f"index i 4\nmatrix A 3 3 indices=i\nmatrix X 3 3 indices=i\ncompute {source}\n"
+        code, out, err = run(tmp_path, capsys, text, "--kernels", str(config))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))
         text = decls + "matrix Z 4 4\ncompute Z = " + " * ".join(

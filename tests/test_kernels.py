@@ -1,6 +1,8 @@
 """Kernel database: matching, costs, metrics, and config files."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,7 +16,10 @@ from matchain import (
     default_db,
     load_kernel_config,
     match,
+    matrix,
     metric_by_name,
+    parse,
+    solve,
 )
 from matchain.errors import CostOverflowError, KernelConfigError
 from matchain.kernels import call_mkn
@@ -48,10 +53,24 @@ def by_id(db):
     return {kernel.id: kernel for kernel in db}
 
 
+def upper_solve():
+    """The chain ``X = U^-1 * B`` with an upper-triangular ``U``."""
+    return parse(
+        "X = U^-1 * B",
+        [matrix("U", 8, 8, [P.UPPER_TRIANGULAR]), matrix("B", 8, 3), matrix("X", 8, 3)],
+    )
+
+
 class TestDatabase:
     def test_order_deterministic(self):
         assert [k.id for k in default_db()] == EXPECTED_ORDER
         assert [k.id for k in default_db()] == [k.id for k in default_db()]
+
+    def test_readme_table_lists_the_database_in_order(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Kernel database", 1)[1].split("\n## ", 1)[0]
+        ids = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+        assert ids == [k.id for k in default_db()]
 
     def test_arities(self):
         arity = {k.id: k.arity for k in default_db()}
@@ -340,6 +359,46 @@ class TestConfig:
         with pytest.raises(KernelConfigError, match="tags=id alone") as info:
             load_kernel_config(config)
         assert info.value.lineno == 2
+
+    def test_override_with_both_orientations_keeps_upper_solve(self):
+        db = load_kernel_config(
+            "kernel trsm arity=2 tags=inv,invt;id "
+            "req=lower_triangular,square;|upper_triangular,square; cost=m*m*n/2\n"
+        )
+        assert len(by_id(db)["trsm"].variants) == 2
+        assert [c.kernel_id for c in solve(upper_solve(), db).calls] == ["trsm"]
+
+    def test_override_replaces_every_orientation(self):
+        # A kernel line replaces the built-in whole, so one orientation
+        # leaves upper-triangular solves to other kernels.
+        db = load_kernel_config(
+            "kernel trsm arity=2 tags=inv,invt;id req=lower_triangular,square; cost=m*m*n\n"
+        )
+        lower = op(8, 8, {P.LOWER_TRIANGULAR}, UnaryTag.INV)
+        upper = op(8, 8, {P.UPPER_TRIANGULAR}, UnaryTag.INV)
+        assert match(lower, op(8, 3), db)[0].id == "trsm"
+        assert "trsm" not in [k.id for k in match(upper, op(8, 3), db)]
+        assert [c.kernel_id for c in solve(upper_solve(), db).calls] == ["trtri", "trmm"]
+
+    def test_alternative_with_wrong_group_count_names_its_line(self):
+        with pytest.raises(KernelConfigError, match="req needs 2 ';'-separated group") as info:
+            load_kernel_config(
+                "# two orientations\n"
+                "kernel tsv arity=2 tags=inv;id req=lower_triangular;|upper_triangular cost=m\n"
+            )
+        assert info.value.lineno == 2
+
+    def test_unary_alternatives_build_one_variant_each(self):
+        db = load_kernel_config(
+            "kernel trinv arity=1 tags=inv req=lower_triangular|upper_triangular cost=m*m*m\n"
+        )
+        trinv = by_id(db)["trinv"]
+        assert [[p.required for p in v] for v in trinv.variants] == [
+            [frozenset({P.LOWER_TRIANGULAR})],
+            [frozenset({P.UPPER_TRIANGULAR})],
+        ]
+        assert trinv.peel == "inv"
+        assert trinv in match(op(5, 5, {P.UPPER_TRIANGULAR}, UnaryTag.INV), db=db)
 
     def test_comments_ignored(self):
         db = load_kernel_config("# nothing here\n\n")
