@@ -118,10 +118,16 @@ class Kernel(NamedTuple):
     peel: str | None = None
 
     def accepts(self, ops: Sequence[TaggedOperand]) -> bool:
-        return len(ops) == self.arity and any(
-            all(p.matches(op) for p, op in zip(patterns, ops))
-            for patterns in self.variants
-        )
+        # Plain loops: nested generator expressions made this twice as slow.
+        if len(ops) != self.arity:
+            return False
+        for patterns in self.variants:
+            for pattern, op in zip(patterns, ops):
+                if not pattern.matches(op):
+                    break
+            else:
+                return True
+        return False
 
     def apply_unary(self, op: TaggedOperand, name: str) -> TaggedOperand:
         """Result of this unary kernel on ``op``: stored output + remaining tag."""
@@ -286,7 +292,8 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
                     lineno, "cost polynomial supports only +, *, and /"
                 )
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
+            # ``type``, not ``isinstance``: True and False are ints too.
+            if type(node.value) is not int:
                 raise KernelConfigError(
                     lineno, f"cost constants must be integers, got {node.value!r}"
                 )

@@ -19,6 +19,14 @@ k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
 and the binary kernel at (m, k, n), and every candidate yields the same
 output properties, which depend only on the key and on whether m == n.
 
+The same table holds the two parts of the structural step, so a new key
+only joins lists made before: each operand's discharge chains, once per
+``(props, tag, target)``, and the binary kernels accepting two end
+states, once per ``((props, tag), (props, tag))``. Those are matched on
+structure alone: ``find_sequence`` checks conformance once per call, and
+preps keep effective dims, so a cached end state may carry the dims of
+whichever operand first reached it.
+
 ``copy`` never appears as a prep: it leaves its input unchanged, so any
 sequence containing it is dominated by the same sequence without it
 (cost no higher under any additive metric, and shorter).
@@ -110,15 +118,38 @@ def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: b
     return out
 
 
-def _candidates(op1: TaggedOperand, op2: TaggedOperand, db) -> list:
+def _preps(op: TaggedOperand, db, target: str, table: dict) -> list:
+    """``op``'s discharge chains as preps for ``target``, enumerated once
+    per ``(props, tag, target)`` key of ``table``."""
+    key = (op.props, op.tag, target)
+    chains = table.get(key)
+    if chains is None:
+        chains = table[key] = _unary_chains(op, db, L - 1, target, False)
+    return chains
+
+
+def _binary(cur1: TaggedOperand, cur2: TaggedOperand, db, table: dict) -> list:
+    """The binary kernels accepting the end states ``cur1`` and ``cur2``,
+    in database order, matched once per ``((props, tag), (props, tag))``
+    key of ``table``. Structure only: ``find_sequence`` checks that the
+    dims conform, and preps keep effective dims."""
+    key = ((cur1.props, cur1.tag), (cur2.props, cur2.tag))
+    kernels = table.get(key)
+    if kernels is None:
+        pair = (cur1, cur2)
+        kernels = table[key] = [kernel for kernel in db if kernel.accepts(pair)]
+    return kernels
+
+
+def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list:
     """Structural step: (steps, kernel ids) of every sequence computing
     ``op1 * op2``, in search order."""
-    chains2 = _unary_chains(op2, db, L - 1, "op2", False)
+    chains2 = _preps(op2, db, "op2", table)
     out = []
-    for pre1, cur1 in _unary_chains(op1, db, L - 1, "op1", False):
+    for pre1, cur1 in _preps(op1, db, "op1", table):
         for pre2, cur2 in chains2:
             if len(pre1) + len(pre2) < L:
-                for kernel in match(cur1, cur2, db):
+                for kernel in _binary(cur1, cur2, db, table):
                     out.append(_candidate(pre1 + pre2 + ((kernel, "both"),)))
     return out
 
@@ -184,9 +215,10 @@ def find_sequence(
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
-    ``table`` maps structural keys to candidate lists, failures included;
-    share one only across calls with the same db. Without it the
-    structural step runs afresh. ``mults`` gives the multiplicities
+    ``table`` maps structural keys to candidate lists, failures included,
+    and holds the operand chains and state-pair kernel lists those are
+    joined from; share one only across calls with the same db. Without it
+    the structural step runs afresh. ``mults`` gives the multiplicities
     ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
     run; then the search minimizes, and ``total_cost`` is, the charged
     cost. When the three are equal, the cheapest sequence is the cheapest
@@ -207,7 +239,7 @@ def find_sequence(
     skey = (op1.props, op1.tag, op2.props, op2.tag)
     entry = table.get(skey)
     if entry is None:
-        entry = table[skey] = (_candidates(op1, op2, db), {})
+        entry = table[skey] = (_candidates(op1, op2, db, table), {})
     candidates, out_props = entry
     if not candidates:
         raise NoKernelApplicableError(

@@ -311,6 +311,8 @@ class TestConfig:
             "kernel bad arity=1 tags=id req= cost=m**3",
             "kernel bad arity=1 tags=id req= cost=m-n",
             "kernel bad arity=1 tags=id req= cost=0.5*m",
+            "kernel bad arity=1 tags=id req= cost=True*m",
+            "kernel bad arity=1 tags=id req= cost=False+m",
             "kernel bad arity=1 tags=id req= cost=q*m",
             "kernel bad arity=1 tags=id req= cost=m/0",
             "kernel bad arity=2 tags=id;id req=; cost=m*k/(n*0+0)",

@@ -25,7 +25,7 @@ from matchain import (
 )
 from matchain.errors import NoKernelApplicableError, UnsatisfiableError
 from matchain.kernels import Kernel, call_mkn
-from matchain.sequence import L, _describe
+from matchain.sequence import L, _candidate, _candidates, _describe, _unary_chains
 from matchain.solver import _render, _TempNames
 from matchain.properties import Property
 
@@ -373,6 +373,7 @@ kernel dginv arity=1 tags=inv req=diagonal cost=m*n/2
 
 DATABASES = {
     "default": default_db(),
+    "no_inverse": [k for k in default_db() if k.id not in ("getri", "trtri")],
     "asymmetric": load_kernel_config(ASYMMETRIC_CONFIG, base=[]),
 }
 
@@ -472,6 +473,40 @@ class TestAgainstReference:
             plan = solve(chain, db)
             assert {c.kernel_id for c in plan.calls} == {kernel_id}
             assert plan.total_cost == total
+
+
+def uncached_candidates(op1, op2, db):
+    """The structural step without a table: every pair of discharge chains
+    matched against the whole database, dims checked."""
+    out = []
+    for pre1, cur1 in _unary_chains(op1, db, L - 1, "op1", False):
+        for pre2, cur2 in _unary_chains(op2, db, L - 1, "op2", False):
+            if len(pre1) + len(pre2) < L:
+                for kernel in match(cur1, cur2, db):
+                    out.append(_candidate(pre1 + pre2 + ((kernel, "both"),)))
+    return out
+
+
+class TestStructuralTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(operand_pairs(), min_size=2, max_size=6),
+        factor=st.integers(2, 7),
+        db_name=st.sampled_from(sorted(DATABASES)),
+    )
+    def test_warm_table_gives_the_fresh_candidate_list(self, pairs, factor, db_name):
+        # The other pairs warm the table at other dims, so the operand
+        # chains and state pairs it holds were filled by other operands.
+        # Ties go to the earlier candidate, so the order must match too.
+        db = DATABASES[db_name]
+        table = {}
+        *others, (op1, op2) = pairs
+        for a, b in others:
+            _candidates(rescaled(a, factor), rescaled(b, factor), db, table)
+        want = _candidates(op1, op2, db, {})
+        got = _candidates(op1, op2, db, table)
+        assert got == want == uncached_candidates(op1, op2, db)
+        assert all(g is w for g, w in zip(got, want))
 
 
 class TestOutputShape:

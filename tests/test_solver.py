@@ -729,6 +729,54 @@ class TestStructuralTable:
         assert [c.kernel_id for c in solve(chain).calls] == ["gesv"]
         assert [c.kernel_id for c in solve(chain, second).calls] == kernel_ids
 
+    def test_operand_states_are_enumerated_once(self, monkeypatch):
+        # The second chain is new at every key: other dims, and a pair of
+        # states, (A^-1, B^-1), that the first never met together. Yet
+        # each of its operand states was met on its side by the first.
+        from matchain import sequence
+
+        enumerated = []
+        unary_chains = sequence._unary_chains
+
+        def counted(op, db, max_len, target, with_copy):
+            enumerated.append((op.props, op.tag, target))
+            return unary_chains(op, db, max_len, target, with_copy)
+
+        monkeypatch.setattr(sequence, "_unary_chains", counted)
+        monkeypatch.setattr(solver, "_structural", (None, {}))
+        solve(chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD")))
+        assert enumerated
+        assert len(set(enumerated)) == len(enumerated)
+        del enumerated[:]
+        plan = solve(chain_of("C = A^-1 * B^-1", *(matrix(x, 6, 6) for x in "ABC")))
+        assert enumerated == []
+        assert [c.kernel_id for c in plan.calls] == ["getri", "gesv"]
+
+    def test_state_pairs_stay_in_their_own_table(self, monkeypatch):
+        # The databases differ only in gesv's req: with the second, a
+        # general A^-1 * B has no one-call route.
+        chain = chain_of("C = A^-1 * B", *(matrix(x, 6, 6) for x in "ABC"))
+        second = load_kernel_config(
+            "kernel gesv arity=2 tags=inv;id req=spd; cost=2*m*m*m/3+2*m*m*n"
+        )
+        assert [c.kernel_id for c in solve(chain).calls] == ["gesv"]
+        first_table = solver._structural_table(default_db())
+        plan = solve(chain, second)
+        second_table = solver._structural_table(second)
+        assert second_table is not first_table
+        monkeypatch.setattr(solver, "_structural", (None, {}))
+        assert plan == solve(chain, second)
+        assert [c.kernel_id for c in plan.calls] == ["getri", "gemm"]
+
+        a, b = (_base_operand(f) for f in chain.factors)
+        pair = ((a.props, a.tag), (b.props, b.tag))
+        assert [k.id for k in first_table[pair]] == ["gesv"]
+        assert second_table[pair] == []
+        for table, db in ((first_table, default_db()), (second_table, second)):
+            for key, kernels in table.items():
+                if len(key) == 2:  # a pair of (props, tag) states
+                    assert all(any(k is own for own in db) for k in kernels)
+
 
 # --------------------------------------------------------------------------
 # Reference: the DP loop without signature ids, asking find_sequence at
