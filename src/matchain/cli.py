@@ -122,22 +122,22 @@ def main(argv=None) -> int:
 
     failed = False
     blocks = []
+    records = args.format == "records"
     for stmt in problem.computes:
         try:
             plan = solve(stmt.chain, db, metric)
             naive = _naive(stmt.chain, db, metric) if args.naive else None
+            if records:
+                block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
+                block.append(emit_records(plan).rstrip("\n"))
+            else:
+                block = [f"# compute {stmt.source}"]
+                block.append(emit_text(plan).rstrip("\n"))
         except MatchainError as exc:
             _fail(f"{args.problem}: line {stmt.lineno}: {exc}")
             failed = True
             continue
 
-        records = args.format == "records"
-        if records:
-            block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
-            block.append(emit_records(plan).rstrip("\n"))
-        else:
-            block = [f"# compute {stmt.source}"]
-            block.append(emit_text(plan).rstrip("\n"))
         if args.naive:
             if plan.total_cost:
                 ratio = naive / plan.total_cost

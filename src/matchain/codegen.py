@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import shlex
 
+from .errors import MatchainError
 from .expr import IndexDecl
 from .kernels import KernelCall
 from .solver import Plan
@@ -41,10 +42,18 @@ def emit_text(plan: Plan) -> str:
 
 
 def _parens_str(tree) -> str:
-    if isinstance(tree, int):
-        return str(tree)
-    left, right = tree
-    return f"({_parens_str(left)} {_parens_str(right)})"
+    """``tree`` written as nested ``(left right)`` groups, as a loop, so a
+    tree of any depth is written."""
+    out = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            left, right = node
+            todo += (")", right, " ", left)
+            node = "("
+        out.append(str(node))
+    return "".join(out)
 
 
 def _fmt_loops(loops) -> str:
@@ -53,7 +62,11 @@ def _fmt_loops(loops) -> str:
 
 def emit_records(plan: Plan) -> str:
     """Machine-readable record stream: one ``call`` line per kernel call
-    and a trailing ``summary`` line. Costs use full repr precision."""
+    and a trailing ``summary`` line. Costs use full repr precision.
+
+    Raises :class:`MatchainError`, naming the call, when a call's index
+    multiplicity has more digits than Python writes out.
+    """
     lines = []
     for call in plan.calls:
         fields = [f"kernel={call.kernel_id}"]
@@ -65,7 +78,14 @@ def emit_records(plan: Plan) -> str:
         if call.loops:
             fields.append(f"loops={_fmt_loops(call.loops)}")
         if call.multiplicity != 1:
-            fields.append(f"mult={call.multiplicity}")
+            try:
+                fields.append(f"mult={call.multiplicity}")
+            except ValueError:  # beyond Python's int-to-str digit limit
+                raise MatchainError(
+                    f"call {call.output} := {call.kernel_id}"
+                    f"({', '.join(call.inputs)}): its index multiplicity has "
+                    "too many digits to write as a record"
+                ) from None
         lines.append("call " + " ".join(fields))
     summary = [
         f"target={shlex.quote(plan.target)}",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class MatchainError(Exception):
     """Base class for all errors raised by matchain."""
@@ -79,6 +81,15 @@ class NoKernelApplicableError(MatchainError):
         self.segment = segment
 
 
+def _magnitude(value: int) -> str:
+    """``value`` in decimal, or its power of ten when it has more digits
+    than Python writes out."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"~10^{int(math.log10(value))}"
+
+
 class CostOverflowError(MatchainError):
     """A cost lies beyond the float range.
 
@@ -101,7 +112,7 @@ class CostOverflowError(MatchainError):
         if segment is not None:
             what = (
                 f"total cost of factors {segment[0]}..{segment[1]} ({what}, "
-                f"index multiplicity {multiplicity})"
+                f"index multiplicity {_magnitude(multiplicity)})"
             )
         super().__init__(f"{what} is too large for a float")
         self.kernel_id = kernel_id

@@ -42,10 +42,13 @@ A charge beyond the float range is ``inf`` and wins no split, but a 0
 cost stays 0 at any multiplicity, where ``0.0 * inf`` would be nan, so a
 0-cost sequence still wins under a multiplicity beyond the float range.
 
-The fill is the only code that prices a split. ``build_tables(splits=)``
-restricts it to given splits per cell, and ``naive_cost`` is the fill
-over the left-deep tree, so the left-to-right order is charged, and a
-failure in it diagnosed, as the optimal order is.
+One planner serves both orders. ``solve`` and ``naive_cost`` each return
+``_plan``, which validates the chain, runs the fill, names the smallest
+uncovered segment when the root is uncovered, and extracts the plan.
+``naive_cost`` restricts the fill to the left-deep tree's splits
+(``build_tables(splits=)``), so the left-to-right order is priced,
+charged and diagnosed as the optimal order is. Extraction walks the split
+table with its own stack, so a tree of any depth is extracted.
 
 The structural candidate table that ``find_sequence`` fills depends only
 on the kernels, so the solver keeps the one of the most recent database
@@ -281,40 +284,45 @@ class _TempNames:
 
 
 def _extract(
-    tables: DPTables,
-    i: int,
-    j: int,
-    out_name: str | None,
-    names: _TempNames,
-    calls: list[KernelCall],
-    metric,
-) -> tuple[TaggedOperand, object]:
-    """Post-order walk of the split table, appending rendered calls.
+    tables: DPTables, target: str, names: _TempNames, metric
+) -> tuple[tuple[KernelCall, ...], object]:
+    """Post-order walk of the split table from the root, as a loop.
 
-    Returns the named operand for segment [i, j] and its parenthesization
-    subtree. ``out_name`` is None except at the root, which writes the
-    chain's target.
+    Returns the rendered calls and the parenthesization tree. Each segment
+    emits its left part's calls, then its right part's, then its own,
+    whose output is named before its prep temps; the root writes
+    ``target``. The walk keeps its own stack, so a tree of any depth, such
+    as the left-deep one, is extracted.
     """
-    if i == j:
-        return tables.tmps[i][i], i
-
-    k = tables.solution[i][j]
-    left, ltree = _extract(tables, i, k, None, names, calls, metric)
-    right, rtree = _extract(tables, k + 1, j, None, names, calls, metric)
-
-    free, ranges = tables.free, tables.ranges
-    if out_name is None:
-        out_name = names.fresh(free[i][j])
-    loops = {
-        "op1": (free[i][k], ranges[i][k]),
-        "op2": (free[k + 1][j], ranges[k + 1][j]),
-        "both": (free[i][j], ranges[i][j]),
-    }
-    seq_calls, named = _render(
-        tables.sequences[i][j], left, right, loops, out_name, names, metric
-    )
-    calls.extend(seq_calls)
-    return named, (ltree, rtree)
+    free, ranges, solution = tables.free, tables.ranges, tables.solution
+    root = (0, tables.n - 1)
+    calls: list[KernelCall] = []
+    # A segment is pushed back with its split above its two parts, and is
+    # rendered from their (named operand, subtree) pairs on done.
+    done: list[tuple[TaggedOperand, object]] = []
+    todo: list[tuple[int, int, int | None]] = [(*root, None)]
+    while todo:
+        i, j, k = todo.pop()
+        if i == j:
+            done.append((tables.tmps[i][i], i))
+        elif k is None:
+            k = solution[i][j]
+            todo += ((i, j, k), (k + 1, j, None), (i, k, None))
+        else:
+            right, rtree = done.pop()
+            left, ltree = done.pop()
+            out_name = target if (i, j) == root else names.fresh(free[i][j])
+            loops = {
+                "op1": (free[i][k], ranges[i][k]),
+                "op2": (free[k + 1][j], ranges[k + 1][j]),
+                "both": (free[i][j], ranges[i][j]),
+            }
+            seq_calls, named = _render(
+                tables.sequences[i][j], left, right, loops, out_name, names, metric
+            )
+            calls += seq_calls
+            done.append((named, (ltree, rtree)))
+    return tuple(calls), done[0][1]
 
 
 #: How a unary call's comment writes the tag component it peels.
@@ -365,18 +373,9 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
     return calls, result
 
 
-def solve(
-    chain: Chain,
-    db: Sequence[Kernel] | None = None,
-    metric=FLOPS,
-) -> Plan:
-    """Compute the cost-optimal kernel-call plan for ``chain``.
-
-    Raises :class:`InvalidChainError` when the chain has diagnostics,
-    :class:`NoKernelApplicableError` when some segment cannot be computed
-    with the database, and :class:`UnsatisfiableError` for a single-factor
-    chain whose tag no unary kernel discharges.
-    """
+def _plan(chain: Chain, db, metric, splits) -> Plan:
+    """The plan for ``chain`` whose fill tries only the splits ``splits``
+    allows (see ``build_tables``), raising as ``solve`` documents."""
     if db is None:
         db = default_db()
     diagnostics = validate(chain)
@@ -399,19 +398,46 @@ def solve(
             raise CostOverflowError(kernel_id, call_mkn((seq.output,)), r, (0, 0))
         return Plan(target, tuple(calls), total, 0, metric.name)
 
-    tables = build_tables(chain, db, metric)
+    tables = build_tables(chain, db, metric, splits=splits)
     n = tables.n
     if tables.costs[0][n - 1] == inf:
-        raise _uncovered_error(tables, factors, db, metric)
-
-    calls: list[KernelCall] = []
-    _, tree = _extract(tables, 0, n - 1, target, names, calls, metric)
-    return Plan(target, tuple(calls), tables.costs[0][n - 1], tree, metric.name)
+        raise _uncovered_error(tables, factors, db, metric, splits)
+    calls, tree = _extract(tables, target, names, metric)
+    return Plan(target, calls, tables.costs[0][n - 1], tree, metric.name)
 
 
-def _uncovered_error(
-    tables: DPTables, factors, db, metric, splits=None
-) -> MatchainError:
+def solve(
+    chain: Chain,
+    db: Sequence[Kernel] | None = None,
+    metric=FLOPS,
+) -> Plan:
+    """Compute the cost-optimal kernel-call plan for ``chain``.
+
+    Raises :class:`InvalidChainError` when the chain has diagnostics,
+    :class:`NoKernelApplicableError` when some segment cannot be computed
+    with the database, and :class:`UnsatisfiableError` for a single-factor
+    chain whose tag no unary kernel discharges.
+    """
+    return _plan(chain, db, metric, None)
+
+
+def naive_cost(
+    chain: Chain,
+    db: Sequence[Kernel] | None = None,
+    metric=FLOPS,
+) -> float:
+    """Cost of strict left-to-right evaluation with the same database.
+
+    It is the plan over the left-deep tree, whose cell ``(0, t)`` splits
+    only at ``t - 1``, so each prefix combination is priced, charged and
+    diagnosed exactly as ``solve`` prices a split.
+    """
+    n = len(chain.factors)
+    left_deep = {(0, t): (t - 1,) for t in range(1, n)}
+    return _plan(chain, db, metric, left_deep).total_cost
+
+
+def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainError:
     """The error that names the smallest uncovered segment among the cells
     that ``splits``, as given to ``build_tables``, lets the fill try.
 
@@ -447,31 +473,3 @@ def _uncovered_error(
         f"({' * '.join(f.display for f in factors[i : j + 1])})",
         segment=(i, j),
     )
-
-
-def naive_cost(
-    chain: Chain,
-    db: Sequence[Kernel] | None = None,
-    metric=FLOPS,
-) -> float:
-    """Cost of strict left-to-right evaluation with the same database.
-
-    It is the DP fill restricted to the left-deep tree, whose cell
-    ``(0, t)`` splits only at ``t - 1``, so each prefix combination is
-    priced, charged and diagnosed exactly as ``solve`` prices a split.
-    """
-    if db is None:
-        db = default_db()
-    diagnostics = validate(chain)
-    if diagnostics:
-        raise InvalidChainError(diagnostics)
-    factors = chain.factors
-    n = len(factors)
-    if n == 1:
-        return solve(chain, db, metric).total_cost
-
-    left_deep = {(0, t): (t - 1,) for t in range(1, n)}
-    tables = build_tables(chain, db, metric, splits=left_deep)
-    if tables.costs[0][n - 1] == inf:
-        raise _uncovered_error(tables, factors, db, metric, left_deep)
-    return tables.costs[0][n - 1]

@@ -357,6 +357,40 @@ class TestFailureModes:
             assert "index multiplicity 100000000000" in err
             assert "no kernel sequence" not in err and "Traceback" not in err
 
+    def test_multiplicity_too_long_to_write_exits_two(self, tmp_path, capsys):
+        # The copy costs 0 at any multiplicity, but its multiplicity, about
+        # 10^5000, has more digits than Python converts to a string.
+        nines = "9" * 2500
+        text = (
+            f"index i {nines}\nindex j {nines}\n"
+            "matrix A 3 3 indices=i,j\nmatrix X 3 3 indices=i,j\n"
+            "compute X[i,j] = A[i,j]\n"
+            "matrix B 3 3\nmatrix C 3 3\ncompute C = B^T\n"
+        )
+        code, out, err = run(tmp_path, capsys, text, "--format", "records")
+        assert code == 2
+        assert err.startswith("matchain: ")
+        assert "line 5: call X[i,j] := copy(A[i,j])" in err
+        assert "Traceback" not in err
+        assert "statement lineno=5" not in out
+        assert "statement lineno=8" in out and "kernel=transp" in out
+        code, out, err = run(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        assert "X[i,j] := copy(A[i,j])" in out and "C := transp(B)" in out
+
+    def test_multiplicity_too_long_to_write_in_overflow_error(self, tmp_path, capsys):
+        nines = "9" * 2500
+        text = (
+            f"index i {nines}\nindex j {nines}\n"
+            "matrix A 3 3 indices=i,j\nmatrix B 3 3 indices=i,j\n"
+            "matrix X 3 3 indices=i,j\ncompute X[i,j] = A[i,j] * B[i,j]\n"
+        )
+        for args in ((), ("--naive",), ("--format", "records")):
+            code, out, err = run(tmp_path, capsys, text, *args)
+            assert (code, out) == (2, "")
+            assert "line 6: total cost of factors 0..1" in err
+            assert "index multiplicity ~10^" in err and "Traceback" not in err
+
     def test_zero_cost_beyond_float_range_exits_zero(self, tmp_path, capsys):
         big = 10 ** 160
         text = (

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +38,7 @@ from matchain.errors import (
 )
 from matchain.solver import _base_operand
 
-from helpers import random_chain, tree_splits
+from helpers import child_env, random_chain, tree_splits
 
 P = Property
 
@@ -913,3 +915,56 @@ class TestRestrictedFill:
                     assert tables.solution[i][j] is None
             covered += 1
         assert covered > 700
+
+    def test_left_deep_plan_renders_the_left_deep_tree(self):
+        covered = 0
+        for chain, db, metric in restricted_cases():
+            n = len(chain.factors)
+            left_deep = {(0, t): (t - 1,) for t in range(1, n)}
+            try:
+                plan = solver._plan(chain, db, metric, left_deep)
+            except NoKernelApplicableError:
+                continue
+            tree = 0
+            for t in range(1, n):
+                tree = (tree, t)
+            assert plan.parenthesization == tree
+            charged = sum(call.cost * call.multiplicity for call in plan.calls)
+            assert charged == pytest.approx(plan.total_cost, rel=1e-9)
+            covered += 1
+        assert covered > 700
+
+
+#: Plans a 301-factor chain with a recursion limit far below its depth.
+DEEP_CHAIN = """\
+import sys
+from matchain import emit_records, emit_text, matrix, naive_cost, parse, solve, vector
+n = 300
+decls = [matrix(f"A{t}", 4, 4) for t in range(n)] + [vector("v", 4), vector("x", 4)]
+chain = parse("x = " + " * ".join([f"A{t}" for t in range(n)] + ["v"]), decls)
+sys.setrecursionlimit(150)
+plan = solve(chain)
+records, text = emit_records(plan), emit_text(plan)
+print(plan.total_cost, len(plan.calls), len(records.splitlines()))
+print(records.splitlines()[-1])
+print(text.splitlines()[-1])
+print(naive_cost(chain))
+"""
+
+
+class TestDeepTrees:
+    def test_trees_deeper_than_the_recursion_limit(self):
+        result = subprocess.run(
+            [sys.executable, "-c", DEEP_CHAIN],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        right_deep = "".join(f"({t} " for t in range(300)) + "300" + ")" * 300
+        assert result.stdout.splitlines() == [
+            "9600.0 300 301",
+            f"summary target=x metric=flops total=9600.0 parens='{right_deep}'",
+            "# total_flops=9600",
+            "38304.0",
+        ]

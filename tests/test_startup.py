@@ -2,8 +2,10 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import matchain
 from matchain import Property, random_instance
@@ -51,3 +53,11 @@ def test_numeric_helpers_still_use_numpy():
     m = random_instance(frozenset({Property.LOWER_TRIANGULAR}), 4, 4, rng)
     assert isinstance(m, np.ndarray) and m.shape == (4, 4)
     assert matchain.structural_residual(m, frozenset({Property.LOWER_TRIANGULAR})) == 0.0
+
+
+def test_numpy_is_only_a_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert "numpy" not in project["dependencies"]
+    assert "numpy" in project["optional-dependencies"]["test"]
