@@ -18,14 +18,16 @@ effective properties. So for op1 of effective shape m x k and op2 of
 k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
 and the binary kernel at (m, k, n), and every candidate yields the same
 output properties, which depend only on the key and on whether m == n.
+``find_sequence`` is the two steps, ``_entry`` and ``_cheapest``, then
+``_result``; the DP fill prices a pair with the two steps alone.
 
 The same table holds the two parts of the structural step, so a new key
 only joins lists made before: each operand's discharge chains, once per
 ``(props, tag, target)``, and the binary kernels accepting two end
 states, once per ``((props, tag), (props, tag))``. Those are matched on
-structure alone: ``find_sequence`` checks conformance once per call, and
-preps keep effective dims, so a cached end state may carry the dims of
-whichever operand first reached it.
+structure alone: the caller checks that the dims conform, and preps keep
+effective dims, so a cached end state may carry the dims of whichever
+operand first reached it.
 
 ``copy`` never appears as a prep: it leaves its input unchanged, so any
 sequence containing it is dominated by the same sequence without it
@@ -174,25 +176,29 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     effective shape m x k times op2 of k x n. With ``mults``, an
     ``(r1, r2, r)`` triple, op1's preps are charged ``r1`` times, op2's
     ``r2`` times and the binary call ``r`` times (a 0 cost stays 0), and the
-    total is the charged one. Ties go to fewer steps, then to the smaller id
-    tuple, then to the earlier candidate. A candidate with a call whose cost
-    leaves the float range is skipped; when every one has such a call, the
-    first candidate's :class:`CostOverflowError` is raised."""
+    total is the charged one; when the three are equal, the cheapest
+    candidate is the cheapest uncharged one, and its total is charged ``r``
+    times as a whole. Ties go to fewer steps, then to the smaller id tuple,
+    then to the earlier candidate. A candidate with a call whose cost leaves
+    the float range is skipped; when every one has such a call, the first
+    candidate's :class:`CostOverflowError` is raised."""
     args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
+    r1, r2, r = mults or (1, 1, 1)
     scales = None
-    if mults is not None:
+    if not r1 == r2 == r:
         scales = dict(zip(("op1", "op2", "both"), map(_as_float, mults)))
+    call_cost = metric.call_cost
     best = best_key = overflow = None
     for steps, ids in candidates:
         total = 0.0
         try:
             if scales is None:
-                for step in steps:
-                    total += metric.call_cost(step.kernel, args[step.target])
+                for kernel, target in steps:
+                    total += call_cost(kernel, args[target])
             else:
-                for step in steps:
-                    cost = metric.call_cost(step.kernel, args[step.target])
-                    total += cost * scales[step.target] if cost else 0.0
+                for kernel, target in steps:
+                    cost = call_cost(kernel, args[target])
+                    total += cost * scales[target] if cost else 0.0
         except CostOverflowError as exc:
             overflow = overflow or exc
             continue
@@ -202,7 +208,30 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
             best = steps
     if best is None:
         raise overflow
-    return best, best_key[0]
+    if scales is not None or r == 1:  # charged already, or run once
+        return best, best_key[0]
+    return best, _charged(best_key[0], r)
+
+
+def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
+    """Structural step: ``table``'s entry ``(candidates, out_props)`` for
+    ``op1 * op2``, made on first use; :func:`_result` fills ``out_props``."""
+    skey = (op1.props, op1.tag, op2.props, op2.tag)
+    entry = table.get(skey)
+    if entry is None:
+        entry = table[skey] = (_candidates(op1, op2, db, table), {})
+    return entry
+
+
+def _result(op1, op2, m: int, n: int, steps, out_props: dict, total) -> SequenceResult:
+    """``steps`` computing ``op1 * op2`` into m x n at ``total``;
+    ``out_props`` is the squareness dict of the pair's structural entry."""
+    square = m == n
+    props = out_props.get(square)
+    if props is None:
+        props = steps[-1].kernel.apply_binary(op1, op2, "").props
+        props = out_props[square] = _PROPS.setdefault(props, props)
+    return SequenceResult(steps, total, TaggedOperand(m, n, props))
 
 
 def find_sequence(
@@ -221,11 +250,9 @@ def find_sequence(
     the structural step runs afresh. ``mults`` gives the multiplicities
     ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
     run; then the search minimizes, and ``total_cost`` is, the charged
-    cost. When the three are equal, the cheapest sequence is the cheapest
-    uncharged one, and its total is charged ``r`` times as a whole. Raises
-    :class:`NoKernelApplicableError` when the database has no route, and
-    :class:`CostOverflowError` when every route has a call whose cost
-    leaves the float range.
+    cost (see ``_cheapest``). Raises :class:`NoKernelApplicableError` when
+    the database has no route, and :class:`CostOverflowError` when every
+    route has a call whose cost leaves the float range.
     """
     if db is None:
         db = default_db()
@@ -234,28 +261,14 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    if table is None:
-        table = {}
-    skey = (op1.props, op1.tag, op2.props, op2.tag)
-    entry = table.get(skey)
-    if entry is None:
-        entry = table[skey] = (_candidates(op1, op2, db, table), {})
-    candidates, out_props = entry
+    candidates, out_props = _entry(op1, op2, db, {} if table is None else table)
     if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    if mults is not None and mults[0] == mults[2] and mults[1] == mults[2]:
-        steps, total = _cheapest(candidates, m, k, n, metric)
-        total = _charged(total, mults[2])
-    else:
-        steps, total = _cheapest(candidates, m, k, n, metric, mults)
-    square = m == n
-    if square not in out_props:
-        props = steps[-1].kernel.apply_binary(op1, op2, "").props
-        out_props[square] = _PROPS.setdefault(props, props)
-    return SequenceResult(steps, total, TaggedOperand(m, n, out_props[square]))
+    steps, total = _cheapest(candidates, m, k, n, metric, mults)
+    return _result(op1, op2, m, n, steps, out_props, total)
 
 
 def materialize(

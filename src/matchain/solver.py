@@ -18,10 +18,12 @@ meets few distinct operand pairs. So each filled cell gets a small int
 id per distinct operand signature and free-index tuple, and a split looks
 up the pair of its two cells' ids in a dict that the fill owns. A pair of
 ids fixes the three multiplicities, so the dict holds each pair's charged
-cost: ``find_sequence`` runs once per distinct pair, and a pair the
-database cannot cover is charged ``inf``, as is a pair every one of whose
-routes has a call whose cost leaves the float range. Those dicts are the
-fill's only cache of sequences.
+cost: each distinct pair is priced once, by ``find_sequence``'s structural
+and cost steps alone, and a pair the database cannot cover is charged
+``inf``, as is a pair every one of whose routes has a call whose cost
+leaves the float range. Only a pair that wins a cell gets a sequence
+result and output operand, built once and shared by every cell it wins.
+Those dicts are the fill's only cache of sequences.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
@@ -78,7 +80,8 @@ from .errors import (
 )
 from .expr import Chain, Factor, IndexDecl, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import SequenceResult, _charged, find_sequence, materialize
+from .sequence import SequenceResult, _charged, _cheapest, _entry, _result
+from .sequence import find_sequence, materialize
 
 
 def index_range(indices: Iterable[IndexDecl]) -> int:
@@ -100,10 +103,10 @@ class DPStats(NamedTuple):
     were both covered: at most ``(n^3 - n) / 6`` when it tries every split,
     at most ``n - 1`` over the left-deep tree. ``signatures`` counts the
     distinct (operand signature, free indices) keys among the filled cells,
-    ``pairs`` the distinct pairs of keys looked up (one ``find_sequence``
-    call each; a split whose sub-costs already reach the best split of its
-    cell looks up none) and ``no_route`` the pairs among them that the
-    database cannot cover.
+    ``pairs`` the distinct pairs of keys looked up (each priced once; a
+    split whose sub-costs already reach the best split of its cell looks up
+    none) and ``no_route`` the pairs among them that the database cannot
+    cover.
     """
 
     splits: int
@@ -183,10 +186,10 @@ def build_tables(
     float range, are skipped, and so are splits that cannot beat a smaller
     k's (see the module docstring); if a whole segment has no solution the
     error surfaces in ``solve`` or ``naive_cost``, naming the smallest
-    offending segment among the cells tried. A given ``memo`` receives
-    the fill's sequences under their operands' keys,
-    ``((signature, free indices), (signature, free indices)) -> sequence``,
-    one entry per distinct pair that has a route.
+    offending segment among the cells tried. A given ``memo`` receives,
+    after the fill, ``find_sequence``'s result for each distinct pair that
+    has a route, under its operands' keys,
+    ``((signature, free indices), (signature, free indices)) -> sequence``.
     """
     if db is None:
         db = default_db()
@@ -202,13 +205,16 @@ def build_tables(
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
     # marks an uncovered cell. charges maps a pair of ids to its charged
-    # cost, inf when no route has a cost within the float range, and routes
-    # to its sequence, so find_sequence runs once per distinct pair.
+    # cost, inf when no route has a cost within the float range, routes to
+    # its steps and entry's output props, and results to its sequence once
+    # it wins. Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     charges: dict = {}
     routes: dict = {}
+    results: dict = {}
     tried = uncovered_splits = no_route = 0
+    d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
 
     for i in range(n):
         tmps[i][i] = op = _base_operand(factors[i])
@@ -240,18 +246,19 @@ def build_tables(
                 key = (ids_i[k], ids[k + 1][j])
                 charge = charges.get(key)
                 if charge is None:
-                    # Without free indices every call runs once.
-                    mults = (ranges[i][k], ranges[k + 1][j], r) if seg_free else None
-                    try:
-                        seq = routes[key] = find_sequence(
-                            tmps[i][k], tmps[k + 1][j], db, metric, table, mults
-                        )
-                        charge = seq.total_cost
-                    except NoKernelApplicableError:
-                        charge = inf
+                    charge = inf
+                    candidates, out_props = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+                    mults = (ranges[i][k], ranges[k + 1][j], r)
+                    if not candidates:
                         no_route += 1
-                    except CostOverflowError:
-                        charge = inf
+                    else:
+                        try:
+                            steps, charge = _cheapest(
+                                candidates, d[i], d[k + 1], d[j + 1], metric, mults
+                            )
+                            routes[key] = (steps, out_props)
+                        except CostOverflowError:
+                            pass
                     charges[key] = charge
                 cost = lb + charge
                 if cost < best:
@@ -259,7 +266,12 @@ def build_tables(
             if best_k is not None:
                 costs_i[j] = best
                 solution[i][j] = best_k
-                seq = routes[ids_i[best_k], ids[best_k + 1][j]]
+                key = (ids_i[best_k], ids[best_k + 1][j])
+                seq = results.get(key)
+                if seq is None:
+                    left, right = tmps[i][best_k], tmps[best_k + 1][j]
+                    seq = _result(left, right, d[i], d[j + 1], *routes[key], charges[key])
+                    results[key] = seq
                 sequences[i][j] = seq
                 tmps[i][j] = out = seq.output
                 key = (out.signature(), seg_free)
@@ -267,8 +279,12 @@ def build_tables(
 
     if memo is not None:
         keys = {at: key for key, at in interned.items()}
-        for (a, b), seq in routes.items():
-            memo[keys[a], keys[b]] = seq
+        for a, b in routes:
+            (sig1, free1), (sig2, free2) = keys[a], keys[b]
+            r = index_range(dict.fromkeys(free1 + free2))
+            mults = (index_range(free1), index_range(free2), r)
+            op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
+            memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
     stats = DPStats(tried - uncovered_splits, len(interned), len(charges), no_route)
     return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
@@ -445,7 +461,9 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     kernel sequence, or only sequences with a call whose cost leaves the
     float range, or one whose cost, charged its calls' index
     multiplicities, leaves it. The DP does not tell them apart on its hot
-    path, so the splits are looked up again here.
+    path, so the splits are priced again by its two steps, without the
+    multiplicities: they do not change which case holds, and without them a
+    charged overflow names the cheapest route's final kernel.
     """
     n = tables.n
     i, j = next(
@@ -457,17 +475,16 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     table = _structural_table(db)
     for k in range(i, j) if splits is None else splits[i, j]:
         left, right = tables.tmps[i][k], tables.tmps[k + 1][j]
-        try:
-            seq = find_sequence(left, right, db, metric, table=table)
-        except NoKernelApplicableError:
+        candidates = _entry(left, right, db, table)[0]
+        if not candidates:
             continue
+        mkn = call_mkn((left, right))
+        try:
+            steps, _ = _cheapest(candidates, *mkn, metric)
         except CostOverflowError as exc:  # one call's cost, not a total
             exc.segment = (i, j)
             return exc
-        mkn = call_mkn((left, right))
-        return CostOverflowError(
-            seq.steps[-1].kernel.id, mkn, tables.ranges[i][j], (i, j)
-        )
+        return CostOverflowError(steps[-1].kernel.id, mkn, tables.ranges[i][j], (i, j))
     return NoKernelApplicableError(
         f"no kernel sequence covers factors {i}..{j} "
         f"({' * '.join(f.display for f in factors[i : j + 1])})",

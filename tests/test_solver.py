@@ -29,7 +29,7 @@ from matchain import (
     solve,
     vector,
 )
-from matchain import solver
+from matchain import sequence, solver
 from matchain.errors import (
     CostOverflowError,
     InvalidChainError,
@@ -155,7 +155,7 @@ class TestTables:
 
     def test_stats_count_distinct_pairs(self):
         # An untagged chain over two dims meets few distinct operand pairs,
-        # so find_sequence runs far fewer times than there are splits.
+        # so far fewer pairs are priced than there are splits.
         rng = random.Random(67)
         dims = [rng.choice((16, 32)) for _ in range(41)]
         decls = [matrix(f"A{t}", dims[t], dims[t + 1]) for t in range(40)]
@@ -173,7 +173,8 @@ class TestTables:
         # k=0, A (B x), costs 20,000 + 20,000 flops. At k=1 the sub-cost
         # A B alone is 2,000,000, so (A B) x, a pair of signatures seen
         # nowhere else (A B is {square, full}, A and B only {square}), is
-        # skipped before find_sequence is asked for it.
+        # skipped before it is priced. Pricing a pair starts with its
+        # structural entry, which a winning pair's result then reuses.
         chain = chain_of(
             "y = A * B * x",
             matrix("A", 100, 100),
@@ -185,9 +186,9 @@ class TestTables:
 
         def recording(op1, op2, *args):
             asked.append((op1.signature(), op2.signature()))
-            return find_sequence(op1, op2, *args)
+            return sequence._entry(op1, op2, *args)
 
-        monkeypatch.setattr(solver, "find_sequence", recording)
+        monkeypatch.setattr(solver, "_entry", recording)
         tables = build_tables(chain)
         assert tables.costs[0][1] == 2_000_000
         assert tables.costs[0][2] == 40_000
@@ -198,15 +199,22 @@ class TestTables:
         assert tables.stats == DPStats(splits=4, signatures=3, pairs=2, no_route=0)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
-        # perfbench's tracer counts distinct pairs through the memo.
+        # perfbench's tracer counts distinct pairs through the memo. The
+        # fill prices a pair by its structural entry, then its cost step.
         found = {}
+        asked = []
 
-        def recording(op1, op2, *args):
-            seq = find_sequence(op1, op2, *args)
-            found.setdefault((op1.signature(), op2.signature()), []).append(seq)
-            return seq
+        def entry(op1, op2, *args):
+            asked.append((op1.signature(), op2.signature()))
+            return sequence._entry(op1, op2, *args)
 
-        monkeypatch.setattr(solver, "find_sequence", recording)
+        def cheapest(*args):
+            steps, total = sequence._cheapest(*args)
+            found.setdefault(asked[-1], []).append(steps)
+            return steps, total
+
+        monkeypatch.setattr(solver, "_entry", entry)
+        monkeypatch.setattr(solver, "_cheapest", cheapest)
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
@@ -219,8 +227,8 @@ class TestTables:
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
                 # Each key pairs two filled cells' (signature, free indices)
-                # keys, and each value is a sequence the fill got, and kept,
-                # for that pair.
+                # keys, and each value holds the steps the fill priced, and
+                # kept, for that pair.
                 filled = {
                     (got.tmps[i][j].signature(), got.free[i][j])
                     for i in range(got.n)
@@ -229,7 +237,7 @@ class TestTables:
                 }
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
-                    assert any(seq is f for f in found[key1[0], key2[0]])
+                    assert any(seq.steps is f for f in found[key1[0], key2[0]])
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -735,8 +743,6 @@ class TestStructuralTable:
         # The second chain is new at every key: other dims, and a pair of
         # states, (A^-1, B^-1), that the first never met together. Yet
         # each of its operand states was met on its side by the first.
-        from matchain import sequence
-
         enumerated = []
         unary_chains = sequence._unary_chains
 
@@ -854,6 +860,36 @@ class TestAgainstReference:
             got.tmps, got.costs, got.sequences, got.solution, got.free, got.ranges
         ) == want
 
+    def test_winning_results_equal_find_sequence(self):
+        # A cell's result is built from its pair's priced steps; it must be
+        # what find_sequence, with a table of its own, returns for the cell's
+        # operands at the winning split. One structural key may give both a
+        # square and a non-square output, whose properties differ.
+        rng = random.Random(20261019)
+        seen = {"square": 0, "non-square": 0, "unequal mults": 0}
+        squareness = {}
+        for _ in range(60):
+            chain = random_chain(rng, n_max=8, dim_max=5, index_pool=INDEX_POOL)
+            for db in DATABASES.values():
+                for metric in (FLOPS, MEMORY):
+                    got = build_tables(chain, db, metric)
+                    r, n = got.ranges, got.n
+                    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+                        k = got.solution[i][j]
+                        if k is None:
+                            continue
+                        left, right = got.tmps[i][k], got.tmps[k + 1][j]
+                        mults = (r[i][k], r[k + 1][j], r[i][j])
+                        want = find_sequence(left, right, db, metric, {}, mults)
+                        assert got.sequences[i][j] == want
+                        assert got.tmps[i][j] == want.output
+                        square = want.output.rows == want.output.cols
+                        seen["square" if square else "non-square"] += 1
+                        seen["unequal mults"] += len(set(mults)) > 1
+                        skey = (left.props, left.tag, right.props, right.tag)
+                        squareness.setdefault(skey, set()).add(square)
+        assert min(seen.values()) > 100
+        assert sum(len(both) == 2 for both in squareness.values()) > 10
 
 def restricted_cases():
     """Seeded chains of 2 to 7 factors, with and without indices, under both
