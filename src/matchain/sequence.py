@@ -69,7 +69,7 @@ class SeqStep(NamedTuple):
     target: str
 
 
-#: Every candidate made so far, ``(steps, kernel ids)``, keyed by its
+#: Every candidate made so far (see :func:`_candidate`), keyed by its
 #: ``(id(kernel), target)`` pairs and shared by the candidate lists of every
 #: structural table. A candidate holds its kernels, so no id in a key can be
 #: reused by another kernel while the key is here.
@@ -81,13 +81,15 @@ _PROPS: dict[frozenset, frozenset] = {}
 
 
 def _candidate(calls: tuple) -> tuple:
-    """The shared ``(steps, kernel ids)`` pair for ``calls``, a tuple of
-    ``(kernel, target)`` pairs."""
+    """The shared ``(steps, kernel ids, (kernel, slot) pairs)`` triple for
+    ``calls``, a tuple of ``(kernel, target)`` pairs; slots 0, 1 and 2 are
+    the targets ``"op1"``, ``"op2"`` and ``"both"``."""
     key = tuple((id(kernel), target) for kernel, target in calls)
     cand = _CANDIDATES.get(key)
     if cand is None:
         steps = tuple(SeqStep(kernel, target) for kernel, target in calls)
-        cand = _CANDIDATES[key] = (steps, tuple(kernel.id for kernel, _ in calls))
+        slots = tuple((kernel, ("op1", "op2", "both").index(t)) for kernel, t in calls)
+        cand = _CANDIDATES[key] = (steps, tuple(kernel.id for kernel, _ in calls), slots)
     return cand
 
 
@@ -144,7 +146,7 @@ def _binary(cur1: TaggedOperand, cur2: TaggedOperand, db, table: dict) -> list:
 
 
 def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list:
-    """Structural step: (steps, kernel ids) of every sequence computing
+    """Structural step: the candidate of every sequence computing
     ``op1 * op2``, in search order."""
     chains2 = _preps(op2, db, "op2", table)
     out = []
@@ -182,23 +184,29 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     then to the earlier candidate. A candidate with a call whose cost leaves
     the float range is skipped; when every one has such a call, the first
     candidate's :class:`CostOverflowError` is raised."""
-    args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
+    args = ((m, k, k), (k, n, n), (m, k, n))
     r1, r2, r = mults or (1, 1, 1)
     scales = None
     if not r1 == r2 == r:
-        scales = dict(zip(("op1", "op2", "both"), map(_as_float, mults)))
+        scales = tuple(map(_as_float, mults))
     call_cost = metric.call_cost
+    if scales is None and len(candidates) == 1:  # no tie to break
+        ((steps, _, slots),) = candidates
+        total = 0.0
+        for kernel, slot in slots:
+            total += call_cost(kernel, args[slot])
+        return steps, total if r == 1 else _charged(total, r)
     best = best_key = overflow = None
-    for steps, ids in candidates:
+    for steps, ids, slots in candidates:
         total = 0.0
         try:
             if scales is None:
-                for kernel, target in steps:
-                    total += call_cost(kernel, args[target])
+                for kernel, slot in slots:
+                    total += call_cost(kernel, args[slot])
             else:
-                for kernel, target in steps:
-                    cost = call_cost(kernel, args[target])
-                    total += cost * scales[target] if cost else 0.0
+                for kernel, slot in slots:
+                    cost = call_cost(kernel, args[slot])
+                    total += cost * scales[slot] if cost else 0.0
         except CostOverflowError as exc:
             overflow = overflow or exc
             continue

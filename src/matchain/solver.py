@@ -22,8 +22,9 @@ cost: each distinct pair is priced once, by ``find_sequence``'s structural
 and cost steps alone, and a pair the database cannot cover is charged
 ``inf``, as is a pair every one of whose routes has a call whose cost
 leaves the float range. Only a pair that wins a cell gets a sequence
-result and output operand, built once and shared by every cell it wins.
-Those dicts are the fill's only cache of sequences.
+result and output operand, built once with the id of its output's key
+and shared by every cell it wins. Those dicts are the fill's only cache
+of sequences.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
@@ -39,6 +40,15 @@ exactly those of the unbounded loop:
   ``(costs[i][k] + costs[k+1][j]) + charge``, summed left to right;
 - a split with an uncovered part has ``lb = inf`` and is skipped by the
   same test.
+
+The bound skips more once ``best`` is low, so the full fill seeds each
+cell: the split that won its right neighbour, ``k0 = solution[i + 1][j]``,
+is priced first when its left part is covered, and the scan starts at
+``best = nextafter(lb0 + charge0, inf)`` with no split chosen. That is
+exact too: a skipped split costs more than the seed, so it can neither
+win nor tie, and every split that costs no more is still scanned in
+increasing k under the strict less-than, so the same k wins, at the same
+float.
 
 A charge beyond the float range is ``inf`` and wins no split, but a 0
 cost stays 0 at any multiplicity, where ``0.0 * inf`` would be nan, so a
@@ -68,7 +78,7 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, prod
+from math import inf, nextafter, prod
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -104,7 +114,8 @@ class DPStats(NamedTuple):
     at most ``n - 1`` over the left-deep tree. ``signatures`` counts the
     distinct (operand signature, free indices) keys among the filled cells,
     ``pairs`` the distinct pairs of keys looked up (each priced once; a
-    split whose sub-costs already reach the best split of its cell looks up
+    cell's seed looks up its pair even when another split wins, and a
+    split whose sub-costs already reach the best cost of its cell looks up
     none) and ``no_route`` the pairs among them that the database cannot
     cover.
     """
@@ -183,8 +194,8 @@ def build_tables(
     hold both parts of every split it lists. ``None`` tries every k, which
     is what ``solve`` does; ``naive_cost`` passes the left-deep tree's.
     Splits for which no kernel sequence exists, or whose cost leaves the
-    float range, are skipped, and so are splits that cannot beat a smaller
-    k's (see the module docstring); if a whole segment has no solution the
+    float range, are skipped, and so are splits that cannot win (see the
+    module's bound and seed); if a whole segment has no solution the
     error surfaces in ``solve`` or ``naive_cost``, naming the smallest
     offending segment among the cells tried. A given ``memo`` receives,
     after the fill, ``find_sequence``'s result for each distinct pair that
@@ -206,15 +217,33 @@ def build_tables(
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
     # marks an uncovered cell. charges maps a pair of ids to its charged
     # cost, inf when no route has a cost within the float range, routes to
-    # its steps and entry's output props, and results to its sequence once
-    # it wins. Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
+    # its steps and entry's output props, and results to its sequence and
+    # its output key's id (a pair fixes the free indices) once it wins.
+    # Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     charges: dict = {}
     routes: dict = {}
     results: dict = {}
-    tried = uncovered_splits = no_route = 0
+    tried = no_route = 0
+    unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
+
+    def price(key, i, k, j):
+        """Price the pair ``key`` met at split (i, k, j): its charge, with
+        its route kept in ``routes`` when it has one."""
+        nonlocal no_route
+        candidates, out_props = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+        if not candidates:
+            no_route += 1
+            return inf
+        mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+        try:
+            steps, charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)
+        except CostOverflowError:
+            return inf
+        routes[key] = (steps, out_props)
+        return charge
 
     for i in range(n):
         tmps[i][i] = op = _base_operand(factors[i])
@@ -237,29 +266,22 @@ def build_tables(
             tried += len(ks)
             costs_i, ids_i = costs[i], ids[i]
             best, best_k = inf, None
+            # The seed: the right neighbour's split, priced first (a leaf's
+            # solution is None). Only splits that cost no more pass the scan.
+            k0 = solution[i + 1][j] if splits is None else None
+            if k0 is not None and costs_i[k0] < inf:
+                key = (ids_i[k0], ids[k0 + 1][j])
+                if key not in charges:
+                    charges[key] = price(key, i, k0, j)
+                best = nextafter(costs_i[k0] + costs[k0 + 1][j] + charges[key], inf)
             for k in ks:
                 lb = costs_i[k] + costs[k + 1][j]
                 if lb >= best:  # its cost, lb + charge, cannot be < best
-                    if lb == inf:  # an uncovered part
-                        uncovered_splits += 1
                     continue
                 key = (ids_i[k], ids[k + 1][j])
                 charge = charges.get(key)
                 if charge is None:
-                    charge = inf
-                    candidates, out_props = _entry(tmps[i][k], tmps[k + 1][j], db, table)
-                    mults = (ranges[i][k], ranges[k + 1][j], r)
-                    if not candidates:
-                        no_route += 1
-                    else:
-                        try:
-                            steps, charge = _cheapest(
-                                candidates, d[i], d[k + 1], d[j + 1], metric, mults
-                            )
-                            routes[key] = (steps, out_props)
-                        except CostOverflowError:
-                            pass
-                    charges[key] = charge
+                    charges[key] = charge = price(key, i, k, j)
                 cost = lb + charge
                 if cost < best:
                     best, best_k = cost, k
@@ -267,16 +289,24 @@ def build_tables(
                 costs_i[j] = best
                 solution[i][j] = best_k
                 key = (ids_i[best_k], ids[best_k + 1][j])
-                seq = results.get(key)
-                if seq is None:
+                won = results.get(key)
+                if won is None:
                     left, right = tmps[i][best_k], tmps[best_k + 1][j]
                     seq = _result(left, right, d[i], d[j + 1], *routes[key], charges[key])
-                    results[key] = seq
-                sequences[i][j] = seq
-                tmps[i][j] = out = seq.output
-                key = (out.signature(), seg_free)
-                ids_i[j] = interned.setdefault(key, len(interned) + 1)
+                    out = (seq.output.signature(), seg_free)
+                    won = results[key] = (seq, interned.setdefault(out, len(interned) + 1))
+                sequences[i][j], ids_i[j] = won
+                tmps[i][j] = won[0].output
+            elif ks:
+                unfilled = True
 
+    if unfilled:  # count the splits with an uncovered part
+        tried -= sum(
+            costs[i][k] == inf or costs[k + 1][j] == inf
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in (range(i, j) if splits is None else splits.get((i, j), ()))
+        )
     if memo is not None:
         keys = {at: key for key, at in interned.items()}
         for a, b in routes:
@@ -285,7 +315,7 @@ def build_tables(
             mults = (index_range(free1), index_range(free2), r)
             op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
             memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
-    stats = DPStats(tried - uncovered_splits, len(interned), len(charges), no_route)
+    stats = DPStats(tried, len(interned), len(charges), no_route)
     return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
 
@@ -461,11 +491,12 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     kernel sequence, or only sequences with a call whose cost leaves the
     float range, or one whose cost, charged its calls' index
     multiplicities, leaves it. The DP does not tell them apart on its hot
-    path, so the splits are priced again by its two steps, without the
-    multiplicities: they do not change which case holds, and without them a
-    charged overflow names the cheapest route's final kernel.
+    path, so the splits are priced again by the fill's two steps, with the
+    cell's multiplicities. A charged overflow names the final kernel of the
+    route the fill's rule picks among the infinite totals: fewer steps,
+    then the smaller tuple of kernel ids, then the earlier candidate.
     """
-    n = tables.n
+    n, ranges = tables.n, tables.ranges
     i, j = next(
         (i, i + l)
         for l in range(1, n)
@@ -479,12 +510,13 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
         if not candidates:
             continue
         mkn = call_mkn((left, right))
+        mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
         try:
-            steps, _ = _cheapest(candidates, *mkn, metric)
+            steps, _ = _cheapest(candidates, *mkn, metric, mults)
         except CostOverflowError as exc:  # one call's cost, not a total
             exc.segment = (i, j)
             return exc
-        return CostOverflowError(steps[-1].kernel.id, mkn, tables.ranges[i][j], (i, j))
+        return CostOverflowError(steps[-1].kernel.id, mkn, ranges[i][j], (i, j))
     return NoKernelApplicableError(
         f"no kernel sequence covers factors {i}..{j} "
         f"({' * '.join(f.display for f in factors[i : j + 1])})",

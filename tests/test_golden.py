@@ -13,7 +13,10 @@ became the DP fill restricted to the left-deep tree. Speed-ups and
 refactorings must leave the digests unchanged. They change only when
 plans or costs change on purpose, as they did when discharge steps came
 to be charged their own input's loops; such a change updates the digests
-here and says so in CHANGES.md.
+here and says so in CHANGES.md. ``LONG_STATS`` pins the fill's summed
+work counters (``DPStats``) over the long chains, under both databases
+and both metrics, so that a change in how many pairs the fill prices, or
+splits it tries, shows in review; it changes only with the fill's work.
 """
 
 import hashlib
@@ -22,7 +25,9 @@ import random
 from matchain import (
     FLOPS,
     MEMORY,
+    DPStats,
     IndexDecl,
+    build_tables,
     default_db,
     emit_records,
     naive_cost,
@@ -35,6 +40,7 @@ from helpers import random_chain
 DIGEST = "951541061b8bbbfa61cc29c72dd74147458f37833d1eb49467bcc51c62552aff"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
 LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
+LONG_STATS = DPStats(splits=202_352, signatures=22_258, pairs=80_007, no_route=92)
 
 DATABASES = (
     default_db(),
@@ -91,3 +97,13 @@ def test_long_naive_costs_match_golden_digest():
             naive = outcome(lambda: f"naive {naive_cost(chain, None, metric)!r}\n")
             digest.update(naive.encode())
     assert digest.hexdigest() == LONG_NAIVE_DIGEST
+
+
+def test_long_fill_work_counts_match_golden():
+    total = [0, 0, 0, 0]
+    for chain in long_chains():
+        for db in DATABASES:
+            for metric in (FLOPS, MEMORY):
+                stats = build_tables(chain, db, metric).stats
+                total = [a + b for a, b in zip(total, stats)]
+    assert DPStats(*total) == LONG_STATS

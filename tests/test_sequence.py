@@ -1,5 +1,6 @@
 """Kernel sequence search for a single combination step."""
 
+import math
 import random
 
 import pytest
@@ -23,9 +24,16 @@ from matchain import (
     solve,
     vector,
 )
-from matchain.errors import NoKernelApplicableError, UnsatisfiableError
+from matchain.errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
 from matchain.kernels import Kernel, call_mkn
-from matchain.sequence import L, _candidate, _candidates, _describe, _unary_chains
+from matchain.sequence import (
+    L,
+    _candidate,
+    _candidates,
+    _cheapest,
+    _describe,
+    _unary_chains,
+)
 from matchain.solver import _render, _TempNames
 from matchain.properties import Property
 
@@ -507,6 +515,97 @@ class TestStructuralTable:
         got = _candidates(op1, op2, db, table)
         assert got == want == uncached_candidates(op1, op2, db)
         assert all(g is w for g, w in zip(got, want))
+
+
+def times(cost, r):
+    """``cost`` charged ``r`` times: 0 stays 0, and a multiplicity beyond
+    the float range makes any other cost inf."""
+    if not cost:
+        return 0.0
+    try:
+        return cost * float(r)
+    except OverflowError:
+        return math.inf
+
+
+def reference_cheapest(candidates, m, k, n, metric, mults):
+    """The cost step written plainly. Each step's ``call_cost`` is taken at
+    its target's (m, k, n) and summed in order. Under unequal multiplicities
+    each call is charged its target's; under equal ones the cheapest
+    uncharged total is charged r times afterwards. The least
+    ``(total, steps, kernel ids)`` wins, then the earlier candidate. A
+    candidate with an overflowing call is skipped, and the first such error
+    is raised when every candidate has one. Also returns how many
+    candidates were skipped."""
+    targets = ("op1", "op2", "both")
+    args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
+    mults = mults or (1, 1, 1)
+    equal = len(set(mults)) == 1
+    best = best_key = first_error = None
+    skipped = 0
+    for steps, ids, _slots in candidates:
+        total = 0.0
+        try:
+            for step in steps:
+                cost = metric.call_cost(step.kernel, args[step.target])
+                total += cost if equal else times(cost, mults[targets.index(step.target)])
+        except CostOverflowError as exc:
+            first_error = first_error or exc
+            skipped += 1
+            continue
+        if best_key is None or (total, len(steps), ids) < best_key:
+            best, best_key = steps, (total, len(steps), ids)
+    if best is None:
+        raise first_error
+    total = times(best_key[0], mults[2]) if equal else best_key[0]
+    return best, total, skipped
+
+
+class TestCostStep:
+    def test_cheapest_equals_plain_reference(self):
+        # A lone candidate under equal multiplicities takes a shorter path.
+        # huge costs 10^400 flops at dims 10^100, where gemm still fits; at
+        # dims 10^110 every binary kernel overflows.
+        dbs = (
+            default_db(),
+            [kern._replace(flops=lambda m, k, n: 0 * m) for kern in default_db()],
+            default_db() + load_kernel_config("kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n"),
+        )
+        ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
+        rng = random.Random(20261021)
+        seen = dict.fromkeys(
+            ("lone", "several", "unequal", "beyond float", "zero", "skipped", "raised"), 0
+        )
+        for _ in range(3000):
+            op1, op2 = random_operand_pair(rng, dim_max=3)
+            factor = rng.choice((1, 7, 10 ** 100, 10 ** 110))
+            op1, op2 = rescaled(op1, factor), rescaled(op2, factor)
+            db, metric = rng.choice(dbs), rng.choice((FLOPS, MEMORY))
+            candidates = _candidates(op1, op2, db, {})
+            if not candidates:
+                continue
+            r1, r2 = rng.choice(ranges), rng.choice(ranges)
+            mults = rng.choice((None, (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
+            mkn = call_mkn((op1, op2))
+            try:
+                want = reference_cheapest(candidates, *mkn, metric, mults)
+            except CostOverflowError as exc:
+                with pytest.raises(CostOverflowError) as info:
+                    _cheapest(candidates, *mkn, metric, mults)
+                assert str(info.value) == str(exc)
+                seen["raised"] += 1
+                continue
+            steps, total = _cheapest(candidates, *mkn, metric, mults)
+            assert steps is want[0]
+            assert total == want[1]
+            seen["skipped"] += want[2] > 0
+            unequal = mults is not None and len(set(mults)) > 1
+            seen["several"] += len(candidates) > 1
+            seen["lone"] += len(candidates) == 1 and not unequal
+            seen["unequal"] += unequal
+            seen["beyond float"] += mults is not None and max(mults) > 10 ** 309
+            seen["zero"] += total == 0.0
+        assert min(seen.values()) > 20, seen
 
 
 class TestOutputShape:

@@ -170,18 +170,12 @@ class TestTables:
 
 
     def test_split_that_cannot_win_is_never_looked_up(self, monkeypatch):
-        # k=0, A (B x), costs 20,000 + 20,000 flops. At k=1 the sub-cost
-        # A B alone is 2,000,000, so (A B) x, a pair of signatures seen
-        # nowhere else (A B is {square, full}, A and B only {square}), is
-        # skipped before it is priced. Pricing a pair starts with its
-        # structural entry, which a winning pair's result then reuses.
-        chain = chain_of(
-            "y = A * B * x",
-            matrix("A", 100, 100),
-            matrix("B", 100, 100),
-            vector("x", 100),
-            vector("y", 100),
-        )
+        # Cell [0, 2] is seeded with its right neighbour's split, k=1. In
+        # D = A * B * C that is (A B) C at 10,000 + 5,000 flops. At k=0 the
+        # sub-cost B C alone is 50,000, so A (B C), a pair of signatures seen
+        # nowhere else, is skipped before it is priced. Pricing a pair starts
+        # with its structural entry, which a winning pair's result then
+        # reuses.
         asked = []
 
         def recording(op1, op2, *args):
@@ -189,14 +183,40 @@ class TestTables:
             return sequence._entry(op1, op2, *args)
 
         monkeypatch.setattr(solver, "_entry", recording)
+        chain = chain_of(
+            "D = A * B * C",
+            matrix("A", 10, 100),
+            matrix("B", 100, 5),
+            matrix("C", 5, 50),
+            matrix("D", 10, 50),
+        )
         tables = build_tables(chain)
-        assert tables.costs[0][1] == 2_000_000
+        assert tables.costs[1][2] == 50_000
+        assert tables.costs[0][2] == 15_000
+        assert tables.solution[0][2] == 1
+        a_bc = (tables.tmps[0][0].signature(), tables.tmps[1][2].signature())
+        assert a_bc not in asked
+        assert len(asked) == 3
+        assert tables.stats == DPStats(splits=4, signatures=6, pairs=3, no_route=0)
+
+        # The seed's pair is priced even when it loses: in y = A * B * x,
+        # (A B) x costs 2,000,000 + 20,000 flops, and A (B x), whose pair
+        # (A, B x) has the ids of (B, x), wins at 40,000.
+        asked.clear()
+        chain = chain_of(
+            "y = A * B * x",
+            matrix("A", 100, 100),
+            matrix("B", 100, 100),
+            vector("x", 100),
+            vector("y", 100),
+        )
+        tables = build_tables(chain)
         assert tables.costs[0][2] == 40_000
         assert tables.solution[0][2] == 0
         ab_x = (tables.tmps[0][1].signature(), tables.tmps[2][2].signature())
-        assert ab_x not in asked
-        assert len(asked) == 2
-        assert tables.stats == DPStats(splits=4, signatures=3, pairs=2, no_route=0)
+        assert asked[-1] == ab_x
+        assert len(asked) == 3
+        assert tables.stats == DPStats(splits=4, signatures=3, pairs=3, no_route=0)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
         # perfbench's tracer counts distinct pairs through the memo. The
@@ -655,6 +675,32 @@ class TestFailures:
                 run(chain)
             assert info.value.multiplicity == 10 ** 320
 
+    def test_charged_overflow_names_the_fills_route(self):
+        # A case from a seeded fuzz. A[i]^-1 * B[j]^T runs its preps 10^160
+        # times and its binary call 10^320 times, so every route's charged
+        # total is inf. Both two-step routes, getri+gemm and transp+gesv,
+        # tie there, and the smaller id tuple names gemm, as the fill prices
+        # the segment. Priced once per instance, gesv would be named.
+        i, j = IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 160)
+        decls = (
+            i,
+            j,
+            matrix("A", 3, 3, indices=(i,)),
+            matrix("B", 4, 3, {P.LOWER_TRIANGULAR}, indices=(j,)),
+            matrix("C", 3, 4, indices=(i, j)),
+        )
+        chain = chain_of("C[i,j] = A[i]^-1 * B[j]^T", *decls)
+        for run in (solve, naive_cost):
+            with pytest.raises(CostOverflowError) as info:
+                run(chain)
+            assert info.value.kernel_id == "gemm"
+            assert info.value.mkn == (3, 3, 4)
+            assert info.value.multiplicity == 10 ** 320
+            assert info.value.segment == (0, 1)
+            assert str(info.value).startswith(
+                "total cost of factors 0..1 (cost of gemm at (m, k, n) = (3, 3, 4), "
+            )
+
     def test_zero_cost_beyond_float_range_stays_zero(self):
         # A copy costs 0 flops; 0.0 * inf would be nan, read as an overflow.
         i, j = IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 160)
@@ -837,7 +883,8 @@ DATABASES = {
     "default": default_db(),
     "gap": [k for k in default_db() if k.id not in ("getri", "trtri")],
     # Every split of a cell ties under FLOPS, so the bound skips all but
-    # the first covered split with a route, which the tie rule picks.
+    # the seed and the first covered split with a route, which the tie
+    # rule picks.
     "zero": [k._replace(flops=lambda m, k, n: 0 * m) for k in default_db()],
 }
 INDEX_POOL = (IndexDecl("i", 3), IndexDecl("j", 4), IndexDecl("k", 2))
@@ -890,6 +937,46 @@ class TestAgainstReference:
                         squareness.setdefault(skey, set()).add(square)
         assert min(seen.values()) > 100
         assert sum(len(both) == 2 for both in squareness.values()) > 10
+
+class TestSeed:
+    """Each cell's scan starts just above the cost of its right neighbour's
+    winning split, so every split that costs no more is still scanned, and
+    the smallest k among equal costs still wins."""
+
+    def test_zero_costs_keep_the_smallest_split(self):
+        # Every kernel of the zero database costs 0 flops, so every split of
+        # every cell ties at 0, and each seed is a larger k than the first.
+        db = DATABASES["zero"]
+        rng = random.Random(20261020)
+        seeded = 0
+        for at in range(120):
+            pool = INDEX_POOL if at % 2 else ()
+            chain = random_chain(rng, n_min=3, n_max=9, dim_max=6, index_pool=pool)
+            got = build_tables(chain, db)
+            assert got.solution == reference_tables(chain, db, FLOPS)[3]
+            for i in range(got.n):
+                for j in range(i + 1, got.n):
+                    assert got.solution[i][j] == i
+                    assert got.costs[i][j] == 0.0
+                    seeded += j - i > 1
+        assert seeded > 1000
+
+    def test_seed_ties_a_smaller_split_at_nonzero_cost(self):
+        # 1/d3 + 1/d1 == 1/d0 + 1/d2 for dims (2, 3, 3, 2), so (A B) C and
+        # A (B C) both cost 60 flops. The seed of [0, 2] is k=1; k=0 wins.
+        chain = chain_of(
+            "D = A * B * C",
+            matrix("A", 2, 3),
+            matrix("B", 3, 3),
+            matrix("C", 3, 2),
+            matrix("D", 2, 2),
+        )
+        tables = build_tables(chain)
+        assert tables.solution[1][2] == 1
+        assert tables.costs[0][2] == 60
+        assert tables.solution[0][2] == 0
+        assert solve(chain).parenthesization == (0, (1, 2))
+
 
 def restricted_cases():
     """Seeded chains of 2 to 7 factors, with and without indices, under both
