@@ -13,10 +13,13 @@ metric charges the element count of each call's output, a stand-in for
 write traffic; every call writes an m x n result. A new metric needs only
 ``call_cost(kernel, mkn)``, and the search relies on two things of it:
 costs are additive over calls, and ``call_cost`` returns a non-negative
-float or raises :class:`CostOverflowError`. Non-negativity is what lets
-``sequence.py`` drop ``copy`` as a prep, which can only add cost, and
-lets the solver skip a split whose two sub-costs alone already reach the
-best split found. Both built-in metrics are products of positive dims;
+float or raises :class:`CostOverflowError`, as a function of its
+arguments alone. Non-negativity is what lets ``sequence.py`` drop
+``copy`` as a prep, which can only add cost, and more generally drop a
+candidate whose preps contain another's before the same binary call
+(see its dominance rule); it also lets the solver skip a split whose two
+sub-costs alone already reach the best split found. Both built-in
+metrics are products of positive dims;
 config polynomials use only ``+``, ``*`` and ``/`` over non-negative
 integers and dims of at least 1.
 

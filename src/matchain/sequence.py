@@ -19,7 +19,31 @@ k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
 and the binary kernel at (m, k, n), and every candidate yields the same
 output properties, which depend only on the key and on whether m == n.
 ``find_sequence`` is the two steps, ``_entry`` and ``_cheapest``, then
-``_result``; the DP fill prices a pair with the two steps alone.
+``_result``; the DP fill prices a pair with the two steps alone, and
+charges a lone one-call route without the cost step.
+
+A key's entry keeps only the undominated candidates. Candidate A is
+dominated by candidate B when both end in the same binary kernel and B's
+preps are a proper subsequence of A's. Dropping A never changes the
+result, under any metric, dims and multiplicities:
+
+- each call is priced at its slot's fixed (m, k, n), so A's total sums
+  B's terms in the same order with further terms between them. Every
+  term is non-negative, and float addition is monotone, so A's total is
+  never below B's; A has more steps, so it also loses a tie;
+- every call of B is a call of A at the same (m, k, n), so when one of
+  B's costs leaves the float range, one of A's does too: A is never
+  kept where B is skipped;
+- candidates come in breadth-first order of op1's preps, then of op2's.
+  B's preps are no longer than A's on either operand and shorter on
+  one, so B precedes A. The first candidate is never dropped, and when
+  every candidate overflows, the first one's error is unchanged.
+
+``copy`` never appears as a prep. That is the rule's special case,
+applied at enumeration: ``copy`` leaves its input unchanged, so a
+candidate with it is dominated by the same candidate without it.
+``_candidates`` lists every candidate, and the oracle enumerates its
+own, so both still check the pruned entries.
 
 The same table holds the two parts of the structural step, so a new key
 only joins lists made before: each operand's discharge chains, once per
@@ -28,10 +52,6 @@ states, once per ``((props, tag), (props, tag))``. Those are matched on
 structure alone: the caller checks that the dims conform, and preps keep
 effective dims, so a cached end state may carry the dims of whichever
 operand first reached it.
-
-``copy`` never appears as a prep: it leaves its input unchanged, so any
-sequence containing it is dominated by the same sequence without it
-(cost no higher under any additive metric, and shorter).
 
 Sequences carry kernels and targets only; the solver binds operand names
 when it renders the plan, so one result serves every operand pair with
@@ -221,13 +241,39 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     return best, _charged(best_key[0], r)
 
 
+def _dominates(b: tuple, a: tuple) -> bool:
+    """Whether candidate ``b`` dominates candidate ``a``: both end in the
+    same binary call, and ``b``'s preps are a proper subsequence of
+    ``a``'s."""
+    *pre_b, (last_b, _) = b[2]
+    *pre_a, (last_a, _) = a[2]
+    if last_b is not last_a or len(pre_b) >= len(pre_a):
+        return False
+    rest = iter(pre_a)
+    return all(any(p[0] is q[0] and p[1] == q[1] for q in rest) for p in pre_b)
+
+
 def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
-    """Structural step: ``table``'s entry ``(candidates, out_props)`` for
-    ``op1 * op2``, made on first use; :func:`_result` fills ``out_props``."""
+    """Structural step: ``table``'s entry ``(candidates, out_props, lone)``
+    for ``op1 * op2``, made on first use. ``candidates`` are the
+    undominated ones (see the module docstring), in search order;
+    :func:`_result` fills ``out_props``. ``lone`` is the binary kernel when
+    the one candidate left is that single call, else None: such a pair
+    costs the call at (m, k, n) charged r times, under any
+    multiplicities, and the fill prices it so without :func:`_cheapest`."""
     skey = (op1.props, op1.tag, op2.props, op2.tag)
     entry = table.get(skey)
     if entry is None:
-        entry = table[skey] = (_candidates(op1, op2, db, table), {})
+        # A dominator precedes what it dominates, and dominance is
+        # transitive, so the candidates kept so far are enough to test.
+        candidates = []
+        for a in _candidates(op1, op2, db, table):
+            if not any(_dominates(b, a) for b in candidates):
+                candidates.append(a)
+        lone = None
+        if len(candidates) == 1 and len(candidates[0][0]) == 1:
+            lone = candidates[0][0][0].kernel
+        entry = table[skey] = (candidates, {}, lone)
     return entry
 
 
@@ -269,7 +315,7 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    candidates, out_props = _entry(op1, op2, db, {} if table is None else table)
+    candidates, out_props, _ = _entry(op1, op2, db, {} if table is None else table)
     if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "

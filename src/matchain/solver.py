@@ -19,12 +19,13 @@ id per distinct operand signature and free-index tuple, and a split looks
 up the pair of its two cells' ids in a dict that the fill owns. A pair of
 ids fixes the three multiplicities, so the dict holds each pair's charged
 cost: each distinct pair is priced once, by ``find_sequence``'s structural
-and cost steps alone, and a pair the database cannot cover is charged
-``inf``, as is a pair every one of whose routes has a call whose cost
-leaves the float range. Only a pair that wins a cell gets a sequence
-result and output operand, built once with the id of its output's key
-and shared by every cell it wins. Those dicts are the fill's only cache
-of sequences.
+and cost steps alone, or, when its entry keeps one route of one binary
+call, as that call's cost charged r times. A pair the database cannot
+cover is charged ``inf``, as is a pair every one of whose routes has a
+call whose cost leaves the float range. Only a pair that wins a cell
+gets a sequence result and output operand, built once with the id of its
+output's key and shared by every cell it wins. Those dicts are the
+fill's only cache of sequences.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
@@ -228,18 +229,23 @@ def build_tables(
     tried = no_route = 0
     unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
+    call_cost = metric.call_cost
 
     def price(key, i, k, j):
         """Price the pair ``key`` met at split (i, k, j): its charge, with
         its route kept in ``routes`` when it has one."""
         nonlocal no_route
-        candidates, out_props = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+        candidates, out_props, lone = _entry(tmps[i][k], tmps[k + 1][j], db, table)
         if not candidates:
             no_route += 1
             return inf
-        mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
         try:
-            steps, charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)
+            if lone is None:
+                mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+                steps, charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)
+            else:  # one binary call, run r times
+                steps = candidates[0][0]
+                charge = _charged(call_cost(lone, (d[i], d[k + 1], d[j + 1])), ranges[i][j])
         except CostOverflowError:
             return inf
         routes[key] = (steps, out_props)

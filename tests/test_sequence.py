@@ -30,8 +30,10 @@ from matchain.sequence import (
     L,
     _candidate,
     _candidates,
+    _charged,
     _cheapest,
     _describe,
+    _entry,
     _unary_chains,
 )
 from matchain.solver import _render, _TempNames
@@ -517,6 +519,13 @@ class TestStructuralTable:
         assert all(g is w for g, w in zip(got, want))
 
 
+#: Every default kernel at 0 flops, so every candidate of a pair ties.
+ZERO_DB = [kern._replace(flops=lambda m, k, n: 0 * m) for kern in default_db()]
+#: huge costs 10^400 flops at dims 10^100, where gemm still fits; at dims
+#: 10^110 every binary kernel's flops overflow.
+HUGE_DB = default_db() + load_kernel_config("kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n")
+
+
 def times(cost, r):
     """``cost`` charged ``r`` times: 0 stays 0, and a multiplicity beyond
     the float range makes any other cost inf."""
@@ -564,13 +573,7 @@ def reference_cheapest(candidates, m, k, n, metric, mults):
 class TestCostStep:
     def test_cheapest_equals_plain_reference(self):
         # A lone candidate under equal multiplicities takes a shorter path.
-        # huge costs 10^400 flops at dims 10^100, where gemm still fits; at
-        # dims 10^110 every binary kernel overflows.
-        dbs = (
-            default_db(),
-            [kern._replace(flops=lambda m, k, n: 0 * m) for kern in default_db()],
-            default_db() + load_kernel_config("kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n"),
-        )
+        dbs = (default_db(), ZERO_DB, HUGE_DB)
         ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
         rng = random.Random(20261021)
         seen = dict.fromkeys(
@@ -606,6 +609,98 @@ class TestCostStep:
             seen["beyond float"] += mults is not None and max(mults) > 10 ** 309
             seen["zero"] += total == 0.0
         assert min(seen.values()) > 20, seen
+
+
+def outcome(price, *args):
+    """``price(*args)``, or the text of the :class:`CostOverflowError` it
+    raises."""
+    try:
+        return price(*args)
+    except CostOverflowError as exc:
+        return str(exc)
+
+
+def is_sublist(part, whole):
+    """Whether ``part`` is ``whole`` with some items left out, by identity."""
+    rest = iter(whole)
+    return all(any(p is w for w in rest) for p in part)
+
+
+class TestDominance:
+    """A structural entry keeps only the routes no other route dominates."""
+
+    def test_transposed_left_operand_keeps_only_gemm(self):
+        a, b = op(5, 3, tag=UnaryTag.T, name="A"), op(5, 2, name="B")
+        full = [steps for steps, _, _ in _candidates(a, b, default_db(), {})]
+        candidates, _, lone = _entry(a, b, default_db(), {})
+        assert [tuple(s.kernel.id for s in steps) for steps in full] == [
+            ("gemm",),
+            ("transp", "gemm"),
+        ]
+        assert [steps for steps, _, _ in candidates] == [full[0]]
+        assert lone is full[0][0].kernel
+
+    def test_longer_route_with_other_preps_is_kept(self):
+        # transp+fastinv+gemm is longer than slowinv+gemm, but its preps do
+        # not contain slowinv, and it is far cheaper.
+        db = load_kernel_config(
+            "kernel gemm arity=2 tags=id,t;id req=; cost=2*m*k*n\n"
+            "kernel slowinv arity=1 tags=inv,invt req=square cost=100*m*m*m\n"
+            "kernel fastinv arity=1 tags=inv req=square cost=m\n"
+            "kernel transp arity=1 tags=t,invt req= cost=m*n\n",
+            base=[],
+        )
+        a, b = op(4, 4, tag=UnaryTag.INVT, name="A"), op(4, 2, name="B")
+        candidates, _, lone = _entry(a, b, db, {})
+        routes = [tuple(s.kernel.id for s in steps) for steps, _, _ in candidates]
+        assert routes == [("slowinv", "gemm"), ("transp", "fastinv", "gemm")]
+        assert lone is None
+        assert find_sequence(a, b, db).kernel_ids == ("transp", "fastinv", "gemm")
+
+    def test_pruned_entry_prices_as_the_full_list(self):
+        # Each database keeps one table across dims, so an entry made at
+        # one scale prices pairs at another. A lone one-call route is also
+        # charged directly, as the DP fill charges it.
+        dbs = (*DATABASES.values(), ZERO_DB, HUGE_DB)
+        tables = [{} for _ in dbs]
+        ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
+        rng = random.Random(20261023)
+        seen = dict.fromkeys(("pruned", "kept", "lone", "unequal", "raised", "raised, pruned"), 0)
+        for _ in range(4000):
+            op1, op2 = random_operand_pair(rng, dim_max=3)
+            factor = rng.choice((1, 7, 10 ** 100, 10 ** 110))
+            op1, op2 = rescaled(op1, factor), rescaled(op2, factor)
+            at = rng.randrange(len(dbs))
+            db, metric = dbs[at], rng.choice((FLOPS, MEMORY))
+            full = _candidates(op1, op2, db, {})
+            candidates, _, lone = _entry(op1, op2, db, tables[at])
+            assert is_sublist(candidates, full)
+            assert bool(candidates) == bool(full)
+            if not full:
+                continue
+            one_call = len(candidates) == 1 and len(candidates[0][0]) == 1
+            assert lone is (candidates[0][0][0].kernel if one_call else None)
+            r, r1, r2 = rng.choice(ranges), rng.choice(ranges), rng.choice(ranges)
+            mults = rng.choice((None, (r, r, r), (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
+            mkn = call_mkn((op1, op2))
+            want = outcome(_cheapest, full, *mkn, metric, mults)
+            got = outcome(_cheapest, candidates, *mkn, metric, mults)
+            assert got == want
+            raised = isinstance(want, str)
+            if not raised:
+                assert got[0] is want[0]
+            if lone:
+                r = mults[2] if mults else 1
+                charged = outcome(lambda: _charged(metric.call_cost(lone, mkn), r))
+                assert charged == (want if raised else want[1])
+                seen["lone"] += 1
+            pruned = len(candidates) < len(full)
+            seen["pruned"] += pruned
+            seen["kept"] += not pruned
+            seen["raised"] += raised
+            seen["raised, pruned"] += raised and pruned
+            seen["unequal"] += mults is not None and len(set(mults)) > 1
+        assert min(seen.values()) > 50, seen
 
 
 class TestOutputShape:

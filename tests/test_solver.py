@@ -220,21 +220,17 @@ class TestTables:
 
     def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
         # perfbench's tracer counts distinct pairs through the memo. The
-        # fill prices a pair by its structural entry, then its cost step.
+        # fill prices a pair from its structural entry's routes: a lone
+        # one-call route directly, any other list by its cost step.
         found = {}
-        asked = []
 
         def entry(op1, op2, *args):
-            asked.append((op1.signature(), op2.signature()))
-            return sequence._entry(op1, op2, *args)
-
-        def cheapest(*args):
-            steps, total = sequence._cheapest(*args)
-            found.setdefault(asked[-1], []).append(steps)
-            return steps, total
+            got = sequence._entry(op1, op2, *args)
+            pair = (op1.signature(), op2.signature())
+            found.setdefault(pair, []).extend(steps for steps, _, _ in got[0])
+            return got
 
         monkeypatch.setattr(solver, "_entry", entry)
-        monkeypatch.setattr(solver, "_cheapest", cheapest)
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
@@ -247,8 +243,8 @@ class TestTables:
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
                 # Each key pairs two filled cells' (signature, free indices)
-                # keys, and each value holds the steps the fill priced, and
-                # kept, for that pair.
+                # keys, and each value holds steps of a route the fill
+                # priced for that pair.
                 filled = {
                     (got.tmps[i][j].signature(), got.free[i][j])
                     for i in range(got.n)
@@ -258,6 +254,14 @@ class TestTables:
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
                     assert any(seq.steps is f for f in found[key1[0], key2[0]])
+                # A winning pair's memo entry holds the steps the fill kept.
+                for i in range(got.n):
+                    for j in range(i + 1, got.n):
+                        k = got.solution[i][j]
+                        if k is not None:
+                            key1 = (got.tmps[i][k].signature(), got.free[i][k])
+                            key2 = (got.tmps[k + 1][j].signature(), got.free[k + 1][j])
+                            assert memo[key1, key2].steps is got.sequences[i][j].steps
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -976,6 +980,57 @@ class TestSeed:
         assert tables.costs[0][2] == 60
         assert tables.solution[0][2] == 0
         assert solve(chain).parenthesization == (0, (1, 2))
+
+
+def scaled_chain(chain, factor):
+    """``chain`` with every stored dim but 1 times ``factor``, so each
+    operand keeps its structural key."""
+    def scale(d):
+        return d if d == 1 else d * factor
+
+    factors = tuple(
+        f._replace(operand=f.operand._replace(rows=scale(f.operand.rows), cols=scale(f.operand.cols)))
+        for f in chain.factors
+    )
+    return chain._replace(factors=factors)
+
+
+class TestLoneRoute:
+    """A pair whose entry keeps one route of one binary call is charged
+    that call's cost r times, without the cost step."""
+
+    def test_fill_equals_the_fill_without_the_shortcut(self, monkeypatch):
+        # At dims 10^100 huge's flops overflow and gemm's still fit; at
+        # 10^110 every binary kernel's flops overflow. Ranges of 10^160
+        # make multiplicities beyond the float range.
+        huge = default_db() + load_kernel_config(
+            "kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n"
+        )
+        dbs = (*DATABASES.values(), huge)
+        pools = (INDEX_POOL, (IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 11)))
+        shortcut = True
+        seen = {"lone": 0, "other": 0, "inf cell": 0}
+
+        def entry(op1, op2, *args):
+            candidates, out_props, lone = sequence._entry(op1, op2, *args)
+            seen["lone" if lone else "other"] += bool(candidates)
+            return candidates, out_props, lone if shortcut else None
+
+        monkeypatch.setattr(solver, "_entry", entry)
+        rng = random.Random(20261022)
+        for at in range(60):
+            chain = random_chain(rng, n_max=7, dim_max=6, index_pool=pools[at % 2])
+            chain = scaled_chain(chain, rng.choice((1, 10 ** 100, 10 ** 110)))
+            for db in dbs:
+                for metric in (FLOPS, MEMORY):
+                    shortcut = True
+                    got = build_tables(chain, db, metric)
+                    shortcut = False
+                    assert got == build_tables(chain, db, metric)
+                    seen["inf cell"] += any(
+                        got.costs[i][j] == math.inf for i in range(got.n) for j in range(i, got.n)
+                    )
+        assert min(seen.values()) > 100, seen
 
 
 def restricted_cases():
