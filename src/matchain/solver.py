@@ -15,17 +15,21 @@ recurrence, so the smallest split index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand signature and free-index tuple, and a split looks
-up the pair of its two cells' ids in a dict that the fill owns. A pair of
-ids fixes the three multiplicities, so the dict holds each pair's charged
-cost: each distinct pair is priced once, by ``find_sequence``'s structural
-and cost steps alone, or, when its entry keeps one route of one binary
-call, as that call's cost charged r times. A pair the database cannot
-cover is charged ``inf``, as is a pair every one of whose routes has a
-call whose cost leaves the float range. Only a pair that wins a cell
-gets a sequence result and output operand, built once with the id of its
-output's key and shared by every cell it wins. Those dicts are the
-fill's only cache of sequences.
+id per distinct operand signature and free-index tuple, and each id a
+row, a dict over right ids that the fill owns: a split looks its pair up
+in its left id's row, with no key built. A pair of ids fixes the dims and
+the three multiplicities, so the row holds each pair's charged cost: each
+distinct pair is priced once, by ``find_sequence``'s structural and cost
+steps alone, or, when its entry keeps one route of one binary call, as
+that call's cost charged r times. A pair the database cannot cover is
+charged ``inf``, as is a pair every one of whose routes has a call whose
+cost leaves the float range. A second row per id keeps a routed pair's
+structural entry, an object that exists already. Only a pair that wins a
+cell gets a sequence result and output operand, built once with the id
+of its output's key and shared by every cell it wins. Its steps are its
+entry's one route, or the cost step's pick again when the entry keeps
+several: the cost step depends on its arguments alone. Those rows and
+the results are the fill's only cache of sequences.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
@@ -198,9 +202,11 @@ def build_tables(
     float range, are skipped, and so are splits that cannot win (see the
     module's bound and seed); if a whole segment has no solution the
     error surfaces in ``solve`` or ``naive_cost``, naming the smallest
-    offending segment among the cells tried. A given ``memo`` receives,
-    after the fill, ``find_sequence``'s result for each distinct pair that
-    has a route, under its operands' keys,
+    offending segment among the cells tried. The fill keeps each priced
+    pair's charge, and the structural entry of each pair that has a route
+    with every call's cost in the float range. A given ``memo`` receives,
+    after the fill, ``find_sequence``'s result for each pair with such an
+    entry, iterating the entry rows, under its operands' keys,
     ``((signature, free indices), (signature, free indices)) -> sequence``.
     """
     if db is None:
@@ -216,39 +222,57 @@ def build_tables(
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
-    # marks an uncovered cell. charges maps a pair of ids to its charged
-    # cost, inf when no route has a cost within the float range, routes to
-    # its steps and entry's output props, and results to its sequence and
-    # its output key's id (a pair fixes the free indices) once it wins.
-    # Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
+    # marks an uncovered cell. Each id a has a row in charges and one in
+    # entries, appended as intern hands out ids, and a split looks its pair
+    # up in its left id's row. charges[a][b] is the pair's charged cost,
+    # inf when no route has a cost within the float range, and
+    # entries[a][b] its structural entry when it has such a route. results
+    # maps a pair to its sequence and its output key's id (a pair fixes
+    # the free indices) once it wins. Cell [i, j] is d[i] x d[j + 1], d the
+    # chain's effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
-    charges: dict = {}
-    routes: dict = {}
+    charges: list[dict] = [{}]
+    entries: list[dict] = [{}]
     results: dict = {}
     tried = no_route = 0
     unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
     call_cost = metric.call_cost
 
-    def price(key, i, k, j):
-        """Price the pair ``key`` met at split (i, k, j): its charge, with
-        its route kept in ``routes`` when it has one."""
+    def intern(key) -> int:
+        """The id of ``key``, with its two empty rows when it is new."""
+        at = interned.get(key)
+        if at is None:
+            at = interned[key] = len(interned) + 1
+            charges.append({})
+            entries.append({})
+        return at
+
+    def price(i, k, j):
+        """Price the pair met at split (i, k, j): keep its charge, and its
+        entry when a route has every call's cost in the float range."""
         nonlocal no_route
-        candidates, out_props, lone = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+        a, b = ids[i][k], ids[k + 1][j]
+        entry = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+        candidates, _, lone = entry
+        charge = inf
         if not candidates:
             no_route += 1
-            return inf
-        try:
-            if lone is None:
-                mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-                steps, charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)
-            else:  # one binary call, run r times
-                steps = candidates[0][0]
-                charge = _charged(call_cost(lone, (d[i], d[k + 1], d[j + 1])), ranges[i][j])
-        except CostOverflowError:
-            return inf
-        routes[key] = (steps, out_props)
+        else:
+            mkn = (d[i], d[k + 1], d[j + 1])
+            try:
+                if lone is None:
+                    mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+                    charge = _cheapest(candidates, *mkn, metric, mults)[1]
+                elif ranges[i][j] == 1:  # one binary call, run once
+                    charge = call_cost(lone, mkn)
+                else:  # one binary call, run r times
+                    charge = _charged(call_cost(lone, mkn), ranges[i][j])
+                entries[a][b] = entry
+            except CostOverflowError:
+                pass
+        charges[a][b] = charge
         return charge
 
     for i in range(n):
@@ -256,8 +280,7 @@ def build_tables(
         costs[i][i] = 0.0
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
-        key = (op.signature(), free[i][i])
-        ids[i][i] = interned.setdefault(key, len(interned) + 1)
+        ids[i][i] = intern((op.signature(), free[i][i]))
 
     for l in range(1, n):
         for i in range(n - l):
@@ -276,18 +299,17 @@ def build_tables(
             # solution is None). Only splits that cost no more pass the scan.
             k0 = solution[i + 1][j] if splits is None else None
             if k0 is not None and costs_i[k0] < inf:
-                key = (ids_i[k0], ids[k0 + 1][j])
-                if key not in charges:
-                    charges[key] = price(key, i, k0, j)
-                best = nextafter(costs_i[k0] + costs[k0 + 1][j] + charges[key], inf)
+                charge = charges[ids_i[k0]].get(ids[k0 + 1][j])
+                if charge is None:
+                    charge = price(i, k0, j)
+                best = nextafter(costs_i[k0] + costs[k0 + 1][j] + charge, inf)
             for k in ks:
                 lb = costs_i[k] + costs[k + 1][j]
                 if lb >= best:  # its cost, lb + charge, cannot be < best
                     continue
-                key = (ids_i[k], ids[k + 1][j])
-                charge = charges.get(key)
+                charge = charges[ids_i[k]].get(ids[k + 1][j])
                 if charge is None:
-                    charges[key] = charge = price(key, i, k, j)
+                    charge = price(i, k, j)
                 cost = lb + charge
                 if cost < best:
                     best, best_k = cost, k
@@ -297,10 +319,17 @@ def build_tables(
                 key = (ids_i[best_k], ids[best_k + 1][j])
                 won = results.get(key)
                 if won is None:
+                    a, b = key
+                    candidates, out_props, _ = entries[a][b]
+                    if len(candidates) == 1:
+                        steps = candidates[0][0]
+                    else:  # _cheapest is pure: the steps the pair was priced by
+                        mults = (ranges[i][best_k], ranges[best_k + 1][j], r)
+                        mkn = (d[i], d[best_k + 1], d[j + 1])
+                        steps = _cheapest(candidates, *mkn, metric, mults)[0]
                     left, right = tmps[i][best_k], tmps[best_k + 1][j]
-                    seq = _result(left, right, d[i], d[j + 1], *routes[key], charges[key])
-                    out = (seq.output.signature(), seg_free)
-                    won = results[key] = (seq, interned.setdefault(out, len(interned) + 1))
+                    seq = _result(left, right, d[i], d[j + 1], steps, out_props, charges[a][b])
+                    won = results[key] = (seq, intern((seq.output.signature(), seg_free)))
                 sequences[i][j], ids_i[j] = won
                 tmps[i][j] = won[0].output
             elif ks:
@@ -315,13 +344,14 @@ def build_tables(
         )
     if memo is not None:
         keys = {at: key for key, at in interned.items()}
-        for a, b in routes:
-            (sig1, free1), (sig2, free2) = keys[a], keys[b]
-            r = index_range(dict.fromkeys(free1 + free2))
-            mults = (index_range(free1), index_range(free2), r)
-            op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
-            memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
-    stats = DPStats(tried, len(interned), len(charges), no_route)
+        for a, row in enumerate(entries):
+            for b in row:
+                (sig1, free1), (sig2, free2) = keys[a], keys[b]
+                r = index_range(dict.fromkeys(free1 + free2))
+                mults = (index_range(free1), index_range(free2), r)
+                op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
+                memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
+    stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
     return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
 
 

@@ -1033,6 +1033,22 @@ class TestLoneRoute:
         assert min(seen.values()) > 100, seen
 
 
+class TestFillIsolation:
+    def test_a_fill_keeps_nothing_of_the_fill_before(self):
+        # Each fill numbers its own cells' keys from 1 and keeps a row of
+        # pairs per id, so a row left over from another chain's fill would
+        # hand its pairs' charges to whichever pairs get those ids next.
+        rng = random.Random(20261023)
+        for at in range(40):
+            pool = INDEX_POOL if at % 2 else ()
+            a, b = (random_chain(rng, n_max=7, dim_max=6, index_pool=pool) for _ in range(2))
+            for db in DATABASES.values():
+                for metric in (FLOPS, MEMORY):
+                    first = build_tables(a, db, metric)
+                    build_tables(b, db, metric)
+                    assert build_tables(a, db, metric) == first
+
+
 def restricted_cases():
     """Seeded chains of 2 to 7 factors, with and without indices, under both
     databases without zero costs and both metrics."""
