@@ -18,7 +18,7 @@ from math import inf
 
 from .codegen import emit_records, emit_text
 from .errors import CostOverflowError, MatchainError
-from .expr import load_problem, validate
+from .expr import check_target, load_problem, validate
 from .kernels import load_kernel_config, metric_by_name
 from .oracle import MAX_FACTORS, brute_force_min
 from .solver import naive_cost, solve
@@ -113,8 +113,9 @@ def main(argv=None) -> int:
         return 1
 
     bad_input = False
+    targets = {op.name: op for op in problem.operands}
     for stmt in problem.computes:
-        for diag in validate(stmt.chain):
+        for diag in validate(stmt.chain) or check_target(stmt.chain, targets):
             _fail(f"{args.problem}: line {stmt.lineno}: {diag}")
             bad_input = True
     if bad_input:

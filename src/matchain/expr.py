@@ -419,6 +419,25 @@ def validate(chain: Chain) -> list[Diagnostic]:
     return out
 
 
+def check_target(chain: Chain, operands: dict[str, Operand]) -> list[Diagnostic]:
+    """Diagnostics of a valid chain whose target ``operands`` declares: the
+    declaration must have the chain's shape and its written indices."""
+    decl, out = operands.get(chain.target), []
+    if decl is None:
+        return out
+    rows, cols = chain.factors[0].eff_rows, chain.factors[-1].eff_cols
+    if (rows, cols) != (decl.rows, decl.cols):
+        shapes = f"declared {decl.rows}x{decl.cols} but the chain computes {rows}x{cols}"
+        message = f"target {decl.name!r} is {shapes}"
+        out.append(Diagnostic(DiagnosticKind.DIMENSION_MISMATCH, None, message))
+    if chain.target_indices != decl.indices:
+        written = [ix.name for ix in chain.target_indices]
+        declared = [ix.name for ix in decl.indices]
+        message = f"target {decl.name!r} is written {written} but declared {declared}"
+        out.append(Diagnostic(DiagnosticKind.INDEX_MISMATCH, None, message))
+    return out
+
+
 # --------------------------------------------------------------------------
 # Problem files
 

@@ -19,8 +19,8 @@ k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
 and the binary kernel at (m, k, n), and every candidate yields the same
 output properties, which depend only on the key and on whether m == n.
 ``find_sequence`` is the two steps, ``_entry`` and ``_cheapest``, then
-``_result``; the DP fill prices a pair with the two steps alone, and
-charges a lone one-call route without the cost step.
+``_output``; the DP fill prices with the two steps alone (a lone one-call
+route without the cost step) and asks ``_output`` for a winner's operand.
 
 A key's entry keeps only the undominated candidates. Candidate A is
 dominated by candidate B when both end in the same binary kernel and B's
@@ -210,12 +210,6 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     if not r1 == r2 == r:
         scales = tuple(map(_as_float, mults))
     call_cost = metric.call_cost
-    if scales is None and len(candidates) == 1:  # no tie to break
-        ((steps, _, slots),) = candidates
-        total = 0.0
-        for kernel, slot in slots:
-            total += call_cost(kernel, args[slot])
-        return steps, total if r == 1 else _charged(total, r)
     best = best_key = overflow = None
     for steps, ids, slots in candidates:
         total = 0.0
@@ -257,7 +251,7 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
     """Structural step: ``table``'s entry ``(candidates, out_props, lone)``
     for ``op1 * op2``, made on first use. ``candidates`` are the
     undominated ones (see the module docstring), in search order;
-    :func:`_result` fills ``out_props``. ``lone`` is the binary kernel when
+    :func:`_output` fills ``out_props``. ``lone`` is the binary kernel when
     the one candidate left is that single call, else None: such a pair
     costs the call at (m, k, n) charged r times, under any
     multiplicities, and the fill prices it so without :func:`_cheapest`."""
@@ -277,15 +271,16 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
     return entry
 
 
-def _result(op1, op2, m: int, n: int, steps, out_props: dict, total) -> SequenceResult:
-    """``steps`` computing ``op1 * op2`` into m x n at ``total``;
-    ``out_props`` is the squareness dict of the pair's structural entry."""
+def _output(op1, op2, m: int, n: int, entry: tuple) -> TaggedOperand:
+    """The m x n operand every route of ``op1 * op2``'s structural entry
+    computes; its properties are kept in the entry, per squareness."""
+    candidates, out_props, _ = entry
     square = m == n
     props = out_props.get(square)
     if props is None:
-        props = steps[-1].kernel.apply_binary(op1, op2, "").props
+        props = candidates[0][0][-1].kernel.apply_binary(op1, op2, "").props
         props = out_props[square] = _PROPS.setdefault(props, props)
-    return SequenceResult(steps, total, TaggedOperand(m, n, props))
+    return TaggedOperand(m, n, props)
 
 
 def find_sequence(
@@ -315,14 +310,14 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    candidates, out_props, _ = _entry(op1, op2, db, {} if table is None else table)
-    if not candidates:
+    entry = _entry(op1, op2, db, {} if table is None else table)
+    if not entry[0]:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    steps, total = _cheapest(candidates, m, k, n, metric, mults)
-    return _result(op1, op2, m, n, steps, out_props, total)
+    steps, total = _cheapest(entry[0], m, k, n, metric, mults)
+    return SequenceResult(steps, total, _output(op1, op2, m, n, entry))
 
 
 def materialize(

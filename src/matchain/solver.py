@@ -1,17 +1,18 @@
 """The generalized matrix-chain dynamic program and plan extraction.
 
-The DP fills four tables over subchains [i, j]: the temp descriptor, the
-accumulated cost, the winning kernel sequence, and the split index. Each
-combination step queries the sequence finder on the two sub-results and
-charges each call the index multiplicity of what it reads, the product of
-the ranges of its free indices: op1's discharge preps run under the left
-part's loops, op2's under the right part's, and the binary call under the
-whole segment's, whose multiplicity is r. So a discharge of a loop
+The DP fills three tables over subchains [i, j]: the temp descriptor,
+the accumulated cost, and the split index. Each combination step prices
+a kernel sequence for the two sub-results and charges each call the
+index multiplicity of what it reads, the product of the ranges of its
+free indices: op1's discharge preps run under the left part's loops,
+op2's under the right part's, and the binary call under the whole
+segment's, whose multiplicity is r. So a discharge of a loop
 invariant operand is paid once, not once per iteration, and is emitted
 outside the loops. When both parts have the segment's multiplicity, as at
 every split of an unindexed chain, the sequence's total is charged r
-times as a whole (``find_sequence``'s ``mults``). The update keeps the strict less-than comparison of the
-recurrence, so the smallest split index wins exact ties.
+times as a whole (``find_sequence``'s ``mults``). The update keeps the
+strict less-than comparison of the recurrence, so the smallest split
+index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
@@ -24,12 +25,12 @@ steps alone, or, when its entry keeps one route of one binary call, as
 that call's cost charged r times. A pair the database cannot cover is
 charged ``inf``, as is a pair every one of whose routes has a call whose
 cost leaves the float range. A second row per id keeps a routed pair's
-structural entry, an object that exists already. Only a pair that wins a
-cell gets a sequence result and output operand, built once with the id
-of its output's key and shared by every cell it wins. Its steps are its
-entry's one route, or the cost step's pick again when the entry keeps
-several: the cost step depends on its arguments alone. Those rows and
-the results are the fill's only cache of sequences.
+structural entry, an object that exists already, and a third, once the
+pair wins a cell, its output operand and the id of that operand's key,
+shared by every cell it wins. No cell keeps a sequence: extraction asks
+``find_sequence`` for each of the at most n - 1 segments of the tree,
+and the cost step depends on its arguments alone, so it returns the
+route the fill priced.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
@@ -64,13 +65,8 @@ One planner serves both orders. ``solve`` and ``naive_cost`` each return
 uncovered segment when the root is uncovered, and extracts the plan.
 ``naive_cost`` restricts the fill to the left-deep tree's splits
 (``build_tables(splits=)``), so the left-to-right order is priced,
-charged and diagnosed as the optimal order is. Extraction walks the split
-table with its own stack, so a tree of any depth is extracted.
-
-The structural candidate table that ``find_sequence`` fills depends only
-on the kernels, so the solver keeps the one of the most recent database
-across ``build_tables`` calls, and starts a fresh one for any other
-database.
+charged and diagnosed as the optimal order is. The fill, extraction and
+the error report share one structural table (``_structural_table``).
 
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
 are discharged inside the sequence finder when the factor is combined,
@@ -95,7 +91,7 @@ from .errors import (
 )
 from .expr import Chain, Factor, IndexDecl, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import SequenceResult, _charged, _cheapest, _entry, _result
+from .sequence import _charged, _cheapest, _entry, _output
 from .sequence import find_sequence, materialize
 
 
@@ -135,15 +131,13 @@ class DPTables(NamedTuple):
     """Filled DP state for one chain; indices run over factor positions.
 
     The tuple is immutable, but its tables are lists that the fill built
-    and the caller owns. A sequence's ``total_cost`` is what its
-    combination is charged, index multiplicities included
-    (``find_sequence``'s ``mults``).
+    and the caller owns. Costs include index multiplicities. No cell
+    keeps its sequence: ``find_sequence`` gives it (see ``_extract``).
     """
 
     n: int
     tmps: list[list[TaggedOperand | None]]
     costs: list[list[float]]
-    sequences: list[list[SequenceResult | None]]
     solution: list[list[int | None]]
     free: list[list[tuple[IndexDecl, ...]]]
     ranges: list[list[int]]
@@ -202,11 +196,9 @@ def build_tables(
     float range, are skipped, and so are splits that cannot win (see the
     module's bound and seed); if a whole segment has no solution the
     error surfaces in ``solve`` or ``naive_cost``, naming the smallest
-    offending segment among the cells tried. The fill keeps each priced
-    pair's charge, and the structural entry of each pair that has a route
-    with every call's cost in the float range. A given ``memo`` receives,
-    after the fill, ``find_sequence``'s result for each pair with such an
-    entry, iterating the entry rows, under its operands' keys,
+    offending segment among the cells tried. A given ``memo`` receives,
+    after the fill, ``find_sequence``'s result for each priced pair with a
+    route whose calls' costs fit the float range, under its operands' keys,
     ``((signature, free indices), (signature, free indices)) -> sequence``.
     """
     if db is None:
@@ -217,36 +209,35 @@ def build_tables(
 
     tmps: list[list[TaggedOperand | None]] = [[None] * n for _ in range(n)]
     costs = [[inf] * n for _ in range(n)]
-    sequences: list[list[SequenceResult | None]] = [[None] * n for _ in range(n)]
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
-    # marks an uncovered cell. Each id a has a row in charges and one in
-    # entries, appended as intern hands out ids, and a split looks its pair
-    # up in its left id's row. charges[a][b] is the pair's charged cost,
-    # inf when no route has a cost within the float range, and
-    # entries[a][b] its structural entry when it has such a route. results
-    # maps a pair to its sequence and its output key's id (a pair fixes
-    # the free indices) once it wins. Cell [i, j] is d[i] x d[j + 1], d the
-    # chain's effective dims.
+    # marks an uncovered cell. Each id a has a row in charges, entries and
+    # outs, appended by intern, and a split looks its pair up in its left
+    # id's row. charges[a][b] is the pair's charged cost, inf when no route
+    # has a cost within the float range, entries[a][b] its structural entry
+    # when one has, and outs[a][b], once it wins, its output operand and
+    # that key's id (a pair fixes the free indices). Cell [i, j] is
+    # d[i] x d[j + 1], d the chain's effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     charges: list[dict] = [{}]
     entries: list[dict] = [{}]
-    results: dict = {}
+    outs: list[dict] = [{}]
     tried = no_route = 0
     unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
     call_cost = metric.call_cost
 
     def intern(key) -> int:
-        """The id of ``key``, with its two empty rows when it is new."""
+        """The id of ``key``, with its three empty rows when it is new."""
         at = interned.get(key)
         if at is None:
             at = interned[key] = len(interned) + 1
             charges.append({})
             entries.append({})
+            outs.append({})
         return at
 
     def price(i, k, j):
@@ -316,22 +307,13 @@ def build_tables(
             if best_k is not None:
                 costs_i[j] = best
                 solution[i][j] = best_k
-                key = (ids_i[best_k], ids[best_k + 1][j])
-                won = results.get(key)
+                a, b = ids_i[best_k], ids[best_k + 1][j]
+                won = outs[a].get(b)
                 if won is None:
-                    a, b = key
-                    candidates, out_props, _ = entries[a][b]
-                    if len(candidates) == 1:
-                        steps = candidates[0][0]
-                    else:  # _cheapest is pure: the steps the pair was priced by
-                        mults = (ranges[i][best_k], ranges[best_k + 1][j], r)
-                        mkn = (d[i], d[best_k + 1], d[j + 1])
-                        steps = _cheapest(candidates, *mkn, metric, mults)[0]
                     left, right = tmps[i][best_k], tmps[best_k + 1][j]
-                    seq = _result(left, right, d[i], d[j + 1], steps, out_props, charges[a][b])
-                    won = results[key] = (seq, intern((seq.output.signature(), seg_free)))
-                sequences[i][j], ids_i[j] = won
-                tmps[i][j] = won[0].output
+                    out = _output(left, right, d[i], d[j + 1], entries[a][b])
+                    won = outs[a][b] = (out, intern((out.signature(), seg_free)))
+                tmps[i][j], ids_i[j] = won
             elif ks:
                 unfilled = True
 
@@ -352,7 +334,7 @@ def build_tables(
                 op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
                 memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
     stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
-    return DPTables(n, tmps, costs, sequences, solution, free, ranges, stats)
+    return DPTables(n, tmps, costs, solution, free, ranges, stats)
 
 
 class _TempNames:
@@ -366,17 +348,19 @@ class _TempNames:
 
 
 def _extract(
-    tables: DPTables, target: str, names: _TempNames, metric
+    tables: DPTables, target: str, names: _TempNames, db, metric
 ) -> tuple[tuple[KernelCall, ...], object]:
     """Post-order walk of the split table from the root, as a loop.
 
     Returns the rendered calls and the parenthesization tree. Each segment
-    emits its left part's calls, then its right part's, then its own,
+    emits its left part's calls, then its right part's, then its own, the
+    route ``find_sequence`` gives with the fill's table and multiplicities,
     whose output is named before its prep temps; the root writes
     ``target``. The walk keeps its own stack, so a tree of any depth, such
     as the left-deep one, is extracted.
     """
-    free, ranges, solution = tables.free, tables.ranges, tables.solution
+    tmps, free, ranges, solution = tables.tmps, tables.free, tables.ranges, tables.solution
+    table = _structural_table(db)
     root = (0, tables.n - 1)
     calls: list[KernelCall] = []
     # A segment is pushed back with its split above its two parts, and is
@@ -386,7 +370,7 @@ def _extract(
     while todo:
         i, j, k = todo.pop()
         if i == j:
-            done.append((tables.tmps[i][i], i))
+            done.append((tmps[i][i], i))
         elif k is None:
             k = solution[i][j]
             todo += ((i, j, k), (k + 1, j, None), (i, k, None))
@@ -399,9 +383,9 @@ def _extract(
                 "op2": (free[k + 1][j], ranges[k + 1][j]),
                 "both": (free[i][j], ranges[i][j]),
             }
-            seq_calls, named = _render(
-                tables.sequences[i][j], left, right, loops, out_name, names, metric
-            )
+            mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+            seq = find_sequence(tmps[i][k], tmps[k + 1][j], db, metric, table, mults)
+            seq_calls, named = _render(seq, left, right, loops, out_name, names, metric)
             calls += seq_calls
             done.append((named, (ltree, rtree)))
     return tuple(calls), done[0][1]
@@ -484,7 +468,7 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
     n = tables.n
     if tables.costs[0][n - 1] == inf:
         raise _uncovered_error(tables, factors, db, metric, splits)
-    calls, tree = _extract(tables, target, names, metric)
+    calls, tree = _extract(tables, target, names, db, metric)
     return Plan(target, calls, tables.costs[0][n - 1], tree, metric.name)
 
 
@@ -527,10 +511,10 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     kernel sequence, or only sequences with a call whose cost leaves the
     float range, or one whose cost, charged its calls' index
     multiplicities, leaves it. The DP does not tell them apart on its hot
-    path, so the splits are priced again by the fill's two steps, with the
-    cell's multiplicities. A charged overflow names the final kernel of the
-    route the fill's rule picks among the infinite totals: fewer steps,
-    then the smaller tuple of kernel ids, then the earlier candidate.
+    path, so ``find_sequence`` prices the splits again, with the cell's
+    multiplicities. A charged overflow names the final kernel of the route
+    the fill's rule picks among the infinite totals: fewer steps, then the
+    smaller tuple of kernel ids, then the earlier candidate.
     """
     n, ranges = tables.n, tables.ranges
     i, j = next(
@@ -542,17 +526,16 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     table = _structural_table(db)
     for k in range(i, j) if splits is None else splits[i, j]:
         left, right = tables.tmps[i][k], tables.tmps[k + 1][j]
-        candidates = _entry(left, right, db, table)[0]
-        if not candidates:
-            continue
-        mkn = call_mkn((left, right))
         mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
         try:
-            steps, _ = _cheapest(candidates, *mkn, metric, mults)
+            seq = find_sequence(left, right, db, metric, table, mults)
+        except NoKernelApplicableError:
+            continue
         except CostOverflowError as exc:  # one call's cost, not a total
             exc.segment = (i, j)
             return exc
-        return CostOverflowError(steps[-1].kernel.id, mkn, ranges[i][j], (i, j))
+        mkn = call_mkn((left, right))
+        return CostOverflowError(seq.steps[-1].kernel.id, mkn, ranges[i][j], (i, j))
     return NoKernelApplicableError(
         f"no kernel sequence covers factors {i}..{j} "
         f"({' * '.join(f.display for f in factors[i : j + 1])})",

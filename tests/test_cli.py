@@ -463,6 +463,38 @@ class TestFailureModes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "decls, source, message",
+        [
+            (
+                "matrix A 3 4\nmatrix B 3 3\n",
+                "B = A",
+                "DimensionMismatch: target 'B' is declared 3x3 but the chain computes 3x4",
+            ),
+            (
+                "vector x 3\nvector y 3\n",
+                "y = x^T",
+                "DimensionMismatch: target 'y' is declared 3x1 but the chain computes 1x3",
+            ),
+            (
+                "index i 4\nmatrix A 3 3 indices=i\nmatrix B 3 3\n",
+                "B[i] = A[i]",
+                "IndexMismatch: target 'B' is written ['i'] but declared []",
+            ),
+        ],
+    )
+    def test_declared_target_must_match_the_chain(self, tmp_path, capsys, decls, source, message):
+        code, out, err = run(tmp_path, capsys, f"{decls}compute {source}\n")
+        assert code == 1
+        assert out == ""
+        assert err == f"matchain: {tmp_path / 'problem.mc'}: line {decls.count(chr(10)) + 1}: {message}\n"
+
+    def test_undeclared_target_takes_the_chains_shape(self, tmp_path, capsys):
+        text = "index i 4\nmatrix A 3 4 indices=i\ncompute Y[i] = A[i]^T\n"
+        code, out, err = run(tmp_path, capsys, text)
+        assert code == 0
+        assert "Y[i] := transp(A[i])" in out
+
     def test_verify_rejects_long_chains(self, tmp_path, capsys):
         decls = "".join(f"matrix A{t} 4 4\n" for t in range(9))
         text = decls + "matrix Z 4 4\ncompute Z = " + " * ".join(

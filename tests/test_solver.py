@@ -120,7 +120,7 @@ class TestTables:
         tables = build_tables(chain)
         assert tables.solution[0][2] == 1
         assert tables.costs[0][2] == 15_000
-        assert tables.sequences[0][2].kernel_ids == ("gemm",)
+        assert [call.kernel_id for call in solve(chain).calls] == ["gemm", "gemm"]
 
     def test_smallest_split_wins_ties(self):
         # All square and equal: every parenthesization costs the same, so
@@ -254,14 +254,14 @@ class TestTables:
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
                     assert any(seq.steps is f for f in found[key1[0], key2[0]])
-                # A winning pair's memo entry holds the steps the fill kept.
+                # A winning pair has a memo entry.
                 for i in range(got.n):
                     for j in range(i + 1, got.n):
                         k = got.solution[i][j]
                         if k is not None:
                             key1 = (got.tmps[i][k].signature(), got.free[i][k])
                             key2 = (got.tmps[k + 1][j].signature(), got.free[k + 1][j])
-                            assert memo[key1, key2].steps is got.sequences[i][j].steps
+                            assert (key1, key2) in memo
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -848,7 +848,6 @@ def reference_tables(chain, db, metric):
     table = {}
     tmps = [[None] * n for _ in range(n)]
     costs = [[math.inf] * n for _ in range(n)]
-    sequences = [[None] * n for _ in range(n)]
     solution = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
@@ -878,9 +877,8 @@ def reference_tables(chain, db, metric):
                 if cost < costs[i][j]:
                     costs[i][j] = cost
                     solution[i][j] = k
-                    sequences[i][j] = seq
                     tmps[i][j] = seq.output
-    return tmps, costs, sequences, solution, free, ranges
+    return tmps, costs, solution, free, ranges
 
 
 DATABASES = {
@@ -907,15 +905,13 @@ class TestAgainstReference:
         db = DATABASES[db_name]
         got = build_tables(chain, db, metric)
         want = reference_tables(chain, db, metric)
-        assert (
-            got.tmps, got.costs, got.sequences, got.solution, got.free, got.ranges
-        ) == want
+        assert (got.tmps, got.costs, got.solution, got.free, got.ranges) == want
 
     def test_winning_results_equal_find_sequence(self):
-        # A cell's result is built from its pair's priced steps; it must be
-        # what find_sequence, with a table of its own, returns for the cell's
-        # operands at the winning split. One structural key may give both a
-        # square and a non-square output, whose properties differ.
+        # A cell's operand is built from its pair's structural entry; it must
+        # be what find_sequence, with a table of its own, returns for the
+        # cell's operands at the winning split. One structural key may give
+        # both a square and a non-square output, whose properties differ.
         rng = random.Random(20261019)
         seen = {"square": 0, "non-square": 0, "unequal mults": 0}
         squareness = {}
@@ -932,7 +928,6 @@ class TestAgainstReference:
                         left, right = got.tmps[i][k], got.tmps[k + 1][j]
                         mults = (r[i][k], r[k + 1][j], r[i][j])
                         want = find_sequence(left, right, db, metric, {}, mults)
-                        assert got.sequences[i][j] == want
                         assert got.tmps[i][j] == want.output
                         square = want.output.rows == want.output.cols
                         seen["square" if square else "non-square"] += 1
@@ -957,7 +952,7 @@ class TestSeed:
             pool = INDEX_POOL if at % 2 else ()
             chain = random_chain(rng, n_min=3, n_max=9, dim_max=6, index_pool=pool)
             got = build_tables(chain, db)
-            assert got.solution == reference_tables(chain, db, FLOPS)[3]
+            assert got.solution == reference_tables(chain, db, FLOPS)[2]
             for i in range(got.n):
                 for j in range(i + 1, got.n):
                     assert got.solution[i][j] == i
@@ -1047,6 +1042,44 @@ class TestFillIsolation:
                     first = build_tables(a, db, metric)
                     build_tables(b, db, metric)
                     assert build_tables(a, db, metric) == first
+
+
+class TestFindSequenceCallers:
+    def test_only_extraction_asks_find_sequence(self, monkeypatch):
+        # The fill prices pairs with the structural and cost steps alone;
+        # a covered chain of n factors asks find_sequence once per segment
+        # of its tree, from inside _extract.
+        asked, inside = [], []
+        find, extract = solver.find_sequence, solver._extract
+
+        def counted_find(*args):
+            asked.append(bool(inside))
+            return find(*args)
+
+        def marked_extract(*args):
+            inside.append(True)
+            try:
+                return extract(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(solver, "find_sequence", counted_find)
+        monkeypatch.setattr(solver, "_extract", marked_extract)
+        rng = random.Random(20261024)
+        covered = 0
+        for at in range(60):
+            pool = INDEX_POOL if at % 2 else ()
+            chain = random_chain(rng, n_max=9, dim_max=8, index_pool=pool)
+            for db in DATABASES.values():
+                for metric in (FLOPS, MEMORY):
+                    tables = build_tables(chain, db, metric)
+                    assert asked == []
+                    if tables.costs[0][tables.n - 1] < math.inf:
+                        solve(chain, db, metric)
+                        assert asked == [True] * (tables.n - 1)
+                        covered += 1
+                    asked.clear()
+        assert covered > 300
 
 
 def restricted_cases():
