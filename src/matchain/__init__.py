@@ -8,97 +8,48 @@ annotations (:mod:`matchain.expr`), infer symbolic operand properties
 program (:mod:`matchain.solver`), and emit the resulting program
 (:mod:`matchain.codegen`). :mod:`matchain.oracle` holds brute-force
 references for certifying results on small chains.
+
+Names load on first use (PEP 562): ``import matchain`` imports no
+submodule, and ``matchain.solve`` imports :mod:`matchain.solver` (and
+what it needs) the first time it is read.
 """
 
-from . import errors
-from .codegen import emit_records, emit_text, parse_records
-from .expr import (
-    Chain,
-    ComputeStatement,
-    Diagnostic,
-    DiagnosticKind,
-    Factor,
-    IndexDecl,
-    Operand,
-    Problem,
-    UnaryTag,
-    load_problem,
-    matrix,
-    parse,
-    unparse,
-    validate,
-    vector,
-)
-from .kernels import (
-    FLOPS,
-    MEMORY,
-    Kernel,
-    KernelCall,
-    TaggedOperand,
-    default_db,
-    load_kernel_config,
-    match,
-    metric_by_name,
-)
-from .oracle import best_pair_cost, brute_force_min, random_instance, structural_residual
-from .properties import (
-    Property,
-    close,
-    infer_properties,
-    inverse_props,
-    transpose_props,
-)
-from .sequence import SequenceResult, find_sequence, materialize
-from .solver import DPStats, DPTables, Plan, build_tables, index_range, naive_cost, solve
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chain",
-    "ComputeStatement",
-    "DPStats",
-    "DPTables",
-    "Diagnostic",
-    "DiagnosticKind",
-    "FLOPS",
-    "Factor",
-    "IndexDecl",
-    "Kernel",
-    "KernelCall",
-    "MEMORY",
-    "Operand",
-    "Plan",
-    "Problem",
-    "Property",
-    "SequenceResult",
-    "TaggedOperand",
-    "UnaryTag",
-    "best_pair_cost",
-    "brute_force_min",
-    "build_tables",
-    "close",
-    "default_db",
-    "emit_records",
-    "emit_text",
-    "errors",
-    "find_sequence",
-    "index_range",
-    "infer_properties",
-    "inverse_props",
-    "load_kernel_config",
-    "load_problem",
-    "match",
-    "materialize",
-    "matrix",
-    "metric_by_name",
-    "naive_cost",
-    "parse",
-    "parse_records",
-    "random_instance",
-    "solve",
-    "structural_residual",
-    "transpose_props",
-    "unparse",
-    "validate",
-    "vector",
-]
+#: Each public name, by the submodule that defines it.
+_HOME = {
+    name: home
+    for home, names in {
+        "codegen": "emit_records emit_text parse_records",
+        "errors": "errors",
+        "expr": "Chain ComputeStatement Diagnostic DiagnosticKind Factor IndexDecl "
+        "Operand Problem UnaryTag load_problem matrix parse unparse validate vector",
+        "kernels": "FLOPS MEMORY Kernel KernelCall TaggedOperand default_db "
+        "load_kernel_config match metric_by_name",
+        "oracle": "best_pair_cost brute_force_min random_instance structural_residual",
+        "properties": "Property close infer_properties inverse_props transpose_props",
+        "sequence": "SequenceResult find_sequence materialize",
+        "solver": "DPStats DPTables Plan build_tables index_range naive_cost solve",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import ``name``'s home submodule and keep the value as a global, so
+    later reads never come here. A submodule's name gives the submodule."""
+    home = _HOME.get(name, name)
+    if home not in _HOME.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

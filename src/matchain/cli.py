@@ -20,7 +20,6 @@ from .codegen import emit_records, emit_text
 from .errors import CostOverflowError, MatchainError
 from .expr import check_target, load_problem, validate
 from .kernels import load_kernel_config, metric_by_name
-from .oracle import MAX_FACTORS, brute_force_min
 from .solver import naive_cost, solve
 
 
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help=f"check each plan against the brute-force oracle (max {MAX_FACTORS} factors)",
+        help="check each plan against the brute-force oracle (small chains only)",
     )
     return parser
 
@@ -151,14 +150,16 @@ def main(argv=None) -> int:
                 shown = int(naive) if naive < inf else "inf"
                 block.append(f"# naive_{plan.metric_name}={shown} ratio={ratio:g}")
         if args.verify:
-            if len(stmt.chain.factors) > MAX_FACTORS:
+            from . import oracle
+
+            if len(stmt.chain.factors) > oracle.MAX_FACTORS:
                 _fail(
                     f"{args.problem}: line {stmt.lineno}: --verify supports at "
-                    f"most {MAX_FACTORS} factors, got {len(stmt.chain.factors)}"
+                    f"most {oracle.MAX_FACTORS} factors, got {len(stmt.chain.factors)}"
                 )
                 failed = True
                 continue
-            oracle_min, _ = brute_force_min(stmt.chain, db, metric)
+            oracle_min, _ = oracle.brute_force_min(stmt.chain, db, metric)
             tolerance = 1e-9 * max(1.0, abs(oracle_min))
             agree = abs(plan.total_cost - oracle_min) <= tolerance
             if records:

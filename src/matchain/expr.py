@@ -26,6 +26,7 @@ from .errors import (
     DimensionPropertyMismatchError,
     ExprSyntaxError,
     InconsistentPropertiesError,
+    InvalidChainError,
     NestedUnaryError,
     ParseError,
     ProblemFileError,
@@ -333,8 +334,11 @@ def parse(text: str, declarations: Iterable[Operand | IndexDecl]) -> Chain:
 
     Raises :class:`ExprSyntaxError`, :class:`UndeclaredSymbolError`, or
     :class:`NestedUnaryError`; all carry the source position. Raises
-    ``TypeError`` for a declaration that is neither an :class:`Operand`
-    nor an :class:`IndexDecl`.
+    :class:`InvalidChainError` with :func:`check_target`'s diagnostics
+    when the target is declared with another shape or other indices; an
+    undeclared target takes the chain's. Raises ``TypeError`` for a
+    declaration that is neither an :class:`Operand` nor an
+    :class:`IndexDecl`.
     """
     operands: dict[str, Operand] = {}
     indexes: dict[str, IndexDecl] = {}
@@ -345,7 +349,11 @@ def parse(text: str, declarations: Iterable[Operand | IndexDecl]) -> Chain:
             indexes[decl.name] = decl
         else:
             raise TypeError(f"unsupported declaration {decl!r}")
-    return _Parser(text, operands, indexes).statement()
+    chain = _Parser(text, operands, indexes).statement()
+    diagnostics = check_target(chain, operands)
+    if diagnostics:
+        raise InvalidChainError(diagnostics)
+    return chain
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +428,7 @@ def validate(chain: Chain) -> list[Diagnostic]:
 
 
 def check_target(chain: Chain, operands: dict[str, Operand]) -> list[Diagnostic]:
-    """Diagnostics of a valid chain whose target ``operands`` declares: the
+    """Diagnostics of a chain whose target ``operands`` declares: the
     declaration must have the chain's shape and its written indices."""
     decl, out = operands.get(chain.target), []
     if decl is None:

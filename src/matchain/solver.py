@@ -482,7 +482,9 @@ def solve(
     Raises :class:`InvalidChainError` when the chain has diagnostics,
     :class:`NoKernelApplicableError` when some segment cannot be computed
     with the database, and :class:`UnsatisfiableError` for a single-factor
-    chain whose tag no unary kernel discharges.
+    chain whose tag no unary kernel discharges. A chain carries no
+    declarations, so the target's declared shape is checked by
+    :func:`~matchain.expr.parse` (or the CLI), not here.
     """
     return _plan(chain, db, metric, None)
 

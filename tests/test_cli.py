@@ -435,7 +435,7 @@ class TestFailureModes:
     )
     def test_verify_disagreement_exits_two(self, tmp_path, capsys, monkeypatch, fmt, line):
         # The only report of a solver bug: the oracle finds a different minimum.
-        monkeypatch.setattr("matchain.cli.brute_force_min", lambda *args: (12345.0, None))
+        monkeypatch.setattr("matchain.oracle.brute_force_min", lambda *args: (12345.0, None))
         code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--verify", "--format", fmt)
         assert code == 2
         assert out.rstrip("\n").endswith(line)

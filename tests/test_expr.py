@@ -19,6 +19,7 @@ from matchain import (
 )
 from matchain.errors import (
     ExprSyntaxError,
+    InvalidChainError,
     NestedUnaryError,
     ProblemFileError,
     UndeclaredSymbolError,
@@ -125,6 +126,41 @@ class TestParse:
     def test_missing_equals(self):
         with pytest.raises(ExprSyntaxError):
             parse("X A * B", decls())
+
+    @pytest.mark.parametrize(
+        "text, target, kinds, message",
+        [
+            (
+                "B = A",
+                matrix("B", 3, 3),
+                ["DIMENSION_MISMATCH"],
+                "DimensionMismatch: target 'B' is declared 3x3 but the chain computes 3x4",
+            ),
+            (
+                "B[i] = A",
+                matrix("B", 3, 4),
+                ["INDEX_MISMATCH"],
+                "IndexMismatch: target 'B' is written ['i'] but declared []",
+            ),
+            (
+                "B = A",
+                matrix("B", 4, 3, indices=(IndexDecl("i", 2),)),
+                ["DIMENSION_MISMATCH", "INDEX_MISMATCH"],
+                "target 'B' is written [] but declared ['i']",
+            ),
+        ],
+    )
+    def test_declared_target_must_match_the_chain(self, text, target, kinds, message):
+        decls = [IndexDecl("i", 2), matrix("A", 3, 4), target]
+        with pytest.raises(InvalidChainError) as info:
+            parse(text, decls)
+        assert [d.kind.name for d in info.value.diagnostics] == kinds
+        assert str(info.value).endswith(message)
+
+    def test_undeclared_or_matching_target_parses(self):
+        a = matrix("A", 3, 4)
+        assert parse("B = A", [a]).target == "B"
+        assert parse("B = A^T", [a, matrix("B", 4, 3)]).factors[0].tag is UnaryTag.T
 
     def test_foreign_declaration_rejected(self):
         with pytest.raises(TypeError, match="unsupported declaration"):

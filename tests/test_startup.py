@@ -1,4 +1,6 @@
-"""Start-up cost: importing matchain and running its CLI leave numpy alone."""
+"""Start-up cost: importing matchain loads no submodule until a name is
+used, its CLI loads the oracle only under ``--verify``, and neither loads
+numpy. Each check runs in a fresh interpreter."""
 
 import subprocess
 import sys
@@ -25,6 +27,20 @@ RUN_WITHOUT_NUMPY = (
     "sys.argv = ['matchain'] + sys.argv[1:]; "
     "runpy.run_module('matchain', run_name='__main__')"
 )
+
+
+#: Runs ``python -m matchain`` and prints the matchain modules it loaded.
+RUN_AND_LIST_MODULES = """\
+import runpy, sys
+sys.argv = ['matchain'] + sys.argv[1:]
+try:
+    runpy.run_module('matchain', run_name='__main__')
+finally:
+    print(sorted(m for m in sys.modules if m.startswith('matchain')), file=sys.stderr)
+"""
+
+#: Imports matchain and prints the matchain modules loaded.
+LIST_MODULES = "print(sorted(m for m in sys.modules if m.startswith('matchain')))"
 
 
 def python(*args):
@@ -61,3 +77,70 @@ def test_numpy_is_only_a_test_dependency():
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     assert "numpy" not in project["dependencies"]
     assert "numpy" in project["optional-dependencies"]["test"]
+
+
+def test_import_loads_no_submodule():
+    result = python("-c", "import sys, matchain; " + LIST_MODULES)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['matchain']\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--naive"], ["--format", "records"], ["--naive", "--format", "records"]],
+)
+def test_cli_without_verify_never_loads_the_oracle(tmp_path, flags):
+    problem = tmp_path / "problem.mc"
+    problem.write_text(PROBLEM)
+    result = python("-c", RUN_AND_LIST_MODULES, str(problem), *flags)
+    assert result.returncode == 0, result.stderr
+    assert "trsm" in result.stdout
+    loaded = result.stderr.splitlines()[-1]
+    assert "'matchain.cli'" in loaded and "'matchain.oracle'" not in loaded
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [([], "# oracle=agree"), (["--format", "records"], "verify oracle=agree oracle_total=1000.0")],
+)
+def test_cli_with_verify_loads_the_oracle(tmp_path, flags, line):
+    problem = tmp_path / "problem.mc"
+    problem.write_text(PROBLEM)
+    result = python("-c", RUN_AND_LIST_MODULES, str(problem), "--verify", *flags)
+    assert result.returncode == 0, result.stderr
+    assert line in result.stdout.splitlines()
+    assert "'matchain.oracle'" in result.stderr.splitlines()[-1]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    code = """\
+import importlib, matchain
+for name in matchain.__all__:
+    home = importlib.import_module("matchain." + matchain._HOME[name])
+    want = home if name == matchain._HOME[name] else getattr(home, name)
+    assert getattr(matchain, name) is want, name
+    assert vars(matchain)[name] is want, name  # kept: later reads skip __getattr__
+assert matchain.errors is importlib.import_module("matchain.errors")
+assert dir(matchain) == sorted(matchain.__all__)
+"""
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_all_public_names():
+    code = """\
+import matchain
+names = {}
+exec("from matchain import *", names)
+missing = set(matchain.__all__) - set(names)
+assert not missing, missing
+"""
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_unknown_name_is_an_attribute_error():
+    code = "import sys, matchain; assert not hasattr(matchain, 'nope'); " + LIST_MODULES
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['matchain']\n"
