@@ -51,5 +51,6 @@ plan = solve(chain)
 tables = build_tables(chain)
 print("chain: C = L1 * L2, both lower triangular")
 print(emit_text(plan))
-print("product properties:", sorted(p.value for p in tables.tmps[0][1].props))
+product = tables.ops[tables.ids[0][1]]
+print("product properties:", sorted(p.value for p in product.props))
 print(f"(gemm would have cost {2 * 100 ** 3} flops)")

@@ -1,8 +1,8 @@
 """The generalized matrix-chain dynamic program and plan extraction.
 
-The DP fills three tables over subchains [i, j]: the temp descriptor,
-the accumulated cost, and the split index. Each combination step prices
-a kernel sequence for the two sub-results and charges each call the
+The DP fills three tables over subchains [i, j]: the id of the cell's
+operand, the accumulated cost, and the split index. Each combination step
+prices a kernel sequence for the two sub-results and charges each call the
 index multiplicity of what it reads, the product of the ranges of its
 free indices: op1's discharge preps run under the left part's loops,
 op2's under the right part's, and the binary call under the whole
@@ -16,17 +16,17 @@ index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand signature and free-index tuple, and each id a
-row, a dict over right ids that the fill owns: a split looks its pair up
-in its left id's row, with no key built. A pair of ids fixes the dims and
-the three multiplicities, so the row holds each pair's charged cost: each
-distinct pair is priced once, by ``find_sequence``'s structural and cost
-steps alone, or, when its entry keeps one route of one binary call, as
-that call's cost charged r times. A pair the database cannot cover is
-charged ``inf``, as is a pair every one of whose routes has a call whose
-cost leaves the float range. A second row per id keeps a routed pair's
-structural entry, an object that exists already, and a third, once the
-pair wins a cell, its output operand and the id of that operand's key,
+id per distinct operand signature and free-index tuple, and each id owns
+its operand and a row, a dict over right ids that the fill owns: a split
+looks its pair up in its left id's row, with no key built. A pair of ids
+fixes the dims and the three multiplicities, so the row holds each
+pair's charged cost: each distinct pair is priced once, by
+``find_sequence``'s structural and cost steps alone, or, when its entry
+keeps one route of one binary call, as that call's cost charged r times.
+A pair the database cannot cover is charged ``inf``, as is a pair every
+one of whose routes has a call whose cost leaves the float range. A
+second row per id keeps a routed pair's structural entry, an object that
+exists already, and a third, once the pair wins a cell, its output's id,
 shared by every cell it wins. No cell keeps a sequence: extraction asks
 ``find_sequence`` for each of the at most n - 1 segments of the tree,
 and the cost step depends on its arguments alone, so it returns the
@@ -101,10 +101,10 @@ def index_range(indices: Iterable[IndexDecl]) -> int:
     return prod(ix.range for ix in indices)
 
 
-def _base_operand(factor: Factor) -> TaggedOperand:
+def _base_operand(factor: Factor, name: str = "") -> TaggedOperand:
     """DP base descriptor: stored dims and props with the tag kept pending."""
     op = factor.operand
-    return TaggedOperand(op.rows, op.cols, op.properties, factor.tag, op.display)
+    return TaggedOperand(op.rows, op.cols, op.properties, factor.tag, name)
 
 
 class DPStats(NamedTuple):
@@ -131,12 +131,14 @@ class DPTables(NamedTuple):
     """Filled DP state for one chain; indices run over factor positions.
 
     The tuple is immutable, but its tables are lists that the fill built
-    and the caller owns. Costs include index multiplicities. No cell
-    keeps its sequence: ``find_sequence`` gives it (see ``_extract``).
+    and the caller owns. ``ops[ids[i][j]]`` is cell [i, j]'s operand up to
+    its name; id 0, whose ``ops[0]`` is None, marks an uncovered cell. Costs
+    include index multiplicities; no cell keeps its sequence.
     """
 
     n: int
-    tmps: list[list[TaggedOperand | None]]
+    ids: list[list[int]]
+    ops: list[TaggedOperand | None]
     costs: list[list[float]]
     solution: list[list[int | None]]
     free: list[list[tuple[IndexDecl, ...]]]
@@ -207,21 +209,21 @@ def build_tables(
     factors = chain.factors
     n = len(factors)
 
-    tmps: list[list[TaggedOperand | None]] = [[None] * n for _ in range(n)]
     costs = [[inf] * n for _ in range(n)]
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
-    # marks an uncovered cell. Each id a has a row in charges, entries and
-    # outs, appended by intern, and a split looks its pair up in its left
-    # id's row. charges[a][b] is the pair's charged cost, inf when no route
-    # has a cost within the float range, entries[a][b] its structural entry
-    # when one has, and outs[a][b], once it wins, its output operand and
-    # that key's id (a pair fixes the free indices). Cell [i, j] is
-    # d[i] x d[j + 1], d the chain's effective dims.
+    # marks an uncovered cell. Each id a owns ops[a], its key's operand
+    # with no name, and a row in charges, entries and outs, all appended by
+    # intern; a split looks its pair up in its left id's row. charges[a][b]
+    # is the pair's charged cost, inf when no route has a cost within the
+    # float range, entries[a][b] its structural entry when one has, and
+    # outs[a][b], once it wins, its output's id (a pair fixes the free
+    # indices). Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
+    ops: list[TaggedOperand | None] = [None]
     charges: list[dict] = [{}]
     entries: list[dict] = [{}]
     outs: list[dict] = [{}]
@@ -230,11 +232,11 @@ def build_tables(
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
     call_cost = metric.call_cost
 
-    def intern(key) -> int:
-        """The id of ``key``, with its three empty rows when it is new."""
-        at = interned.get(key)
-        if at is None:
-            at = interned[key] = len(interned) + 1
+    def intern(op, seg_free) -> int:
+        """``op``'s id over ``seg_free``; a new id owns ``op`` and three empty rows."""
+        at = interned.setdefault((op.signature(), seg_free), len(ops))
+        if at == len(ops):
+            ops.append(op)
             charges.append({})
             entries.append({})
             outs.append({})
@@ -245,7 +247,7 @@ def build_tables(
         entry when a route has every call's cost in the float range."""
         nonlocal no_route
         a, b = ids[i][k], ids[k + 1][j]
-        entry = _entry(tmps[i][k], tmps[k + 1][j], db, table)
+        entry = _entry(ops[a], ops[b], db, table)
         candidates, _, lone = entry
         charge = inf
         if not candidates:
@@ -267,11 +269,10 @@ def build_tables(
         return charge
 
     for i in range(n):
-        tmps[i][i] = op = _base_operand(factors[i])
         costs[i][i] = 0.0
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
-        ids[i][i] = intern((op.signature(), free[i][i]))
+        ids[i][i] = intern(_base_operand(factors[i]), free[i][i])
 
     for l in range(1, n):
         for i in range(n - l):
@@ -310,10 +311,9 @@ def build_tables(
                 a, b = ids_i[best_k], ids[best_k + 1][j]
                 won = outs[a].get(b)
                 if won is None:
-                    left, right = tmps[i][best_k], tmps[best_k + 1][j]
-                    out = _output(left, right, d[i], d[j + 1], entries[a][b])
-                    won = outs[a][b] = (out, intern((out.signature(), seg_free)))
-                tmps[i][j], ids_i[j] = won
+                    out = _output(ops[a], ops[b], d[i], d[j + 1], entries[a][b])
+                    won = outs[a][b] = intern(out, seg_free)
+                ids_i[j] = won
             elif ks:
                 unfilled = True
 
@@ -325,16 +325,15 @@ def build_tables(
             for k in (range(i, j) if splits is None else splits.get((i, j), ()))
         )
     if memo is not None:
-        keys = {at: key for key, at in interned.items()}
+        keys = [None, *interned]
         for a, row in enumerate(entries):
             for b in row:
-                (sig1, free1), (sig2, free2) = keys[a], keys[b]
+                (_, free1), (_, free2) = keys[a], keys[b]
                 r = index_range(dict.fromkeys(free1 + free2))
                 mults = (index_range(free1), index_range(free2), r)
-                op1, op2 = TaggedOperand(*sig1), TaggedOperand(*sig2)
-                memo[keys[a], keys[b]] = find_sequence(op1, op2, db, metric, table, mults)
+                memo[keys[a], keys[b]] = find_sequence(ops[a], ops[b], db, metric, table, mults)
     stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
-    return DPTables(n, tmps, costs, solution, free, ranges, stats)
+    return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
 
 
 class _TempNames:
@@ -348,18 +347,19 @@ class _TempNames:
 
 
 def _extract(
-    tables: DPTables, target: str, names: _TempNames, db, metric
+    tables: DPTables, factors, target: str, names: _TempNames, db, metric
 ) -> tuple[tuple[KernelCall, ...], object]:
     """Post-order walk of the split table from the root, as a loop.
 
-    Returns the rendered calls and the parenthesization tree. Each segment
-    emits its left part's calls, then its right part's, then its own, the
-    route ``find_sequence`` gives with the fill's table and multiplicities,
-    whose output is named before its prep temps; the root writes
-    ``target``. The walk keeps its own stack, so a tree of any depth, such
-    as the left-deep one, is extracted.
+    Returns the rendered calls and the parenthesization tree. A leaf is
+    named from its own factor, since equal leaves share one nameless id.
+    Each segment emits its left part's calls, then its right part's, then
+    its own, the route ``find_sequence`` gives for the two named parts with
+    the fill's table and multiplicities, whose output is named before its
+    prep temps; the root writes ``target``. The walk keeps its own stack, so
+    a tree of any depth, such as the left-deep one, is extracted.
     """
-    tmps, free, ranges, solution = tables.tmps, tables.free, tables.ranges, tables.solution
+    free, ranges, solution = tables.free, tables.ranges, tables.solution
     table = _structural_table(db)
     root = (0, tables.n - 1)
     calls: list[KernelCall] = []
@@ -370,7 +370,7 @@ def _extract(
     while todo:
         i, j, k = todo.pop()
         if i == j:
-            done.append((tmps[i][i], i))
+            done.append((_base_operand(factors[i], factors[i].operand.display), i))
         elif k is None:
             k = solution[i][j]
             todo += ((i, j, k), (k + 1, j, None), (i, k, None))
@@ -384,7 +384,7 @@ def _extract(
                 "both": (free[i][j], ranges[i][j]),
             }
             mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-            seq = find_sequence(tmps[i][k], tmps[k + 1][j], db, metric, table, mults)
+            seq = find_sequence(left, right, db, metric, table, mults)
             seq_calls, named = _render(seq, left, right, loops, out_name, names, metric)
             calls += seq_calls
             done.append((named, (ltree, rtree)))
@@ -453,7 +453,7 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
     names = _TempNames()
 
     if len(factors) == 1:
-        op = _base_operand(factors[0])
+        op = _base_operand(factors[0], factors[0].operand.display)
         seq = materialize(op, db, metric)
         free = factors[0].operand.indices
         r = index_range(free)
@@ -468,7 +468,7 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
     n = tables.n
     if tables.costs[0][n - 1] == inf:
         raise _uncovered_error(tables, factors, db, metric, splits)
-    calls, tree = _extract(tables, target, names, db, metric)
+    calls, tree = _extract(tables, factors, target, names, db, metric)
     return Plan(target, calls, tables.costs[0][n - 1], tree, metric.name)
 
 
@@ -518,7 +518,7 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     the fill's rule picks among the infinite totals: fewer steps, then the
     smaller tuple of kernel ids, then the earlier candidate.
     """
-    n, ranges = tables.n, tables.ranges
+    n, ids, ops, ranges = tables.n, tables.ids, tables.ops, tables.ranges
     i, j = next(
         (i, i + l)
         for l in range(1, n)
@@ -527,7 +527,7 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
     )
     table = _structural_table(db)
     for k in range(i, j) if splits is None else splits[i, j]:
-        left, right = tables.tmps[i][k], tables.tmps[k + 1][j]
+        left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
         mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
         try:
             seq = find_sequence(left, right, db, metric, table, mults)

@@ -104,10 +104,20 @@ class TestTables:
             matrix("C", 8, 4),
         )
         tables = build_tables(chain)
+        ops, ids = tables.ops, tables.ids
         for i, tag in enumerate((UnaryTag.T, UnaryTag.INV, UnaryTag.ID)):
             assert tables.costs[i][i] == 0
-            assert tables.tmps[i][i].tag is tag
-        assert P.LOWER_TRIANGULAR in tables.tmps[1][1].props
+            assert ops[ids[i][i]].tag is tag
+        assert P.LOWER_TRIANGULAR in ops[ids[1][1]].props
+
+    def test_equal_leaves_share_an_id_and_keep_their_names(self):
+        # A and B have one (signature, free indices) key, so one id, whose
+        # operand has no name: each leaf is named from its own factor.
+        chain = chain_of("C = A * B", *(matrix(x, 8, 8) for x in "ABC"))
+        tables = build_tables(chain)
+        assert tables.ids[0][0] == tables.ids[1][1]
+        assert tables.ops[tables.ids[0][0]].name == ""
+        assert emit_text(solve(chain)).splitlines()[0].startswith("C := gemm(A, B) ")
 
     def test_split_points_recorded(self):
         chain = chain_of(
@@ -148,7 +158,7 @@ class TestTables:
             matrix("C", 8, 4),
         )
         tables = build_tables(chain)
-        assert P.LOWER_TRIANGULAR in tables.tmps[0][1].props
+        assert P.LOWER_TRIANGULAR in tables.ops[tables.ids[0][1]].props
         plan = solve(chain)
         ids = [c.kernel_id for c in plan.calls]
         assert ids == ["trtrmm", "trmm"]
@@ -194,7 +204,8 @@ class TestTables:
         assert tables.costs[1][2] == 50_000
         assert tables.costs[0][2] == 15_000
         assert tables.solution[0][2] == 1
-        a_bc = (tables.tmps[0][0].signature(), tables.tmps[1][2].signature())
+        ops, ids = tables.ops, tables.ids
+        a_bc = (ops[ids[0][0]].signature(), ops[ids[1][2]].signature())
         assert a_bc not in asked
         assert len(asked) == 3
         assert tables.stats == DPStats(splits=4, signatures=6, pairs=3, no_route=0)
@@ -213,7 +224,8 @@ class TestTables:
         tables = build_tables(chain)
         assert tables.costs[0][2] == 40_000
         assert tables.solution[0][2] == 0
-        ab_x = (tables.tmps[0][1].signature(), tables.tmps[2][2].signature())
+        ops, ids = tables.ops, tables.ids
+        ab_x = (ops[ids[0][1]].signature(), ops[ids[2][2]].signature())
         assert asked[-1] == ab_x
         assert len(asked) == 3
         assert tables.stats == DPStats(splits=4, signatures=3, pairs=3, no_route=0)
@@ -245,11 +257,12 @@ class TestTables:
                 # Each key pairs two filled cells' (signature, free indices)
                 # keys, and each value holds steps of a route the fill
                 # priced for that pair.
+                ops, ids = got.ops, got.ids
                 filled = {
-                    (got.tmps[i][j].signature(), got.free[i][j])
+                    (ops[ids[i][j]].signature(), got.free[i][j])
                     for i in range(got.n)
                     for j in range(i, got.n)
-                    if got.tmps[i][j]
+                    if ids[i][j]
                 }
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
@@ -259,8 +272,8 @@ class TestTables:
                     for j in range(i + 1, got.n):
                         k = got.solution[i][j]
                         if k is not None:
-                            key1 = (got.tmps[i][k].signature(), got.free[i][k])
-                            key2 = (got.tmps[k + 1][j].signature(), got.free[k + 1][j])
+                            key1 = (ops[ids[i][k]].signature(), got.free[i][k])
+                            key2 = (ops[ids[k + 1][j]].signature(), got.free[k + 1][j])
                             assert (key1, key2) in memo
                 no_route += got.stats.no_route
         assert no_route > 0
@@ -859,7 +872,7 @@ def reference_tables(chain, db, metric):
                         free[i][j] += (ix,)
             ranges[i][j] = math.prod(ix.range for ix in free[i][j])
     for i in range(n):
-        tmps[i][i] = _base_operand(factors[i])
+        tmps[i][i] = _base_operand(factors[i], factors[i].operand.display)
         costs[i][i] = 0.0
     for l in range(1, n):
         for i in range(n - l):
@@ -904,8 +917,24 @@ class TestAgainstReference:
         chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
         db = DATABASES[db_name]
         got = build_tables(chain, db, metric)
-        want = reference_tables(chain, db, metric)
-        assert (got.tmps, got.costs, got.solution, got.free, got.ranges) == want
+        tmps, *want = reference_tables(chain, db, metric)
+        assert [got.costs, got.solution, got.free, got.ranges] == want
+        # Each id owns one nameless operand; id 0, with none, marks exactly
+        # the uncovered cells, and two covered cells share an id exactly
+        # when their (signature, free indices) keys are equal.
+        ops, ids, n = got.ops, got.ids, got.n
+        assert ops[0] is None
+        assert len(ops) == got.stats.signatures + 1
+        assert all(op.name == "" for op in ops[1:])
+        id_of = {}
+        for i in range(n):
+            for j in range(i, n):
+                assert (ids[i][j] == 0) == (tmps[i][j] is None)
+                if tmps[i][j] is not None:
+                    assert ops[ids[i][j]] == tmps[i][j]._replace(name="")
+                    key = (tmps[i][j].signature(), got.free[i][j])
+                    assert id_of.setdefault(key, ids[i][j]) == ids[i][j]
+        assert len(set(id_of.values())) == len(id_of)
 
     def test_winning_results_equal_find_sequence(self):
         # A cell's operand is built from its pair's structural entry; it must
@@ -925,10 +954,11 @@ class TestAgainstReference:
                         k = got.solution[i][j]
                         if k is None:
                             continue
-                        left, right = got.tmps[i][k], got.tmps[k + 1][j]
+                        ops, ids = got.ops, got.ids
+                        left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
                         mults = (r[i][k], r[k + 1][j], r[i][j])
                         want = find_sequence(left, right, db, metric, {}, mults)
-                        assert got.tmps[i][j] == want.output
+                        assert ops[ids[i][j]] == want.output
                         square = want.output.rows == want.output.cols
                         seen["square" if square else "non-square"] += 1
                         seen["unequal mults"] += len(set(mults)) > 1
