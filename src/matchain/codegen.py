@@ -69,7 +69,7 @@ def emit_records(plan: Plan) -> str:
     """
     lines = []
     for call in plan.calls:
-        fields = [f"kernel={call.kernel_id}"]
+        fields = [f"kernel={shlex.quote(call.kernel_id)}"]
         for at, name in enumerate(call.inputs, start=1):
             fields.append(f"in{at}={shlex.quote(name)}")
         fields.append(f"out={shlex.quote(call.output)}")

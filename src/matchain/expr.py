@@ -55,6 +55,19 @@ def effective_dims(rows: int, cols: int, tag: UnaryTag) -> tuple[int, int]:
     return (cols, rows) if tag in _SWAPS else (rows, cols)
 
 
+#: A name a statement can write: the tokenizer's ``ident``.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
+
+def _check_name(kind: str, name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is one a statement can write."""
+    if not _IDENT_RE.fullmatch(name):
+        raise ValueError(
+            f"{kind} name {name!r} is not an identifier, so no statement can use it"
+        )
+
+
 class IndexDecl(namedtuple("IndexDecl", "name range")):
     """A declared index set with its cardinality."""
 
@@ -63,6 +76,7 @@ class IndexDecl(namedtuple("IndexDecl", "name range")):
     range: int
 
     def __new__(cls, name: str, range: int) -> IndexDecl:
+        _check_name("index", name)
         if range < 1:
             raise ValueError(f"index {name!r} needs range >= 1, got {range}")
         return super().__new__(cls, name, range)
@@ -94,6 +108,7 @@ class Operand(namedtuple("Operand", "name rows cols properties indices")):
         properties: frozenset[Property] = frozenset(),
         indices: tuple[IndexDecl, ...] = (),
     ) -> Operand:
+        _check_name("operand", name)
         if rows < 1 or cols < 1:
             raise ValueError(f"operand {name!r} needs positive dims, got {rows}x{cols}")
         properties = close(properties, rows, cols)
@@ -189,10 +204,10 @@ def unparse(chain: Chain) -> str:
 # Parsing
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<suffix>\^T|\^-1|\^-T)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{_IDENT})
   | (?P<punct>[*=\[\],()])
     """,
     re.VERBOSE,

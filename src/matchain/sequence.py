@@ -27,7 +27,7 @@ dominated by candidate B when both end in the same binary kernel and B's
 preps are a proper subsequence of A's. Dropping A never changes the
 result, under any metric, dims and multiplicities:
 
-- each call is priced at its slot's fixed (m, k, n), so A's total sums
+- each call is priced at its target's fixed (m, k, n), so A's total sums
   B's terms in the same order with further terms between them. Every
   term is non-negative, and float addition is monotone, so A's total is
   never below B's; A has more steps, so it also loses a tie;
@@ -45,20 +45,20 @@ candidate with it is dominated by the same candidate without it.
 ``_candidates`` lists every candidate, and the oracle enumerates its
 own, so both still check the pruned entries.
 
-The same table holds the two parts of the structural step, so a new key
-only joins lists made before: each operand's discharge chains, once per
-``(props, tag, target)``, and the binary kernels accepting two end
-states, once per ``((props, tag), (props, tag))``. Those are matched on
-structure alone: the caller checks that the dims conform, and preps keep
-effective dims, so a cached end state may carry the dims of whichever
-operand first reached it.
+Each database has one structural table (``_structural_table``), kept
+across calls while the database is unchanged. It also holds the two
+parts of the structural step, so a new key only joins lists made before:
+each operand's discharge chains, once per ``(props, tag, target)``, and
+the binary kernels accepting two end states, once per
+``((props, tag), (props, tag))``. Those are matched on structure alone:
+the caller checks that the dims conform, and preps keep effective dims,
+so a cached end state may carry the dims of whichever operand first
+reached it.
 
-Sequences carry kernels and targets only; the solver binds operand names
-when it renders the plan, so one result serves every operand pair with
-equal signatures. Candidates live in one module-wide pool keyed by their
-(kernel, target) pairs, so every structural table shares them and two
-equal candidates are one object; output property sets are shared the
-same way.
+A candidate, like a result's route, is a tuple of :class:`SeqStep`
+values: kernels and targets only. The solver binds operand names when it
+renders the plan, so one result serves every operand pair with equal
+signatures.
 """
 
 from __future__ import annotations
@@ -79,38 +79,11 @@ class SeqStep(NamedTuple):
     """One call in a sequence: the kernel and which operand it applies to.
 
     ``target`` is ``"op1"`` or ``"op2"`` for unary discharge steps and
-    ``"both"`` for the final binary kernel. Steps compare by value, like
-    any named tuple, but are made only by :func:`_candidate`, which pools
-    them: equal candidates share one steps tuple, so equal steps are one
-    object.
+    ``"both"`` for the final binary kernel. A route is a tuple of steps.
     """
 
     kernel: Kernel
     target: str
-
-
-#: Every candidate made so far (see :func:`_candidate`), keyed by its
-#: ``(id(kernel), target)`` pairs and shared by the candidate lists of every
-#: structural table. A candidate holds its kernels, so no id in a key can be
-#: reused by another kernel while the key is here.
-_CANDIDATES: dict[tuple, tuple] = {}
-
-#: Every output property set made so far, each mapped to itself, so the
-#: structural tables share one frozenset per distinct set.
-_PROPS: dict[frozenset, frozenset] = {}
-
-
-def _candidate(calls: tuple) -> tuple:
-    """The shared ``(steps, kernel ids, (kernel, slot) pairs)`` triple for
-    ``calls``, a tuple of ``(kernel, target)`` pairs; slots 0, 1 and 2 are
-    the targets ``"op1"``, ``"op2"`` and ``"both"``."""
-    key = tuple((id(kernel), target) for kernel, target in calls)
-    cand = _CANDIDATES.get(key)
-    if cand is None:
-        steps = tuple(SeqStep(kernel, target) for kernel, target in calls)
-        slots = tuple((kernel, ("op1", "op2", "both").index(t)) for kernel, t in calls)
-        cand = _CANDIDATES[key] = (steps, tuple(kernel.id for kernel, _ in calls), slots)
-    return cand
 
 
 class SequenceResult(NamedTuple):
@@ -120,21 +93,25 @@ class SequenceResult(NamedTuple):
 
     @property
     def kernel_ids(self) -> tuple[str, ...]:
-        return tuple(step.kernel.id for step in self.steps)
+        return _kernel_ids(self.steps)
+
+
+def _kernel_ids(steps: tuple[SeqStep, ...]) -> tuple[str, ...]:
+    return tuple(step.kernel.id for step in steps)
 
 
 def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: bool):
     """Every chain of at most ``max_len`` unary kernels applicable to ``op``.
 
-    Returns (calls, result) pairs in breadth-first order, starting with the
-    empty chain; each call is a ``(kernel, target)`` pair. ``copy`` (no
-    peel) is left out unless ``with_copy``.
+    Returns (steps, result) pairs in breadth-first order, starting with the
+    empty chain; every step applies to ``target``. ``copy`` (no peel) is
+    left out unless ``with_copy``.
     """
     frontier = out = [((), op)]
     for _ in range(max_len):
         frontier = [
-            (calls + ((kernel, target),), kernel.apply_unary(cur, ""))
-            for calls, cur in frontier
+            (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
+            for steps, cur in frontier
             for kernel in match(cur, None, db)
             if with_copy or kernel.peel is not None
         ]
@@ -166,15 +143,15 @@ def _binary(cur1: TaggedOperand, cur2: TaggedOperand, db, table: dict) -> list:
 
 
 def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list:
-    """Structural step: the candidate of every sequence computing
-    ``op1 * op2``, in search order."""
+    """Structural step: the steps of every sequence computing ``op1 * op2``,
+    in search order."""
     chains2 = _preps(op2, db, "op2", table)
     out = []
     for pre1, cur1 in _preps(op1, db, "op1", table):
         for pre2, cur2 in chains2:
             if len(pre1) + len(pre2) < L:
                 for kernel in _binary(cur1, cur2, db, table):
-                    out.append(_candidate(pre1 + pre2 + ((kernel, "both"),)))
+                    out.append(pre1 + pre2 + (SeqStep(kernel, "both"),))
     return out
 
 
@@ -204,28 +181,31 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
     then to the earlier candidate. A candidate with a call whose cost leaves
     the float range is skipped; when every one has such a call, the first
     candidate's :class:`CostOverflowError` is raised."""
-    args = ((m, k, k), (k, n, n), (m, k, n))
+    args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
     r1, r2, r = mults or (1, 1, 1)
     scales = None
     if not r1 == r2 == r:
-        scales = tuple(map(_as_float, mults))
+        scales = dict(zip(args, map(_as_float, mults)))
     call_cost = metric.call_cost
     best = best_key = overflow = None
-    for steps, ids, slots in candidates:
+    for steps in candidates:
         total = 0.0
         try:
             if scales is None:
-                for kernel, slot in slots:
-                    total += call_cost(kernel, args[slot])
+                for kernel, target in steps:
+                    total += call_cost(kernel, args[target])
             else:
-                for kernel, slot in slots:
-                    cost = call_cost(kernel, args[slot])
-                    total += cost * scales[slot] if cost else 0.0
+                for kernel, target in steps:
+                    cost = call_cost(kernel, args[target])
+                    total += cost * scales[target] if cost else 0.0
         except CostOverflowError as exc:
             overflow = overflow or exc
             continue
-        cand_key = (total, len(steps), ids)
-        if best_key is None or cand_key < best_key:
+        # The id tuples are built only to break a tie.
+        cand_key = (total, len(steps))
+        if best_key is None or cand_key < best_key or (
+            cand_key == best_key and _kernel_ids(steps) < _kernel_ids(best)
+        ):
             best_key = cand_key
             best = steps
     if best is None:
@@ -239,12 +219,14 @@ def _dominates(b: tuple, a: tuple) -> bool:
     """Whether candidate ``b`` dominates candidate ``a``: both end in the
     same binary call, and ``b``'s preps are a proper subsequence of
     ``a``'s."""
-    *pre_b, (last_b, _) = b[2]
-    *pre_a, (last_a, _) = a[2]
-    if last_b is not last_a or len(pre_b) >= len(pre_a):
+    *pre_b, last_b = b
+    *pre_a, last_a = a
+    if last_b.kernel is not last_a.kernel or len(pre_b) >= len(pre_a):
         return False
     rest = iter(pre_a)
-    return all(any(p[0] is q[0] and p[1] == q[1] for q in rest) for p in pre_b)
+    return all(
+        any(p.kernel is q.kernel and p.target == q.target for q in rest) for p in pre_b
+    )
 
 
 def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
@@ -265,8 +247,8 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
             if not any(_dominates(b, a) for b in candidates):
                 candidates.append(a)
         lone = None
-        if len(candidates) == 1 and len(candidates[0][0]) == 1:
-            lone = candidates[0][0][0].kernel
+        if len(candidates) == 1 and len(candidates[0]) == 1:
+            lone = candidates[0][0].kernel
         entry = table[skey] = (candidates, {}, lone)
     return entry
 
@@ -278,9 +260,28 @@ def _output(op1, op2, m: int, n: int, entry: tuple) -> TaggedOperand:
     square = m == n
     props = out_props.get(square)
     if props is None:
-        props = candidates[0][0][-1].kernel.apply_binary(op1, op2, "").props
-        props = out_props[square] = _PROPS.setdefault(props, props)
+        last = candidates[0][-1].kernel
+        props = out_props[square] = last.apply_binary(op1, op2, "").props
     return TaggedOperand(m, n, props)
+
+
+#: The structural table of the most recent database: (its kernels, table).
+_structural: tuple[tuple[Kernel, ...] | None, dict] = (None, {})
+
+
+def _structural_table(db: Sequence[Kernel]) -> dict:
+    """The structural table for ``db``, kept while the database is unchanged.
+
+    Candidates depend only on the kernels, so one table serves every call
+    on an equal database. The built-in kernels are shared objects, so the
+    comparison of two default databases is one identity test per kernel.
+    Any other database gets a fresh table.
+    """
+    global _structural
+    kernels = tuple(db)
+    if kernels != _structural[0]:
+        _structural = (kernels, {})
+    return _structural[1]
 
 
 def find_sequence(
@@ -288,15 +289,14 @@ def find_sequence(
     op2: TaggedOperand,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
-    table: dict | None = None,
+    *,
     mults: tuple[int, int, int] | None = None,
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
-    ``table`` maps structural keys to candidate lists, failures included,
-    and holds the operand chains and state-pair kernel lists those are
-    joined from; share one only across calls with the same db. Without it
-    the structural step runs afresh. ``mults`` gives the multiplicities
+    The structural step uses ``db``'s structural table (see
+    ``_structural_table``), so a key met by an earlier call on an equal
+    database is not enumerated again. ``mults`` gives the multiplicities
     ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
     run; then the search minimizes, and ``total_cost`` is, the charged
     cost (see ``_cheapest``). Raises :class:`NoKernelApplicableError` when
@@ -310,7 +310,7 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    entry = _entry(op1, op2, db, {} if table is None else table)
+    entry = _entry(op1, op2, db, _structural_table(db))
     if not entry[0]:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
@@ -336,9 +336,9 @@ def materialize(
     if db is None:
         db = default_db()
     candidates = [
-        _candidate(calls)
-        for calls, cur in _unary_chains(op, db, L, "op1", True)
-        if calls and cur.tag is UnaryTag.ID
+        steps
+        for steps, cur in _unary_chains(op, db, L, "op1", True)
+        if steps and cur.tag is UnaryTag.ID
     ]
     if not candidates:
         raise UnsatisfiableError(

@@ -66,7 +66,8 @@ uncovered segment when the root is uncovered, and extracts the plan.
 ``naive_cost`` restricts the fill to the left-deep tree's splits
 (``build_tables(splits=)``), so the left-to-right order is priced,
 charged and diagnosed as the optimal order is. The fill, extraction and
-the error report share one structural table (``_structural_table``).
+the error report share their database's structural table, which
+``sequence`` keeps (``_structural_table``).
 
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
 are discharged inside the sequence finder when the factor is combined,
@@ -91,7 +92,7 @@ from .errors import (
 )
 from .expr import Chain, Factor, IndexDecl, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import _charged, _cheapest, _entry, _output
+from .sequence import _charged, _cheapest, _entry, _output, _structural_table
 from .sequence import find_sequence, materialize
 
 
@@ -159,25 +160,6 @@ class Plan:
     total_cost: float
     parenthesization: object
     metric_name: str
-
-
-#: The structural table of the most recent database: (its kernels, table).
-_structural: tuple[tuple[Kernel, ...] | None, dict] = (None, {})
-
-
-def _structural_table(db: Sequence[Kernel]) -> dict:
-    """The structural table for ``db``, kept while the database is unchanged.
-
-    Candidates depend only on the kernels, so one table serves every solve
-    on an equal database. The built-in kernels are shared objects, so the
-    comparison of two default databases is one identity test per kernel.
-    Any other database gets a fresh table.
-    """
-    global _structural
-    kernels = tuple(db)
-    if kernels != _structural[0]:
-        _structural = (kernels, {})
-    return _structural[1]
 
 
 def build_tables(
@@ -331,7 +313,7 @@ def build_tables(
                 (_, free1), (_, free2) = keys[a], keys[b]
                 r = index_range(dict.fromkeys(free1 + free2))
                 mults = (index_range(free1), index_range(free2), r)
-                memo[keys[a], keys[b]] = find_sequence(ops[a], ops[b], db, metric, table, mults)
+                memo[keys[a], keys[b]] = find_sequence(ops[a], ops[b], db, metric, mults=mults)
     stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
     return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
 
@@ -354,13 +336,12 @@ def _extract(
     Returns the rendered calls and the parenthesization tree. A leaf is
     named from its own factor, since equal leaves share one nameless id.
     Each segment emits its left part's calls, then its right part's, then
-    its own, the route ``find_sequence`` gives for the two named parts with
-    the fill's table and multiplicities, whose output is named before its
-    prep temps; the root writes ``target``. The walk keeps its own stack, so
-    a tree of any depth, such as the left-deep one, is extracted.
+    its own, the route ``find_sequence`` gives for the two named parts at
+    the fill's multiplicities, whose output is named before its prep temps;
+    the root writes ``target``. The walk keeps its own stack, so a tree of
+    any depth, such as the left-deep one, is extracted.
     """
     free, ranges, solution = tables.free, tables.ranges, tables.solution
-    table = _structural_table(db)
     root = (0, tables.n - 1)
     calls: list[KernelCall] = []
     # A segment is pushed back with its split above its two parts, and is
@@ -384,7 +365,7 @@ def _extract(
                 "both": (free[i][j], ranges[i][j]),
             }
             mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-            seq = find_sequence(left, right, db, metric, table, mults)
+            seq = find_sequence(left, right, db, metric, mults=mults)
             seq_calls, named = _render(seq, left, right, loops, out_name, names, metric)
             calls += seq_calls
             done.append((named, (ltree, rtree)))
@@ -525,12 +506,11 @@ def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainE
         for i in range(n - l)
         if tables.costs[i][i + l] == inf and (splits is None or (i, i + l) in splits)
     )
-    table = _structural_table(db)
     for k in range(i, j) if splits is None else splits[i, j]:
         left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
         mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
         try:
-            seq = find_sequence(left, right, db, metric, table, mults)
+            seq = find_sequence(left, right, db, metric, mults=mults)
         except NoKernelApplicableError:
             continue
         except CostOverflowError as exc:  # one call's cost, not a total

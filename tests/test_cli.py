@@ -232,6 +232,13 @@ class TestFailureModes:
         assert code == 1
         assert "line 1" in err
 
+    def test_declared_name_that_no_statement_can_write_exits_one(self, tmp_path, capsys):
+        text = "index i 3\nmatrix A[i] 3 3\ncompute B[i] = A[i]\n"
+        code, out, err = run(tmp_path, capsys, text)
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "'A[i]' is not an identifier" in err
+
     def test_paper_example_reports_parentheses(self, tmp_path, capsys):
         text = (
             "matrix A 10 4\nvector b 10\nvector x 4\n"

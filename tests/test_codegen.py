@@ -11,6 +11,7 @@ from matchain import (
     Property,
     emit_records,
     emit_text,
+    load_kernel_config,
     matrix,
     parse,
     parse_records,
@@ -180,6 +181,16 @@ class TestRecords:
         text = emit_records(plan)
         assert "math='H[i,j] := T0[i] * c[j]'" in text
         assert "loops=i:3,j:5" in text
+        assert parse_records(text) == plan
+
+    def test_configured_kernel_id_is_quoted(self):
+        # A configured id may hold a character the record line must quote.
+        db = load_kernel_config("kernel g'mm arity=2 tags=id,t;id,t req=; cost=m*k*n")
+        chain = parse("C = A * B", [matrix(x, 4, 4) for x in "ABC"])
+        plan = solve(chain, db)
+        assert [c.kernel_id for c in plan.calls] == ["g'mm"]
+        text = emit_records(plan)
+        assert text.startswith("call kernel='g'\"'\"'mm' ")
         assert parse_records(text) == plan
 
     def test_round_trip_exact(self):

@@ -230,6 +230,18 @@ class TestOperand:
         with pytest.raises(ValueError):
             IndexDecl("i", 0)
 
+    @pytest.mark.parametrize("name", ["A[i]", "i,j", "", "2A", "A B", "A^T", "Ä"])
+    def test_name_must_be_an_identifier(self, name):
+        # A statement writes names as the tokenizer's identifiers, so a
+        # declaration under any other name could never be used.
+        with pytest.raises(ValueError, match="not an identifier"):
+            matrix(name, 3, 3)
+        with pytest.raises(ValueError, match="not an identifier"):
+            vector(name, 3)
+        with pytest.raises(ValueError, match="not an identifier"):
+            IndexDecl(name, 3)
+        assert matrix("_A2", 3, 3).name == "_A2"
+
 
 class TestValidate:
     def test_clean(self):
@@ -338,6 +350,19 @@ class TestProblemFiles:
     def test_bad_range(self):
         with pytest.raises(ProblemFileError):
             load_problem("index i many\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("index i 3\nmatrix A[i] 3 3\ncompute B[i] = A[i]\n", 2),
+            ("index i,j 3\nmatrix A 3 3 indices=i,j\n", 1),
+            ("matrix A 3 3\nvector 1x 3\n", 2),
+        ],
+    )
+    def test_declared_name_must_be_an_identifier(self, text, lineno):
+        with pytest.raises(ProblemFileError, match="not an identifier") as info:
+            load_problem(text)
+        assert info.value.lineno == lineno
 
     def test_undeclared_index_in_operand(self):
         with pytest.raises(ProblemFileError):

@@ -239,7 +239,7 @@ class TestTables:
         def entry(op1, op2, *args):
             got = sequence._entry(op1, op2, *args)
             pair = (op1.signature(), op2.signature())
-            found.setdefault(pair, []).extend(steps for steps, _, _ in got[0])
+            found.setdefault(pair, []).extend(got[0])
             return got
 
         monkeypatch.setattr(solver, "_entry", entry)
@@ -777,11 +777,11 @@ class TestFailures:
 
 class TestStructuralTable:
     def test_kept_for_equal_databases_only(self):
-        table = solver._structural_table(default_db())
-        assert solver._structural_table(default_db()) is table
+        table = sequence._structural_table(default_db())
+        assert sequence._structural_table(default_db()) is table
         db = default_db()
         db[-1] = load_kernel_config("kernel copy arity=1 tags=id req= cost=m*n")[-1]
-        assert solver._structural_table(db) is not table
+        assert sequence._structural_table(db) is not table
 
     @pytest.mark.parametrize(
         "second, kernel_ids",
@@ -814,7 +814,7 @@ class TestStructuralTable:
             return unary_chains(op, db, max_len, target, with_copy)
 
         monkeypatch.setattr(sequence, "_unary_chains", counted)
-        monkeypatch.setattr(solver, "_structural", (None, {}))
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
         solve(chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD")))
         assert enumerated
         assert len(set(enumerated)) == len(enumerated)
@@ -831,11 +831,11 @@ class TestStructuralTable:
             "kernel gesv arity=2 tags=inv;id req=spd; cost=2*m*m*m/3+2*m*m*n"
         )
         assert [c.kernel_id for c in solve(chain).calls] == ["gesv"]
-        first_table = solver._structural_table(default_db())
+        first_table = sequence._structural_table(default_db())
         plan = solve(chain, second)
-        second_table = solver._structural_table(second)
+        second_table = sequence._structural_table(second)
         assert second_table is not first_table
-        monkeypatch.setattr(solver, "_structural", (None, {}))
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
         assert plan == solve(chain, second)
         assert [c.kernel_id for c in plan.calls] == ["getri", "gemm"]
 
@@ -851,14 +851,14 @@ class TestStructuralTable:
 
 # --------------------------------------------------------------------------
 # Reference: the DP loop without signature ids, asking find_sequence at
-# every split with a structural table of its own, and charging each
-# split's preps the multiplicity of their own part.
+# every split from a structural table made afresh for the chain, and
+# charging each split's preps the multiplicity of their own part.
 
 
 def reference_tables(chain, db, metric):
     factors = chain.factors
     n = len(factors)
-    table = {}
+    sequence._structural = (None, {})
     tmps = [[None] * n for _ in range(n)]
     costs = [[math.inf] * n for _ in range(n)]
     solution = [[None] * n for _ in range(n)]
@@ -883,7 +883,7 @@ def reference_tables(chain, db, metric):
                     continue
                 mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
                 try:
-                    seq = find_sequence(left, right, db, metric, table, mults)
+                    seq = find_sequence(left, right, db, metric, mults=mults)
                 except NoKernelApplicableError:
                     continue
                 cost = costs[i][k] + costs[k + 1][j] + seq.total_cost
@@ -936,11 +936,12 @@ class TestAgainstReference:
                     assert id_of.setdefault(key, ids[i][j]) == ids[i][j]
         assert len(set(id_of.values())) == len(id_of)
 
-    def test_winning_results_equal_find_sequence(self):
+    def test_winning_results_equal_find_sequence(self, monkeypatch):
         # A cell's operand is built from its pair's structural entry; it must
-        # be what find_sequence, with a table of its own, returns for the
-        # cell's operands at the winning split. One structural key may give
-        # both a square and a non-square output, whose properties differ.
+        # be what find_sequence, from a table made after the fill, returns
+        # for the cell's operands at the winning split. One structural key
+        # may give both a square and a non-square output, whose properties
+        # differ.
         rng = random.Random(20261019)
         seen = {"square": 0, "non-square": 0, "unequal mults": 0}
         squareness = {}
@@ -949,6 +950,7 @@ class TestAgainstReference:
             for db in DATABASES.values():
                 for metric in (FLOPS, MEMORY):
                     got = build_tables(chain, db, metric)
+                    monkeypatch.setattr(sequence, "_structural", (None, {}))
                     r, n = got.ranges, got.n
                     for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
                         k = got.solution[i][j]
@@ -957,7 +959,7 @@ class TestAgainstReference:
                         ops, ids = got.ops, got.ids
                         left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
                         mults = (r[i][k], r[k + 1][j], r[i][j])
-                        want = find_sequence(left, right, db, metric, {}, mults)
+                        want = find_sequence(left, right, db, metric, mults=mults)
                         assert ops[ids[i][j]] == want.output
                         square = want.output.rows == want.output.cols
                         seen["square" if square else "non-square"] += 1
@@ -1082,9 +1084,9 @@ class TestFindSequenceCallers:
         asked, inside = [], []
         find, extract = solver.find_sequence, solver._extract
 
-        def counted_find(*args):
+        def counted_find(*args, **kwargs):
             asked.append(bool(inside))
-            return find(*args)
+            return find(*args, **kwargs)
 
         def marked_extract(*args):
             inside.append(True)
