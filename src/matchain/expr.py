@@ -86,6 +86,13 @@ class IndexDecl(namedtuple("IndexDecl", "name range")):
         return cls(*iterable)
 
 
+def indexed_name(name: str, indices: tuple[IndexDecl, ...]) -> str:
+    """``name`` with its indices in source form, e.g. ``A[i,j]``, or bare."""
+    if not indices:
+        return name
+    return f"{name}[{','.join(ix.name for ix in indices)}]"
+
+
 class Operand(namedtuple("Operand", "name rows cols properties indices")):
     """A named matrix or vector, its dimensions, properties, and indices.
 
@@ -124,9 +131,7 @@ class Operand(namedtuple("Operand", "name rows cols properties indices")):
     @property
     def display(self) -> str:
         """Source form of the operand reference, e.g. ``A[i,j]``."""
-        if not self.indices:
-            return self.name
-        return f"{self.name}[{','.join(ix.name for ix in self.indices)}]"
+        return indexed_name(self.name, self.indices)
 
 
 def matrix(
@@ -189,9 +194,7 @@ class Chain(namedtuple("Chain", "target target_indices factors")):
 
     @property
     def target_display(self) -> str:
-        if not self.target_indices:
-            return self.target
-        return f"{self.target}[{','.join(ix.name for ix in self.target_indices)}]"
+        return indexed_name(self.target, self.target_indices)
 
 
 def unparse(chain: Chain) -> str:
@@ -226,9 +229,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-_SUFFIX_TAGS = {"^T": UnaryTag.T, "^-1": UnaryTag.INV, "^-T": UnaryTag.INVT}
 
 
 class _Parser:
@@ -320,7 +320,7 @@ class _Parser:
         kind, text, suffix_pos = self.peek()
         if kind == "suffix":
             self.take()
-            tag = _SUFFIX_TAGS[text]
+            tag = UnaryTag(text)
             kind, text, next_pos = self.peek()
             if kind == "suffix":
                 raise NestedUnaryError("unary operators cannot be nested", next_pos)

@@ -144,15 +144,13 @@ class Kernel(NamedTuple):
             return TaggedOperand(op.rows, op.cols, inverse_props(op.props), remaining, name)
         return TaggedOperand(op.rows, op.cols, op.props, UnaryTag.ID, name)
 
-    def apply_binary(
-        self, left: TaggedOperand, right: TaggedOperand, name: str
-    ) -> TaggedOperand:
-        """Result descriptor of this binary kernel, pending tags consumed."""
-        if self.arity != 2:
-            raise ValueError(f"{self.id} is not binary")
-        ldims, rdims = left.eff_dims, right.eff_dims
-        props = infer_properties(left.eff_props, ldims, right.eff_props, rdims)
-        return TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID, name)
+
+def product(left: TaggedOperand, right: TaggedOperand) -> TaggedOperand:
+    """The nameless result of ``left * right``, pending tags consumed. It is
+    the same for every binary kernel that computes the product."""
+    ldims, rdims = left.eff_dims, right.eff_dims
+    props = infer_properties(left.eff_props, ldims, right.eff_props, rdims)
+    return TaggedOperand(ldims[0], rdims[1], props)
 
 
 class KernelCall(NamedTuple):

@@ -16,11 +16,12 @@ database. Every prep keeps its operand's effective dims (peeling a
 pending transpose stores the transposed shape; an inverse is square) and
 effective properties. So for op1 of effective shape m x k and op2 of
 k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
-and the binary kernel at (m, k, n), and every candidate yields the same
-output properties, which depend only on the key and on whether m == n.
-``find_sequence`` is the two steps, ``_entry`` and ``_cheapest``, then
-``_output``; the DP fill prices with the two steps alone (a lone one-call
-route without the cost step) and asks ``_output`` for a winner's operand.
+and the binary kernel at (m, k, n). Every route yields one result,
+``kernels.product``, whose properties ``_output`` keeps in the table per
+key and squareness. ``find_sequence`` is the two steps, ``_entry`` and
+``_cheapest``, then ``_output``; the DP fill prices with the two steps
+alone (a lone one-call route without the cost step) and asks ``_output``
+for a winner's operand.
 
 A key's entry keeps only the undominated candidates. Candidate A is
 dominated by candidate B when both end in the same binary kernel and B's
@@ -69,7 +70,7 @@ from typing import NamedTuple
 
 from .errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
 from .expr import UnaryTag
-from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match
+from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, product
 
 #: Maximum number of kernel calls per combination step.
 L = 3
@@ -230,13 +231,13 @@ def _dominates(b: tuple, a: tuple) -> bool:
 
 
 def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
-    """Structural step: ``table``'s entry ``(candidates, out_props, lone)``
-    for ``op1 * op2``, made on first use. ``candidates`` are the
-    undominated ones (see the module docstring), in search order;
-    :func:`_output` fills ``out_props``. ``lone`` is the binary kernel when
-    the one candidate left is that single call, else None: such a pair
-    costs the call at (m, k, n) charged r times, under any
-    multiplicities, and the fill prices it so without :func:`_cheapest`."""
+    """Structural step: ``table``'s entry ``(candidates, lone)`` for
+    ``op1 * op2``, made on first use. ``candidates`` are the undominated
+    ones (see the module docstring), in search order. ``lone`` is the
+    binary kernel when the one candidate left is that single call, else
+    None: such a pair costs the call at (m, k, n) charged r times, under
+    any multiplicities, and the fill prices it so without
+    :func:`_cheapest`."""
     skey = (op1.props, op1.tag, op2.props, op2.tag)
     entry = table.get(skey)
     if entry is None:
@@ -249,19 +250,18 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
         lone = None
         if len(candidates) == 1 and len(candidates[0]) == 1:
             lone = candidates[0][0].kernel
-        entry = table[skey] = (candidates, {}, lone)
+        entry = table[skey] = (candidates, lone)
     return entry
 
 
-def _output(op1, op2, m: int, n: int, entry: tuple) -> TaggedOperand:
-    """The m x n operand every route of ``op1 * op2``'s structural entry
-    computes; its properties are kept in the entry, per squareness."""
-    candidates, out_props, _ = entry
-    square = m == n
-    props = out_props.get(square)
+def _output(op1, op2, m: int, n: int, table: dict) -> TaggedOperand:
+    """The m x n operand ``op1 * op2`` computes, whichever route computes
+    it. Its properties depend only on the operands' properties and tags and
+    on whether it is square, so ``table`` keeps them once per such key."""
+    key = (op1.props, op1.tag, op2.props, op2.tag, m == n)
+    props = table.get(key)
     if props is None:
-        last = candidates[0][-1].kernel
-        props = out_props[square] = last.apply_binary(op1, op2, "").props
+        props = table[key] = product(op1, op2).props
     return TaggedOperand(m, n, props)
 
 
@@ -310,14 +310,15 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    entry = _entry(op1, op2, db, _structural_table(db))
-    if not entry[0]:
+    table = _structural_table(db)
+    candidates, _ = _entry(op1, op2, db, table)
+    if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    steps, total = _cheapest(entry[0], m, k, n, metric, mults)
-    return SequenceResult(steps, total, _output(op1, op2, m, n, entry))
+    steps, total = _cheapest(candidates, m, k, n, metric, mults)
+    return SequenceResult(steps, total, _output(op1, op2, m, n, table))
 
 
 def materialize(

@@ -25,9 +25,9 @@ pair's charged cost: each distinct pair is priced once, by
 keeps one route of one binary call, as that call's cost charged r times.
 A pair the database cannot cover is charged ``inf``, as is a pair every
 one of whose routes has a call whose cost leaves the float range. A
-second row per id keeps a routed pair's structural entry, an object that
-exists already, and a third, once the pair wins a cell, its output's id,
-shared by every cell it wins. No cell keeps a sequence: extraction asks
+second row per id keeps, once the pair wins a cell, its output's id,
+shared by every cell it wins; ``_output`` reads the output's properties
+from the structural table. No cell keeps a sequence: extraction asks
 ``find_sequence`` for each of the at most n - 1 segments of the tree,
 and the cost step depends on its arguments alone, so it returns the
 route the fill priced.
@@ -90,7 +90,7 @@ from .errors import (
     MatchainError,
     NoKernelApplicableError,
 )
-from .expr import Chain, Factor, IndexDecl, validate
+from .expr import Chain, Factor, IndexDecl, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
 from .sequence import _charged, _cheapest, _entry, _output, _structural_table
 from .sequence import find_sequence, materialize
@@ -197,17 +197,15 @@ def build_tables(
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
     # marks an uncovered cell. Each id a owns ops[a], its key's operand
-    # with no name, and a row in charges, entries and outs, all appended by
-    # intern; a split looks its pair up in its left id's row. charges[a][b]
-    # is the pair's charged cost, inf when no route has a cost within the
-    # float range, entries[a][b] its structural entry when one has, and
-    # outs[a][b], once it wins, its output's id (a pair fixes the free
-    # indices). Cell [i, j] is d[i] x d[j + 1], d the chain's effective dims.
+    # with no name, and a row in charges and outs, appended by intern; a
+    # split looks its pair up in its left id's row. charges[a][b] is the
+    # pair's charged cost, inf when no route has a cost within the float
+    # range, and outs[a][b], once it wins, its output's id (a pair fixes
+    # the free indices). Cell [i, j] is d[i] x d[j + 1], d the effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     ops: list[TaggedOperand | None] = [None]
     charges: list[dict] = [{}]
-    entries: list[dict] = [{}]
     outs: list[dict] = [{}]
     tried = no_route = 0
     unfilled = False
@@ -215,22 +213,19 @@ def build_tables(
     call_cost = metric.call_cost
 
     def intern(op, seg_free) -> int:
-        """``op``'s id over ``seg_free``; a new id owns ``op`` and three empty rows."""
+        """``op``'s id over ``seg_free``; a new id owns ``op`` and two empty rows."""
         at = interned.setdefault((op.signature(), seg_free), len(ops))
         if at == len(ops):
             ops.append(op)
             charges.append({})
-            entries.append({})
             outs.append({})
         return at
 
     def price(i, k, j):
-        """Price the pair met at split (i, k, j): keep its charge, and its
-        entry when a route has every call's cost in the float range."""
+        """Price the pair met at split (i, k, j) and keep its charge."""
         nonlocal no_route
         a, b = ids[i][k], ids[k + 1][j]
-        entry = _entry(ops[a], ops[b], db, table)
-        candidates, _, lone = entry
+        candidates, lone = _entry(ops[a], ops[b], db, table)
         charge = inf
         if not candidates:
             no_route += 1
@@ -244,7 +239,6 @@ def build_tables(
                     charge = call_cost(lone, mkn)
                 else:  # one binary call, run r times
                     charge = _charged(call_cost(lone, mkn), ranges[i][j])
-                entries[a][b] = entry
             except CostOverflowError:
                 pass
         charges[a][b] = charge
@@ -293,7 +287,7 @@ def build_tables(
                 a, b = ids_i[best_k], ids[best_k + 1][j]
                 won = outs[a].get(b)
                 if won is None:
-                    out = _output(ops[a], ops[b], d[i], d[j + 1], entries[a][b])
+                    out = _output(ops[a], ops[b], d[i], d[j + 1], table)
                     won = outs[a][b] = intern(out, seg_free)
                 ids_i[j] = won
             elif ks:
@@ -308,12 +302,18 @@ def build_tables(
         )
     if memo is not None:
         keys = [None, *interned]
-        for a, row in enumerate(entries):
+        for a, row in enumerate(charges):
             for b in row:
+                if not _entry(ops[a], ops[b], db, table)[0]:
+                    continue
                 (_, free1), (_, free2) = keys[a], keys[b]
                 r = index_range(dict.fromkeys(free1 + free2))
                 mults = (index_range(free1), index_range(free2), r)
-                memo[keys[a], keys[b]] = find_sequence(ops[a], ops[b], db, metric, mults=mults)
+                try:
+                    seq = find_sequence(ops[a], ops[b], db, metric, mults=mults)
+                except CostOverflowError:
+                    continue
+                memo[keys[a], keys[b]] = seq
     stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
     return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
 
@@ -323,9 +323,9 @@ class _TempNames:
         self.counter = 0
 
     def fresh(self, indices: tuple[IndexDecl, ...]) -> str:
-        base = f"T{self.counter}"
+        name = indexed_name(f"T{self.counter}", indices)
         self.counter += 1
-        return base if not indices else f"{base}[{','.join(ix.name for ix in indices)}]"
+        return name
 
 
 def _extract(
@@ -403,8 +403,7 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
         call_loops = tuple(ix for ix in nest if ix in free)
         if step.target == "both":
             inputs = (cur["op1"], cur["op2"])
-            out = seq.output
-            result = TaggedOperand(out.rows, out.cols, out.props, out.tag, name)
+            result = seq.output._replace(name=name)
             math = f"{inputs[0].display} * {inputs[1].display}"
         else:
             inputs = (cur[step.target],)

@@ -20,11 +20,17 @@ splits it tries, shows in review; it changes only with the fill's work.
 ``EXTREME_DIGEST`` pins the outcomes of ``solve`` and ``naive_cost`` on
 1,000 short chains whose dims and index ranges leave the float range:
 each total, or each error's class, message and segment, so that a change
-in how an error is found or worded shows too.
+in how an error is found or worded shows too. ``GEN_DIGEST`` covers the
+benchmark's own statements, read from ``perfbench/gen.py`` (which is not
+changed here): the dp_mixed problem and the 12 cli_mix files of seed 1,
+each statement's ``emit_records`` and ``naive_cost`` under both metrics,
+or each error's text.
 """
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 from matchain import (
     FLOPS,
@@ -34,6 +40,7 @@ from matchain import (
     build_tables,
     default_db,
     emit_records,
+    load_problem,
     naive_cost,
     solve,
 )
@@ -41,11 +48,15 @@ from matchain.errors import MatchainError
 
 from helpers import random_chain
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+
 DIGEST = "951541061b8bbbfa61cc29c72dd74147458f37833d1eb49467bcc51c62552aff"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
 LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
 LONG_STATS = DPStats(splits=202_352, signatures=22_258, pairs=80_007, no_route=92)
 EXTREME_DIGEST = "fad98be04a17083609ecf336475c512c51b6115197040937b7650e46a519d709"
+GEN_DIGEST = "49162fff1a3f73b00c19f8eb3f0f6517e191cb09552b2e667243b9433051f5b5"
 
 DATABASES = (
     default_db(),
@@ -157,3 +168,28 @@ def test_extreme_outcomes_match_golden_digest():
                         line = f"{type(exc).__name__}|{exc}|{segment}"
                     digest.update(f"{line}\n".encode())
     assert digest.hexdigest() == EXTREME_DIGEST
+
+
+def benchmark_chains():
+    """The statements of the benchmark's dp_mixed problem and cli_mix files
+    for seed 1, in file order, as ``perfbench/gen.py`` writes them."""
+    texts = [gen.mixed_problem(1)] + [text for _, text, _ in gen.cli_files(1)]
+    for text in texts:
+        for stmt in load_problem(text).computes:
+            yield stmt.chain
+
+
+def text_of(run) -> str:
+    try:
+        return run()
+    except MatchainError as exc:
+        return str(exc)
+
+
+def test_benchmark_statements_match_golden_digest():
+    digest = hashlib.sha256()
+    for chain in benchmark_chains():
+        for metric in (FLOPS, MEMORY):
+            digest.update(text_of(lambda: emit_records(solve(chain, None, metric))).encode())
+            digest.update(text_of(lambda: repr(naive_cost(chain, None, metric))).encode())
+    assert digest.hexdigest() == GEN_DIGEST

@@ -22,7 +22,7 @@ from matchain import (
     solve,
 )
 from matchain.errors import CostOverflowError, KernelConfigError
-from matchain.kernels import call_mkn
+from matchain.kernels import call_mkn, product
 from matchain.properties import Property
 
 from helpers import random_operand_pair
@@ -231,14 +231,25 @@ class TestMetrics:
 
 class TestApply:
     def test_binary_output_descriptor(self):
-        kernels = by_id(default_db())
         left = op(6, 6, {P.LOWER_TRIANGULAR})
         right = op(6, 6, {P.LOWER_TRIANGULAR})
-        out = kernels["trtrmm"].apply_binary(left, right, "T0")
+        out = product(left, right)
         assert (out.rows, out.cols) == (6, 6)
         assert P.LOWER_TRIANGULAR in out.props
         assert out.tag is UnaryTag.ID
-        assert out.name == "T0"
+        assert out.name == ""
+
+    def test_product_consumes_pending_tags(self):
+        # L^T and U^-1 are both upper triangular, and so is their product.
+        left = op(5, 5, {P.LOWER_TRIANGULAR}, UnaryTag.T)
+        right = op(5, 5, {P.UPPER_TRIANGULAR}, UnaryTag.INV)
+        out = product(left, right)
+        assert out.tag is UnaryTag.ID
+        assert P.UPPER_TRIANGULAR in out.props
+        assert P.LOWER_TRIANGULAR not in out.props
+        # A^T of a 3x5 A is 5x3, so A^T * B is 5x4 for a 3x4 B.
+        out = product(op(3, 5, tag=UnaryTag.T), op(3, 4))
+        assert (out.rows, out.cols) == (5, 4)
 
     def test_transp_peels_to_inverse(self):
         kernels = by_id(default_db())

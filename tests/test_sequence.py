@@ -25,8 +25,8 @@ from matchain import (
     vector,
 )
 from matchain.errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
-from matchain.kernels import Kernel, call_mkn
-from matchain import sequence
+from matchain.kernels import Kernel, call_mkn, product
+from matchain import kernels, sequence
 from matchain.sequence import (
     L,
     SeqStep,
@@ -345,7 +345,7 @@ def reference_sequence(op1, op2, db, metric):
         budget = L - 1 - len(steps1)
         for steps2, cost2, cur2 in _reference_chains(op2, db, metric, budget):
             for kernel in match(cur1, cur2, db):
-                out = kernel.apply_binary(cur1, cur2, "")
+                out = product(cur1, cur2)
                 bin_cost = metric.call_cost(kernel, call_mkn((cur1, cur2)))
                 steps = (
                     tuple((k.id, "op1") for k in steps1)
@@ -548,6 +548,24 @@ class TestStructuralTable:
         seq = find_sequence(a, b, default_db(), FLOPS, mults=(1, 1, 3))
         assert seq.total_cost == 3 * find_sequence(a, b).total_cost
 
+    def test_output_props_are_inferred_once_per_key_and_squareness(self, monkeypatch):
+        # Every pair has one structural key, two plain non-square operands,
+        # and its product is square or not: two inferences for four pairs.
+        inferred = []
+        infer = kernels.infer_properties
+
+        def counted(*args):
+            inferred.append(args)
+            return infer(*args)
+
+        monkeypatch.setattr(kernels, "infer_properties", counted)
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        shapes = ((4, 3, 4), (4, 3, 5), (5, 2, 5), (6, 2, 3))
+        outs = [find_sequence(op(m, k), op(k, n)).output for m, k, n in shapes]
+        assert len(inferred) == 2
+        assert [(out.rows, out.cols) for out in outs] == [(4, 4), (4, 5), (5, 5), (6, 3)]
+        assert [P.SQUARE in out.props for out in outs] == [True, False, True, False]
+
 
 #: Every default kernel at 0 flops, so every candidate of a pair ties.
 ZERO_DB = [kern._replace(flops=lambda m, k, n: 0 * m) for kern in default_db()]
@@ -663,7 +681,7 @@ class TestDominance:
     def test_transposed_left_operand_keeps_only_gemm(self):
         a, b = op(5, 3, tag=UnaryTag.T, name="A"), op(5, 2, name="B")
         full = _candidates(a, b, default_db(), {})
-        candidates, _, lone = _entry(a, b, default_db(), {})
+        candidates, lone = _entry(a, b, default_db(), {})
         assert [tuple(s.kernel.id for s in steps) for steps in full] == [
             ("gemm",),
             ("transp", "gemm"),
@@ -682,7 +700,7 @@ class TestDominance:
             base=[],
         )
         a, b = op(4, 4, tag=UnaryTag.INVT, name="A"), op(4, 2, name="B")
-        candidates, _, lone = _entry(a, b, db, {})
+        candidates, lone = _entry(a, b, db, {})
         routes = [tuple(s.kernel.id for s in steps) for steps in candidates]
         assert routes == [("slowinv", "gemm"), ("transp", "fastinv", "gemm")]
         assert lone is None
@@ -704,7 +722,7 @@ class TestDominance:
             at = rng.randrange(len(dbs))
             db, metric = dbs[at], rng.choice((FLOPS, MEMORY))
             full = _candidates(op1, op2, db, {})
-            candidates, _, lone = _entry(op1, op2, db, tables[at])
+            candidates, lone = _entry(op1, op2, db, tables[at])
             assert is_sublist(candidates, full)
             assert bool(candidates) == bool(full)
             if not full:
@@ -747,7 +765,7 @@ class TestOutputShape:
                         if kernel.arity == 1:
                             out = kernel.apply_unary(inputs[0], "")
                         else:
-                            out = kernel.apply_binary(*inputs, "")
+                            out = product(*inputs)
                         cost = MEMORY.call_cost(kernel, call_mkn(inputs))
                         assert cost == out.rows * out.cols
                         seen.add(kernel)

@@ -29,7 +29,7 @@ from matchain import (
     solve,
     vector,
 )
-from matchain import sequence, solver
+from matchain import kernels, sequence, solver
 from matchain.errors import (
     CostOverflowError,
     InvalidChainError,
@@ -823,6 +823,32 @@ class TestStructuralTable:
         assert enumerated == []
         assert [c.kernel_id for c in plan.calls] == ["getri", "gesv"]
 
+    def test_second_fill_infers_no_properties(self, monkeypatch):
+        # A product's properties are kept in the database's table, per
+        # structural key and squareness, so refilling a chain infers none.
+        inferred = []
+        infer = kernels.infer_properties
+
+        def counted(*args):
+            inferred.append(args)
+            return infer(*args)
+
+        monkeypatch.setattr(kernels, "infer_properties", counted)
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        chain = chain_of(
+            "E = A * B^-1 * C^T * D",
+            matrix("A", 6, 6, {P.LOWER_TRIANGULAR}),
+            matrix("B", 6, 6),
+            matrix("C", 4, 6),
+            matrix("D", 4, 3),
+            matrix("E", 6, 3),
+        )
+        first = build_tables(chain)
+        assert inferred
+        del inferred[:]
+        assert build_tables(chain) == first
+        assert inferred == []
+
     def test_state_pairs_stay_in_their_own_table(self, monkeypatch):
         # The databases differ only in gesv's req: with the second, a
         # general A^-1 * B has no one-call route.
@@ -1039,9 +1065,9 @@ class TestLoneRoute:
         seen = {"lone": 0, "other": 0, "inf cell": 0}
 
         def entry(op1, op2, *args):
-            candidates, out_props, lone = sequence._entry(op1, op2, *args)
+            candidates, lone = sequence._entry(op1, op2, *args)
             seen["lone" if lone else "other"] += bool(candidates)
-            return candidates, out_props, lone if shortcut else None
+            return candidates, lone if shortcut else None
 
         monkeypatch.setattr(solver, "_entry", entry)
         rng = random.Random(20261022)
