@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for input diagnostics (unreadable or
 malformed files, chain validation failures), 2 for solver failures (no
-applicable kernel, unsatisfiable single-factor chains, a kernel cost too
-large for a float, oracle rejection or disagreement under ``--verify``).
+applicable kernel, unsatisfiable single-factor chains, a number with more
+digits than Python writes out, oracle rejection or disagreement under
+``--verify``).
 Any other :class:`MatchainError` ends the same way, reported without a
 traceback: with 1 while the inputs are read, with 2 while a statement is
 compiled.
@@ -16,10 +17,10 @@ import shlex
 import sys
 from math import inf
 
-from .codegen import emit_records, emit_text
-from .errors import CostOverflowError, MatchainError
+from .codegen import emit_records, emit_text, write_number
+from .errors import MatchainError
 from .expr import check_target, load_problem, validate
-from .kernels import load_kernel_config, metric_by_name
+from .kernels import cost_value, load_kernel_config, metric_by_name
 from .solver import naive_cost, solve
 
 
@@ -76,14 +77,46 @@ def _read(path: str) -> str | None:
     return None
 
 
-def _naive(chain, db, metric) -> float:
-    """The left-to-right cost, ``inf`` when some call or the total leaves
-    the float range. Left-to-right order can also hit a database gap the
-    DP avoids, which raises."""
-    try:
-        return naive_cost(chain, db, metric)
-    except CostOverflowError:
-        return inf
+def _naive_line(naive: float | int, plan, records: bool) -> str:
+    """The ``--naive`` annotation: the left-to-right cost and its ratio to
+    the plan's, the exact quotient of the two as ``cost_value`` reports it."""
+    if not plan.total_cost:
+        # A zero-cost plan (a copy) is as good as a zero-cost naive one.
+        ratio = 1.0 if naive == 0 else inf
+    else:
+        (a, b), (c, d) = naive.as_integer_ratio(), plan.total_cost.as_integer_ratio()
+        ratio = cost_value(a * d, b * c)
+    if records:
+        naive_text = write_number(naive, "the naive total")
+        return f"naive total={naive_text} ratio={write_number(ratio, 'the naive ratio')}"
+    naive_text = write_number(int(naive), "the naive total")
+    if type(ratio) is float:
+        ratio_text = f"{ratio:g}"
+    else:  # too large for a float
+        ratio_text = write_number(ratio, "the naive ratio")
+    return f"# naive_{plan.metric_name}={naive_text} ratio={ratio_text}"
+
+
+def _verify_line(chain, db, metric, plan, records: bool) -> tuple[bool, str]:
+    """Whether the brute-force oracle's minimum equals the plan's total,
+    and the ``--verify`` annotation that says so. Loads the oracle."""
+    from . import oracle
+
+    if len(chain.factors) > oracle.MAX_FACTORS:
+        raise MatchainError(
+            f"--verify supports at most {oracle.MAX_FACTORS} factors, "
+            f"got {len(chain.factors)}"
+        )
+    oracle_min, _ = oracle.brute_force_min(chain, db, metric)
+    agree = plan.total_cost == oracle_min
+    if records:
+        word = "agree" if agree else "disagree"
+        shown = write_number(oracle_min, "the oracle total")
+        return agree, f"verify oracle={word} oracle_total={shown}"
+    if agree:
+        return agree, "# oracle=agree"
+    shown = write_number(int(oracle_min), "the oracle total")
+    return agree, f"# oracle=disagree oracle_{plan.metric_name}={shown}"
 
 
 def main(argv=None) -> int:
@@ -126,53 +159,23 @@ def main(argv=None) -> int:
     for stmt in problem.computes:
         try:
             plan = solve(stmt.chain, db, metric)
-            naive = _naive(stmt.chain, db, metric) if args.naive else None
             if records:
                 block = [f"statement lineno={stmt.lineno} source={shlex.quote(stmt.source)}"]
                 block.append(emit_records(plan).rstrip("\n"))
             else:
                 block = [f"# compute {stmt.source}"]
                 block.append(emit_text(plan).rstrip("\n"))
+            if args.naive:
+                naive = naive_cost(stmt.chain, db, metric)
+                block.append(_naive_line(naive, plan, records))
+            if args.verify:
+                agree, line = _verify_line(stmt.chain, db, metric, plan, records)
+                block.append(line)
+                failed = failed or not agree
         except MatchainError as exc:
             _fail(f"{args.problem}: line {stmt.lineno}: {exc}")
             failed = True
             continue
-
-        if args.naive:
-            if plan.total_cost:
-                ratio = naive / plan.total_cost
-            else:
-                # A zero-cost plan (a copy) is as good as a zero-cost naive one.
-                ratio = 1.0 if naive == 0 else float("inf")
-            if records:
-                block.append(f"naive total={naive!r} ratio={ratio!r}")
-            else:
-                shown = int(naive) if naive < inf else "inf"
-                block.append(f"# naive_{plan.metric_name}={shown} ratio={ratio:g}")
-        if args.verify:
-            from . import oracle
-
-            if len(stmt.chain.factors) > oracle.MAX_FACTORS:
-                _fail(
-                    f"{args.problem}: line {stmt.lineno}: --verify supports at "
-                    f"most {oracle.MAX_FACTORS} factors, got {len(stmt.chain.factors)}"
-                )
-                failed = True
-                continue
-            oracle_min, _ = oracle.brute_force_min(stmt.chain, db, metric)
-            tolerance = 1e-9 * max(1.0, abs(oracle_min))
-            agree = abs(plan.total_cost - oracle_min) <= tolerance
-            if records:
-                word = "agree" if agree else "disagree"
-                block.append(f"verify oracle={word} oracle_total={oracle_min!r}")
-            elif agree:
-                block.append("# oracle=agree")
-            else:
-                block.append(
-                    f"# oracle=disagree oracle_{plan.metric_name}={int(oracle_min)}"
-                )
-            if not agree:
-                failed = True
         blocks.append("\n".join(block))
 
     if blocks:

@@ -4,8 +4,9 @@ Text form: one line per call with the rendered math and its per-instance
 cost, indexed calls nested under ``for <index> in 1..<range>:`` headers
 (consecutive calls with identical loop nests share headers), and a footer
 with the multiplicity-weighted total. Costs are displayed rounded down;
-the record form keeps full float precision so that parsing it back
-reconstructs an equal plan.
+the record form keeps full float precision, or all the digits of an int
+too large for a float, so that parsing it back reconstructs an equal
+plan. Every number goes through :func:`write_number`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,22 @@ from .kernels import KernelCall
 from .solver import Plan
 
 
-def _fmt_cost(cost: float) -> str:
-    return str(int(cost))
+def write_number(value: float | int, what: str, call: KernelCall | None = None) -> str:
+    """``value`` written out: a float's repr, an int's digits.
+
+    Raises :class:`MatchainError` naming ``what``, and ``call`` when the
+    number is one of its fields, when an int has more digits than Python
+    writes out.
+    """
+    try:
+        return repr(value)
+    except ValueError:  # beyond Python's int-to-str digit limit
+        if call is not None:
+            what = (
+                f"call {call.output} := {call.kernel_id}"
+                f"({', '.join(call.inputs)}): its {what}"
+            )
+        raise MatchainError(f"{what} has too many digits to write") from None
 
 
 def emit_text(plan: Plan) -> str:
@@ -35,9 +50,11 @@ def emit_text(plan: Plan) -> str:
         args = ", ".join(call.inputs)
         lines.append(
             f"{indent}{call.output} := {call.kernel_id}({args})"
-            f"   # {call.comment} {plan.metric_name}={_fmt_cost(call.cost)}"
+            f"   # {call.comment} {plan.metric_name}="
+            f"{write_number(int(call.cost), 'cost', call)}"
         )
-    lines.append(f"# total_{plan.metric_name}={_fmt_cost(plan.total_cost)}")
+    total = write_number(int(plan.total_cost), "the plan total")
+    lines.append(f"# total_{plan.metric_name}={total}")
     return "\n".join(lines) + "\n"
 
 
@@ -64,8 +81,8 @@ def emit_records(plan: Plan) -> str:
     """Machine-readable record stream: one ``call`` line per kernel call
     and a trailing ``summary`` line. Costs use full repr precision.
 
-    Raises :class:`MatchainError`, naming the call, when a call's index
-    multiplicity has more digits than Python writes out.
+    Raises :class:`MatchainError` when a number has more digits than
+    Python writes out (see :func:`write_number`).
     """
     lines = []
     for call in plan.calls:
@@ -73,24 +90,18 @@ def emit_records(plan: Plan) -> str:
         for at, name in enumerate(call.inputs, start=1):
             fields.append(f"in{at}={shlex.quote(name)}")
         fields.append(f"out={shlex.quote(call.output)}")
-        fields.append(f"cost={call.cost!r}")
+        fields.append(f"cost={write_number(call.cost, 'cost', call)}")
         fields.append(f"math={shlex.quote(call.comment)}")
         if call.loops:
             fields.append(f"loops={_fmt_loops(call.loops)}")
         if call.multiplicity != 1:
-            try:
-                fields.append(f"mult={call.multiplicity}")
-            except ValueError:  # beyond Python's int-to-str digit limit
-                raise MatchainError(
-                    f"call {call.output} := {call.kernel_id}"
-                    f"({', '.join(call.inputs)}): its index multiplicity has "
-                    "too many digits to write as a record"
-                ) from None
+            mult = write_number(call.multiplicity, "index multiplicity", call)
+            fields.append(f"mult={mult}")
         lines.append("call " + " ".join(fields))
     summary = [
         f"target={shlex.quote(plan.target)}",
         f"metric={plan.metric_name}",
-        f"total={plan.total_cost!r}",
+        f"total={write_number(plan.total_cost, 'the plan total')}",
         f"parens={shlex.quote(_parens_str(plan.parenthesization))}",
     ]
     lines.append("summary " + " ".join(summary))
@@ -126,6 +137,11 @@ def _parse_loops(text: str) -> tuple[IndexDecl, ...]:
     return tuple(out)
 
 
+def _read_number(text: str) -> float | int:
+    """The number :func:`write_number` wrote as ``text``."""
+    return int(text) if text.isdecimal() else float(text)
+
+
 #: The fields a record of each kind must have.
 _REQUIRED = {
     "call": ("kernel", "out", "cost", "math"),
@@ -136,9 +152,10 @@ _REQUIRED = {
 def parse_records(text: str) -> Plan:
     """Reconstruct a Plan from :func:`emit_records` output.
 
-    Raises ``ValueError`` on any malformed stream, naming the missing
-    field, the malformed parenthesization or the value that is not a
-    number, and when the stream has no summary line.
+    An all-digit ``cost=`` or ``total=`` is read as an int, any other as
+    a float. Raises ``ValueError`` on any malformed stream, naming the
+    missing field, the malformed parenthesization or the value that is not
+    a number, and when the stream has no summary line.
     """
     calls = []
     summary: dict[str, str] | None = None
@@ -163,7 +180,7 @@ def parse_records(text: str) -> Plan:
                     kernel_id=fields["kernel"],
                     inputs=tuple(inputs),
                     output=fields["out"],
-                    cost=float(fields["cost"]),
+                    cost=_read_number(fields["cost"]),
                     comment=fields["math"],
                     loops=_parse_loops(fields.get("loops", "")),
                     multiplicity=int(fields.get("mult", "1")),
@@ -178,7 +195,7 @@ def parse_records(text: str) -> Plan:
     return Plan(
         target=summary["target"],
         calls=tuple(calls),
-        total_cost=float(summary["total"]),
+        total_cost=_read_number(summary["total"]),
         parenthesization=_parse_parens(summary["parens"]),
         metric_name=summary["metric"],
     )

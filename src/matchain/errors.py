@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class MatchainError(Exception):
     """Base class for all errors raised by matchain."""
@@ -78,46 +76,6 @@ class NoKernelApplicableError(MatchainError):
 
     def __init__(self, message: str, segment: tuple[int, int] | None = None):
         super().__init__(message)
-        self.segment = segment
-
-
-def _magnitude(value: int) -> str:
-    """``value`` in decimal, or its power of ten when it has more digits
-    than Python writes out."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"~10^{int(math.log10(value))}"
-
-
-class CostOverflowError(MatchainError):
-    """A cost lies beyond the float range.
-
-    Either one call's cost does: ``kernel_id`` at dimensions ``mkn``, in
-    the chain segment ``segment`` (start, end) when the solver knows it. Or
-    every call's cost fits but the total of the chain segment ``segment``
-    does not, once its calls are charged its index multiplicity
-    ``multiplicity``; ``kernel_id`` and ``mkn`` then name the segment's
-    final call, and the message names the segment.
-    """
-
-    def __init__(
-        self,
-        kernel_id: str,
-        mkn: tuple[int, int, int],
-        multiplicity: int = 1,
-        segment: tuple[int, int] | None = None,
-    ):
-        what = f"cost of {kernel_id} at (m, k, n) = {mkn}"
-        if segment is not None:
-            what = (
-                f"total cost of factors {segment[0]}..{segment[1]} ({what}, "
-                f"index multiplicity {_magnitude(multiplicity)})"
-            )
-        super().__init__(f"{what} is too large for a float")
-        self.kernel_id = kernel_id
-        self.mkn = mkn
-        self.multiplicity = multiplicity
         self.segment = segment
 
 

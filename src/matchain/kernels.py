@@ -6,28 +6,35 @@ materialized: ``trsm`` computes ``op(A)^-1 * B`` directly from the stored
 explicit inversion. Matching therefore works on *stored* operands paired
 with their pending tag (:class:`TaggedOperand`).
 
-Costs are analytic. The FLOP metric uses each kernel's operation-count
-formula in the effective dimensions ``m, k, n`` (left m x k times right
-k x n; unary kernels see their input as m x n and k = n). The memory
-metric charges the element count of each call's output, a stand-in for
-write traffic; every call writes an m x n result. A new metric needs only
-``call_cost(kernel, mkn)``, and the search relies on two things of it:
-costs are additive over calls, and ``call_cost`` returns a non-negative
-float or raises :class:`CostOverflowError`, as a function of its
+Costs are analytic and exact. The FLOP metric uses each kernel's
+operation-count formula in the effective dimensions ``m, k, n`` (left
+m x k times right k x n; unary kernels see their input as m x n and
+k = n). The memory metric charges the element count of each call's
+output, a stand-in for write traffic; every call writes an m x n result.
+Both count in units of 1/u, where u is the database's cost unit
+(``Kernel.unit``): the lcm of the denominators of its cost polynomials,
+3 for the built-ins. So every cost is a Python int, and the search sums
+and compares ints, which is exact at any size. :func:`cost_value` alone
+turns a unit count into the value a plan reports.
+
+A new metric needs only ``call_cost(kernel, mkn)``, and the search relies
+on two things of it: costs are additive over calls, and ``call_cost``
+returns a non-negative int, in the kernel's units, as a function of its
 arguments alone. Non-negativity is what lets ``sequence.py`` drop
 ``copy`` as a prep, which can only add cost, and more generally drop a
 candidate whose preps contain another's before the same binary call
 (see its dominance rule); it also lets the solver skip a split whose two
 sub-costs alone already reach the best split found. Both built-in
-metrics are products of positive dims;
-config polynomials use only ``+``, ``*`` and ``/`` over non-negative
-integers and dims of at least 1.
+metrics are products of positive dims; config polynomials use only ``+``
+and ``*`` over non-negative integers and dims of at least 1, and ``/``
+by a positive integer literal.
 
 Every kernel comes from one reader, :func:`load_kernel_config`. The
 built-in database is a kernel-config text at the end of this module,
 read once at import, so the checks that guard a user's file guard the
 built-ins too. Each cost polynomial is checked as a syntax tree and then
-compiled once to a plain function of (m, k, n).
+compiled, scaled by the unit, to a plain function of (m, k, n) that uses
+only ``+`` and ``*`` over ints.
 
 Note that ``transp`` is charged m*n flops even though transposition does
 no arithmetic; a free transpose would make explicit transposes costless,
@@ -41,7 +48,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .errors import CostOverflowError, KernelConfigError
+from .errors import KernelConfigError
 from .expr import UnaryTag, effective_dims
 from .properties import (
     PROPERTY_NAMES,
@@ -112,12 +119,17 @@ class Kernel(NamedTuple):
     (getri/trtri: Inv -> Id, InvT -> T), or ``None`` (copy, tag Id only).
     ``variants`` holds one pattern tuple (length == arity) per accepted
     orientation; the kernel applies when any of them accepts the operands.
+    ``poly`` is the cost polynomial as configured, in FLOPs, and ``flops``
+    its compiled form in units of 1/``unit``, the database's cost unit:
+    ``flops(m, k, n) == unit * poly`` exactly.
     """
 
     id: str
     arity: int
     variants: tuple[tuple[InputPattern, ...], ...]
-    flops: Callable[[int, int, int], float]
+    poly: str
+    unit: int
+    flops: Callable[[int, int, int], int]
     peel: str | None = None
 
     def accepts(self, ops: Sequence[TaggedOperand]) -> bool:
@@ -156,16 +168,17 @@ def product(left: TaggedOperand, right: TaggedOperand) -> TaggedOperand:
 class KernelCall(NamedTuple):
     """One emitted instruction.
 
-    ``cost`` is the single-instance cost under the active metric;
-    ``multiplicity`` is the index multiplicity the solver attached, so the
-    call contributes ``cost * multiplicity`` to the plan total. ``loops``
+    ``cost`` is the single-instance cost under the active metric, as
+    :func:`cost_value` reports it; ``multiplicity`` is the index
+    multiplicity the solver attached, so the call contributes
+    ``cost * multiplicity`` to the plan total. ``loops``
     holds the free indices the call iterates over, outermost first.
     """
 
     kernel_id: str
     inputs: tuple[str, ...]
     output: str
-    cost: float
+    cost: float | int
     comment: str
     loops: tuple = ()
     multiplicity: int = 1
@@ -174,26 +187,33 @@ class KernelCall(NamedTuple):
 # --------------------------------------------------------------------------
 # Cost metrics
 
-# Dimensions are Python ints of any size, so a cost can leave the float
-# range: int-to-float conversion and true division raise OverflowError,
-# and float arithmetic gives inf. A config polynomial can also divide by a
-# quotient that underflowed to 0.0, as ``1/(1/(m*m*m*m))`` does at
-# m = 10^100, which raises ZeroDivisionError. Each becomes a
-# CostOverflowError.
+def cost_value(units: int, unit: int) -> float | int:
+    """The value that ``units`` units of 1/``unit`` report: the nearest
+    float (int / int true division rounds correctly), or, beyond the float
+    range, the exact value rounded down to an int."""
+    try:
+        return units / unit
+    except OverflowError:
+        return units // unit
+
+
+def unit_of(db: Sequence[Kernel]) -> int:
+    """The one cost unit of ``db``'s kernels, 1 when it has none. A list
+    whose kernels mix units, which only a hand-built one can, is refused:
+    its costs could not be summed."""
+    units = {kernel.unit for kernel in db}
+    if len(units) > 1:
+        raise ValueError(f"the kernels mix cost units {sorted(units)}")
+    return units.pop() if units else 1
+
 
 class FlopMetric:
     """Scalar floating-point operation count (kernel formula in m, k, n)."""
 
     name = "flops"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> float:
-        try:
-            cost = float(kernel.flops(*mkn))
-        except (OverflowError, ZeroDivisionError):
-            raise CostOverflowError(kernel.id, mkn) from None
-        if not cost < math.inf:  # inf or nan
-            raise CostOverflowError(kernel.id, mkn)
-        return cost
+    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
+        return kernel.flops(*mkn)
 
 
 class MemoryMetric:
@@ -201,11 +221,8 @@ class MemoryMetric:
 
     name = "memory"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> float:
-        try:
-            return float(mkn[0] * mkn[2])
-        except OverflowError:
-            raise CostOverflowError(kernel.id, mkn) from None
+    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
+        return mkn[0] * mkn[2] * kernel.unit
 
 
 FLOPS = FlopMetric()
@@ -263,27 +280,26 @@ _TAG_NAMES = {
 _REQ_NAMES = dict(PROPERTY_NAMES)
 _REQ_NAMES["square"] = Property.SQUARE
 
-#: (m, k, n) points at which every configured cost polynomial is checked.
-_COST_SAMPLES = ((1, 1, 1), (2, 3, 5), (64, 48, 32))
-
 #: The parameters of every compiled cost polynomial: ``lambda m, k, n: ...``.
 _COST_ARGS = ast.arguments(
     posonlyargs=[],
-    args=[ast.arg(name, lineno=1, col_offset=0) for name in "mkn"],
+    args=[ast.arg(name) for name in "mkn"],
     kwonlyargs=[],
     kw_defaults=[],
     defaults=[],
 )
 
 
-def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
-    """Compile a cost polynomial over m, k, n (operators +, *, / only) to a
-    plain function of (m, k, n), as fast per call as a written lambda."""
+def _cost_tree(poly: str, lineno: int) -> tuple[ast.expr, int]:
+    """The checked cost polynomial ``poly`` as ``(tree, d)``: ``tree``
+    computes ``d * poly`` with ``+`` and ``*`` over ints alone.
+
+    The polynomial may use ``+`` and ``*`` over integer constants and
+    m, k, n, and ``/`` by a positive integer literal, so its value is
+    non-negative at positive dims and no division can be by zero.
+    """
     try:
-        # Compiling runs nothing; the tree is checked before it is evaluated.
-        tree = ast.parse(poly, mode="eval")
-        function = ast.Lambda(_COST_ARGS, tree.body, lineno=1, col_offset=0)
-        code = compile(ast.Expression(function), "<kernel-config>", "eval")
+        tree = ast.parse(poly, mode="eval").body
     except (SyntaxError, RecursionError):  # the latter: nested too deep
         raise KernelConfigError(lineno, f"unparsable cost polynomial {poly!r}")
     for node in ast.walk(tree):
@@ -291,6 +307,15 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
             if not isinstance(node.op, (ast.Add, ast.Mult, ast.Div)):
                 raise KernelConfigError(
                     lineno, "cost polynomial supports only +, *, and /"
+                )
+            if isinstance(node.op, ast.Div) and not (
+                isinstance(node.right, ast.Constant)
+                and type(node.right.value) is int
+                and node.right.value > 0
+            ):
+                raise KernelConfigError(
+                    lineno,
+                    f"cost polynomial {poly!r}: a divisor must be a positive integer literal",
                 )
         elif isinstance(node, ast.Constant):
             # ``type``, not ``isinstance``: True and False are ints too.
@@ -303,28 +328,49 @@ def _compile_cost(poly: str, lineno: int) -> Callable[[int, int, int], float]:
                 raise KernelConfigError(
                     lineno, f"unknown cost variable {node.id!r} (use m, k, n)"
                 )
-        elif not isinstance(node, (ast.Expression, ast.Load, ast.Add, ast.Mult, ast.Div)):
+        elif not isinstance(node, (ast.Load, ast.Add, ast.Mult, ast.Div)):
             raise KernelConfigError(
                 lineno, "cost polynomial supports only +, *, /, integers, and m, k, n"
             )
-    cost = eval(code, {"__builtins__": {}})
-    # The solver evaluates costs deep inside the DP, so a polynomial that
-    # divides by zero or leaves the float range is rejected here, with its
-    # line number. Only +, * and / over non-negative constants and positive
-    # dims are allowed, so a denominator that is zero at some point is zero
-    # at every sample too.
-    for mkn in _COST_SAMPLES:
-        try:
-            value = float(cost(*mkn))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise KernelConfigError(
-                lineno, f"cost polynomial {poly!r} fails at (m, k, n) = {mkn}: {exc}"
-            )
-        if not (math.isfinite(value) and value >= 0):
-            raise KernelConfigError(
-                lineno, f"cost polynomial {poly!r} gives {value!r} at (m, k, n) = {mkn}"
-            )
-    return cost
+    try:
+        return _integral(tree)
+    except RecursionError:
+        raise KernelConfigError(lineno, f"unparsable cost polynomial {poly!r}")
+
+
+def _integral(node: ast.expr) -> tuple[ast.expr, int]:
+    """``(tree, d)`` for a checked ``node``: ``tree`` computes ``d * node``
+    without ``/``. A quotient multiplies d by its divisor, a product
+    multiplies its parts' d, and a sum takes their lcm."""
+    if not isinstance(node, ast.BinOp):
+        return node, 1
+    left, d_left = _integral(node.left)
+    if isinstance(node.op, ast.Div):
+        return left, d_left * node.right.value
+    right, d_right = _integral(node.right)
+    if isinstance(node.op, ast.Mult):
+        return ast.BinOp(left, ast.Mult(), right), d_left * d_right
+    d = math.lcm(d_left, d_right)
+    return ast.BinOp(_times(d // d_left, left), ast.Add(), _times(d // d_right, right)), d
+
+
+def _times(factor: int, tree: ast.expr) -> ast.expr:
+    if factor == 1:
+        return tree
+    return ast.BinOp(ast.Constant(factor), ast.Mult(), tree)
+
+
+def _compile_cost(poly: str, tree: ast.expr, lineno: int) -> Callable[[int, int, int], int]:
+    """Compile ``tree``, the integral form of ``poly`` at the database's
+    unit, to a plain function of (m, k, n), as fast per call as a written
+    lambda."""
+    try:
+        function = ast.Lambda(_COST_ARGS, tree)
+        expression = ast.fix_missing_locations(ast.Expression(function))
+        code = compile(expression, "<kernel-config>", "eval")
+    except RecursionError:  # nested too deep
+        raise KernelConfigError(lineno, f"unparsable cost polynomial {poly!r}")
+    return eval(code, {"__builtins__": {}})
 
 
 def _split_groups(value: str, arity: int, what: str, lineno: int) -> list[list[str]]:
@@ -368,15 +414,22 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
     where each ``tags`` group lists allowed pending tags (id, t, inv,
     invt; a unary kernel takes ``id`` alone, a copy, or tags from t, inv
     and invt), each ``req`` group lists required stored properties, and the
-    cost polynomial uses +, *, / over integers and m, k, n. ``req`` may
-    hold ``|``-separated alternatives, such as the two orientations of a
-    triangular operand; each is one variant with the line's tags, and the
-    kernel applies when any of them accepts. A kernel whose id already
-    exists replaces it in place, all its variants at once; new ids append
-    to the end.
+    cost polynomial uses + and * over integers and m, k, n, and / by a
+    positive integer literal. ``req`` may hold ``|``-separated
+    alternatives, such as the two orientations of a triangular operand;
+    each is one variant with the line's tags, and the kernel applies when
+    any of them accepts. A kernel whose id already exists replaces it in
+    place, all its variants at once; new ids append to the end.
+
+    The result has one cost unit: the lcm of the base's and of the
+    denominators the new polynomials need (see ``_integral``). A base
+    kernel of another unit is rebuilt at it.
     """
     db = list(default_db() if base is None else base)
     position = {kernel.id: at for at, kernel in enumerate(db)}
+    # Each new kernel's cost tree and line, by id; its ``unit`` holds its
+    # denominator until the database's unit is known.
+    fresh: dict[str, tuple[ast.expr, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -428,14 +481,27 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
         peel = None
         if arity == 1:
             peel = _unary_peel(variants[0][0].tags, lineno)
-        cost = _compile_cost(fields["cost"], lineno)
-        kernel = Kernel(kid, arity, tuple(variants), cost, peel=peel)
+        tree, denominator = _cost_tree(fields["cost"], lineno)
+        fresh[kid] = (tree, lineno)
+        kernel = Kernel(kid, arity, tuple(variants), fields["cost"], denominator, None, peel)
 
         if kid in position:
             db[position[kid]] = kernel
         else:
             position[kid] = len(db)
             db.append(kernel)
+
+    unit = math.lcm(*(kernel.unit for kernel in db))
+    for at, kernel in enumerate(db):
+        if kernel.id in fresh:
+            (tree, lineno), denominator = fresh[kernel.id], kernel.unit
+        elif kernel.unit != unit:
+            (tree, denominator), lineno = _cost_tree(kernel.poly, 0), 0
+        else:
+            continue
+        integral = _times(unit // denominator, tree)
+        flops = _compile_cost(kernel.poly, integral, lineno)
+        db[at] = kernel._replace(unit=unit, flops=flops)
     return db
 
 

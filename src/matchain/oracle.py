@@ -5,7 +5,9 @@ and ``brute_force_min`` evaluates every parenthesization tree with it.
 Both are deliberately written from scratch against the kernel database
 and property engine only, sharing no code with the DP solver or the
 sequence finder they certify. Exponential in the factor count; capped at
-``MAX_FACTORS``.
+``MAX_FACTORS``. They sum the metric's int costs, in the database's
+units (see ``kernels.py``), and ``brute_force_min`` reports its minimum
+as ``kernels.cost_value`` does.
 
 ``random_instance`` and ``structural_residual`` ground the symbolic
 property claims numerically: an inferred property is sound when a random
@@ -19,15 +21,17 @@ from __future__ import annotations
 from math import inf
 from collections.abc import Sequence
 
-from .errors import CostOverflowError, NoKernelApplicableError
+from .errors import NoKernelApplicableError
 from .expr import Chain, UnaryTag
 from .kernels import (
     FLOPS,
     Kernel,
     TaggedOperand,
     call_mkn,
+    cost_value,
     default_db,
     match,
+    unit_of,
 )
 from .properties import Property, infer_properties
 
@@ -37,32 +41,17 @@ MAX_FACTORS = 8
 _SEQ_LEN = 3
 
 
-def _charge(cost: float, r: int) -> float:
-    """``cost`` paid ``r`` times. A range product can exceed the float
-    range; 0.0 times it is 0."""
-    if not cost:
-        return 0.0
-    try:
-        return cost * r
-    except OverflowError:
-        return inf
-
-
 def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
     """Every way to apply at most ``budget`` unary kernels to ``op``, as
-    (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``.
-    A call whose cost leaves the float range ends no chain."""
-    yield 0.0, 0, op
+    (cost, length, result) triples; ``copy`` (no peel) only ``with_copy``."""
+    yield 0, 0, op
     if budget == 0:
         return
     for kernel in match(op, None, db):
         if kernel.peel is None and not with_copy:
             continue
         out = kernel.apply_unary(op, "")
-        try:
-            cost = metric.call_cost(kernel, call_mkn((op,)))
-        except CostOverflowError:
-            continue
+        cost = metric.call_cost(kernel, call_mkn((op,)))
         for tail_cost, tail_len, tail_op in _unary_chains(
             out, db, metric, budget - 1, with_copy
         ):
@@ -75,13 +64,13 @@ def best_pair_cost(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
     mults: tuple[int, int, int] = (1, 1, 1),
-) -> float:
-    """Minimum cost over all kernel sequences of length <= 3 for op1 * op2.
+) -> int | float:
+    """Minimum cost over all kernel sequences of length <= 3 for op1 * op2,
+    in the database's units.
 
     ``mults`` holds how many times the unary calls on op1, those on op2 and
     the binary call run: ``(r1, r2, r)``, each paid that many times.
-    A sequence with a call whose cost leaves the float range is skipped.
-    Returns ``inf`` when no other sequence exists.
+    Returns ``inf`` when no sequence exists.
     """
     r1, r2, r = mults
     if db is None:
@@ -92,11 +81,8 @@ def best_pair_cost(
             op2, db, metric, _SEQ_LEN - 1 - len1, False
         ):
             for kernel in match(cur1, cur2, db):
-                try:
-                    call = metric.call_cost(kernel, call_mkn((cur1, cur2)))
-                except CostOverflowError:
-                    continue
-                total = _charge(cost1, r1) + _charge(cost2, r2) + _charge(call, r)
+                call = metric.call_cost(kernel, call_mkn((cur1, cur2)))
+                total = cost1 * r1 + cost2 * r2 + call * r
                 if total < best:
                     best = total
     return best
@@ -122,10 +108,11 @@ def brute_force_min(
     chain: Chain,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
-) -> tuple[float, object]:
+) -> tuple[float | int, object]:
     """Global minimum cost over all parenthesizations and kernel sequences.
 
-    Returns the cost and the first tree attaining it (enumeration order:
+    Returns the cost, as ``kernels.cost_value`` reports it, and the first
+    tree attaining it (enumeration order:
     split index ascending, recursively). Raises ``ValueError`` beyond
     ``MAX_FACTORS`` factors and :class:`NoKernelApplicableError` when no
     tree is computable at all.
@@ -149,7 +136,7 @@ def brute_force_min(
 
     pair_memo: dict = {}
 
-    def pair_cost(a: TaggedOperand, b: TaggedOperand, mults) -> float:
+    def pair_cost(a: TaggedOperand, b: TaggedOperand, mults) -> int | float:
         key = (a.signature(), b.signature(), mults)
         if key not in pair_memo:
             pair_memo[key] = best_pair_cost(a, b, db, metric, mults)
@@ -159,12 +146,12 @@ def brute_force_min(
         op = factors[i].operand
         return TaggedOperand(op.rows, op.cols, op.properties, factors[i].tag)
 
-    def evaluate(tree) -> tuple[float, TaggedOperand]:
+    def evaluate(tree) -> tuple[int | float, TaggedOperand | None]:
         # A combination runs its binary call once per value of the indices
         # of its whole span, and each operand's unary calls once per value
         # of the indices of that operand's span.
         if isinstance(tree, int):
-            return 0.0, leaf(tree)
+            return 0, leaf(tree)
         lcost, lop = evaluate(tree[0])
         rcost, rop = evaluate(tree[1])
         if lcost == inf or rcost == inf:
@@ -193,7 +180,7 @@ def brute_force_min(
                 f"no unary sequence materializes a {op.rows}x{op.cols} operand "
                 f"tagged {op.tag.name} with props {props}"
             )
-        return _charge(best, seg_range(0, 0)), 0
+        return cost_value(best * seg_range(0, 0), unit_of(db)), 0
 
     best, best_tree = inf, None
     for tree in _trees(0, n - 1):
@@ -203,7 +190,7 @@ def brute_force_min(
             best_tree = tree
     if best_tree is None:
         raise NoKernelApplicableError("no parenthesization is computable")
-    return best, best_tree
+    return cost_value(best, unit_of(db)), best_tree
 
 
 # --------------------------------------------------------------------------

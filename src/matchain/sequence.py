@@ -28,17 +28,13 @@ dominated by candidate B when both end in the same binary kernel and B's
 preps are a proper subsequence of A's. Dropping A never changes the
 result, under any metric, dims and multiplicities:
 
-- each call is priced at its target's fixed (m, k, n), so A's total sums
-  B's terms in the same order with further terms between them. Every
-  term is non-negative, and float addition is monotone, so A's total is
-  never below B's; A has more steps, so it also loses a tie;
-- every call of B is a call of A at the same (m, k, n), so when one of
-  B's costs leaves the float range, one of A's does too: A is never
-  kept where B is skipped;
+- each call is priced at its target's fixed (m, k, n), so A's total is
+  B's plus further terms. Every term is a non-negative int, and integer
+  addition is exact, so A's total is never below B's; A has more steps,
+  so it also loses a tie;
 - candidates come in breadth-first order of op1's preps, then of op2's.
   B's preps are no longer than A's on either operand and shorter on
-  one, so B precedes A. The first candidate is never dropped, and when
-  every candidate overflows, the first one's error is unchanged.
+  one, so B precedes A, and the first candidate is never dropped.
 
 ``copy`` never appears as a prep. That is the rule's special case,
 applied at enumeration: ``copy`` leaves its input unchanged, so a
@@ -64,13 +60,12 @@ signatures.
 
 from __future__ import annotations
 
-from math import inf
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
+from .errors import NoKernelApplicableError, UnsatisfiableError
 from .expr import UnaryTag
-from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, product
+from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, product, unit_of
 
 #: Maximum number of kernel calls per combination step.
 L = 3
@@ -88,8 +83,11 @@ class SeqStep(NamedTuple):
 
 
 class SequenceResult(NamedTuple):
+    """A cheapest route, its cost in the database's units (see
+    ``kernels.py``) and the operand it computes."""
+
     steps: tuple[SeqStep, ...]
-    total_cost: float
+    total_cost: int
     output: TaggedOperand
 
     @property
@@ -156,52 +154,28 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list
     return out
 
 
-def _as_float(r: int) -> float:
-    """A multiplicity as a float, ``inf`` beyond the float range (which a
-    product of index ranges can reach, and ``float * int`` would raise on)."""
-    try:
-        return float(r)
-    except OverflowError:
-        return inf
-
-
-def _charged(cost: float, r: int) -> float:
-    """``cost`` charged ``r`` times. A 0 cost stays 0 at any multiplicity,
-    where ``0.0 * inf`` would be nan."""
-    return cost * _as_float(r) if cost else 0.0
-
-
-def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
-    """Cost step: steps and total of the cheapest candidate for op1 of
-    effective shape m x k times op2 of k x n. With ``mults``, an
-    ``(r1, r2, r)`` triple, op1's preps are charged ``r1`` times, op2's
-    ``r2`` times and the binary call ``r`` times (a 0 cost stays 0), and the
-    total is the charged one; when the three are equal, the cheapest
-    candidate is the cheapest uncharged one, and its total is charged ``r``
-    times as a whole. Ties go to fewer steps, then to the smaller id tuple,
-    then to the earlier candidate. A candidate with a call whose cost leaves
-    the float range is skipped; when every one has such a call, the first
-    candidate's :class:`CostOverflowError` is raised."""
+def _cheapest(candidates, m: int, k: int, n: int, metric, mults=(1, 1, 1)):
+    """Cost step: steps and total of the cheapest of the (non-empty)
+    ``candidates`` for op1 of effective shape m x k times op2 of k x n.
+    ``mults``, an ``(r1, r2, r)`` triple, charges op1's preps ``r1``
+    times, op2's ``r2`` times and the binary call ``r`` times, and the
+    total is the charged one. When the three are equal, every total is
+    the uncharged one times ``r``, so the uncharged totals pick the same
+    candidate. Ties go to fewer steps, then to the smaller id tuple, then
+    to the earlier candidate."""
     args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
-    r1, r2, r = mults or (1, 1, 1)
-    scales = None
-    if not r1 == r2 == r:
-        scales = dict(zip(args, map(_as_float, mults)))
+    r1, r2, r = mults
+    scales = None if r1 == r2 == r else {"op1": r1, "op2": r2, "both": r}
     call_cost = metric.call_cost
-    best = best_key = overflow = None
+    best = best_key = None
     for steps in candidates:
-        total = 0.0
-        try:
-            if scales is None:
-                for kernel, target in steps:
-                    total += call_cost(kernel, args[target])
-            else:
-                for kernel, target in steps:
-                    cost = call_cost(kernel, args[target])
-                    total += cost * scales[target] if cost else 0.0
-        except CostOverflowError as exc:
-            overflow = overflow or exc
-            continue
+        total = 0
+        if scales is None:
+            for kernel, target in steps:
+                total += call_cost(kernel, args[target])
+        else:
+            for kernel, target in steps:
+                total += call_cost(kernel, args[target]) * scales[target]
         # The id tuples are built only to break a tie.
         cand_key = (total, len(steps))
         if best_key is None or cand_key < best_key or (
@@ -209,11 +183,9 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=None):
         ):
             best_key = cand_key
             best = steps
-    if best is None:
-        raise overflow
-    if scales is not None or r == 1:  # charged already, or run once
-        return best, best_key[0]
-    return best, _charged(best_key[0], r)
+    if scales is None:
+        return best, best_key[0] * r
+    return best, best_key[0]
 
 
 def _dominates(b: tuple, a: tuple) -> bool:
@@ -275,11 +247,12 @@ def _structural_table(db: Sequence[Kernel]) -> dict:
     Candidates depend only on the kernels, so one table serves every call
     on an equal database. The built-in kernels are shared objects, so the
     comparison of two default databases is one identity test per kernel.
-    Any other database gets a fresh table.
+    Any other database gets a fresh table, once ``unit_of`` accepts it.
     """
     global _structural
     kernels = tuple(db)
     if kernels != _structural[0]:
+        unit_of(kernels)
         _structural = (kernels, {})
     return _structural[1]
 
@@ -300,8 +273,7 @@ def find_sequence(
     ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
     run; then the search minimizes, and ``total_cost`` is, the charged
     cost (see ``_cheapest``). Raises :class:`NoKernelApplicableError` when
-    the database has no route, and :class:`CostOverflowError` when every
-    route has a call whose cost leaves the float range.
+    the database has no route.
     """
     if db is None:
         db = default_db()
@@ -317,7 +289,7 @@ def find_sequence(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    steps, total = _cheapest(candidates, m, k, n, metric, mults)
+    steps, total = _cheapest(candidates, m, k, n, metric, mults or (1, 1, 1))
     return SequenceResult(steps, total, _output(op1, op2, m, n, table))
 
 

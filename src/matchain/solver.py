@@ -23,42 +23,39 @@ fixes the dims and the three multiplicities, so the row holds each
 pair's charged cost: each distinct pair is priced once, by
 ``find_sequence``'s structural and cost steps alone, or, when its entry
 keeps one route of one binary call, as that call's cost charged r times.
-A pair the database cannot cover is charged ``inf``, as is a pair every
-one of whose routes has a call whose cost leaves the float range. A
-second row per id keeps, once the pair wins a cell, its output's id,
-shared by every cell it wins; ``_output`` reads the output's properties
-from the structural table. No cell keeps a sequence: extraction asks
+A pair the database cannot cover keeps None. A second row per id keeps,
+once the pair wins a cell, its output's id, shared by every cell it
+wins; ``_output`` reads the output's properties from the structural
+table. No cell keeps a sequence: extraction asks
 ``find_sequence`` for each of the at most n - 1 segments of the tree,
 and the cost step depends on its arguments alone, so it returns the
 route the fill priced.
+
+Every cost is an int in the database's units (see ``kernels.py``), and
+integer addition is exact, so a cell's cost is its tree's exact cost and
+exact ties really are ties. An uncovered cell keeps ``inf``, and a pair
+with no route keeps None, but neither is ever added to an int, where
+``10**400 + inf`` would raise: once a cell is left uncovered, the fill
+tries only the splits whose two parts are covered, and a split whose pair
+has no route is dropped where the pair is priced, off the path of a
+split that finds its charge.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
 metric contract in ``kernels.py``). So when the sub-costs alone,
 ``lb = costs[i][k] + costs[k+1][j]``, already reach the best cost found at
 a smaller k, the split is skipped before its pair is built. The plans stay
-exactly those of the unbounded loop:
-
-- float addition is monotone, so ``lb + charge >= lb`` and a skipped
-  split could at best tie, which the smaller k wins anyway under the
-  strict less-than;
-- a kept split's cost is the same float as without the bound,
-  ``(costs[i][k] + costs[k+1][j]) + charge``, summed left to right;
-- a split with an uncovered part has ``lb = inf`` and is skipped by the
-  same test.
+exactly those of the unbounded loop: ``lb + charge >= lb``, so a skipped
+split could at best tie, which the smaller k wins anyway under the strict
+less-than.
 
 The bound skips more once ``best`` is low, so the full fill seeds each
 cell: the split that won its right neighbour, ``k0 = solution[i + 1][j]``,
 is priced first when its left part is covered, and the scan starts at
-``best = nextafter(lb0 + charge0, inf)`` with no split chosen. That is
-exact too: a skipped split costs more than the seed, so it can neither
-win nor tie, and every split that costs no more is still scanned in
-increasing k under the strict less-than, so the same k wins, at the same
-float.
-
-A charge beyond the float range is ``inf`` and wins no split, but a 0
-cost stays 0 at any multiplicity, where ``0.0 * inf`` would be nan, so a
-0-cost sequence still wins under a multiplicity beyond the float range.
+``best = lb0 + charge0 + 1`` with no split chosen. That is exact too: a
+skipped split costs more than the seed, so it can neither win nor tie,
+and every split that costs no more is still scanned in increasing k under
+the strict less-than, so the same k wins, at the same cost.
 
 One planner serves both orders. ``solve`` and ``naive_cost`` each return
 ``_plan``, which validates the chain, runs the fill, names the smallest
@@ -80,19 +77,15 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, nextafter, prod
+from math import inf, prod
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .errors import (
-    CostOverflowError,
-    InvalidChainError,
-    MatchainError,
-    NoKernelApplicableError,
-)
+from .errors import InvalidChainError, NoKernelApplicableError
 from .expr import Chain, Factor, IndexDecl, indexed_name, validate
-from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, default_db
-from .sequence import _charged, _cheapest, _entry, _output, _structural_table
+from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
+from .kernels import default_db, unit_of
+from .sequence import _cheapest, _entry, _output, _structural_table
 from .sequence import find_sequence, materialize
 
 
@@ -134,13 +127,14 @@ class DPTables(NamedTuple):
     The tuple is immutable, but its tables are lists that the fill built
     and the caller owns. ``ops[ids[i][j]]`` is cell [i, j]'s operand up to
     its name; id 0, whose ``ops[0]`` is None, marks an uncovered cell. Costs
+    are ints in the database's units, ``inf`` for an uncovered cell, and
     include index multiplicities; no cell keeps its sequence.
     """
 
     n: int
     ids: list[list[int]]
     ops: list[TaggedOperand | None]
-    costs: list[list[float]]
+    costs: list[list[int | float]]
     solution: list[list[int | None]]
     free: list[list[tuple[IndexDecl, ...]]]
     ranges: list[list[int]]
@@ -152,12 +146,13 @@ class Plan:
     """An executable kernel-call program with its accumulated cost.
 
     ``parenthesization`` is a nested tuple over factor positions (a bare
-    int for a leaf); ``total_cost`` already includes index multiplicities.
+    int for a leaf); ``total_cost`` already includes index multiplicities,
+    as ``kernels.cost_value`` reports it.
     """
 
     target: str
     calls: tuple[KernelCall, ...]
-    total_cost: float
+    total_cost: float | int
     parenthesization: object
     metric_name: str
 
@@ -176,13 +171,12 @@ def build_tables(
     in increasing order; a cell it leaves out stays unfilled, so it should
     hold both parts of every split it lists. ``None`` tries every k, which
     is what ``solve`` does; ``naive_cost`` passes the left-deep tree's.
-    Splits for which no kernel sequence exists, or whose cost leaves the
-    float range, are skipped, and so are splits that cannot win (see the
-    module's bound and seed); if a whole segment has no solution the
-    error surfaces in ``solve`` or ``naive_cost``, naming the smallest
-    offending segment among the cells tried. A given ``memo`` receives,
-    after the fill, ``find_sequence``'s result for each priced pair with a
-    route whose calls' costs fit the float range, under its operands' keys,
+    Splits for which no kernel sequence exists are skipped, and so are
+    splits that cannot win (see the module's bound and seed); if a whole
+    segment has no solution the error surfaces in ``solve`` or
+    ``naive_cost``, naming the smallest offending segment among the cells
+    tried. A given ``memo`` receives, after the fill, ``find_sequence``'s
+    result for each priced pair with a route, under its operands' keys,
     ``((signature, free indices), (signature, free indices)) -> sequence``.
     """
     if db is None:
@@ -199,9 +193,9 @@ def build_tables(
     # marks an uncovered cell. Each id a owns ops[a], its key's operand
     # with no name, and a row in charges and outs, appended by intern; a
     # split looks its pair up in its left id's row. charges[a][b] is the
-    # pair's charged cost, inf when no route has a cost within the float
-    # range, and outs[a][b], once it wins, its output's id (a pair fixes
-    # the free indices). Cell [i, j] is d[i] x d[j + 1], d the effective dims.
+    # pair's charged cost, None when it has no route, and outs[a][b], once
+    # it wins, its output's id (a pair fixes the free indices). Cell
+    # [i, j] is d[i] x d[j + 1], d the effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     ops: list[TaggedOperand | None] = [None]
@@ -222,30 +216,28 @@ def build_tables(
         return at
 
     def price(i, k, j):
-        """Price the pair met at split (i, k, j) and keep its charge."""
+        """The charge of the pair met at split (i, k, j), kept on first
+        use; None when the pair has no route."""
         nonlocal no_route
         a, b = ids[i][k], ids[k + 1][j]
+        row = charges[a]
+        if b in row:  # no route, found before
+            return None
         candidates, lone = _entry(ops[a], ops[b], db, table)
-        charge = inf
+        mkn = (d[i], d[k + 1], d[j + 1])
         if not candidates:
             no_route += 1
-        else:
-            mkn = (d[i], d[k + 1], d[j + 1])
-            try:
-                if lone is None:
-                    mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-                    charge = _cheapest(candidates, *mkn, metric, mults)[1]
-                elif ranges[i][j] == 1:  # one binary call, run once
-                    charge = call_cost(lone, mkn)
-                else:  # one binary call, run r times
-                    charge = _charged(call_cost(lone, mkn), ranges[i][j])
-            except CostOverflowError:
-                pass
-        charges[a][b] = charge
+            charge = None
+        elif lone is None:
+            mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+            charge = _cheapest(candidates, *mkn, metric, mults)[1]
+        else:  # one binary call, run r times
+            charge = call_cost(lone, mkn) * ranges[i][j]
+        row[b] = charge
         return charge
 
     for i in range(n):
-        costs[i][i] = 0.0
+        costs[i][i] = 0
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
         ids[i][i] = intern(_base_operand(factors[i]), free[i][i])
@@ -260,17 +252,20 @@ def build_tables(
                     r *= ix.range
             free[i][j], ranges[i][j] = seg_free, r
             ks = range(i, j) if splits is None else splits.get((i, j), ())
-            tried += len(ks)
             costs_i, ids_i = costs[i], ids[i]
+            if unfilled:  # only splits whose parts are covered
+                ks = [k for k in ks if ids_i[k] and ids[k + 1][j]]
+            tried += len(ks)
             best, best_k = inf, None
             # The seed: the right neighbour's split, priced first (a leaf's
             # solution is None). Only splits that cost no more pass the scan.
             k0 = solution[i + 1][j] if splits is None else None
-            if k0 is not None and costs_i[k0] < inf:
+            if k0 is not None and ids_i[k0]:
                 charge = charges[ids_i[k0]].get(ids[k0 + 1][j])
                 if charge is None:
                     charge = price(i, k0, j)
-                best = nextafter(costs_i[k0] + costs[k0 + 1][j] + charge, inf)
+                if charge is not None:
+                    best = costs_i[k0] + costs[k0 + 1][j] + charge + 1
             for k in ks:
                 lb = costs_i[k] + costs[k + 1][j]
                 if lb >= best:  # its cost, lb + charge, cannot be < best
@@ -278,6 +273,8 @@ def build_tables(
                 charge = charges[ids_i[k]].get(ids[k + 1][j])
                 if charge is None:
                     charge = price(i, k, j)
+                    if charge is None:  # no route
+                        continue
                 cost = lb + charge
                 if cost < best:
                     best, best_k = cost, k
@@ -293,26 +290,16 @@ def build_tables(
             elif ks:
                 unfilled = True
 
-    if unfilled:  # count the splits with an uncovered part
-        tried -= sum(
-            costs[i][k] == inf or costs[k + 1][j] == inf
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in (range(i, j) if splits is None else splits.get((i, j), ()))
-        )
     if memo is not None:
         keys = [None, *interned]
         for a, row in enumerate(charges):
-            for b in row:
-                if not _entry(ops[a], ops[b], db, table)[0]:
+            for b, charge in row.items():
+                if charge is None:
                     continue
                 (_, free1), (_, free2) = keys[a], keys[b]
                 r = index_range(dict.fromkeys(free1 + free2))
                 mults = (index_range(free1), index_range(free2), r)
-                try:
-                    seq = find_sequence(ops[a], ops[b], db, metric, mults=mults)
-                except CostOverflowError:
-                    continue
+                seq = find_sequence(ops[a], ops[b], db, metric, mults=mults)
                 memo[keys[a], keys[b]] = seq
     stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
     return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
@@ -409,7 +396,7 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
             inputs = (cur[step.target],)
             result = cur[step.target] = kernel.apply_unary(inputs[0], name)
             math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
-        cost = metric.call_cost(kernel, call_mkn(inputs))
+        cost = cost_value(metric.call_cost(kernel, call_mkn(inputs)), kernel.unit)
         arg_names = tuple(op.name for op in inputs)
         calls.append(
             KernelCall(
@@ -424,6 +411,7 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
     allows (see ``build_tables``), raising as ``solve`` documents."""
     if db is None:
         db = default_db()
+    unit = unit_of(db)
     diagnostics = validate(chain)
     if diagnostics:
         raise InvalidChainError(diagnostics)
@@ -438,18 +426,16 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
         free = factors[0].operand.indices
         r = index_range(free)
         calls, _ = _render(seq, op, None, {"op1": (free, r)}, target, names, metric)
-        total = _charged(seq.total_cost, r)
-        if not total < inf:
-            kernel_id = seq.steps[-1].kernel.id
-            raise CostOverflowError(kernel_id, call_mkn((seq.output,)), r, (0, 0))
+        total = cost_value(seq.total_cost * r, unit)
         return Plan(target, tuple(calls), total, 0, metric.name)
 
     tables = build_tables(chain, db, metric, splits=splits)
     n = tables.n
-    if tables.costs[0][n - 1] == inf:
-        raise _uncovered_error(tables, factors, db, metric, splits)
+    if not tables.ids[0][n - 1]:
+        raise _uncovered_error(tables, factors, splits)
     calls, tree = _extract(tables, factors, target, names, db, metric)
-    return Plan(target, calls, tables.costs[0][n - 1], tree, metric.name)
+    total = cost_value(tables.costs[0][n - 1], unit)
+    return Plan(target, calls, total, tree, metric.name)
 
 
 def solve(
@@ -473,7 +459,7 @@ def naive_cost(
     chain: Chain,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
-) -> float:
+) -> float | int:
     """Cost of strict left-to-right evaluation with the same database.
 
     It is the plan over the left-deep tree, whose cell ``(0, t)`` splits
@@ -485,38 +471,18 @@ def naive_cost(
     return _plan(chain, db, metric, left_deep).total_cost
 
 
-def _uncovered_error(tables: DPTables, factors, db, metric, splits) -> MatchainError:
+def _uncovered_error(tables: DPTables, factors, splits) -> NoKernelApplicableError:
     """The error that names the smallest uncovered segment among the cells
     that ``splits``, as given to ``build_tables``, lets the fill try.
-
-    Every part of that segment is covered, so each of its splits has no
-    kernel sequence, or only sequences with a call whose cost leaves the
-    float range, or one whose cost, charged its calls' index
-    multiplicities, leaves it. The DP does not tell them apart on its hot
-    path, so ``find_sequence`` prices the splits again, with the cell's
-    multiplicities. A charged overflow names the final kernel of the route
-    the fill's rule picks among the infinite totals: fewer steps, then the
-    smaller tuple of kernel ids, then the earlier candidate.
-    """
-    n, ids, ops, ranges = tables.n, tables.ids, tables.ops, tables.ranges
+    Every part of that segment is covered, so none of its splits has a
+    kernel sequence."""
+    n, ids = tables.n, tables.ids
     i, j = next(
         (i, i + l)
         for l in range(1, n)
         for i in range(n - l)
-        if tables.costs[i][i + l] == inf and (splits is None or (i, i + l) in splits)
+        if not ids[i][i + l] and (splits is None or (i, i + l) in splits)
     )
-    for k in range(i, j) if splits is None else splits[i, j]:
-        left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
-        mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-        try:
-            seq = find_sequence(left, right, db, metric, mults=mults)
-        except NoKernelApplicableError:
-            continue
-        except CostOverflowError as exc:  # one call's cost, not a total
-            exc.segment = (i, j)
-            return exc
-        mkn = call_mkn((left, right))
-        return CostOverflowError(seq.steps[-1].kernel.id, mkn, ranges[i][j], (i, j))
     return NoKernelApplicableError(
         f"no kernel sequence covers factors {i}..{j} "
         f"({' * '.join(f.display for f in factors[i : j + 1])})",

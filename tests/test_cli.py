@@ -204,7 +204,7 @@ class TestKernelConfig:
         code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--kernels", str(kernels))
         assert code == 1
         assert out == ""
-        assert "line 2" in err and "division by zero" in err
+        assert "line 2" in err and "a divisor must be a positive integer literal" in err
 
 
 class TestFailureModes:
@@ -310,14 +310,37 @@ class TestFailureModes:
         "dim, source, kernel",
         [(10 ** 110, "C = A^-1 * B", "gesv"), (10 ** 200, "C = A * B", "gemm")],
     )
-    def test_cost_overflow_exits_two(self, tmp_path, capsys, dim, source, kernel):
+    def test_cost_beyond_float_range_exits_zero(self, tmp_path, capsys, dim, source, kernel):
+        # gesv costs 8/3 dim^3 flops here and gemm 2 dim^3: exact ints,
+        # written out in full and rounded down.
+        total = (8 * dim ** 3 // 3) if kernel == "gesv" else 2 * dim ** 3
         text = "".join(f"matrix {x} {dim} {dim}\n" for x in "ABC")
-        code, out, err = run(tmp_path, capsys, text + f"compute {source}\n")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("matchain: ") and "line 4" in err
-        assert f"cost of {kernel} at (m, k, n) = ({dim}, {dim}, {dim})" in err
-        assert "Traceback" not in err
+        text += f"compute {source}\n"
+        args = ("--format", "records", "--naive", "--verify")
+        code, out, err = run(tmp_path, capsys, text, *args)
+        assert (code, err) == (0, "")
+        assert f"call kernel={kernel} " in out and f" cost={total} " in out
+        assert f"summary target=C metric=flops total={total} parens='(0 1)'\n" in out
+        assert f"naive total={total} ratio=1.0\nverify oracle=agree oracle_total={total}\n" in out
+        code, out, err = run(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\n# total_flops={total}\n")
+
+    @pytest.mark.parametrize(
+        "dim, source, kernel",
+        [(10 ** 1500, "C = A^-1 * B", "gesv"), (10 ** 1500, "C = A * B", "gemm")],
+    )
+    def test_cost_overflow_exits_two(self, tmp_path, capsys, dim, source, kernel):
+        # At dims 10^1500 either call costs about 10^4500 flops, an int
+        # with more digits than Python writes out.
+        text = "".join(f"matrix {x} {dim} {dim}\n" for x in "ABC") + f"compute {source}\n"
+        for args in ((), ("--naive",), ("--verify",), ("--format", "records")):
+            code, out, err = run(tmp_path, capsys, text, *args)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"matchain: {tmp_path / 'problem.mc'}: line 4: call C := {kernel}(A, B): "
+                "its cost has too many digits to write\n"
+            )
 
     def test_overflowing_split_avoided_exits_zero(self, tmp_path, capsys):
         # (A B) c has a gemm beyond the float range; A (B c) costs 4e200.
@@ -333,36 +356,65 @@ class TestFailureModes:
             assert "total=4e+200 parens='(0 (1 2))'" in out
         assert "verify oracle=agree oracle_total=4e+200" in out
 
-    def test_naive_overflow_reported_as_inf(self, tmp_path, capsys):
-        # Left to right, (A B) prices a gemm beyond the float range; the
-        # plan, A (B c), still prints and the statement succeeds.
+    def test_naive_beyond_float_range_reported_exactly(self, tmp_path, capsys):
+        # Left to right, (A B) c prices two gemms of 2 * 10^400 flops each;
+        # the plan, A (B c), costs 4e200.
         big = 10 ** 200
         text = (
             f"matrix A {big} 1\nmatrix B 1 {big}\nvector c {big}\nvector x {big}\n"
             "compute x = A * B * c\n"
         )
+        naive = 4 * 10 ** 400
         code, out, err = run(tmp_path, capsys, text, "--naive", "--format", "records")
         assert (code, err) == (0, "")
-        assert "total=4e+200 parens='(0 (1 2))'\nnaive total=inf ratio=inf" in out
+        assert f"total=4e+200 parens='(0 (1 2))'\nnaive total={naive} ratio=1e+200\n" in out
         code, out, err = run(tmp_path, capsys, text, "--naive")
         assert (code, err) == (0, "")
-        assert out.endswith("\n# naive_flops=inf ratio=inf\n")
+        assert out.endswith(f"\n# naive_flops={naive} ratio=1e+200\n")
+
+    def test_naive_ratio_beyond_float_range_is_an_int(self, tmp_path, capsys):
+        # Left to right builds a 10^400 x 10^400 outer product, at 4 * 10^800
+        # flops; the plan costs 4 * 10^400, so the ratio is 10^400.
+        big = 10 ** 400
+        text = (
+            f"matrix A {big} 1\nmatrix B 1 {big}\nvector c {big}\nvector x {big}\n"
+            "compute x = A * B * c\n"
+        )
+        code, out, err = run(tmp_path, capsys, text, "--naive")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\n# naive_flops={4 * big ** 2} ratio={big}\n")
+        code, out, err = run(tmp_path, capsys, text, "--naive", "--format", "records")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\nnaive total={4 * big ** 2} ratio={big}\n")
 
     def test_multiplicity_overflow_exits_two(self, tmp_path, capsys):
+        # Each gemm costs 2 * 10^3600 flops, and runs 10^2000 times: the
+        # total has more digits than Python writes out.
+        big = 10 ** 1200
+        text = (
+            f"index i {10 ** 2000}\n"
+            f"matrix A {big} {big} indices=i\nmatrix B {big} {big}\n"
+            f"matrix C {big} {big} indices=i\ncompute C[i] = A[i] * B\n"
+        )
+        for args in ((), ("--naive",), ("--format", "records")):
+            code, out, err = run(tmp_path, capsys, text, *args)
+            assert (code, out) == (2, "")
+            assert err.endswith(": line 5: the plan total has too many digits to write\n")
+
+    def test_multiplicity_beyond_float_range_exits_zero(self, tmp_path, capsys):
+        # Each gemm costs 2 * 10^300 flops, and runs 10^11 times.
         big = 10 ** 100
         text = (
             "index i 100000000000\n"
             f"matrix A {big} {big} indices=i\nmatrix B {big} {big}\n"
             f"matrix C {big} {big} indices=i\ncompute C[i] = A[i] * B\n"
         )
-        for args in ((), ("--naive",)):
-            code, out, err = run(tmp_path, capsys, text, *args)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("matchain: ") and "line 5" in err
-            assert "total cost of factors 0..1" in err
-            assert "index multiplicity 100000000000" in err
-            assert "no kernel sequence" not in err and "Traceback" not in err
+        code, out, err = run(tmp_path, capsys, text, "--naive")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\n# total_flops={2 * 10 ** 311}\n# naive_flops={2 * 10 ** 311} ratio=1\n")
+        code, out, err = run(tmp_path, capsys, text, "--format", "records")
+        assert (code, err) == (0, "")
+        assert parse_records(out).total_cost == 2 * 10 ** 311
 
     def test_multiplicity_too_long_to_write_exits_two(self, tmp_path, capsys):
         # The copy costs 0 at any multiplicity, but its multiplicity, about
@@ -392,11 +444,18 @@ class TestFailureModes:
             "matrix A 3 3 indices=i,j\nmatrix B 3 3 indices=i,j\n"
             "matrix X 3 3 indices=i,j\ncompute X[i,j] = A[i,j] * B[i,j]\n"
         )
-        for args in ((), ("--naive",), ("--format", "records")):
+        # The gemm runs about 10^5000 times: the text form's total, 54
+        # flops charged so, and the record form's multiplicity are both too
+        # long to write.
+        call = "call X[i,j] := gemm(A[i,j], B[i,j])"
+        for args, what in (
+            ((), "the plan total"),
+            (("--naive",), "the plan total"),
+            (("--format", "records"), f"{call}: its index multiplicity"),
+        ):
             code, out, err = run(tmp_path, capsys, text, *args)
             assert (code, out) == (2, "")
-            assert "line 6: total cost of factors 0..1" in err
-            assert "index multiplicity ~10^" in err and "Traceback" not in err
+            assert err.endswith(f": line 6: {what} has too many digits to write\n")
 
     def test_zero_cost_beyond_float_range_exits_zero(self, tmp_path, capsys):
         big = 10 ** 160

@@ -217,6 +217,24 @@ class TestRecords:
         back = parse_records(emit_records(plan))
         assert back.total_cost == plan.total_cost == pytest.approx(100 ** 3 / 3)
 
+    def test_round_trip_beyond_float_range(self):
+        # Costs too large for a float are exact ints, written in full.
+        big = 10 ** 200
+        plan = plan_for(
+            "y = A * B * x",
+            matrix("A", big, big),
+            matrix("B", big, big),
+            vector("x", big),
+            vector("y", big),
+        )
+        assert plan.total_cost == 4 * big ** 2
+        assert all(type(call.cost) is int for call in plan.calls)
+        text = emit_records(plan)
+        assert f" cost={2 * big ** 2} " in text and f" total={4 * big ** 2} " in text
+        back = parse_records(text)
+        assert back == plan
+        assert type(back.total_cost) is int and emit_records(back) == text
+
     def test_unknown_record_kinds_skipped(self):
         plan = plan_for("B = A", matrix("A", 2, 2), matrix("B", 2, 2))
         text = (

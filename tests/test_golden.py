@@ -13,14 +13,16 @@ became the DP fill restricted to the left-deep tree. Speed-ups and
 refactorings must leave the digests unchanged. They change only when
 plans or costs change on purpose, as they did when discharge steps came
 to be charged their own input's loops; such a change updates the digests
-here and says so in CHANGES.md. ``LONG_STATS`` pins the fill's summed
+here and says so in CHANGES.md, as they did when costs became exact
+ints and a float's rounding stopped deciding ties. ``LONG_STATS`` pins the fill's summed
 work counters (``DPStats``) over the long chains, under both databases
 and both metrics, so that a change in how many pairs the fill prices, or
 splits it tries, shows in review; it changes only with the fill's work.
 ``EXTREME_DIGEST`` pins the outcomes of ``solve`` and ``naive_cost`` on
-1,000 short chains whose dims and index ranges leave the float range:
-each total, or each error's class, message and segment, so that a change
-in how an error is found or worded shows too. ``GEN_DIGEST`` covers the
+1,000 short chains whose costs leave the float range: each total, exact
+beyond it, or each error's class, message and segment, so that a change
+in how an error is found or worded shows too; the oracle certifies each
+of their plans. ``GEN_DIGEST`` covers the
 benchmark's own statements, read from ``perfbench/gen.py`` (which is not
 changed here): the dp_mixed problem and the 12 cli_mix files of seed 1,
 each statement's ``emit_records`` and ``naive_cost`` under both metrics,
@@ -32,11 +34,14 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from matchain import (
     FLOPS,
     MEMORY,
     DPStats,
     IndexDecl,
+    brute_force_min,
     build_tables,
     default_db,
     emit_records,
@@ -44,19 +49,19 @@ from matchain import (
     naive_cost,
     solve,
 )
-from matchain.errors import MatchainError
+from matchain.errors import MatchainError, NoKernelApplicableError
 
 from helpers import random_chain
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
-DIGEST = "951541061b8bbbfa61cc29c72dd74147458f37833d1eb49467bcc51c62552aff"
+DIGEST = "8ce21580a6365fc72608a82adacac2d63df25d9031f94efffcfd8d02e1ac52f2"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
 LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
 LONG_STATS = DPStats(splits=202_352, signatures=22_258, pairs=80_007, no_route=92)
-EXTREME_DIGEST = "fad98be04a17083609ecf336475c512c51b6115197040937b7650e46a519d709"
-GEN_DIGEST = "49162fff1a3f73b00c19f8eb3f0f6517e191cb09552b2e667243b9433051f5b5"
+EXTREME_DIGEST = "db1f5eabc41d1118e45758f37f641c4b662d03a0547cf03278878e54435f24c3"
+GEN_DIGEST = "a02f1f39a949928e62d08e5f9d8fe8dca928b3b27e08545bf7694edd963c32bf"
 
 DATABASES = (
     default_db(),
@@ -168,6 +173,29 @@ def test_extreme_outcomes_match_golden_digest():
                         line = f"{type(exc).__name__}|{exc}|{segment}"
                     digest.update(f"{line}\n".encode())
     assert digest.hexdigest() == EXTREME_DIGEST
+
+
+def test_oracle_certifies_extreme_chains():
+    # Every cost is an exact int, so the solver's total is the oracle's
+    # minimum to the last digit, and the left-to-right order never beats it.
+    checked = 0
+    for chain in extreme_chains():
+        for db in DATABASES:
+            for metric in (FLOPS, MEMORY):
+                try:
+                    plan = solve(chain, db, metric)
+                except MatchainError:
+                    with pytest.raises(MatchainError):
+                        brute_force_min(chain, db, metric)
+                    continue
+                assert plan.total_cost == brute_force_min(chain, db, metric)[0]
+                checked += 1
+                try:
+                    naive = naive_cost(chain, db, metric)
+                except NoKernelApplicableError:  # a gap the plan avoids
+                    continue
+                assert naive >= plan.total_cost
+    assert checked > 3000
 
 
 def benchmark_chains():

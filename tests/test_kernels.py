@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ from matchain import (
     parse,
     solve,
 )
-from matchain.errors import CostOverflowError, KernelConfigError
-from matchain.kernels import call_mkn, product
+from matchain.errors import KernelConfigError
+from matchain.kernels import call_mkn, cost_value, product
 from matchain.properties import Property
 
 from helpers import random_operand_pair
@@ -80,20 +81,23 @@ class TestDatabase:
             assert arity[kid] == 2
 
     def test_flop_cost_values(self):
+        # Built-in costs count thirds of a flop: /3 is the only divisor.
         kernels = by_id(default_db())
-        assert kernels["gemm"].flops(100, 100, 100) == 2_000_000
-        assert kernels["gemm"].flops(1000, 1000, 1) == 2_000_000
-        assert kernels["trtrmm"].flops(100, 100, 100) == pytest.approx(100 ** 3 / 3)
-        assert kernels["trmm"].flops(100, 100, 50) == 100 ** 2 * 50
-        assert kernels["trsm"].flops(10, 10, 4) == 400
-        assert kernels["gesv"].flops(10, 10, 1) == pytest.approx(2 / 3 * 1000 + 200)
-        assert kernels["posv"].flops(10, 10, 3) == pytest.approx(1000 / 3 + 600)
-        assert kernels["diagmm"].flops(10, 10, 3) == 30
-        assert kernels["diagsv"].flops(10, 10, 3) == 60
-        assert kernels["transp"].flops(10, 4, 4) == 40
-        assert kernels["getri"].flops(10, 10, 10) == 2000
-        assert kernels["trtri"].flops(9, 9, 9) == pytest.approx(243)
+        assert {kernel.unit for kernel in kernels.values()} == {3}
+        assert kernels["gemm"].flops(100, 100, 100) == 3 * 2_000_000
+        assert kernels["gemm"].flops(1000, 1000, 1) == 3 * 2_000_000
+        assert kernels["trtrmm"].flops(100, 100, 100) == 100 ** 3
+        assert kernels["trmm"].flops(100, 100, 50) == 3 * 100 ** 2 * 50
+        assert kernels["trsm"].flops(10, 10, 4) == 3 * 400
+        assert kernels["gesv"].flops(10, 10, 1) == 2 * 1000 + 3 * 200
+        assert kernels["posv"].flops(10, 10, 3) == 1000 + 3 * 600
+        assert kernels["diagmm"].flops(10, 10, 3) == 3 * 30
+        assert kernels["diagsv"].flops(10, 10, 3) == 3 * 60
+        assert kernels["transp"].flops(10, 4, 4) == 3 * 40
+        assert kernels["getri"].flops(10, 10, 10) == 3 * 2000
+        assert kernels["trtri"].flops(9, 9, 9) == 729
         assert kernels["copy"].flops(10, 4, 4) == 0
+        assert all(type(k.flops(7, 5, 3)) is int for k in kernels.values())
 
 
 class TestMatch:
@@ -191,21 +195,63 @@ POLYNOMIALS = st.recursive(
 POSITIVE_DIMS = st.one_of(st.integers(1, 64), st.integers(1, 10 ** 120))
 
 
+def exact_value(poly: str, m: int, k: int, n: int) -> Fraction:
+    """``poly`` at (m, k, n), evaluated over fractions."""
+    over_fractions = re.sub(r"\d+", lambda digits: f"F({digits[0]})", poly)
+    env = {"F": Fraction, "m": Fraction(m), "k": Fraction(k), "n": Fraction(n)}
+    return eval(over_fractions, {"__builtins__": {}}, env)
+
+
 class TestCostSign:
     @given(POLYNOMIALS, POSITIVE_DIMS, POSITIVE_DIMS, POSITIVE_DIMS)
-    # A quotient that underflows to 0.0 becomes a divisor.
-    @example("(1/(1/(m*m*m*m)))", 10 ** 100, 1, 1)
-    def test_accepted_polynomial_is_nonnegative_or_overflows(self, poly, m, k, n):
-        # The solver's bound and copy-dominance rest on this contract.
+    @example("((m/2)/2+(m*n)/6)*(k/5)", 7, 3, 11)
+    @example("(m*123456789)*(n*987654321)", 10 ** 120, 1, 10 ** 120)
+    def test_accepted_polynomial_costs_unit_times_its_exact_value(self, poly, m, k, n):
+        # The solver's bound and copy-dominance rest on this contract:
+        # a cost is the non-negative int unit * poly, exactly.
         try:
             db = load_kernel_config(f"kernel p arity=2 tags=id;id req=; cost={poly}\n")
-        except KernelConfigError:
+        except KernelConfigError as exc:
+            assert "divisor must be a positive integer literal" in str(exc)
             return
-        try:
-            cost = FLOPS.call_cost(db[-1], (m, k, n))
-        except CostOverflowError:
-            return
-        assert type(cost) is float and cost >= 0
+        kernel = db[-1]
+        cost = FLOPS.call_cost(kernel, (m, k, n))
+        assert type(cost) is int and cost >= 0
+        assert cost == kernel.unit * exact_value(poly, m, k, n)
+        assert {k.unit for k in db} == {kernel.unit}
+
+    def test_a_new_divisor_widens_the_unit_and_keeps_the_plans(self):
+        db = load_kernel_config("kernel seventh arity=1 tags=t req= cost=m*n/7\n")
+        assert {kernel.unit for kernel in db} == {21}
+        kernels = by_id(db)
+        assert kernels["seventh"].flops(14, 3, 3) == 3 * 14 * 3
+        assert kernels["gemm"].flops(2, 3, 4) == 21 * 48
+        assert kernels["trtri"].flops(9, 9, 9) == 7 * 729
+        # Every built-in plan is unchanged where the new kernel does not
+        # apply, at the same reported cost.
+        chains = [
+            upper_solve(),
+            parse(
+                "x = L^-1 * A * y",
+                [
+                    matrix("L", 9, 9, [P.LOWER_TRIANGULAR]),
+                    matrix("A", 9, 9, [P.SPD]),
+                    matrix("y", 9, 1),
+                    matrix("x", 9, 1),
+                ],
+            ),
+        ]
+        for chain in chains:
+            for metric in (FLOPS, MEMORY):
+                assert solve(chain, db, metric) == solve(chain, None, metric)
+
+    def test_cost_value_rounds_once_and_keeps_huge_values_exact(self):
+        assert cost_value(1294310, 3) == 431436.6666666667
+        assert cost_value(2, 3) == 2 / 3
+        big = 10 ** 400 + 2
+        assert cost_value(3 * big, 3) == big
+        assert cost_value(3 * big + 2, 3) == big
+        assert type(cost_value(3 * 10 ** 300, 3)) is float
 
 
 class TestMetrics:
@@ -221,12 +267,13 @@ class TestMetrics:
         right = op(5, 3)
         assert call_mkn((left, right)) == (8, 5, 3)
         cost = FLOPS.call_cost(kernels["gemm"], call_mkn((left, right)))
-        assert cost == 2 * 8 * 5 * 3
+        assert cost == 3 * 2 * 8 * 5 * 3
 
     def test_memory_metric_counts_output(self):
+        # In the database's unit, as flops are, so both sum alike.
         kernels = by_id(default_db())
-        assert MEMORY.call_cost(kernels["gemm"], (8, 5, 3)) == 24
-        assert MEMORY.call_cost(kernels["copy"], (8, 8, 8)) == 64
+        assert MEMORY.call_cost(kernels["gemm"], (8, 5, 3)) == 3 * 24
+        assert MEMORY.call_cost(kernels["copy"], (8, 8, 8)) == 3 * 64
 
 
 class TestApply:
@@ -287,7 +334,8 @@ class TestConfig:
         ids = [k.id for k in db]
         assert ids.index("gemm") == EXPECTED_ORDER.index("gemm")
         assert ids[-2:] == ["sqmm", "scale"]
-        assert by_id(db)["gemm"].flops(2, 3, 4) == 72
+        # scale's m*n/2 makes the unit lcm(3, 2) = 6.
+        assert by_id(db)["gemm"].flops(2, 3, 4) == 6 * 72
 
     def test_square_allowed_in_req(self):
         db = load_kernel_config(GOOD_CONFIG)
@@ -305,7 +353,9 @@ class TestConfig:
 
     def test_cost_division_is_real(self):
         db = load_kernel_config("kernel third arity=1 tags=inv req=square cost=m*m*m/3\n")
-        assert by_id(db)["third"].flops(10, 10, 10) == pytest.approx(1000 / 3)
+        third = by_id(db)["third"]
+        assert third.flops(10, 10, 10) == 1000
+        assert cost_value(third.flops(10, 10, 10), third.unit) == 1000 / 3
 
     def test_base_db_not_mutated(self):
         base = default_db()
@@ -327,13 +377,9 @@ class TestConfig:
             "kernel bad arity=1 tags=id req= cost=q*m",
             "kernel bad arity=1 tags=id req= cost=m/0",
             "kernel bad arity=2 tags=id;id req=; cost=m*k/(n*0+0)",
-            pytest.param(
-                "kernel bad arity=1 tags=id req= cost=m*" + "9" * 400, id="float-overflow"
-            ),
-            pytest.param(
-                "kernel bad arity=1 tags=id req= cost=m/1*" + "9" * 200 + "*" + "9" * 200,
-                id="infinite",
-            ),
+            "kernel bad arity=1 tags=id req= cost=1/(1/(m*m*m*m))",
+            "kernel bad arity=1 tags=id req= cost=m/n",
+            "kernel bad arity=1 tags=id req= cost=m/(3)/-2",
             pytest.param(
                 "kernel bad arity=1 tags=id req= cost=" + "+".join(["m"] * 1500),
                 id="too-deep-to-compile",
@@ -355,6 +401,19 @@ class TestConfig:
         with pytest.raises(KernelConfigError) as info:
             load_kernel_config(line + "\n")
         assert info.value.lineno == 1
+
+    @pytest.mark.parametrize(
+        "poly, m, want",
+        [
+            pytest.param("m*" + "9" * 400, 2, 2 * 10 ** 400 - 2, id="float-overflow"),
+            pytest.param(
+                "m/1*" + "9" * 200 + "*" + "9" * 200, 1, (10 ** 200 - 1) ** 2, id="infinite"
+            ),
+        ],
+    )
+    def test_accepts_costs_too_large_for_a_float(self, poly, m, want):
+        kernel = load_kernel_config(f"kernel big arity=1 tags=t req= cost={poly}\n")[-1]
+        assert kernel.flops(m, m, m) == 3 * want
 
     @pytest.mark.parametrize(
         "config",

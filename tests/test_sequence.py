@@ -1,6 +1,5 @@
 """Kernel sequence search for a single combination step."""
 
-import math
 import random
 
 import pytest
@@ -24,14 +23,13 @@ from matchain import (
     solve,
     vector,
 )
-from matchain.errors import CostOverflowError, NoKernelApplicableError, UnsatisfiableError
+from matchain.errors import NoKernelApplicableError, UnsatisfiableError
 from matchain.kernels import Kernel, call_mkn, product
 from matchain import kernels, sequence
 from matchain.sequence import (
     L,
     SeqStep,
     _candidates,
-    _charged,
     _cheapest,
     _describe,
     _entry,
@@ -44,6 +42,9 @@ from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
 
 P = Property
 
+#: The built-in cost unit: sequence totals count thirds of a flop.
+U = 3
+
 
 def op(rows, cols, props=(), tag=UnaryTag.ID, name="X"):
     return TaggedOperand(rows, cols, close(props, rows, cols), tag, name)
@@ -53,33 +54,33 @@ class TestDischarge:
     def test_inverse_times_vector_is_a_solve(self):
         seq = find_sequence(op(10, 10, tag=UnaryTag.INV, name="A"), op(10, 1, name="b"))
         assert seq.kernel_ids == ("gesv",)
-        assert seq.total_cost == pytest.approx(2 / 3 * 1000 + 200)
+        assert seq.total_cost == 2 * 1000 + U * 200
 
     def test_triangular_inverse_transpose_single_trsm(self):
         seq = find_sequence(
             op(10, 10, {P.LOWER_TRIANGULAR}, UnaryTag.INVT, "L"), op(10, 4, name="B")
         )
         assert seq.kernel_ids == ("trsm",)
-        assert seq.total_cost == 10 ** 2 * 4
+        assert seq.total_cost == U * 10 ** 2 * 4
 
     def test_inverse_transpose_full_preps_with_transp(self):
         # Explicit inversion costs 2n^3; transposing first keeps the solve.
         seq = find_sequence(op(10, 10, tag=UnaryTag.INVT, name="A"), op(10, 4, name="B"))
         assert seq.kernel_ids == ("transp", "gesv")
-        assert seq.total_cost == pytest.approx(100 + 2 / 3 * 1000 + 800)
+        assert seq.total_cost == U * 100 + 2 * 1000 + U * 800
 
     def test_right_side_inverse_needs_getri(self):
         # No solve kernel takes the inverse on the right, so invert explicitly.
         seq = find_sequence(op(4, 10, name="B"), op(10, 10, tag=UnaryTag.INV, name="A"))
         assert seq.kernel_ids == ("getri", "gemm")
-        assert seq.total_cost == 2 * 1000 + 2 * 4 * 10 * 10
+        assert seq.total_cost == U * (2 * 1000 + 2 * 4 * 10 * 10)
 
     def test_double_transpose_absorbed_by_gemm(self):
         seq = find_sequence(
             op(8, 5, tag=UnaryTag.T, name="A"), op(3, 8, tag=UnaryTag.T, name="B")
         )
         assert seq.kernel_ids == ("gemm",)
-        assert seq.total_cost == 2 * 5 * 8 * 3
+        assert seq.total_cost == U * 2 * 5 * 8 * 3
 
     def test_spd_solve_beats_general(self):
         seq = find_sequence(op(10, 10, {P.SPD}, UnaryTag.INV, "S"), op(10, 4, name="B"))
@@ -88,7 +89,7 @@ class TestDischarge:
     def test_diagonal_solve(self):
         seq = find_sequence(op(10, 10, {P.DIAGONAL}, UnaryTag.INV, "D"), op(10, 4))
         assert seq.kernel_ids == ("diagsv",)
-        assert seq.total_cost == 2 * 10 * 4
+        assert seq.total_cost == U * 2 * 10 * 4
 
     def test_plain_pair_single_gemm(self):
         seq = find_sequence(op(8, 5, name="A"), op(5, 3, name="B"))
@@ -151,7 +152,7 @@ class TestSearchShape:
             except NoKernelApplicableError:
                 assert oracle == float("inf")
                 continue
-            assert seq.total_cost == pytest.approx(oracle)
+            assert seq.total_cost == oracle
             agreed += 1
         assert agreed > 50
 
@@ -173,7 +174,7 @@ class TestTieBreaks:
         )
         db = load_kernel_config(config)
         seq = find_sequence(op(5, 5, tag=UnaryTag.T, name="A"), op(5, 5, name="B"), db)
-        assert seq.total_cost == 275
+        assert seq.total_cost == U * 275
         assert seq.kernel_ids == ("tmm",)
 
     def test_equal_cost_equal_length_prefers_id_order(self):
@@ -195,24 +196,24 @@ class TestMaterialize:
     def test_transpose(self):
         seq = materialize(op(6, 3, tag=UnaryTag.T, name="A"))
         assert seq.kernel_ids == ("transp",)
-        assert seq.total_cost == 18
+        assert seq.total_cost == U * 18
 
     def test_inverse(self):
         seq = materialize(op(6, 6, tag=UnaryTag.INV, name="A"))
         assert seq.kernel_ids == ("getri",)
-        assert seq.total_cost == 2 * 216
+        assert seq.total_cost == U * 2 * 216
 
     def test_triangular_inverse(self):
         seq = materialize(op(6, 6, {P.UPPER_TRIANGULAR}, UnaryTag.INV, "U"))
         assert seq.kernel_ids == ("trtri",)
-        assert seq.total_cost == pytest.approx(216 / 3)
+        assert seq.total_cost == 216
 
     def test_inverse_transpose_order_tie(self):
         # getri then transp and transp then getri cost the same; the id
         # tuple ("getri", "transp") sorts first.
         seq = materialize(op(6, 6, tag=UnaryTag.INVT, name="A"))
         assert seq.kernel_ids == ("getri", "transp")
-        assert seq.total_cost == 2 * 216 + 36
+        assert seq.total_cost == U * (2 * 216 + 36)
 
     def test_unsatisfiable_without_unary_kernels(self):
         db = [k for k in default_db() if k.arity == 2]
@@ -263,7 +264,7 @@ class TestRenderCalls:
                 except NoKernelApplicableError:
                     continue
                 calls, final = render(seq, left, right, "OUT", names, metric)
-                assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
+                assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost / U)
                 assert final.name == "OUT"
                 assert final.signature() == seq.output.signature()
 
@@ -272,7 +273,7 @@ class TestRenderCalls:
         b = op(10, 4, name="B")
         seq = find_sequence(a, b, metric=MEMORY)
         calls, _ = render(seq, a, b, "C", metric=MEMORY)
-        assert sum(c.cost for c in calls) == pytest.approx(seq.total_cost)
+        assert sum(c.cost for c in calls) == seq.total_cost / U == 100 + 40
 
     def test_discharge_temp_varies_over_its_input(self):
         # A discharge runs under, and its temp is indexed by, only the
@@ -322,8 +323,8 @@ class TestFailure:
 
 
 def _reference_chains(op, db, metric, max_len, with_copy=False):
-    out = [((), 0.0, op)]
-    frontier = [((), 0.0, op)]
+    out = [((), 0, op)]
+    frontier = [((), 0, op)]
     for _ in range(max_len):
         grown = []
         for steps, cost, cur in frontier:
@@ -569,65 +570,37 @@ class TestStructuralTable:
 
 #: Every default kernel at 0 flops, so every candidate of a pair ties.
 ZERO_DB = [kern._replace(flops=lambda m, k, n: 0 * m) for kern in default_db()]
-#: huge costs 10^400 flops at dims 10^100, where gemm still fits; at dims
-#: 10^110 every binary kernel's flops overflow.
+#: huge costs m^2 k n flops: 10^400 at dims 10^100, where gemm's are 10^300.
 HUGE_DB = default_db() + load_kernel_config("kernel huge arity=2 tags=id;id req=; cost=m*k*n*m\n")
 
 
-def times(cost, r):
-    """``cost`` charged ``r`` times: 0 stays 0, and a multiplicity beyond
-    the float range makes any other cost inf."""
-    if not cost:
-        return 0.0
-    try:
-        return cost * float(r)
-    except OverflowError:
-        return math.inf
-
-
 def reference_cheapest(candidates, m, k, n, metric, mults):
-    """The cost step written plainly. Each step's ``call_cost`` is taken at
-    its target's (m, k, n) and summed in order. Under unequal multiplicities
-    each call is charged its target's; under equal ones the cheapest
-    uncharged total is charged r times afterwards. The least
-    ``(total, steps, kernel ids)`` wins, then the earlier candidate. A
-    candidate with an overflowing call is skipped, and the first such error
-    is raised when every candidate has one. Also returns how many
-    candidates were skipped."""
+    """The cost step written plainly: each step's ``call_cost`` is taken at
+    its target's (m, k, n), charged its target's multiplicity and summed,
+    and the least ``(total, steps, kernel ids)`` wins, then the earlier
+    candidate."""
     targets = ("op1", "op2", "both")
     args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
-    mults = mults or (1, 1, 1)
-    equal = len(set(mults)) == 1
-    best = best_key = first_error = None
-    skipped = 0
+    best = best_key = None
     for steps in candidates:
         ids = tuple(step.kernel.id for step in steps)
-        total = 0.0
-        try:
-            for step in steps:
-                cost = metric.call_cost(step.kernel, args[step.target])
-                total += cost if equal else times(cost, mults[targets.index(step.target)])
-        except CostOverflowError as exc:
-            first_error = first_error or exc
-            skipped += 1
-            continue
+        total = sum(
+            metric.call_cost(step.kernel, args[step.target])
+            * mults[targets.index(step.target)]
+            for step in steps
+        )
         if best_key is None or (total, len(steps), ids) < best_key:
             best, best_key = steps, (total, len(steps), ids)
-    if best is None:
-        raise first_error
-    total = times(best_key[0], mults[2]) if equal else best_key[0]
-    return best, total, skipped
+    return best, best_key[0]
 
 
 class TestCostStep:
     def test_cheapest_equals_plain_reference(self):
-        # A lone candidate under equal multiplicities takes a shorter path.
+        # Equal multiplicities take a shorter path: the uncharged totals.
         dbs = (default_db(), ZERO_DB, HUGE_DB)
         ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
         rng = random.Random(20261021)
-        seen = dict.fromkeys(
-            ("lone", "several", "unequal", "beyond float", "zero", "skipped", "raised"), 0
-        )
+        seen = dict.fromkeys(("lone", "several", "unequal", "beyond float", "zero"), 0)
         for _ in range(3000):
             op1, op2 = random_operand_pair(rng, dim_max=3)
             factor = rng.choice((1, 7, 10 ** 100, 10 ** 110))
@@ -636,37 +609,20 @@ class TestCostStep:
             candidates = _candidates(op1, op2, db, {})
             if not candidates:
                 continue
-            r1, r2 = rng.choice(ranges), rng.choice(ranges)
-            mults = rng.choice((None, (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
+            r, r1, r2 = rng.choice(ranges), rng.choice(ranges), rng.choice(ranges)
+            mults = rng.choice(((1, 1, 1), (r, r, r), (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
             mkn = call_mkn((op1, op2))
-            try:
-                want = reference_cheapest(candidates, *mkn, metric, mults)
-            except CostOverflowError as exc:
-                with pytest.raises(CostOverflowError) as info:
-                    _cheapest(candidates, *mkn, metric, mults)
-                assert str(info.value) == str(exc)
-                seen["raised"] += 1
-                continue
+            want = reference_cheapest(candidates, *mkn, metric, mults)
             steps, total = _cheapest(candidates, *mkn, metric, mults)
             assert steps is want[0]
-            assert total == want[1]
-            seen["skipped"] += want[2] > 0
-            unequal = mults is not None and len(set(mults)) > 1
+            assert type(total) is int and total == want[1]
+            unequal = len(set(mults)) > 1
             seen["several"] += len(candidates) > 1
             seen["lone"] += len(candidates) == 1 and not unequal
             seen["unequal"] += unequal
-            seen["beyond float"] += mults is not None and max(mults) > 10 ** 309
-            seen["zero"] += total == 0.0
+            seen["beyond float"] += total > 10 ** 309
+            seen["zero"] += total == 0
         assert min(seen.values()) > 20, seen
-
-
-def outcome(price, *args):
-    """``price(*args)``, or the text of the :class:`CostOverflowError` it
-    raises."""
-    try:
-        return price(*args)
-    except CostOverflowError as exc:
-        return str(exc)
 
 
 def is_sublist(part, whole):
@@ -714,7 +670,7 @@ class TestDominance:
         tables = [{} for _ in dbs]
         ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
         rng = random.Random(20261023)
-        seen = dict.fromkeys(("pruned", "kept", "lone", "unequal", "raised", "raised, pruned"), 0)
+        seen = dict.fromkeys(("pruned", "kept", "lone", "unequal", "beyond float"), 0)
         for _ in range(4000):
             op1, op2 = random_operand_pair(rng, dim_max=3)
             factor = rng.choice((1, 7, 10 ** 100, 10 ** 110))
@@ -730,23 +686,18 @@ class TestDominance:
             one_call = len(candidates) == 1 and len(candidates[0]) == 1
             assert lone is (candidates[0][0].kernel if one_call else None)
             r, r1, r2 = rng.choice(ranges), rng.choice(ranges), rng.choice(ranges)
-            mults = rng.choice((None, (r, r, r), (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
+            mults = rng.choice(((1, 1, 1), (r, r, r), (r1, r2, max(r1, r2)), (r1, r2, r1 * r2)))
             mkn = call_mkn((op1, op2))
-            want = outcome(_cheapest, full, *mkn, metric, mults)
-            got = outcome(_cheapest, candidates, *mkn, metric, mults)
-            assert got == want
-            raised = isinstance(want, str)
+            want = _cheapest(full, *mkn, metric, mults)
+            assert _cheapest(candidates, *mkn, metric, mults) == want
             if lone:
-                r = mults[2] if mults else 1
-                charged = outcome(lambda: _charged(metric.call_cost(lone, mkn), r))
-                assert charged == (want if raised else want[1])
+                assert metric.call_cost(lone, mkn) * mults[2] == want[1]
                 seen["lone"] += 1
             pruned = len(candidates) < len(full)
             seen["pruned"] += pruned
             seen["kept"] += not pruned
-            seen["raised"] += raised
-            seen["raised, pruned"] += raised and pruned
-            seen["unequal"] += mults is not None and len(set(mults)) > 1
+            seen["unequal"] += len(set(mults)) > 1
+            seen["beyond float"] += want[1] > 10 ** 309
         assert min(seen.values()) > 50, seen
 
 
@@ -767,6 +718,6 @@ class TestOutputShape:
                         else:
                             out = product(*inputs)
                         cost = MEMORY.call_cost(kernel, call_mkn(inputs))
-                        assert cost == out.rows * out.cols
+                        assert cost == out.rows * out.cols * kernel.unit
                         seen.add(kernel)
         assert seen == {k for db in DATABASES.values() for k in db}
