@@ -65,10 +65,10 @@ def _fail(message: str) -> None:
 
 
 def _read(path: str) -> str | None:
-    """The text of ``path``, or None once the reason it cannot be read is
-    reported."""
+    """The text of ``path``, read as UTF-8 with any byte-order mark
+    dropped, or None once the reason it cannot be read is reported."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         _fail(str(exc))

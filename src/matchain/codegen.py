@@ -12,6 +12,7 @@ plan. Every number goes through :func:`write_number`.
 from __future__ import annotations
 
 import shlex
+from math import inf, prod
 
 from .errors import MatchainError
 from .expr import IndexDecl
@@ -138,8 +139,12 @@ def _parse_loops(text: str) -> tuple[IndexDecl, ...]:
 
 
 def _read_number(text: str) -> float | int:
-    """The number :func:`write_number` wrote as ``text``."""
-    return int(text) if text.isdecimal() else float(text)
+    """The number :func:`write_number` wrote as ``text``: an int's digits
+    in canonical form, or the repr of a finite, non-negative float."""
+    value = int(text) if text.isdecimal() else float(text)
+    if repr(value) == text and 0 <= value < inf:
+        return value
+    raise ValueError(f"{text!r} is not a number emit_records writes")
 
 
 #: The fields a record of each kind must have.
@@ -150,12 +155,13 @@ _REQUIRED = {
 
 
 def parse_records(text: str) -> Plan:
-    """Reconstruct a Plan from :func:`emit_records` output.
-
-    An all-digit ``cost=`` or ``total=`` is read as an int, any other as
-    a float. Raises ``ValueError`` on any malformed stream, naming the
-    missing field, the malformed parenthesization or the value that is not
-    a number, and when the stream has no summary line.
+    """Reconstruct a Plan from :func:`emit_records` output, and from
+    nothing else it could not have written: numbers are read by
+    :func:`_read_number`, and a call's ``mult=`` must be the product of its
+    loop ranges (1 when omitted). Raises ``ValueError`` on any malformed
+    stream, naming the missing field, the malformed parenthesization, the
+    value that is not a number or the wrong multiplicity, and when the
+    stream has no summary line.
     """
     calls = []
     summary: dict[str, str] | None = None
@@ -175,6 +181,12 @@ def parse_records(text: str) -> Plan:
             raise ValueError(f"{kind} record lacks {', '.join(map(repr, missing))}")
         if kind == "call":
             inputs = [fields[k] for k in ("in1", "in2") if k in fields]
+            loops = _parse_loops(fields.get("loops", ""))
+            mult, written = prod(ix.range for ix in loops), fields.get("mult", "1")
+            if written != str(mult):
+                raise ValueError(
+                    f"multiplicity {written} is not the product of the call's loop ranges"
+                )
             calls.append(
                 KernelCall(
                     kernel_id=fields["kernel"],
@@ -182,8 +194,8 @@ def parse_records(text: str) -> Plan:
                     output=fields["out"],
                     cost=_read_number(fields["cost"]),
                     comment=fields["math"],
-                    loops=_parse_loops(fields.get("loops", "")),
-                    multiplicity=int(fields.get("mult", "1")),
+                    loops=loops,
+                    multiplicity=mult,
                 )
             )
         elif kind == "summary":

@@ -52,6 +52,13 @@ the caller checks that the dims conform, and preps keep effective dims,
 so a cached end state may carry the dims of whichever operand first
 reached it.
 
+The same chains plan a single-factor chain (``materialize``): the
+cheapest that ends tag-free, or one ``copy`` for a tag-free operand.
+That is exact. Every unary kernel is a copy (``tags=id`` alone) or a
+peel (tags from t, inv and invt), so a copy applies only once the tag is
+gone, and at most two peels remove it; dropping a route's copies leaves
+a shorter route that costs no more, in the same breadth-first order.
+
 A candidate, like a result's route, is a tuple of :class:`SeqStep`
 values: kernels and targets only. The solver binds operand names when it
 renders the plan, so one result serves every operand pair with equal
@@ -99,32 +106,23 @@ def _kernel_ids(steps: tuple[SeqStep, ...]) -> tuple[str, ...]:
     return tuple(step.kernel.id for step in steps)
 
 
-def _unary_chains(op: TaggedOperand, db, max_len: int, target: str, with_copy: bool):
-    """Every chain of at most ``max_len`` unary kernels applicable to ``op``.
-
-    Returns (steps, result) pairs in breadth-first order, starting with the
-    empty chain; every step applies to ``target``. ``copy`` (no peel) is
-    left out unless ``with_copy``.
-    """
-    frontier = out = [((), op)]
-    for _ in range(max_len):
-        frontier = [
-            (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
-            for steps, cur in frontier
-            for kernel in match(cur, None, db)
-            if with_copy or kernel.peel is not None
-        ]
-        out.extend(frontier)
-    return out
-
-
 def _preps(op: TaggedOperand, db, target: str, table: dict) -> list:
-    """``op``'s discharge chains as preps for ``target``, enumerated once
-    per ``(props, tag, target)`` key of ``table``."""
+    """``op``'s discharge chains as preps for ``target``: every chain of at
+    most L - 1 peeling kernels, as (steps, result) pairs in breadth-first
+    order, starting with the empty chain. Enumerated once per
+    ``(props, tag, target)`` key of ``table``."""
     key = (op.props, op.tag, target)
     chains = table.get(key)
     if chains is None:
-        chains = table[key] = _unary_chains(op, db, L - 1, target, False)
+        frontier = chains = table[key] = [((), op)]
+        for _ in range(L - 1):
+            frontier = [
+                (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
+                for steps, cur in frontier
+                for kernel in match(cur, None, db)
+                if kernel.peel is not None
+            ]
+            chains.extend(frontier)
     return chains
 
 
@@ -154,28 +152,22 @@ def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list
     return out
 
 
-def _cheapest(candidates, m: int, k: int, n: int, metric, mults=(1, 1, 1)):
+def _cheapest(candidates, m: int, k: int, n: int, metric, mults: tuple[int, int, int]):
     """Cost step: steps and total of the cheapest of the (non-empty)
     ``candidates`` for op1 of effective shape m x k times op2 of k x n.
     ``mults``, an ``(r1, r2, r)`` triple, charges op1's preps ``r1``
     times, op2's ``r2`` times and the binary call ``r`` times, and the
-    total is the charged one. When the three are equal, every total is
-    the uncharged one times ``r``, so the uncharged totals pick the same
-    candidate. Ties go to fewer steps, then to the smaller id tuple, then
-    to the earlier candidate."""
-    args = {"op1": (m, k, k), "op2": (k, n, n), "both": (m, k, n)}
+    total is the charged one. Ties go to fewer steps, then to the smaller
+    id tuple, then to the earlier candidate."""
     r1, r2, r = mults
-    scales = None if r1 == r2 == r else {"op1": r1, "op2": r2, "both": r}
+    args = {"op1": ((m, k, k), r1), "op2": ((k, n, n), r2), "both": ((m, k, n), r)}
     call_cost = metric.call_cost
     best = best_key = None
     for steps in candidates:
         total = 0
-        if scales is None:
-            for kernel, target in steps:
-                total += call_cost(kernel, args[target])
-        else:
-            for kernel, target in steps:
-                total += call_cost(kernel, args[target]) * scales[target]
+        for kernel, target in steps:
+            mkn, times = args[target]
+            total += call_cost(kernel, mkn) * times
         # The id tuples are built only to break a tie.
         cand_key = (total, len(steps))
         if best_key is None or cand_key < best_key or (
@@ -183,8 +175,6 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults=(1, 1, 1)):
         ):
             best_key = cand_key
             best = steps
-    if scales is None:
-        return best, best_key[0] * r
     return best, best_key[0]
 
 
@@ -263,7 +253,7 @@ def find_sequence(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
     *,
-    mults: tuple[int, int, int] | None = None,
+    mults: tuple[int, int, int] = (1, 1, 1),
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
@@ -289,7 +279,7 @@ def find_sequence(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
-    steps, total = _cheapest(candidates, m, k, n, metric, mults or (1, 1, 1))
+    steps, total = _cheapest(candidates, m, k, n, metric, mults)
     return SequenceResult(steps, total, _output(op1, op2, m, n, table))
 
 
@@ -298,27 +288,26 @@ def materialize(
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
 ) -> SequenceResult:
-    """Cheapest unary sequence that discharges ``op``'s tag completely.
-
-    Used for single-factor chains, where the pending tag cannot be
-    deferred into a combination. A tag-free operand still costs one
-    ``copy`` call, since a plan must produce its target. Raises
-    :class:`UnsatisfiableError` when no unary route reaches a plain
-    operand.
+    """Cheapest unary sequence that discharges ``op``'s tag completely,
+    for a single-factor chain, whose tag has no combination to defer into:
+    one of ``op``'s cached discharge chains ending tag-free or, for a
+    tag-free operand, one ``copy`` call, since a plan must produce its
+    target. Raises :class:`UnsatisfiableError` when there is no such route.
     """
     if db is None:
         db = default_db()
-    candidates = [
-        steps
-        for steps, cur in _unary_chains(op, db, L, "op1", True)
-        if steps and cur.tag is UnaryTag.ID
-    ]
+    table = _structural_table(db)
+    if op.tag is UnaryTag.ID:
+        candidates = [(SeqStep(kernel, "op1"),) for kernel in match(op, None, db)]
+    else:
+        chains = _preps(op, db, "op1", table)
+        candidates = [steps for steps, cur in chains if cur.tag is UnaryTag.ID]
     if not candidates:
         raise UnsatisfiableError(
             f"no unary kernel sequence materializes {_describe(op)}"
         )
     m, n = op.eff_dims
-    steps, total = _cheapest(candidates, m, n, n, metric)
+    steps, total = _cheapest(candidates, m, n, n, metric, (1, 1, 1))
     return SequenceResult(steps, total, TaggedOperand(m, n, op.eff_props))
 
 

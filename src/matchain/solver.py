@@ -78,7 +78,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, prod
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import count
 from typing import NamedTuple
 
 from .errors import InvalidChainError, NoKernelApplicableError
@@ -305,18 +306,8 @@ def build_tables(
     return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
 
 
-class _TempNames:
-    def __init__(self):
-        self.counter = 0
-
-    def fresh(self, indices: tuple[IndexDecl, ...]) -> str:
-        name = indexed_name(f"T{self.counter}", indices)
-        self.counter += 1
-        return name
-
-
 def _extract(
-    tables: DPTables, factors, target: str, names: _TempNames, db, metric
+    tables: DPTables, factors, target: str, names: Iterator[int], db, metric
 ) -> tuple[tuple[KernelCall, ...], object]:
     """Post-order walk of the split table from the root, as a loop.
 
@@ -345,7 +336,10 @@ def _extract(
         else:
             right, rtree = done.pop()
             left, ltree = done.pop()
-            out_name = target if (i, j) == root else names.fresh(free[i][j])
+            if (i, j) == root:
+                out_name = target
+            else:
+                out_name = indexed_name(f"T{next(names)}", free[i][j])
             loops = {
                 "op1": (free[i][k], ranges[i][k]),
                 "op2": (free[k + 1][j], ranges[k + 1][j]),
@@ -363,7 +357,7 @@ def _extract(
 _PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
-def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
+def _render(seq, op1, op2, loops, out_name, names: Iterator[int], metric):
     """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
 
     ``loops`` maps each step target, ``"op1"``, ``"op2"`` and ``"both"``,
@@ -386,7 +380,7 @@ def _render(seq, op1, op2, loops, out_name, names: _TempNames, metric):
     for at, step in enumerate(seq.steps):
         kernel = step.kernel
         free, mult = loops[step.target]
-        name = out_name if at == last else names.fresh(free)
+        name = out_name if at == last else indexed_name(f"T{next(names)}", free)
         call_loops = tuple(ix for ix in nest if ix in free)
         if step.target == "both":
             inputs = (cur["op1"], cur["op2"])
@@ -418,7 +412,7 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
 
     target = chain.target_display
     factors = chain.factors
-    names = _TempNames()
+    names = count()
 
     if len(factors) == 1:
         op = _base_operand(factors[0], factors[0].operand.display)

@@ -227,6 +227,26 @@ class TestFailureModes:
         assert captured.out == ""
         assert captured.err.startswith(f"matchain: {bad}: not UTF-8 text")
 
+    @pytest.mark.parametrize("which", ["problem", "kernels"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, which):
+        # Some editors start a UTF-8 file with a byte-order mark. The file
+        # plans as the same file without one.
+        texts = {
+            "problem": "matrix A 8 8\nmatrix B 8 8\nmatrix C 8 8\ncompute C = A * B\n",
+            "kernels": "kernel fastmm arity=2 tags=id;id req=; cost=m*n\n",
+        }
+        paths = {kind: tmp_path / f"{kind}.txt" for kind in texts}
+        outputs = []
+        for bom in ("", "\ufeff"):
+            for kind, text in texts.items():
+                paths[kind].write_text((bom if kind == which else "") + text, encoding="utf-8")
+            code = main([str(paths["problem"]), "--kernels", str(paths["kernels"])])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        code, captured = outputs[0]
+        assert code == 0 and captured.err == ""
+        assert "C := fastmm(A, B)" in captured.out
+
     def test_problem_error_line_number(self, tmp_path, capsys):
         code, out, err = run(tmp_path, capsys, "matrix A 4\n")
         assert code == 1

@@ -257,6 +257,18 @@ class TestRecords:
             ("summary target=x metric=flops total=1.0 parens=", "malformed"),
             ("summary target=x metric=flops total=one parens=0", "could not convert"),
             ("call kernel=copy in1=A out=B cost=0.0 math=B loops=i:0", "range >= 1"),
+            ("call kernel=copy in1=A out=B cost=nan math=B", "'nan' is not a number"),
+            ("summary target=x metric=flops total=-inf parens=0", "'-inf' is not a number"),
+            ("call kernel=copy in1=A out=B cost=1_000 math=B", "'1_000' is not a number"),
+            ("call kernel=copy in1=A out=B cost=0100 math=B", "'0100' is not a number"),
+            ("summary target=x metric=flops total=1e3 parens=0", "'1e3' is not a number"),
+            ("call kernel=copy in1=A out=B cost=0.0 math=B mult=-3", "multiplicity -3 is not"),
+            ("call kernel=copy in1=A out=B cost=0.0 math=B mult=0", "multiplicity 0 is not"),
+            (
+                "call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:3 mult=7",
+                "multiplicity 7 is not the product of the call's loop ranges",
+            ),
+            ("call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:3", "multiplicity 1"),
         ],
     )
     def test_malformed_stream_raises_value_error(self, text, message):

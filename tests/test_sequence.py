@@ -1,6 +1,7 @@
 """Kernel sequence search for a single combination step."""
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,9 +34,8 @@ from matchain.sequence import (
     _cheapest,
     _describe,
     _entry,
-    _unary_chains,
 )
-from matchain.solver import _render, _TempNames
+from matchain.solver import _render
 from matchain.properties import Property
 
 from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
@@ -224,7 +224,7 @@ class TestMaterialize:
 def render(seq, op1, op2, out_name, names=None, metric=FLOPS):
     """The solver's rendering of ``seq`` outside any loop."""
     loops = {"op1": ((), 1), "op2": ((), 1), "both": ((), 1)}
-    return _render(seq, op1, op2, loops, out_name, names or _TempNames(), metric)
+    return _render(seq, op1, op2, loops, out_name, names or count(), metric)
 
 
 class TestRenderCalls:
@@ -255,7 +255,7 @@ class TestRenderCalls:
 
     def test_costs_sum_to_total(self):
         rng = random.Random(23)
-        names = _TempNames()
+        names = count()
         for _ in range(100):
             left, right = random_operand_pair(rng)
             for metric in (FLOPS, MEMORY):
@@ -383,10 +383,21 @@ kernel trtri arity=1 tags=inv,invt req=lower_triangular cost=m*m*n+2*k
 kernel dginv arity=1 tags=inv req=diagonal cost=m*n/2
 """
 
+#: Two copies, the dearer one first, and a peel that costs nothing, so a
+#: copy after a discharge adds cost and routes through transp tie.
+COPIES_CONFIG = """
+kernel gemm arity=2 tags=id;id req=; cost=2*m*k*n
+kernel dearcopy arity=1 tags=id req= cost=3*m*n
+kernel copy arity=1 tags=id req= cost=m*n/2
+kernel transp arity=1 tags=t,invt req= cost=0
+kernel getri arity=1 tags=inv,invt req=square cost=2*m*m*m
+"""
+
 DATABASES = {
     "default": default_db(),
     "no_inverse": [k for k in default_db() if k.id not in ("getri", "trtri")],
     "asymmetric": load_kernel_config(ASYMMETRIC_CONFIG, base=[]),
+    "copies": load_kernel_config(COPIES_CONFIG, base=[]),
 }
 
 DIMS = st.sampled_from([1, 2, 3, 5])
@@ -491,12 +502,20 @@ def uncached_candidates(op1, op2, db):
     """The structural step without a table: every pair of discharge chains
     matched against the whole database, dims checked."""
     out = []
-    for pre1, cur1 in _unary_chains(op1, db, L - 1, "op1", False):
-        for pre2, cur2 in _unary_chains(op2, db, L - 1, "op2", False):
+    for pre1, _, cur1 in _reference_chains(op1, db, FLOPS, L - 1):
+        for pre2, _, cur2 in _reference_chains(op2, db, FLOPS, L - 1):
             if len(pre1) + len(pre2) < L:
+                preps = tuple(SeqStep(k, "op1") for k in pre1)
+                preps += tuple(SeqStep(k, "op2") for k in pre2)
                 for kernel in match(cur1, cur2, db):
-                    out.append(pre1 + pre2 + (SeqStep(kernel, "both"),))
+                    out.append(preps + (SeqStep(kernel, "both"),))
     return out
+
+
+def prep_chains(table):
+    """The discharge chains ``table`` holds, by ``(props, tag, target)``
+    key, in the order they were enumerated."""
+    return {key: chains for key, chains in table.items() if len(key) == 3}
 
 
 class TestStructuralTable:
@@ -522,23 +541,46 @@ class TestStructuralTable:
     def test_find_sequence_keeps_its_databases_table(self, monkeypatch):
         # Each call without a db gets a new list of the default kernels.
         # The second call is a new key, but its op1 state is the first
-        # call's, so only its op2 state is enumerated.
-        enumerated = []
-        unary_chains = sequence._unary_chains
-
-        def counted(op, db, max_len, target, with_copy):
-            enumerated.append((op.props, op.tag, target))
-            return unary_chains(op, db, max_len, target, with_copy)
-
-        monkeypatch.setattr(sequence, "_unary_chains", counted)
+        # call's, so only its op2 state is enumerated; the first call's
+        # chains are kept as they were.
         monkeypatch.setattr(sequence, "_structural", (None, {}))
         a, b = op(6, 6, tag=UnaryTag.INV, name="A"), op(6, 6, name="B")
         b_inv = b._replace(tag=UnaryTag.INV)
         assert find_sequence(a, b).kernel_ids == ("gesv",)
-        assert enumerated == [(b.props, b.tag, "op2"), (a.props, a.tag, "op1")]
-        del enumerated[:]
+        table = sequence._structural[1]
+        first = prep_chains(table)
+        assert list(first) == [(b.props, b.tag, "op2"), (a.props, a.tag, "op1")]
         assert find_sequence(a, b_inv).kernel_ids == ("getri", "gesv")
-        assert enumerated == [(b.props, UnaryTag.INV, "op2")]
+        assert sequence._structural[1] is table
+        second = prep_chains(table)
+        assert list(second) == [*first, (b.props, UnaryTag.INV, "op2")]
+        assert all(second[key] is chains for key, chains in first.items())
+
+    def test_materialize_reuses_the_discharge_chains(self, monkeypatch):
+        # A single factor's routes are its op1 discharge chains: a state
+        # met once, by find_sequence or materialize, at any dims, is not
+        # enumerated again. A tag-free operand's copies are matched anew.
+        matched = []
+        match_ = sequence.match
+
+        def counted(*args):
+            matched.append(args[0].tag)
+            return match_(*args)
+
+        monkeypatch.setattr(sequence, "match", counted)
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        a, b = op(6, 6, tag=UnaryTag.INVT, name="A"), op(6, 6, name="B")
+        assert find_sequence(a, b).kernel_ids == ("transp", "gesv")
+        del matched[:]
+        first = materialize(a)
+        assert matched == []
+        assert first.kernel_ids == ("getri", "transp")
+        assert materialize(op(9, 9, tag=UnaryTag.INVT)).kernel_ids == first.kernel_ids
+        assert matched == []
+        for _ in range(2):
+            assert materialize(b).kernel_ids == ("copy",)
+            assert matched == [UnaryTag.ID]
+            del matched[:]
 
     def test_a_fifth_positional_argument_is_refused(self):
         # mults is keyword-only, so an old call that passed a table before
@@ -596,7 +638,6 @@ def reference_cheapest(candidates, m, k, n, metric, mults):
 
 class TestCostStep:
     def test_cheapest_equals_plain_reference(self):
-        # Equal multiplicities take a shorter path: the uncharged totals.
         dbs = (default_db(), ZERO_DB, HUGE_DB)
         ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
         rng = random.Random(20261021)

@@ -14,6 +14,7 @@ from matchain import (
     DPStats,
     IndexDecl,
     Property,
+    TaggedOperand,
     UnaryTag,
     brute_force_min,
     build_tables,
@@ -23,6 +24,7 @@ from matchain import (
     index_range,
     load_kernel_config,
     load_problem,
+    materialize,
     matrix,
     naive_cost,
     parse,
@@ -825,6 +827,8 @@ class TestStructuralTable:
             sequence._structural_table(mixed)
         with pytest.raises(ValueError, match="mix cost units"):
             solve(chain_of("B = A^T", matrix("A", 4, 4), matrix("B", 4, 4)), mixed)
+        with pytest.raises(ValueError, match="mix cost units"):
+            materialize(TaggedOperand(4, 4, frozenset(), UnaryTag.T), mixed)
 
     def test_kept_for_equal_databases_only(self):
         table = sequence._structural_table(default_db())
@@ -856,21 +860,17 @@ class TestStructuralTable:
         # The second chain is new at every key: other dims, and a pair of
         # states, (A^-1, B^-1), that the first never met together. Yet
         # each of its operand states was met on its side by the first.
-        enumerated = []
-        unary_chains = sequence._unary_chains
-
-        def counted(op, db, max_len, target, with_copy):
-            enumerated.append((op.props, op.tag, target))
-            return unary_chains(op, db, max_len, target, with_copy)
-
-        monkeypatch.setattr(sequence, "_unary_chains", counted)
+        # The table's (props, tag, target) keys are its operand states.
         monkeypatch.setattr(sequence, "_structural", (None, {}))
         solve(chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD")))
-        assert enumerated
-        assert len(set(enumerated)) == len(enumerated)
-        del enumerated[:]
+        table = sequence._structural[1]
+        first = {key: chains for key, chains in table.items() if len(key) == 3}
+        assert {tag for _, tag, _ in first} == {UnaryTag.ID, UnaryTag.INV}
         plan = solve(chain_of("C = A^-1 * B^-1", *(matrix(x, 6, 6) for x in "ABC")))
-        assert enumerated == []
+        assert sequence._structural[1] is table
+        second = {key: chains for key, chains in table.items() if len(key) == 3}
+        assert list(second) == list(first)
+        assert all(second[key] is chains for key, chains in first.items())
         assert [c.kernel_id for c in plan.calls] == ["getri", "gesv"]
 
     def test_second_fill_infers_no_properties(self, monkeypatch):
