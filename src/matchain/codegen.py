@@ -16,7 +16,7 @@ from math import inf, prod
 
 from .errors import MatchainError
 from .expr import IndexDecl
-from .kernels import KernelCall
+from .kernels import METRICS, KernelCall
 from .solver import Plan
 
 
@@ -129,13 +129,16 @@ def _parse_parens(text: str):
 
 
 def _parse_loops(text: str) -> tuple[IndexDecl, ...]:
-    out = []
+    """The loops :func:`_fmt_loops` wrote: each index once, in canonical decimal."""
+    out = {}
     for part in text.split(","):
-        if not part:
-            continue
         name, _, rng = part.partition(":")
-        out.append(IndexDecl(name, int(rng)))
-    return tuple(out)
+        if not (rng.isdecimal() and str(int(rng)) == rng):
+            raise ValueError(f"loop {part!r} has no canonical decimal range")
+        if name in out:
+            raise ValueError(f"loop index {name!r} appears twice")
+        out[name] = IndexDecl(name, int(rng))
+    return tuple(out.values())
 
 
 def _read_number(text: str) -> float | int:
@@ -157,11 +160,10 @@ _REQUIRED = {
 def parse_records(text: str) -> Plan:
     """Reconstruct a Plan from :func:`emit_records` output, and from
     nothing else it could not have written: numbers are read by
-    :func:`_read_number`, and a call's ``mult=`` must be the product of its
-    loop ranges (1 when omitted). Raises ``ValueError`` on any malformed
-    stream, naming the missing field, the malformed parenthesization, the
-    value that is not a number or the wrong multiplicity, and when the
-    stream has no summary line.
+    :func:`_read_number`, loops by :func:`_parse_loops`, a call's ``mult=``
+    is the product of its loop ranges (1 when omitted), ``metric=`` names
+    one of ``kernels.METRICS``, and a field appears once per record.
+    Raises ``ValueError`` on any malformed stream, naming what is wrong.
     """
     calls = []
     summary: dict[str, str] | None = None
@@ -175,13 +177,15 @@ def parse_records(text: str) -> Plan:
             key, eq, value = tok.partition("=")
             if not eq:
                 raise ValueError(f"malformed record field {tok!r}")
+            if key in fields:
+                raise ValueError(f"{kind} record repeats field {key!r}")
             fields[key] = value
         missing = [key for key in _REQUIRED.get(kind, ()) if key not in fields]
         if missing:
             raise ValueError(f"{kind} record lacks {', '.join(map(repr, missing))}")
         if kind == "call":
             inputs = [fields[k] for k in ("in1", "in2") if k in fields]
-            loops = _parse_loops(fields.get("loops", ""))
+            loops = _parse_loops(fields["loops"]) if "loops" in fields else ()
             mult, written = prod(ix.range for ix in loops), fields.get("mult", "1")
             if written != str(mult):
                 raise ValueError(
@@ -195,10 +199,11 @@ def parse_records(text: str) -> Plan:
                     cost=_read_number(fields["cost"]),
                     comment=fields["math"],
                     loops=loops,
-                    multiplicity=mult,
                 )
             )
         elif kind == "summary":
+            if fields["metric"] not in METRICS:
+                raise ValueError(f"unknown metric {fields['metric']!r}")
             summary = fields
         # Other kinds (the CLI's statement/naive/verify annotations) are
         # not part of the plan and are skipped.

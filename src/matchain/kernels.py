@@ -73,19 +73,16 @@ def _tag_props(props: frozenset[Property], tag: UnaryTag) -> frozenset[Property]
 class TaggedOperand(NamedTuple):
     """A stored operand (dims + closed props) with its pending unary tag.
 
-    ``name`` is display-only and excluded from :meth:`signature`, so the
-    DP's signature ids, and anything else keyed on signatures, treat
-    operands that differ only in name as one.
+    It is structure alone: no kernel, cost or property looks at an
+    operand's name, so a search state has none, and two states of equal
+    structure are one key wherever states are keyed. The solver names
+    operands when it renders a plan.
     """
 
     rows: int
     cols: int
     props: frozenset[Property]
     tag: UnaryTag = UnaryTag.ID
-    name: str = ""
-
-    def signature(self):
-        return (self.rows, self.cols, self.props, self.tag)
 
     @property
     def eff_dims(self) -> tuple[int, int]:
@@ -94,11 +91,6 @@ class TaggedOperand(NamedTuple):
     @property
     def eff_props(self) -> frozenset[Property]:
         return _tag_props(self.props, self.tag)
-
-    @property
-    def display(self) -> str:
-        """Mathematical form including the pending tag, e.g. ``A^-1``."""
-        return self.name + self.tag.value
 
 
 class InputPattern(NamedTuple):
@@ -144,22 +136,22 @@ class Kernel(NamedTuple):
                 return True
         return False
 
-    def apply_unary(self, op: TaggedOperand, name: str) -> TaggedOperand:
+    def apply_unary(self, op: TaggedOperand) -> TaggedOperand:
         """Result of this unary kernel on ``op``: stored output + remaining tag."""
         if self.arity != 1:
             raise ValueError(f"{self.id} is not unary")
         if self.peel == "t":
             remaining = UnaryTag.ID if op.tag is UnaryTag.T else UnaryTag.INV
-            return TaggedOperand(op.cols, op.rows, transpose_props(op.props), remaining, name)
+            return TaggedOperand(op.cols, op.rows, transpose_props(op.props), remaining)
         if self.peel == "inv":
             remaining = UnaryTag.ID if op.tag is UnaryTag.INV else UnaryTag.T
-            return TaggedOperand(op.rows, op.cols, inverse_props(op.props), remaining, name)
-        return TaggedOperand(op.rows, op.cols, op.props, UnaryTag.ID, name)
+            return TaggedOperand(op.rows, op.cols, inverse_props(op.props), remaining)
+        return TaggedOperand(op.rows, op.cols, op.props)
 
 
 def product(left: TaggedOperand, right: TaggedOperand) -> TaggedOperand:
-    """The nameless result of ``left * right``, pending tags consumed. It is
-    the same for every binary kernel that computes the product."""
+    """The result of ``left * right``, pending tags consumed. It is the
+    same for every binary kernel that computes the product."""
     ldims, rdims = left.eff_dims, right.eff_dims
     props = infer_properties(left.eff_props, ldims, right.eff_props, rdims)
     return TaggedOperand(ldims[0], rdims[1], props)
@@ -169,10 +161,9 @@ class KernelCall(NamedTuple):
     """One emitted instruction.
 
     ``cost`` is the single-instance cost under the active metric, as
-    :func:`cost_value` reports it; ``multiplicity`` is the index
-    multiplicity the solver attached, so the call contributes
-    ``cost * multiplicity`` to the plan total. ``loops``
-    holds the free indices the call iterates over, outermost first.
+    :func:`cost_value` reports it. ``loops`` holds the free indices the
+    call iterates over, outermost first, so the call contributes
+    ``cost * multiplicity`` to the plan total.
     """
 
     kernel_id: str
@@ -181,7 +172,11 @@ class KernelCall(NamedTuple):
     cost: float | int
     comment: str
     loops: tuple = ()
-    multiplicity: int = 1
+
+    @property
+    def multiplicity(self) -> int:
+        """How many times the call runs: the product of its loop ranges."""
+        return math.prod(ix.range for ix in self.loops)
 
 
 # --------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _unary_chains(op: TaggedOperand, db, metric, budget: int, with_copy: bool):
     for kernel in match(op, None, db):
         if kernel.peel is None and not with_copy:
             continue
-        out = kernel.apply_unary(op, "")
+        out = kernel.apply_unary(op)
         cost = metric.call_cost(kernel, call_mkn((op,)))
         for tail_cost, tail_len, tail_op in _unary_chains(
             out, db, metric, budget - 1, with_copy
@@ -137,7 +137,7 @@ def brute_force_min(
     pair_memo: dict = {}
 
     def pair_cost(a: TaggedOperand, b: TaggedOperand, mults) -> int | float:
-        key = (a.signature(), b.signature(), mults)
+        key = (a, b, mults)
         if key not in pair_memo:
             pair_memo[key] = best_pair_cost(a, b, db, metric, mults)
         return pair_memo[key]

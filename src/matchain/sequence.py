@@ -60,9 +60,9 @@ gone, and at most two peels remove it; dropping a route's copies leaves
 a shorter route that costs no more, in the same breadth-first order.
 
 A candidate, like a result's route, is a tuple of :class:`SeqStep`
-values: kernels and targets only. The solver binds operand names when it
-renders the plan, so one result serves every operand pair with equal
-signatures.
+values: kernels and targets only, and an operand is structure only. The
+solver names operands when it renders the plan, so one result serves
+every operand pair of equal structure.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import NoKernelApplicableError, UnsatisfiableError
+from .errors import NoKernelApplicableError
 from .expr import UnaryTag
 from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, product, unit_of
 
@@ -117,7 +117,7 @@ def _preps(op: TaggedOperand, db, target: str, table: dict) -> list:
         frontier = chains = table[key] = [((), op)]
         for _ in range(L - 1):
             frontier = [
-                (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur, ""))
+                (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur))
                 for steps, cur in frontier
                 for kernel in match(cur, None, db)
                 if kernel.peel is not None
@@ -287,12 +287,13 @@ def materialize(
     op: TaggedOperand,
     db: Sequence[Kernel] | None = None,
     metric=FLOPS,
-) -> SequenceResult:
+) -> SequenceResult | None:
     """Cheapest unary sequence that discharges ``op``'s tag completely,
     for a single-factor chain, whose tag has no combination to defer into:
     one of ``op``'s cached discharge chains ending tag-free or, for a
     tag-free operand, one ``copy`` call, since a plan must produce its
-    target. Raises :class:`UnsatisfiableError` when there is no such route.
+    target. None when there is no such route; the solver, which knows the
+    operand's name, reports it.
     """
     if db is None:
         db = default_db()
@@ -303,15 +304,13 @@ def materialize(
         chains = _preps(op, db, "op1", table)
         candidates = [steps for steps, cur in chains if cur.tag is UnaryTag.ID]
     if not candidates:
-        raise UnsatisfiableError(
-            f"no unary kernel sequence materializes {_describe(op)}"
-        )
+        return None
     m, n = op.eff_dims
     steps, total = _cheapest(candidates, m, n, n, metric, (1, 1, 1))
     return SequenceResult(steps, total, TaggedOperand(m, n, op.eff_props))
 
 
-def _describe(op: TaggedOperand) -> str:
+def _describe(op: TaggedOperand, name: str = "operand") -> str:
+    """``op`` for an error message, under ``name``."""
     props = ",".join(sorted(p.value for p in op.props)) or "none"
-    label = op.name or "operand"
-    return f"{label}{op.tag.value} ({op.rows}x{op.cols}, props: {props})"
+    return f"{name}{op.tag.value} ({op.rows}x{op.cols}, props: {props})"

@@ -16,7 +16,7 @@ index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand signature and free-index tuple, and each id owns
+id per distinct operand and free-index tuple, and each id owns
 its operand and a row, a dict over right ids that the fill owns: a split
 looks its pair up in its left id's row, with no key built. A pair of ids
 fixes the dims and the three multiplicities, so the row holds each
@@ -66,6 +66,9 @@ charged and diagnosed as the optimal order is. The fill, extraction and
 the error report share their database's structural table, which
 ``sequence`` keeps (``_structural_table``).
 
+Operands carry no names (``kernels.TaggedOperand``): extraction names
+each leaf from its factor, and each product as it renders the calls.
+
 Base case: a single factor costs 0 and keeps its unary tag pending; tags
 are discharged inside the sequence finder when the factor is combined,
 which is what lets an inverse become a solve instead of an explicit
@@ -82,11 +85,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import count
 from typing import NamedTuple
 
-from .errors import InvalidChainError, NoKernelApplicableError
+from .errors import InvalidChainError, NoKernelApplicableError, UnsatisfiableError
 from .expr import Chain, Factor, IndexDecl, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
 from .kernels import default_db, unit_of
-from .sequence import _cheapest, _entry, _output, _structural_table
+from .sequence import _cheapest, _describe, _entry, _output, _structural_table
 from .sequence import find_sequence, materialize
 
 
@@ -96,10 +99,10 @@ def index_range(indices: Iterable[IndexDecl]) -> int:
     return prod(ix.range for ix in indices)
 
 
-def _base_operand(factor: Factor, name: str = "") -> TaggedOperand:
+def _base_operand(factor: Factor) -> TaggedOperand:
     """DP base descriptor: stored dims and props with the tag kept pending."""
     op = factor.operand
-    return TaggedOperand(op.rows, op.cols, op.properties, factor.tag, name)
+    return TaggedOperand(op.rows, op.cols, op.properties, factor.tag)
 
 
 class DPStats(NamedTuple):
@@ -108,7 +111,7 @@ class DPStats(NamedTuple):
     ``splits`` counts the splits (i, k, j) the fill tried whose two parts
     were both covered: at most ``(n^3 - n) / 6`` when it tries every split,
     at most ``n - 1`` over the left-deep tree. ``signatures`` counts the
-    distinct (operand signature, free indices) keys among the filled cells,
+    distinct (operand, free indices) keys among the filled cells,
     ``pairs`` the distinct pairs of keys looked up (each priced once; a
     cell's seed looks up its pair even when another split wins, and a
     split whose sub-costs already reach the best cost of its cell looks up
@@ -126,8 +129,8 @@ class DPTables(NamedTuple):
     """Filled DP state for one chain; indices run over factor positions.
 
     The tuple is immutable, but its tables are lists that the fill built
-    and the caller owns. ``ops[ids[i][j]]`` is cell [i, j]'s operand up to
-    its name; id 0, whose ``ops[0]`` is None, marks an uncovered cell. Costs
+    and the caller owns. ``ops[ids[i][j]]`` is cell [i, j]'s operand; id
+    0, whose ``ops[0]`` is None, marks an uncovered cell. Costs
     are ints in the database's units, ``inf`` for an uncovered cell, and
     include index multiplicities; no cell keeps its sequence.
     """
@@ -178,7 +181,7 @@ def build_tables(
     ``naive_cost``, naming the smallest offending segment among the cells
     tried. A given ``memo`` receives, after the fill, ``find_sequence``'s
     result for each priced pair with a route, under its operands' keys,
-    ``((signature, free indices), (signature, free indices)) -> sequence``.
+    ``((operand, free indices), (operand, free indices)) -> sequence``.
     """
     if db is None:
         db = default_db()
@@ -190,9 +193,9 @@ def build_tables(
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
-    # ids[i][j] numbers the (signature, free indices) key of cell [i, j]; 0
-    # marks an uncovered cell. Each id a owns ops[a], its key's operand
-    # with no name, and a row in charges and outs, appended by intern; a
+    # ids[i][j] numbers the (operand, free indices) key of cell [i, j]; 0
+    # marks an uncovered cell. Each id a owns ops[a], its key's operand,
+    # and a row in charges and outs, appended by intern; a
     # split looks its pair up in its left id's row. charges[a][b] is the
     # pair's charged cost, None when it has no route, and outs[a][b], once
     # it wins, its output's id (a pair fixes the free indices). Cell
@@ -209,7 +212,7 @@ def build_tables(
 
     def intern(op, seg_free) -> int:
         """``op``'s id over ``seg_free``; a new id owns ``op`` and two empty rows."""
-        at = interned.setdefault((op.signature(), seg_free), len(ops))
+        at = interned.setdefault((op, seg_free), len(ops))
         if at == len(ops):
             ops.append(op)
             charges.append({})
@@ -312,24 +315,25 @@ def _extract(
     """Post-order walk of the split table from the root, as a loop.
 
     Returns the rendered calls and the parenthesization tree. A leaf is
-    named from its own factor, since equal leaves share one nameless id.
-    Each segment emits its left part's calls, then its right part's, then
-    its own, the route ``find_sequence`` gives for the two named parts at
-    the fill's multiplicities, whose output is named before its prep temps;
-    the root writes ``target``. The walk keeps its own stack, so a tree of
-    any depth, such as the left-deep one, is extracted.
+    its cell's operand named from its own factor, since equal leaves share
+    one id. Each segment emits its left part's calls, then its right
+    part's, then its own, the route ``find_sequence`` gives for the two
+    parts at the fill's multiplicities, whose output is named before its
+    prep temps; the root writes ``target``. The walk keeps its own stack,
+    so a tree of any depth, such as the left-deep one, is extracted.
     """
+    ops, ids = tables.ops, tables.ids
     free, ranges, solution = tables.free, tables.ranges, tables.solution
     root = (0, tables.n - 1)
     calls: list[KernelCall] = []
     # A segment is pushed back with its split above its two parts, and is
-    # rendered from their (named operand, subtree) pairs on done.
-    done: list[tuple[TaggedOperand, object]] = []
+    # rendered from their ((operand, name), subtree) pairs on done.
+    done: list[tuple[tuple[TaggedOperand, str], object]] = []
     todo: list[tuple[int, int, int | None]] = [(*root, None)]
     while todo:
         i, j, k = todo.pop()
         if i == j:
-            done.append((_base_operand(factors[i], factors[i].operand.display), i))
+            done.append(((ops[ids[i][i]], factors[i].operand.display), i))
         elif k is None:
             k = solution[i][j]
             todo += ((i, j, k), (k + 1, j, None), (i, k, None))
@@ -340,13 +344,9 @@ def _extract(
                 out_name = target
             else:
                 out_name = indexed_name(f"T{next(names)}", free[i][j])
-            loops = {
-                "op1": (free[i][k], ranges[i][k]),
-                "op2": (free[k + 1][j], ranges[k + 1][j]),
-                "both": (free[i][j], ranges[i][j]),
-            }
+            loops = {"op1": free[i][k], "op2": free[k + 1][j], "both": free[i][j]}
             mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-            seq = find_sequence(left, right, db, metric, mults=mults)
+            seq = find_sequence(left[0], right[0], db, metric, mults=mults)
             seq_calls, named = _render(seq, left, right, loops, out_name, names, metric)
             calls += seq_calls
             done.append((named, (ltree, rtree)))
@@ -358,46 +358,44 @@ _PEEL_MATH = {"t": "^T", "inv": "^-1"}
 
 
 def _render(seq, op1, op2, loops, out_name, names: Iterator[int], metric):
-    """Bind the named operands ``op1`` (and ``op2``) to ``seq``'s calls.
+    """Bind ``op1`` (and ``op2``), each an ``(operand, name)`` pair, to
+    ``seq``'s calls.
 
     ``loops`` maps each step target, ``"op1"``, ``"op2"`` and ``"both"``,
-    to the free indices of what its calls read and their multiplicity: a
-    discharge prep runs under its input's loops, the binary call under the
-    segment's, so a prep can be hoisted out of loops its product runs
-    under. A call's loops are the segment's (``"op1"``'s when ``seq`` has
-    no binary call), in the segment's order, restricted to its target's
-    indices, so a prep that varies over every index of its product shares
-    the product's loop nest. The last call writes ``out_name``; any other
-    temp is named by its target's indices, in their own order, which for a
-    prep are its input's. The binary call's result is ``seq.output``
-    named, since every candidate yields the same output. Returns the calls
-    and the named final operand.
+    to the free indices of what its calls read: a discharge prep runs
+    under its input's loops, the binary call under the segment's, so a
+    prep can be hoisted out of loops its product runs under. A call's
+    loops are the segment's (``"op1"``'s when ``seq`` has no binary call),
+    in the segment's order, restricted to its target's indices, so a prep
+    that varies over every index of its product shares the product's loop
+    nest. The last call writes ``out_name``; any other temp is named by its
+    target's indices, in their own order, which for a prep are its
+    input's. The binary call's result is ``seq.output``, since every
+    candidate yields the same output. Returns the calls and the final
+    ``(operand, name)`` pair.
     """
     cur = {"op1": op1, "op2": op2}
     calls = []
-    nest = loops.get("both", loops["op1"])[0]
+    nest = loops.get("both", loops["op1"])
     last = len(seq.steps) - 1
-    for at, step in enumerate(seq.steps):
-        kernel = step.kernel
-        free, mult = loops[step.target]
+    for at, (kernel, target) in enumerate(seq.steps):
+        free = loops[target]
         name = out_name if at == last else indexed_name(f"T{next(names)}", free)
-        call_loops = tuple(ix for ix in nest if ix in free)
-        if step.target == "both":
+        if target == "both":
             inputs = (cur["op1"], cur["op2"])
-            result = seq.output._replace(name=name)
-            math = f"{inputs[0].display} * {inputs[1].display}"
+            result = seq.output
+            math = " * ".join(arg + op.tag.value for op, arg in inputs)
         else:
-            inputs = (cur[step.target],)
-            result = cur[step.target] = kernel.apply_unary(inputs[0], name)
-            math = inputs[0].name + _PEEL_MATH.get(kernel.peel, "")
-        cost = cost_value(metric.call_cost(kernel, call_mkn(inputs)), kernel.unit)
-        arg_names = tuple(op.name for op in inputs)
-        calls.append(
-            KernelCall(
-                kernel.id, arg_names, name, cost, f"{name} := {math}", call_loops, mult
-            )
-        )
-    return calls, result
+            inputs = (cur[target],)
+            op, arg = cur[target]
+            result = kernel.apply_unary(op)
+            math = arg + _PEEL_MATH.get(kernel.peel, "")
+        cur[target] = (result, name)
+        ops, args = zip(*inputs)
+        cost = cost_value(metric.call_cost(kernel, call_mkn(ops)), kernel.unit)
+        call_loops = tuple(ix for ix in nest if ix in free)
+        calls.append(KernelCall(kernel.id, args, name, cost, f"{name} := {math}", call_loops))
+    return calls, cur[target]
 
 
 def _plan(chain: Chain, db, metric, splits) -> Plan:
@@ -415,12 +413,14 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
     names = count()
 
     if len(factors) == 1:
-        op = _base_operand(factors[0], factors[0].operand.display)
+        op, name = _base_operand(factors[0]), factors[0].operand.display
         seq = materialize(op, db, metric)
+        if seq is None:
+            detail = _describe(op, name)
+            raise UnsatisfiableError(f"no unary kernel sequence materializes {detail}")
         free = factors[0].operand.indices
-        r = index_range(free)
-        calls, _ = _render(seq, op, None, {"op1": (free, r)}, target, names, metric)
-        total = cost_value(seq.total_cost * r, unit)
+        calls, _ = _render(seq, (op, name), None, {"op1": free}, target, names, metric)
+        total = cost_value(seq.total_cost * index_range(free), unit)
         return Plan(target, tuple(calls), total, 0, metric.name)
 
     tables = build_tables(chain, db, metric, splits=splits)

@@ -107,7 +107,7 @@ def random_operand_pair(
     out = []
     for factor in chain.factors:
         op = factor.operand
-        out.append(TaggedOperand(op.rows, op.cols, op.properties, factor.tag, op.name))
+        out.append(TaggedOperand(op.rows, op.cols, op.properties, factor.tag))
     return out[0], out[1]
 
 

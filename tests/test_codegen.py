@@ -269,6 +269,18 @@ class TestRecords:
                 "multiplicity 7 is not the product of the call's loop ranges",
             ),
             ("call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:3", "multiplicity 1"),
+            ("call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:03", "'i:03' has no"),
+            ("call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:+3", "'i:\\+3' has no"),
+            ("call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=", "'' has no"),
+            (
+                "call kernel=copy in1=A[i] out=B[i] cost=0.0 math=B loops=i:3,i:3 mult=9",
+                "loop index 'i' appears twice",
+            ),
+            ("summary target=x metric=bogus total=1.0 parens=0", "unknown metric 'bogus'"),
+            (
+                "call kernel=copy in1=A out=B cost=0.0 cost=5.0 math=B",
+                "call record repeats field 'cost'",
+            ),
         ],
     )
     def test_malformed_stream_raises_value_error(self, text, message):

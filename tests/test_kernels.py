@@ -46,8 +46,8 @@ EXPECTED_ORDER = [
 ]
 
 
-def op(rows, cols, props=(), tag=UnaryTag.ID, name="X"):
-    return TaggedOperand(rows, cols, close(props, rows, cols), tag, name)
+def op(rows, cols, props=(), tag=UnaryTag.ID):
+    return TaggedOperand(rows, cols, close(props, rows, cols), tag)
 
 
 def by_id(db):
@@ -277,6 +277,15 @@ class TestMetrics:
 
 
 class TestApply:
+    def test_states_of_equal_structure_are_one_key(self):
+        # A state is structure only, so it compares and hashes as the
+        # tuple of its fields, and keys built from either agree.
+        props = close((), 4, 4)
+        state = TaggedOperand(4, 4, props)
+        assert TaggedOperand._fields == ("rows", "cols", "props", "tag")
+        assert state == (4, 4, props, UnaryTag.ID)
+        assert hash(state) == hash((4, 4, props, UnaryTag.ID))
+
     def test_binary_output_descriptor(self):
         left = op(6, 6, {P.LOWER_TRIANGULAR})
         right = op(6, 6, {P.LOWER_TRIANGULAR})
@@ -284,7 +293,6 @@ class TestApply:
         assert (out.rows, out.cols) == (6, 6)
         assert P.LOWER_TRIANGULAR in out.props
         assert out.tag is UnaryTag.ID
-        assert out.name == ""
 
     def test_product_consumes_pending_tags(self):
         # L^T and U^-1 are both upper triangular, and so is their product.
@@ -300,22 +308,22 @@ class TestApply:
 
     def test_transp_peels_to_inverse(self):
         kernels = by_id(default_db())
-        a = op(6, 6, {P.LOWER_TRIANGULAR}, UnaryTag.INVT, "A")
-        out = kernels["transp"].apply_unary(a, "T0")
+        a = op(6, 6, {P.LOWER_TRIANGULAR}, UnaryTag.INVT)
+        out = kernels["transp"].apply_unary(a)
         assert out.tag is UnaryTag.INV
         assert P.UPPER_TRIANGULAR in out.props
 
     def test_getri_peels_to_transpose(self):
         kernels = by_id(default_db())
-        a = op(6, 6, tag=UnaryTag.INVT, name="A")
-        out = kernels["getri"].apply_unary(a, "T0")
+        a = op(6, 6, tag=UnaryTag.INVT)
+        out = kernels["getri"].apply_unary(a)
         assert out.tag is UnaryTag.T
         assert P.NONSINGULAR in out.props
 
     def test_transp_swaps_dims(self):
         kernels = by_id(default_db())
-        a = op(6, 3, tag=UnaryTag.T, name="A")
-        out = kernels["transp"].apply_unary(a, "T0")
+        a = op(6, 3, tag=UnaryTag.T)
+        out = kernels["transp"].apply_unary(a)
         assert (out.rows, out.cols) == (3, 6)
         assert out.tag is UnaryTag.ID
 
@@ -348,7 +356,7 @@ class TestConfig:
         db = load_kernel_config(GOOD_CONFIG)
         scale = by_id(db)["scale"]
         assert scale.peel == "t"
-        out = scale.apply_unary(op(4, 6, tag=UnaryTag.T), "T0")
+        out = scale.apply_unary(op(4, 6, tag=UnaryTag.T))
         assert (out.rows, out.cols) == (6, 4)
 
     def test_cost_division_is_real(self):

@@ -34,8 +34,8 @@ from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
 P = Property
 
 
-def op(rows, cols, props=(), tag=UnaryTag.ID, name="X"):
-    return TaggedOperand(rows, cols, close(props, rows, cols), tag, name)
+def op(rows, cols, props=(), tag=UnaryTag.ID):
+    return TaggedOperand(rows, cols, close(props, rows, cols), tag)
 
 
 class TestBruteForce:
@@ -109,7 +109,7 @@ class TestBruteForce:
 
     def test_pair_oracle_known_value(self):
         cost = best_pair_cost(
-            op(10, 10, tag=UnaryTag.INV, name="A"), op(10, 1, name="b"),
+            op(10, 10, tag=UnaryTag.INV), op(10, 1),
             default_db(), FLOPS,
         )
         assert cost == 2 * 1000 + 3 * 200  # thirds of a flop

@@ -146,12 +146,12 @@ class TestTables:
         assert P.LOWER_TRIANGULAR in ops[ids[1][1]].props
 
     def test_equal_leaves_share_an_id_and_keep_their_names(self):
-        # A and B have one (signature, free indices) key, so one id, whose
-        # operand has no name: each leaf is named from its own factor.
+        # A and B have one (operand, free indices) key, so one id, whose
+        # operand is structure only: each leaf is named from its own factor.
         chain = chain_of("C = A * B", *(matrix(x, 8, 8) for x in "ABC"))
         tables = build_tables(chain)
         assert tables.ids[0][0] == tables.ids[1][1]
-        assert tables.ops[tables.ids[0][0]].name == ""
+        assert tables.ops[tables.ids[0][0]] == _base_operand(chain.factors[1])
         assert emit_text(solve(chain)).splitlines()[0].startswith("C := gemm(A, B) ")
 
     def test_split_points_recorded(self):
@@ -217,14 +217,14 @@ class TestTables:
     def test_split_that_cannot_win_is_never_looked_up(self, monkeypatch):
         # Cell [0, 2] is seeded with its right neighbour's split, k=1. In
         # D = A * B * C that is (A B) C at 10,000 + 5,000 flops. At k=0 the
-        # sub-cost B C alone is 50,000, so A (B C), a pair of signatures seen
+        # sub-cost B C alone is 50,000, so A (B C), a pair of operands seen
         # nowhere else, is skipped before it is priced. Pricing a pair starts
         # with its structural entry, which a winning pair's result then
         # reuses.
         asked = []
 
         def recording(op1, op2, *args):
-            asked.append((op1.signature(), op2.signature()))
+            asked.append((op1, op2))
             return sequence._entry(op1, op2, *args)
 
         monkeypatch.setattr(solver, "_entry", recording)
@@ -240,7 +240,7 @@ class TestTables:
         assert tables.costs[0][2] == U * 15_000
         assert tables.solution[0][2] == 1
         ops, ids = tables.ops, tables.ids
-        a_bc = (ops[ids[0][0]].signature(), ops[ids[1][2]].signature())
+        a_bc = (ops[ids[0][0]], ops[ids[1][2]])
         assert a_bc not in asked
         assert len(asked) == 3
         assert tables.stats == DPStats(splits=4, signatures=6, pairs=3, no_route=0)
@@ -260,7 +260,7 @@ class TestTables:
         assert tables.costs[0][2] == U * 40_000
         assert tables.solution[0][2] == 0
         ops, ids = tables.ops, tables.ids
-        ab_x = (ops[ids[0][1]].signature(), ops[ids[2][2]].signature())
+        ab_x = (ops[ids[0][1]], ops[ids[2][2]])
         assert asked[-1] == ab_x
         assert len(asked) == 3
         assert tables.stats == DPStats(splits=4, signatures=3, pairs=3, no_route=0)
@@ -273,7 +273,7 @@ class TestTables:
 
         def entry(op1, op2, *args):
             got = sequence._entry(op1, op2, *args)
-            pair = (op1.signature(), op2.signature())
+            pair = (op1, op2)
             found.setdefault(pair, []).extend(got[0])
             return got
 
@@ -289,12 +289,12 @@ class TestTables:
                 got = build_tables(chain, db, memo=memo)
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
-                # Each key pairs two filled cells' (signature, free indices)
+                # Each key pairs two filled cells' (operand, free indices)
                 # keys, and each value holds steps of a route the fill
                 # priced for that pair.
                 ops, ids = got.ops, got.ids
                 filled = {
-                    (ops[ids[i][j]].signature(), got.free[i][j])
+                    (ops[ids[i][j]], got.free[i][j])
                     for i in range(got.n)
                     for j in range(i, got.n)
                     if ids[i][j]
@@ -307,8 +307,8 @@ class TestTables:
                     for j in range(i + 1, got.n):
                         k = got.solution[i][j]
                         if k is not None:
-                            key1 = (ops[ids[i][k]].signature(), got.free[i][k])
-                            key2 = (ops[ids[k + 1][j]].signature(), got.free[k + 1][j])
+                            key1 = (ops[ids[i][k]], got.free[i][k])
+                            key2 = (ops[ids[k + 1][j]], got.free[k + 1][j])
                             assert (key1, key2) in memo
                 no_route += got.stats.no_route
         assert no_route > 0
@@ -637,6 +637,26 @@ class TestFailures:
         with pytest.raises(UnsatisfiableError):
             solve(chain, db)
 
+    def test_single_factor_unsatisfiable_names_its_factor(self):
+        # The unary search returns None for a nameless state; the solver
+        # names the factor, indices included, in the error.
+        db = load_kernel_config(
+            "kernel getri arity=1 tags=inv,invt req=spd,square cost=2*m*m*m\n"
+        )
+        i = IndexDecl("i", 3)
+        chain = chain_of(
+            "Y[i] = A[i]^-T",
+            i,
+            matrix("A", 4, 4, indices=(i,)),
+            matrix("Y", 4, 4, indices=(i,)),
+        )
+        assert materialize(_base_operand(chain.factors[0]), db) is None
+        with pytest.raises(UnsatisfiableError) as info:
+            solve(chain, db)
+        assert str(info.value) == (
+            "no unary kernel sequence materializes A[i]^-T (4x4, props: square)"
+        )
+
     # Costs beyond the float range are exact ints: every plan below is
     # found, and its total is the exact cost rounded down.
 
@@ -926,7 +946,7 @@ class TestStructuralTable:
 
 
 # --------------------------------------------------------------------------
-# Reference: the DP loop without signature ids, asking find_sequence at
+# Reference: the DP loop without interned ids, asking find_sequence at
 # every split from a structural table made afresh for the chain, and
 # charging each split's preps the multiplicity of their own part.
 
@@ -948,7 +968,7 @@ def reference_tables(chain, db, metric):
                         free[i][j] += (ix,)
             ranges[i][j] = math.prod(ix.range for ix in free[i][j])
     for i in range(n):
-        tmps[i][i] = _base_operand(factors[i], factors[i].operand.display)
+        tmps[i][i] = _base_operand(factors[i])
         costs[i][i] = 0.0
     for l in range(1, n):
         for i in range(n - l):
@@ -995,20 +1015,19 @@ class TestAgainstReference:
         got = build_tables(chain, db, metric)
         tmps, *want = reference_tables(chain, db, metric)
         assert [got.costs, got.solution, got.free, got.ranges] == want
-        # Each id owns one nameless operand; id 0, with none, marks exactly
-        # the uncovered cells, and two covered cells share an id exactly
-        # when their (signature, free indices) keys are equal.
+        # Each id owns one operand; id 0, with none, marks exactly the
+        # uncovered cells, and two covered cells share an id exactly when
+        # their (operand, free indices) keys are equal.
         ops, ids, n = got.ops, got.ids, got.n
         assert ops[0] is None
         assert len(ops) == got.stats.signatures + 1
-        assert all(op.name == "" for op in ops[1:])
         id_of = {}
         for i in range(n):
             for j in range(i, n):
                 assert (ids[i][j] == 0) == (tmps[i][j] is None)
                 if tmps[i][j] is not None:
-                    assert ops[ids[i][j]] == tmps[i][j]._replace(name="")
-                    key = (tmps[i][j].signature(), got.free[i][j])
+                    assert ops[ids[i][j]] == tmps[i][j]
+                    key = (tmps[i][j], got.free[i][j])
                     assert id_of.setdefault(key, ids[i][j]) == ids[i][j]
         assert len(set(id_of.values())) == len(id_of)
 

@@ -28,10 +28,8 @@ PROBLEM = load_problem(
     "compute X[i] = A[i] * B^-1 * A[i]\n"
 )
 CHAIN = PROBLEM.computes[0].chain
-SEQ = find_sequence(
-    TaggedOperand(4, 4, frozenset({Property.SQUARE}), name="A"),
-    TaggedOperand(4, 4, frozenset({Property.SQUARE}), name="B"),
-)
+SQUARE = TaggedOperand(4, 4, frozenset({Property.SQUARE}))
+SEQ = find_sequence(SQUARE, SQUARE)
 
 #: One instance of every value type, by type name.
 INSTANCES = {
