@@ -499,7 +499,8 @@ def _parse_optional_tokens(tokens, lineno, indexes):
             indices = tuple(resolved)
         else:
             for name in tok.split(","):
-                if not name:
+                # ``full`` declares that there is no structure: nothing to store.
+                if not name or name == "full":
                     continue
                 prop = PROPERTY_NAMES.get(name)
                 if prop is None:

@@ -2,9 +2,9 @@
 
 Property sets are always stored *closed*: every implied property is made
 explicit at construction time (``close``), so downstream code can test
-membership with plain subset checks. Three maps transform closed sets:
-``transpose_props``, ``inverse_props``, and ``infer_properties`` (for
-products). All three return closed sets.
+membership with plain subset checks. A set holds only what is known: an
+operand without structure has none. ``transpose_props``, ``inverse_props``
+and ``infer_properties`` (for products) map closed sets to closed sets.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
 
 
 class Property(enum.Enum):
-    FULL = "full"
     DIAGONAL = "diagonal"
     LOWER_TRIANGULAR = "lower_triangular"
     UPPER_TRIANGULAR = "upper_triangular"
@@ -112,7 +111,7 @@ def transpose_props(props: frozenset[Property]) -> frozenset[Property]:
     """Property set of the transpose of an operand with closed ``props``.
 
     Triangularity flips orientation; symmetric, SPD, diagonal, identity,
-    orthogonal, nonsingular, square, and full are invariant. ``VECTOR`` is
+    orthogonal, nonsingular and square are invariant. ``VECTOR`` is
     dropped: the transpose of a column vector is an ordinary 1 x n matrix.
     """
     out = set(props)
@@ -154,8 +153,8 @@ def infer_properties(
     Structure propagates per class: triangularity of matching orientation,
     diagonality, orthogonality, and (for square factors) nonsingularity;
     an identity factor is neutral; a vector right factor yields a vector.
-    Symmetry does not survive multiplication. Anything without a rule
-    degrades to FULL.
+    Symmetry does not survive multiplication. A product that no rule
+    covers has no structural property, like an undeclared operand.
     """
     if Property.IDENTITY in lprops:
         return rprops
@@ -181,8 +180,6 @@ def infer_properties(
             and Property.SQUARE in rprops
         ):
             out.add(Property.NONSINGULAR)
-    if not out:
-        out.add(Property.FULL)
     return close(out, ldims[0], rdims[1])
 
 

@@ -110,7 +110,7 @@ class DPStats(NamedTuple):
 
     ``splits`` counts the splits (i, k, j) the fill tried whose two parts
     were both covered: at most ``(n^3 - n) / 6`` when it tries every split,
-    at most ``n - 1`` over the left-deep tree. ``signatures`` counts the
+    at most ``n - 1`` over the left-deep tree. ``keys`` counts the
     distinct (operand, free indices) keys among the filled cells,
     ``pairs`` the distinct pairs of keys looked up (each priced once; a
     cell's seed looks up its pair even when another split wins, and a
@@ -120,7 +120,7 @@ class DPStats(NamedTuple):
     """
 
     splits: int
-    signatures: int
+    keys: int
     pairs: int
     no_route: int
 

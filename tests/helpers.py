@@ -24,9 +24,11 @@ def child_env(**extra: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 #: Property menus compatible with the stored dimensions they are drawn for.
+#: Each lists the empty set twice, because a seeded draw depends on a menu's
+#: length and order, and the golden digests pin those draws.
 SQUARE_MENU = [
     frozenset(),
-    frozenset({Property.FULL}),
+    frozenset(),
     frozenset({Property.LOWER_TRIANGULAR}),
     frozenset({Property.UPPER_TRIANGULAR}),
     frozenset({Property.LOWER_TRIANGULAR, Property.NONSINGULAR}),
@@ -41,7 +43,7 @@ SQUARE_MENU = [
 
 RECT_MENU = [
     frozenset(),
-    frozenset({Property.FULL}),
+    frozenset(),
     frozenset({Property.LOWER_TRIANGULAR}),
     frozenset({Property.UPPER_TRIANGULAR}),
 ]

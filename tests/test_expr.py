@@ -330,6 +330,16 @@ class TestProblemFiles:
             load_problem("matrix A 4 4 [hermitian]\n")
         assert info.value.lineno == 1
 
+    @pytest.mark.parametrize(
+        "declared, without",
+        [("full", ""), ("[full]", ""), ("full,lower_triangular", "lower_triangular")],
+    )
+    def test_full_declares_nothing(self, declared, without):
+        # ``full`` says that there is no structure, so it stores nothing.
+        got = load_problem(f"matrix A 4 4 {declared}\n").operands[0]
+        want = load_problem(f"matrix A 4 4 {without}\n").operands[0]
+        assert got.properties == want.properties
+
     def test_square_not_declarable(self):
         with pytest.raises(ProblemFileError):
             load_problem("matrix A 4 4 [square]\n")

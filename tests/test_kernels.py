@@ -410,6 +410,13 @@ class TestConfig:
             load_kernel_config(line + "\n")
         assert info.value.lineno == 1
 
+    def test_rejects_full_in_req(self):
+        # No operand carries ``full``: a problem file's ``full`` stores
+        # nothing and a product without structure has none.
+        with pytest.raises(KernelConfigError, match="unknown property 'full'") as info:
+            load_kernel_config("kernel fmm arity=2 tags=id;id req=full;full cost=m*k*n\n")
+        assert info.value.lineno == 1
+
     @pytest.mark.parametrize(
         "poly, m, want",
         [

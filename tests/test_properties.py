@@ -135,8 +135,7 @@ class TestInferProperties:
 
     def test_mixed_triangles_full(self):
         got = self.infer({P.LOWER_TRIANGULAR}, (4, 4), {P.UPPER_TRIANGULAR}, (4, 4))
-        assert P.LOWER_TRIANGULAR not in got and P.UPPER_TRIANGULAR not in got
-        assert P.FULL in got
+        assert got == frozenset({P.SQUARE})
 
     def test_diagonal_times_diagonal(self):
         got = self.infer({P.DIAGONAL}, (4, 4), {P.DIAGONAL}, (4, 4))
@@ -170,8 +169,10 @@ class TestInferProperties:
         assert P.LOWER_TRIANGULAR not in got
 
     def test_full_fallback(self):
-        got = self.infer(frozenset(), (3, 4), frozenset(), (4, 5))
-        assert P.FULL in got
+        # A product that no rule covers has the set of an undeclared
+        # operand of its shape: nothing beyond what its dimensions imply.
+        assert self.infer(frozenset(), (3, 4), frozenset(), (4, 5)) == frozenset()
+        assert self.infer(frozenset(), (3, 4), frozenset(), (4, 3)) == {P.SQUARE}
 
     def test_result_square_from_dims(self):
         got = self.infer(frozenset(), (3, 4), frozenset(), (4, 3))

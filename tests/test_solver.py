@@ -154,6 +154,20 @@ class TestTables:
         assert tables.ops[tables.ids[0][0]] == _base_operand(chain.factors[1])
         assert emit_text(solve(chain)).splitlines()[0].startswith("C := gemm(A, B) ")
 
+    def test_one_structure_is_one_key(self):
+        # A product that no inference rule covers is an unstructured
+        # operand, just like an undeclared leaf of its shape, and a leaf
+        # declared ``full`` is one too.
+        chain = chain_of("X = A * B * C", *(matrix(x, 8, 8) for x in "ABCX"))
+        tables = build_tables(chain)
+        assert tables.ids[0][1] == tables.ids[2][2]
+        assert tables.ids[0][2] == tables.ids[0][0]
+        problem = load_problem(
+            "matrix A 8 8 full\nmatrix B 8 8\ncompute X = A * B\n"
+        )
+        tables = build_tables(problem.computes[0].chain)
+        assert tables.ids[0][0] == tables.ids[1][1]
+
     def test_split_points_recorded(self):
         chain = chain_of(
             "D = A * B * C",
@@ -209,8 +223,8 @@ class TestTables:
         stats = build_tables(chain).stats
         assert stats.splits == (40 ** 3 - 40) // 6
         assert stats.no_route == 0
-        assert stats.signatures <= 8
-        assert stats.pairs <= stats.signatures ** 2
+        assert stats.keys <= 8
+        assert stats.pairs <= stats.keys ** 2
         assert stats.pairs * 100 < stats.splits
 
 
@@ -243,27 +257,29 @@ class TestTables:
         a_bc = (ops[ids[0][0]], ops[ids[1][2]])
         assert a_bc not in asked
         assert len(asked) == 3
-        assert tables.stats == DPStats(splits=4, signatures=6, pairs=3, no_route=0)
+        assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
 
         # The seed's pair is priced even when it loses: in y = A * B * x,
-        # (A B) x costs 2,000,000 + 20,000 flops, and A (B x), whose pair
-        # (A, B x) has the ids of (B, x), wins at 40,000.
+        # (A B) x costs 1,600,000 + 20,000 flops, and A (B x) wins at
+        # 32,000. The seed's pair (A B, x) is one seen nowhere else, and
+        # y has the key of x.
         asked.clear()
         chain = chain_of(
             "y = A * B * x",
-            matrix("A", 100, 100),
-            matrix("B", 100, 100),
+            matrix("A", 100, 80),
+            matrix("B", 80, 100),
             vector("x", 100),
             vector("y", 100),
         )
         tables = build_tables(chain)
-        assert tables.costs[0][2] == U * 40_000
+        assert tables.costs[0][2] == U * 32_000
         assert tables.solution[0][2] == 0
         ops, ids = tables.ops, tables.ids
         ab_x = (ops[ids[0][1]], ops[ids[2][2]])
-        assert asked[-1] == ab_x
-        assert len(asked) == 3
-        assert tables.stats == DPStats(splits=4, signatures=3, pairs=3, no_route=0)
+        a_bx = (ops[ids[0][0]], ops[ids[1][2]])
+        assert asked[-2:] == [ab_x, a_bx]
+        assert len(asked) == 4
+        assert tables.stats == DPStats(splits=4, keys=5, pairs=4, no_route=0)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
         # perfbench's tracer counts distinct pairs through the memo. The
@@ -615,9 +631,10 @@ class TestFailures:
         assert info.value.segment == (0, 1)
         assert "factors 0..1" in str(info.value)
         # Four splits: A * B^-1 has no route, which leaves one split of
-        # [0, 2] with an uncovered part. A and C share a signature.
+        # [0, 2] with an uncovered part. A, C and both covered products are
+        # unstructured 4x4 operands, so they share one key.
         assert build_tables(chain, db).stats == DPStats(
-            splits=3, signatures=3, pairs=3, no_route=1
+            splits=3, keys=2, pairs=3, no_route=1
         )
 
     def test_uncovered_part_inside_uncovered_chain(self):
@@ -1020,7 +1037,7 @@ class TestAgainstReference:
         # their (operand, free indices) keys are equal.
         ops, ids, n = got.ops, got.ids, got.n
         assert ops[0] is None
-        assert len(ops) == got.stats.signatures + 1
+        assert len(ops) == got.stats.keys + 1
         id_of = {}
         for i in range(n):
             for j in range(i, n):
