@@ -119,9 +119,10 @@ class Operand(namedtuple("Operand", "name rows cols properties indices")):
         if rows < 1 or cols < 1:
             raise ValueError(f"operand {name!r} needs positive dims, got {rows}x{cols}")
         properties = close(properties, rows, cols)
-        names = [ix.name for ix in indices]
-        if len(names) != len(set(names)):
-            raise ValueError(f"operand {name!r} repeats an index: {names}")
+        if len(indices) > 1:
+            names = [ix.name for ix in indices]
+            if len(names) != len(set(names)):
+                raise ValueError(f"operand {name!r} repeats an index: {names}")
         return super().__new__(cls, name, rows, cols, properties, indices)
 
     @classmethod
@@ -206,27 +207,31 @@ def unparse(chain: Chain) -> str:
 # --------------------------------------------------------------------------
 # Parsing
 
+#: One token per match, after any whitespace; ``bad`` is a character that
+#: starts no token.
 _TOKEN_RE = re.compile(
     rf"""
-    (?P<ws>\s+)
-  | (?P<suffix>\^T|\^-1|\^-T)
-  | (?P<ident>{_IDENT})
-  | (?P<punct>[*=\[\],()])
+    \s*(?:
+        (?P<suffix>\^T|\^-1|\^-T)
+      | (?P<ident>{_IDENT})
+      | (?P<punct>[*=\[\],()])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
+#: A suffix token's text to its tag.
+_SUFFIX_TAGS = {tag.value: tag for tag in UnaryTag if tag is not UnaryTag.ID}
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unrecognized character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unrecognized character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -275,7 +280,8 @@ class _Parser:
                 raise ExprSyntaxError("expected ',' or ']' in index list", pos)
 
     def factor(self) -> Factor:
-        kind, text, pos = self.peek()
+        tokens = self.tokens
+        kind, text, pos = tokens[self.at]
         if text == "(":
             # Grouping is not part of the grammar; recognize it only to give a
             # targeted error: a tagged lone factor with a suffix after its
@@ -299,14 +305,16 @@ class _Parser:
 
         if kind != "ident":
             raise ExprSyntaxError("expected an operand name", pos)
-        self.take()
         operand = self.operands.get(text)
         if operand is None:
             raise UndeclaredSymbolError(f"undeclared symbol {text!r}", pos)
+        self.at += 1
 
         use_indices: tuple[IndexDecl, ...] = ()
-        if self.peek()[1] == "[":
+        kind, text, _ = tokens[self.at]
+        if text == "[":
             use_indices = self.index_list()
+            kind, text, _ = tokens[self.at]
         if use_indices != operand.indices:
             used = ",".join(ix.name for ix in use_indices)
             declared = ",".join(ix.name for ix in operand.indices)
@@ -317,11 +325,10 @@ class _Parser:
             )
 
         tag = UnaryTag.ID
-        kind, text, suffix_pos = self.peek()
         if kind == "suffix":
-            self.take()
-            tag = UnaryTag(text)
-            kind, text, next_pos = self.peek()
+            tag = _SUFFIX_TAGS[text]
+            self.at += 1
+            kind, text, next_pos = tokens[self.at]
             if kind == "suffix":
                 raise NestedUnaryError("unary operators cannot be nested", next_pos)
         return Factor(operand, tag)
@@ -476,19 +483,30 @@ class Problem(NamedTuple):
     computes: tuple[ComputeStatement, ...]
 
 
+def _natural(token: str) -> int:
+    """The value of ``token`` written in ASCII digits alone; anything else
+    raises ``ValueError``, as ``int`` does for a string it cannot read."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(f"not a decimal numeral: {token!r}")
+
+
 def _parse_optional_tokens(tokens, lineno, indexes):
     """Split trailing matrix/vector tokens into properties and indices.
 
     Both groups may be wrapped in literal square brackets, which are
-    stripped; the indices group is recognized by its ``indices=`` prefix.
+    stripped; the indices group is recognized by its ``indices=`` prefix,
+    and a declaration has at most one.
     """
     props: list[Property] = []
-    indices: tuple[IndexDecl, ...] = ()
+    indices: tuple[IndexDecl, ...] | None = None
     for raw in tokens:
         tok = raw.strip("[]")
         if not tok:
             continue
         if tok.startswith("indices="):
+            if indices is not None:
+                raise ProblemFileError(lineno, f"second indices= group {raw!r}")
             names = [s for s in tok[len("indices="):].split(",") if s]
             resolved = []
             for name in names:
@@ -506,24 +524,25 @@ def _parse_optional_tokens(tokens, lineno, indexes):
                 if prop is None:
                     raise ProblemFileError(lineno, f"unknown property {name!r}")
                 props.append(prop)
-    return props, indices
+    return props, indices or ()
 
 
 def load_problem(text: str) -> Problem:
     """Read a problem description (declarations plus compute statements).
 
-    Line-oriented; ``#`` starts a comment. Raises :class:`ProblemFileError`
-    with the offending line number.
+    Line-oriented; ``#`` starts a comment. Dims and index ranges are
+    written in ASCII digits. Raises :class:`ProblemFileError` with the
+    offending line number.
     """
     indexes: dict[str, IndexDecl] = {}
     operands: dict[str, Operand] = {}
     computes: list[ComputeStatement] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive = tokens[0]
         try:
             if directive == "index":
@@ -533,7 +552,7 @@ def load_problem(text: str) -> Problem:
                 if name in indexes:
                     raise ProblemFileError(lineno, f"duplicate index {name!r}")
                 try:
-                    rng = int(tokens[2])
+                    rng = _natural(tokens[2])
                 except ValueError:
                     raise ProblemFileError(lineno, f"bad index range {tokens[2]!r}")
                 indexes[name] = IndexDecl(name, rng)
@@ -547,16 +566,18 @@ def load_problem(text: str) -> Problem:
                 if name in operands:
                     raise ProblemFileError(lineno, f"duplicate operand {name!r}")
                 try:
-                    dims = [int(t) for t in tokens[2:want]]
+                    rows = _natural(tokens[2])
+                    cols = _natural(tokens[3]) if want == 4 else 1
                 except ValueError:
                     raise ProblemFileError(lineno, "bad dimension")
-                props, indices = _parse_optional_tokens(tokens[want:], lineno, indexes)
-                if directive == "matrix":
-                    operands[name] = matrix(name, dims[0], dims[1], props, indices)
-                else:
-                    operands[name] = vector(name, dims[0], props, indices)
+                props, indices = (), ()
+                if len(tokens) > want:
+                    props, indices = _parse_optional_tokens(tokens[want:], lineno, indexes)
+                if directive == "vector":
+                    props = [*props, Property.VECTOR]
+                operands[name] = Operand(name, rows, cols, props, indices)
             elif directive == "compute":
-                stmt = line[len("compute"):].strip()
+                stmt = body.strip()[len("compute"):].strip()
                 try:
                     # The parser reads the declarations so far in place.
                     chain = _Parser(stmt, operands, indexes).statement()

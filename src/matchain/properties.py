@@ -5,6 +5,11 @@ explicit at construction time (``close``), so downstream code can test
 membership with plain subset checks. A set holds only what is known: an
 operand without structure has none. ``transpose_props``, ``inverse_props``
 and ``infer_properties`` (for products) map closed sets to closed sets.
+
+Each distinct closed set is one shared object: ``close``,
+``transpose_props`` and ``inverse_props`` return it (``infer_properties``
+through ``close``), so operands and products of equal structure hold the
+same frozenset, and keys made of such sets compare by identity.
 """
 
 from __future__ import annotations
@@ -68,6 +73,18 @@ SQUARE_ONLY: frozenset[Property] = frozenset(
 )
 
 
+#: The shared object of each distinct set, keyed by itself: at most 2**10.
+_SHARED: dict[frozenset[Property], frozenset[Property]] = {}
+
+#: ``close``'s result by (given props, square, single column): nothing else
+#: in it reads the dims. At most 4 * 2**10 keys, so nothing is evicted.
+_CLOSED: dict[tuple[frozenset[Property], bool, bool], frozenset[Property]] = {}
+
+
+def _shared(props: frozenset[Property]) -> frozenset[Property]:
+    return _SHARED.setdefault(props, props)
+
+
 def close(props: Iterable[Property], rows: int, cols: int) -> frozenset[Property]:
     """Return the implication closure of ``props`` for a rows x cols operand.
 
@@ -75,7 +92,14 @@ def close(props: Iterable[Property], rows: int, cols: int) -> frozenset[Property
     Raises :class:`InconsistentPropertiesError` on contradictions and
     :class:`DimensionPropertyMismatchError` when a square-only property is
     claimed for non-square dimensions (or ``VECTOR`` for a multi-column one).
+    The result is the set's shared object. A raise is never kept, so its
+    message names the dims of the call that raised.
     """
+    props = frozenset(props)
+    key = (props, rows == cols, cols == 1)
+    closed = _CLOSED.get(key)
+    if closed is not None:
+        return closed
     out = set(props)
     pending = list(out)
     while pending:
@@ -104,7 +128,8 @@ def close(props: Iterable[Property], rows: int, cols: int) -> frozenset[Property
             )
         if rows == cols:
             out.add(Property.SQUARE)
-    return frozenset(out)
+    closed = _CLOSED[key] = _shared(frozenset(out))
+    return closed
 
 
 def transpose_props(props: frozenset[Property]) -> frozenset[Property]:
@@ -124,7 +149,7 @@ def transpose_props(props: frozenset[Property]) -> frozenset[Property]:
     if upper:
         out.add(Property.LOWER_TRIANGULAR)
     out.discard(Property.VECTOR)
-    return frozenset(out)
+    return _shared(frozenset(out))
 
 
 def inverse_props(props: frozenset[Property]) -> frozenset[Property]:
@@ -137,7 +162,7 @@ def inverse_props(props: frozenset[Property]) -> frozenset[Property]:
     """
     if Property.SQUARE not in props:
         raise NonSquareError("inverse requires a square operand")
-    return frozenset(props | {Property.NONSINGULAR})
+    return _shared(frozenset(props | {Property.NONSINGULAR}))
 
 
 def infer_properties(

@@ -1,8 +1,10 @@
 """Expression model: parsing, validation, unparse, problem files."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from matchain import (
     DiagnosticKind,
@@ -24,6 +26,7 @@ from matchain.errors import (
     ProblemFileError,
     UndeclaredSymbolError,
 )
+from matchain.expr import _IDENT, _tokenize
 from matchain.properties import Property
 
 from helpers import random_chain
@@ -206,6 +209,65 @@ class TestParse:
             assert parse(unparse(chain), d) == chain
 
 
+#: The tokenizer as a loop of one match per token or whitespace run: the
+#: reference that ``_tokenize``'s single scan must agree with.
+_REFERENCE_RE = re.compile(
+    rf"""
+    (?P<ws>\s+)
+  | (?P<suffix>\^T|\^-1|\^-T)
+  | (?P<ident>{_IDENT})
+  | (?P<punct>[*=\[\],()])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unrecognized character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.position
+
+
+#: Token spellings, near misses and stray characters, whitespace of
+#: several kinds (tab, NBSP, ideographic space, separators) among them.
+PIECES = [
+    "A", "B2", "_x", "i", "j", "*", "=", "[", "]", ",", "(", ")",
+    "^T", "^-1", "^-T", "^", "^-", "^-2", "-", "@", "é", "３", "#", "+",
+    " ", "  ", "\t", "\n", "\xa0", "\u3000", "\u2028", "\x1c", "\x0b",
+]
+
+
+class TestTokenize:
+    @given(st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=30))
+    @example(["X", " ", "=", "\xa0", "A", "^T", "\t", "*", "B", "^-", "1"])
+    @example(["A", " ", "\u3000"])
+    def test_one_scan_agrees_with_the_token_loop(self, pieces):
+        text = "".join(pieces)
+        assert outcome(_tokenize, text) == outcome(reference_tokens, text)
+
+    def test_positions_skip_whitespace(self):
+        assert _tokenize(" A\t^T ") == [
+            ("ident", "A", 1),
+            ("suffix", "^T", 3),
+            ("end", "", 6),
+        ]
+
+
 class TestOperand:
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
@@ -360,6 +422,36 @@ class TestProblemFiles:
     def test_bad_range(self):
         with pytest.raises(ProblemFileError):
             load_problem("index i many\n")
+
+    # int() reads each of these; a dim or an index range is ASCII digits.
+    SPELLINGS = ["3_0", "+3", "\uff13", "-3"]
+
+    @pytest.mark.parametrize("dim", SPELLINGS)
+    def test_dimension_is_ascii_digits(self, dim):
+        for line in (f"matrix A {dim} 30", f"matrix A 30 {dim} spd", f"vector v {dim}"):
+            with pytest.raises(ProblemFileError, match=r"^line 2: bad dimension$"):
+                load_problem(f"index i 3\n{line}\n")
+
+    @pytest.mark.parametrize("rng", SPELLINGS)
+    def test_index_range_is_ascii_digits(self, rng):
+        with pytest.raises(ProblemFileError) as info:
+            load_problem(f"matrix A 3 3\nindex i {rng}\n")
+        assert str(info.value) == f"line 2: bad index range {rng!r}"
+
+    def test_zero_reaches_the_positive_checks(self):
+        with pytest.raises(ProblemFileError, match="needs positive dims, got 0x3"):
+            load_problem("matrix A 0 3\n")
+        with pytest.raises(ProblemFileError, match="needs range >= 1, got 0"):
+            load_problem("index i 0\n")
+        assert load_problem("matrix A 03 3\n").operands[0].rows == 3
+
+    @pytest.mark.parametrize(
+        "groups", ["indices=i indices=j", "[indices=i] [indices=i]", "indices= indices=j"]
+    )
+    def test_one_indices_group(self, groups):
+        with pytest.raises(ProblemFileError, match="second indices= group") as info:
+            load_problem(f"index i 2\nindex j 3\nmatrix A 3 3 {groups}\n")
+        assert info.value.lineno == 3
 
     @pytest.mark.parametrize(
         "text, lineno",

@@ -7,7 +7,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from matchain import UnaryTag, close, infer_properties, inverse_props, transpose_props
+from matchain import (
+    UnaryTag,
+    close,
+    infer_properties,
+    inverse_props,
+    matrix,
+    transpose_props,
+    vector,
+)
 from matchain.errors import (
     DimensionPropertyMismatchError,
     InconsistentPropertiesError,
@@ -189,6 +197,41 @@ class TestInferProperties:
             rprops = close(rng.choice(rmenu), *rdims)
             got = infer_properties(lprops, ldims, rprops, rdims)
             assert got == close(got, ldims[0], rdims[1])
+
+
+class TestSharedSets:
+    """Each distinct closed set is one object, so structural keys made of
+    property sets match by identity."""
+
+    def test_operands_of_equal_structure_share_their_set(self):
+        a, b = matrix("A", 4, 4), matrix("B", 9, 9)
+        assert a.properties is b.properties
+        assert vector("u", 3).properties is vector("v", 7).properties
+        assert close([P.SPD], 5, 5) is close({P.SPD, P.SYMMETRIC}, 6, 6)
+
+    def test_products_share_the_operands_set(self):
+        a, b = matrix("A", 3, 3), matrix("B", 3, 3)
+        got = infer_properties(a.properties, (3, 3), b.properties, (3, 3))
+        assert got is a.properties
+
+    def test_transpose_and_inverse_return_shared_sets(self):
+        lower = close({P.LOWER_TRIANGULAR}, 4, 4)
+        assert transpose_props(lower) is close({P.UPPER_TRIANGULAR}, 5, 5)
+        assert transpose_props(transpose_props(lower)) is lower
+        assert inverse_props(close({P.NONSINGULAR}, 4, 4)) is close({P.NONSINGULAR}, 3, 3)
+        assert inverse_props(lower) is close({P.LOWER_TRIANGULAR, P.NONSINGULAR}, 2, 2)
+        spd = close({P.SPD}, 4, 4)
+        assert inverse_props(spd) is spd
+
+    def test_a_raise_names_its_own_dims(self):
+        close({P.SPD}, 4, 4)
+        with pytest.raises(DimensionPropertyMismatchError, match="3x4"):
+            close({P.SPD}, 3, 4)
+        with pytest.raises(DimensionPropertyMismatchError, match="5x2"):
+            close({P.SPD}, 5, 2)
+        close({P.VECTOR}, 4, 1)
+        with pytest.raises(DimensionPropertyMismatchError, match="4x2"):
+            close({P.VECTOR}, 4, 2)
 
 
 @given(st.sets(st.sampled_from([p for p in Property if p not in SQUARE_ONLY and p is not Property.VECTOR])))
