@@ -17,10 +17,12 @@ Both count in units of 1/u, where u is the database's cost unit
 and compares ints, which is exact at any size. :func:`cost_value` alone
 turns a unit count into the value a plan reports.
 
-A new metric needs only ``call_cost(kernel, mkn)``, and the search relies
-on two things of it: costs are additive over calls, and ``call_cost``
-returns a non-negative int, in the kernel's units, as a function of its
-arguments alone. Non-negativity is what lets ``sequence.py`` drop
+A new metric subclasses :class:`Metric` and needs only
+``kernel_cost(kernel)``, the function of (m, k, n) that prices the
+kernel's calls; ``call_cost(kernel, mkn)`` applies it. The search relies
+on two things of it: costs are additive over calls, and a call's cost is
+a non-negative int, in the kernel's units, as a function of the kernel
+and (m, k, n) alone. Non-negativity is what lets ``sequence.py`` drop
 ``copy`` as a prep, which can only add cost, and more generally drop a
 candidate whose preps contain another's before the same binary call
 (see its dominance rule); it also lets the solver skip a split whose two
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
@@ -202,22 +205,31 @@ def unit_of(db: Sequence[Kernel]) -> int:
     return units.pop() if units else 1
 
 
-class FlopMetric:
+class Metric:
+    """A cost metric: a subclass's ``kernel_cost(kernel)`` is the function
+    of (m, k, n) that prices ``kernel``'s calls; ``call_cost`` applies it."""
+
+    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
+        return self.kernel_cost(kernel)(*mkn)
+
+
+class FlopMetric(Metric):
     """Scalar floating-point operation count (kernel formula in m, k, n)."""
 
     name = "flops"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
-        return kernel.flops(*mkn)
+    #: A kernel's compiled cost polynomial, read without a Python call.
+    kernel_cost = staticmethod(operator.attrgetter("flops"))
 
 
-class MemoryMetric:
+class MemoryMetric(Metric):
     """Element count of each call's m x n output (write-traffic proxy)."""
 
     name = "memory"
 
-    def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
-        return mkn[0] * mkn[2] * kernel.unit
+    def kernel_cost(self, kernel: Kernel) -> Callable[[int, int, int], int]:
+        unit = kernel.unit
+        return lambda m, k, n: m * n * unit
 
 
 FLOPS = FlopMetric()

@@ -8,20 +8,21 @@ the minimum-cost sequence under the metric, with ties broken by sequence
 length and then by the tuple of kernel ids.
 
 The search has a structural step and a cost step. Which sequences apply
-depends only on the key ``(op1.props, op1.tag, op2.props, op2.tag)``:
-unary matching never looks at dimensions, and binary matching only checks
-that the effective dims conform. So the candidates are enumerated once
-per key and kept in a table, where an empty list records a gap in the
+depends only on the operands' structures, ``(props, tag)`` each: unary
+matching never looks at dimensions, and binary matching only checks that
+the effective dims conform. So the table numbers each distinct structure
+with a small int (``_sid``), and enumerates the candidates once per pair
+of structure ids ``(sa, sb)``; an empty list records a gap in the
 database. Every prep keeps its operand's effective dims (peeling a
 pending transpose stores the transposed shape; an inverse is square) and
 effective properties. So for op1 of effective shape m x k and op2 of
 k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
 and the binary kernel at (m, k, n). Every route yields one result,
-``kernels.product``, whose properties ``_output`` keeps in the table per
-key and squareness. ``find_sequence`` is the two steps, ``_entry`` and
-``_cheapest``, then ``_output``; the DP fill prices with the two steps
-alone (a lone one-call route without the cost step) and asks ``_output``
-for a winner's operand.
+``kernels.product``, whose structure id and properties ``_output`` keeps
+per ``(sa, sb, square)``. ``find_sequence`` is the two steps, ``_entry``
+and ``_cheapest``, then ``_output``. The DP fill reads the same entries
+by the structure ids it keeps per operand, so dims reach only its cost
+step (a lone one-call route is that call's cost, without ``_cheapest``).
 
 A key's entry keeps only the undominated candidates. Candidate A is
 dominated by candidate B when both end in the same binary kernel and B's
@@ -43,8 +44,10 @@ candidate with it is dominated by the same candidate without it.
 own, so both still check the pruned entries.
 
 Each database has one structural table (``_structural_table``), kept
-across calls while the database is unchanged. It also holds the two
-parts of the structural step, so a new key only joins lists made before:
+across calls while the database is unchanged, so its structure ids last
+across solves and never reach another database's table. It also holds
+the two parts of the structural step, so a new pair only joins lists
+made before:
 each operand's discharge chains, once per ``(props, tag, target)``, and
 the binary kernels accepting two end states, once per
 ``((props, tag), (props, tag))``. Those are matched on structure alone:
@@ -161,13 +164,13 @@ def _cheapest(candidates, m: int, k: int, n: int, metric, mults: tuple[int, int,
     id tuple, then to the earlier candidate."""
     r1, r2, r = mults
     args = {"op1": ((m, k, k), r1), "op2": ((k, n, n), r2), "both": ((m, k, n), r)}
-    call_cost = metric.call_cost
+    kernel_cost = metric.kernel_cost
     best = best_key = None
     for steps in candidates:
         total = 0
         for kernel, target in steps:
             mkn, times = args[target]
-            total += call_cost(kernel, mkn) * times
+            total += kernel_cost(kernel)(*mkn) * times
         # The id tuples are built only to break a tie.
         cand_key = (total, len(steps))
         if best_key is None or cand_key < best_key or (
@@ -192,15 +195,25 @@ def _dominates(b: tuple, a: tuple) -> bool:
     )
 
 
+def _sid(props, tag, table: dict) -> int:
+    """The structure id of ``(props, tag)`` in ``table``: the table's size
+    when first met, so no two structures share one."""
+    key = (props, tag)
+    sid = table.get(key)
+    if sid is None:
+        sid = table[key] = len(table)
+    return sid
+
+
 def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
     """Structural step: ``table``'s entry ``(candidates, lone)`` for
-    ``op1 * op2``, made on first use. ``candidates`` are the undominated
-    ones (see the module docstring), in search order. ``lone`` is the
-    binary kernel when the one candidate left is that single call, else
-    None: such a pair costs the call at (m, k, n) charged r times, under
-    any multiplicities, and the fill prices it so without
-    :func:`_cheapest`."""
-    skey = (op1.props, op1.tag, op2.props, op2.tag)
+    ``op1 * op2``, made on first use and kept by the operands' structure
+    ids ``(sa, sb)``. ``candidates`` are the undominated ones (see the
+    module docstring), in search order. ``lone`` is the binary kernel when
+    the one candidate left is that single call, else None: such a pair
+    costs the call at (m, k, n) charged r times, under any
+    multiplicities, and the fill prices it so without :func:`_cheapest`."""
+    skey = (_sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table))
     entry = table.get(skey)
     if entry is None:
         # A dominator precedes what it dominates, and dominance is
@@ -216,15 +229,17 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
     return entry
 
 
-def _output(op1, op2, m: int, n: int, table: dict) -> TaggedOperand:
-    """The m x n operand ``op1 * op2`` computes, whichever route computes
-    it. Its properties depend only on the operands' properties and tags and
-    on whether it is square, so ``table`` keeps them once per such key."""
-    key = (op1.props, op1.tag, op2.props, op2.tag, m == n)
-    props = table.get(key)
-    if props is None:
-        props = table[key] = product(op1, op2).props
-    return TaggedOperand(m, n, props)
+def _output(op1, op2, square: bool, table: dict) -> tuple[int, frozenset]:
+    """The structure id and properties of the product ``op1 * op2``,
+    whichever route computes it. They depend only on the operands'
+    structures and on whether the product is ``square``, so ``table``
+    keeps them once per ``(sa, sb, square)`` key."""
+    sa, sb = _sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table)
+    out = table.get((sa, sb, square))
+    if out is None:
+        props = product(op1, op2).props
+        out = table[sa, sb, square] = (_sid(props, UnaryTag.ID, table), props)
+    return out
 
 
 #: The structural table of the most recent database: (its kernels, table).
@@ -273,14 +288,16 @@ def find_sequence(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
     table = _structural_table(db)
-    candidates, _ = _entry(op1, op2, db, table)
+    sa, sb = _sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table)
+    candidates, _ = table.get((sa, sb)) or _entry(op1, op2, db, table)
     if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
     steps, total = _cheapest(candidates, m, k, n, metric, mults)
-    return SequenceResult(steps, total, _output(op1, op2, m, n, table))
+    _, props = table.get((sa, sb, m == n)) or _output(op1, op2, m == n, table)
+    return SequenceResult(steps, total, TaggedOperand(m, n, props))
 
 
 def materialize(

@@ -16,17 +16,19 @@ index wins exact ties.
 
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand and free-index tuple, and each id owns
-its operand and a row, a dict over right ids that the fill owns: a split
-looks its pair up in its left id's row, with no key built. A pair of ids
-fixes the dims and the three multiplicities, so the row holds each
-pair's charged cost: each distinct pair is priced once, by
-``find_sequence``'s structural and cost steps alone, or, when its entry
-keeps one route of one binary call, as that call's cost charged r times.
-A pair the database cannot cover keeps None. A second row per id keeps,
-once the pair wins a cell, its output's id, shared by every cell it
-wins; ``_output`` reads the output's properties from the structural
-table. No cell keeps a sequence: extraction asks
+id per distinct operand and free-index tuple, and each id owns its
+operand, the operand's structure id (see ``sequence``) and a row, a dict
+over right ids that the fill owns: a split looks its pair up in its left
+id's row, with no key built. A pair of ids fixes the dims and the three
+multiplicities, so the row holds each pair's charged cost: each distinct
+pair is priced once. Its structural entry is read by its two structure
+ids, so which kernels apply is decided once per structural pair, and the
+dims reach only the cost: the cost step, or a lone one-call route's cost
+charged r times. A pair the database cannot cover keeps None. A second
+row per id keeps, once the pair wins a cell, its output's id, shared by
+every cell it wins; the output's structure comes from the table by the
+pair's structure ids and squareness, and only a new id builds its
+operand. No cell keeps a sequence: extraction asks
 ``find_sequence`` for each of the at most n - 1 segments of the tree,
 and the cost step depends on its arguments alone, so it returns the
 route the fill priced.
@@ -86,10 +88,10 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import InvalidChainError, NoKernelApplicableError, UnsatisfiableError
-from .expr import Chain, Factor, IndexDecl, indexed_name, validate
+from .expr import Chain, Factor, IndexDecl, UnaryTag, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
 from .kernels import default_db, unit_of
-from .sequence import _cheapest, _describe, _entry, _output, _structural_table
+from .sequence import _cheapest, _describe, _entry, _output, _sid, _structural_table
 from .sequence import find_sequence, materialize
 
 
@@ -195,26 +197,32 @@ def build_tables(
     ranges = [[1] * n for _ in range(n)]
     # ids[i][j] numbers the (operand, free indices) key of cell [i, j]; 0
     # marks an uncovered cell. Each id a owns ops[a], its key's operand,
-    # and a row in charges and outs, appended by intern; a
-    # split looks its pair up in its left id's row. charges[a][b] is the
-    # pair's charged cost, None when it has no route, and outs[a][b], once
-    # it wins, its output's id (a pair fixes the free indices). Cell
-    # [i, j] is d[i] x d[j + 1], d the effective dims.
+    # sids[a], its structure id, and a row in charges and outs, appended
+    # by intern; a split looks its pair up in its left id's row.
+    # charges[a][b] is the pair's charged cost, None when it has no route,
+    # and outs[a][b], once it wins, its output's id (a pair fixes the free
+    # indices). Cell [i, j] is d[i] x d[j + 1], d the effective dims.
     ids = [[0] * n for _ in range(n)]
     interned: dict = {}
     ops: list[TaggedOperand | None] = [None]
+    sids: list[int | None] = [None]
     charges: list[dict] = [{}]
     outs: list[dict] = [{}]
     tried = no_route = 0
     unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
-    call_cost = metric.call_cost
+    kernel_cost = metric.kernel_cost
 
-    def intern(op, seg_free) -> int:
-        """``op``'s id over ``seg_free``; a new id owns ``op`` and two empty rows."""
-        at = interned.setdefault((op, seg_free), len(ops))
-        if at == len(ops):
-            ops.append(op)
+    def intern(sid, rows, cols, seg_free, props, tag=UnaryTag.ID) -> int:
+        """The id over ``seg_free`` of the rows x cols operand of structure
+        ``sid``, ``(props, tag)``; a new id builds it and owns it, ``sid``
+        and two empty rows."""
+        key = (sid, rows, cols, seg_free)
+        at = interned.get(key)
+        if at is None:
+            at = interned[key] = len(ops)
+            ops.append(TaggedOperand._make((rows, cols, props, tag)))
+            sids.append(sid)
             charges.append({})
             outs.append({})
         return at
@@ -225,18 +233,16 @@ def build_tables(
         nonlocal no_route
         a, b = ids[i][k], ids[k + 1][j]
         row = charges[a]
-        if b in row:  # no route, found before
-            return None
-        candidates, lone = _entry(ops[a], ops[b], db, table)
-        mkn = (d[i], d[k + 1], d[j + 1])
-        if not candidates:
-            no_route += 1
-            charge = None
-        elif lone is None:
+        candidates, lone = table.get((sids[a], sids[b])) or _entry(ops[a], ops[b], db, table)
+        if lone is not None:  # one binary call, run r times
+            charge = kernel_cost(lone)(d[i], d[k + 1], d[j + 1]) * ranges[i][j]
+        elif candidates:
             mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
-            charge = _cheapest(candidates, *mkn, metric, mults)[1]
-        else:  # one binary call, run r times
-            charge = call_cost(lone, mkn) * ranges[i][j]
+            charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)[1]
+        else:
+            if b not in row:  # else met before, and counted
+                no_route += 1
+            charge = None
         row[b] = charge
         return charge
 
@@ -244,7 +250,9 @@ def build_tables(
         costs[i][i] = 0
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
-        ids[i][i] = intern(_base_operand(factors[i]), free[i][i])
+        op, tag = factors[i].operand, factors[i].tag
+        sid = _sid(op.properties, tag, table)
+        ids[i][i] = intern(sid, op.rows, op.cols, free[i][i], op.properties, tag)
 
     for l in range(1, n):
         for i in range(n - l):
@@ -288,14 +296,18 @@ def build_tables(
                 a, b = ids_i[best_k], ids[best_k + 1][j]
                 won = outs[a].get(b)
                 if won is None:
-                    out = _output(ops[a], ops[b], d[i], d[j + 1], table)
-                    won = outs[a][b] = intern(out, seg_free)
+                    m, n_out = d[i], d[j + 1]
+                    square = m == n_out
+                    sid, props = table.get((sids[a], sids[b], square)) or _output(
+                        ops[a], ops[b], square, table
+                    )
+                    won = outs[a][b] = intern(sid, m, n_out, seg_free, props)
                 ids_i[j] = won
             elif ks:
                 unfilled = True
 
     if memo is not None:
-        keys = [None, *interned]
+        keys = [None, *((op, key[3]) for op, key in zip(ops[1:], interned))]
         for a, row in enumerate(charges):
             for b, charge in row.items():
                 if charge is None:

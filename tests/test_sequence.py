@@ -518,8 +518,9 @@ def uncached_candidates(op1, op2, db):
 
 def prep_chains(table):
     """The discharge chains ``table`` holds, by ``(props, tag, target)``
-    key, in the order they were enumerated."""
-    return {key: chains for key, chains in table.items() if len(key) == 3}
+    key, in the order they were enumerated. Only these keys end in a
+    target; a product's ``(sa, sb, square)`` key has three items too."""
+    return {key: chains for key, chains in table.items() if key[-1] in ("op1", "op2")}
 
 
 class TestStructuralTable:

@@ -51,6 +51,22 @@ def chain_of(text, *decls):
     return parse(text, decls)
 
 
+class PricingLog(kernels.Metric):
+    """``metric``, logging the (m, k, n) of every call it prices."""
+
+    def __init__(self, metric):
+        self.metric, self.name, self.priced = metric, metric.name, []
+
+    def kernel_cost(self, kernel):
+        cost = self.metric.kernel_cost(kernel)
+
+        def logged(m, k, n):
+            self.priced.append((m, k, n))
+            return cost(m, k, n)
+
+        return logged
+
+
 class TestExamples:
     def test_classic_parenthesization(self):
         chain = chain_of(
@@ -232,16 +248,18 @@ class TestTables:
         # Cell [0, 2] is seeded with its right neighbour's split, k=1. In
         # D = A * B * C that is (A B) C at 10,000 + 5,000 flops. At k=0 the
         # sub-cost B C alone is 50,000, so A (B C), a pair of operands seen
-        # nowhere else, is skipped before it is priced. Pricing a pair starts
-        # with its structural entry, which a winning pair's result then
-        # reuses.
-        asked = []
+        # nowhere else, is skipped before it is priced. Each pair is priced
+        # as one gemm at its (m, k, n), which the metric logs. Every operand
+        # here has one structure, so the three pairs share one structural
+        # entry, made once.
+        entries = []
 
         def recording(op1, op2, *args):
-            asked.append((op1, op2))
+            entries.append((op1, op2))
             return sequence._entry(op1, op2, *args)
 
         monkeypatch.setattr(solver, "_entry", recording)
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
         chain = chain_of(
             "D = A * B * C",
             matrix("A", 10, 100),
@@ -249,21 +267,23 @@ class TestTables:
             matrix("C", 5, 50),
             matrix("D", 10, 50),
         )
-        tables = build_tables(chain)
+        log = PricingLog(FLOPS)
+        tables = build_tables(chain, metric=log)
         assert tables.costs[1][2] == U * 50_000
         assert tables.costs[0][2] == U * 15_000
         assert tables.solution[0][2] == 1
-        ops, ids = tables.ops, tables.ids
-        a_bc = (ops[ids[0][0]], ops[ids[1][2]])
-        assert a_bc not in asked
-        assert len(asked) == 3
+        a_bc = (10, 100, 50)
+        assert a_bc not in log.priced
+        assert log.priced == [(10, 100, 5), (100, 5, 50), (10, 5, 50)]
+        assert len(entries) == 1
         assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
 
         # The seed's pair is priced even when it loses: in y = A * B * x,
         # (A B) x costs 1,600,000 + 20,000 flops, and A (B x) wins at
         # 32,000. The seed's pair (A B, x) is one seen nowhere else, and
-        # y has the key of x.
-        asked.clear()
+        # y has the key of x. A B has the structures of the pairs above, and
+        # A (B x) those of B x, so two of the four pairs make an entry.
+        entries.clear()
         chain = chain_of(
             "y = A * B * x",
             matrix("A", 100, 80),
@@ -271,29 +291,22 @@ class TestTables:
             vector("x", 100),
             vector("y", 100),
         )
-        tables = build_tables(chain)
+        log = PricingLog(FLOPS)
+        tables = build_tables(chain, metric=log)
         assert tables.costs[0][2] == U * 32_000
         assert tables.solution[0][2] == 0
-        ops, ids = tables.ops, tables.ids
-        ab_x = (ops[ids[0][1]], ops[ids[2][2]])
-        a_bx = (ops[ids[0][0]], ops[ids[1][2]])
-        assert asked[-2:] == [ab_x, a_bx]
-        assert len(asked) == 4
+        ab_x, a_bx = (100, 100, 1), (100, 80, 1)
+        assert log.priced[-2:] == [ab_x, a_bx]
+        assert len(log.priced) == 4
+        assert len(entries) == 2
         assert tables.stats == DPStats(splits=4, keys=5, pairs=4, no_route=0)
 
-    def test_given_memo_holds_one_entry_per_routed_pair(self, monkeypatch):
+    def test_given_memo_holds_one_entry_per_routed_pair(self):
         # perfbench's tracer counts distinct pairs through the memo. The
-        # fill prices a pair from its structural entry's routes: a lone
-        # one-call route directly, any other list by its cost step.
-        found = {}
-
-        def entry(op1, op2, *args):
-            got = sequence._entry(op1, op2, *args)
-            pair = (op1, op2)
-            found.setdefault(pair, []).extend(got[0])
-            return got
-
-        monkeypatch.setattr(solver, "_entry", entry)
+        # fill prices a pair from the structural entry of its operands'
+        # structures: a lone one-call route directly, any other list by its
+        # cost step. After the fill the database's table still holds that
+        # entry, and _entry returns it.
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
@@ -301,8 +314,8 @@ class TestTables:
             for db in DATABASES.values():
                 want = build_tables(chain, db)
                 memo = {}
-                found.clear()
                 got = build_tables(chain, db, memo=memo)
+                table = sequence._structural_table(db)
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
                 # Each key pairs two filled cells' (operand, free indices)
@@ -317,7 +330,8 @@ class TestTables:
                 }
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
-                    assert any(seq.steps is f for f in found[key1[0], key2[0]])
+                    routes, _ = sequence._entry(key1[0], key2[0], db, table)
+                    assert any(seq.steps is route for route in routes)
                 # A winning pair has a memo entry.
                 for i in range(got.n):
                     for j in range(i + 1, got.n):
@@ -897,15 +911,19 @@ class TestStructuralTable:
         # The second chain is new at every key: other dims, and a pair of
         # states, (A^-1, B^-1), that the first never met together. Yet
         # each of its operand states was met on its side by the first.
-        # The table's (props, tag, target) keys are its operand states.
+        # The table's (props, tag, target) keys are its operand states;
+        # no other key ends in a target.
+        def states(table):
+            return {key: chains for key, chains in table.items() if key[-1] in ("op1", "op2")}
+
         monkeypatch.setattr(sequence, "_structural", (None, {}))
         solve(chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD")))
         table = sequence._structural[1]
-        first = {key: chains for key, chains in table.items() if len(key) == 3}
+        first = states(table)
         assert {tag for _, tag, _ in first} == {UnaryTag.ID, UnaryTag.INV}
         plan = solve(chain_of("C = A^-1 * B^-1", *(matrix(x, 6, 6) for x in "ABC")))
         assert sequence._structural[1] is table
-        second = {key: chains for key, chains in table.items() if len(key) == 3}
+        second = states(table)
         assert list(second) == list(first)
         assert all(second[key] is chains for key, chains in first.items())
         assert [c.kernel_id for c in plan.calls] == ["getri", "gesv"]
@@ -956,9 +974,10 @@ class TestStructuralTable:
         pair = ((a.props, a.tag), (b.props, b.tag))
         assert [k.id for k in first_table[pair]] == ["gesv"]
         assert second_table[pair] == []
+        # A pair of (props, tag) states is the only key made of two tuples.
         for table, db in ((first_table, default_db()), (second_table, second)):
             for key, kernels in table.items():
-                if len(key) == 2:  # a pair of (props, tag) states
+                if len(key) == 2 and isinstance(key[0], tuple):
                     assert all(any(k is own for own in db) for k in kernels)
 
 
@@ -1148,13 +1167,22 @@ class TestLoneRoute:
         )
         dbs = (*DATABASES.values(), huge)
         pools = (INDEX_POOL, (IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 11)))
+        # Each fill starts from a fresh table, so every structural pair's
+        # entry is made through the wrapper; without the shortcut, the entry
+        # is kept without its lone route, so later pairs of the same
+        # structures take the cost step too.
         shortcut = True
         seen = {"lone": 0, "other": 0, "uncovered": 0, "beyond float": 0}
 
-        def entry(op1, op2, *args):
-            candidates, lone = sequence._entry(op1, op2, *args)
+        def entry(op1, op2, db, table):
+            candidates, lone = sequence._entry(op1, op2, db, table)
             seen["lone" if lone else "other"] += bool(candidates)
-            return candidates, lone if shortcut else None
+            if not shortcut:
+                lone = None
+                sa = sequence._sid(op1.props, op1.tag, table)
+                sb = sequence._sid(op2.props, op2.tag, table)
+                table[sa, sb] = (candidates, lone)
+            return candidates, lone
 
         monkeypatch.setattr(solver, "_entry", entry)
         rng = random.Random(20261022)
@@ -1164,13 +1192,95 @@ class TestLoneRoute:
             for db in dbs:
                 for metric in (FLOPS, MEMORY):
                     shortcut = True
+                    monkeypatch.setattr(sequence, "_structural", (None, {}))
                     got = build_tables(chain, db, metric)
                     shortcut = False
+                    monkeypatch.setattr(sequence, "_structural", (None, {}))
                     assert got == build_tables(chain, db, metric)
                     costs = [cost for row in got.costs for cost in row]
                     seen["uncovered"] += math.inf in costs
                     seen["beyond float"] += any(U * 10 ** 309 < cost < math.inf for cost in costs)
         assert min(seen.values()) > 30, seen
+
+
+class TestStructureIds:
+    """A pair's structural entry is kept by its operands' structure ids, so
+    the fill decides which kernels apply once per structural pair, and dims
+    reach only the cost."""
+
+    def test_scaled_chain_makes_no_kernel_decision(self, monkeypatch):
+        # Scaling every dim by 7 keeps each operand's structure. Under
+        # MEMORY every call costs m * n, so with no dim of 1 every cost is
+        # 49 times the first fill's; under the zero database every cost is
+        # 0. Either way the second fill makes the first fill's choices, so
+        # it meets only structural pairs and products the first decided: it
+        # matches no kernel, infers no properties and adds no entry to the
+        # table. Yet it prices every pair again, at the scaled dims, in the
+        # same order, and equals a fill from a fresh table.
+        decided = []
+        match_, accepts, infer = sequence.match, kernels.Kernel.accepts, kernels.infer_properties
+
+        def counted_match(*args):
+            decided.append(args)
+            return match_(*args)
+
+        def counted_accepts(kernel, ops):
+            decided.append(ops)
+            return accepts(kernel, ops)
+
+        def counted_infer(*args):
+            decided.append(args)
+            return infer(*args)
+
+        monkeypatch.setattr(sequence, "match", counted_match)
+        monkeypatch.setattr(kernels.Kernel, "accepts", counted_accepts)
+        monkeypatch.setattr(kernels, "infer_properties", counted_infer)
+        rng = random.Random(20261024)
+        pairs = 0
+        for at in range(40):
+            pool = INDEX_POOL if at % 2 else ()
+            chain = random_chain(rng, n_min=3, n_max=9, dim_max=6, index_pool=pool)
+            while any(1 in (f.eff_rows, f.eff_cols) for f in chain.factors):
+                chain = random_chain(rng, n_min=3, n_max=9, dim_max=6, index_pool=pool)
+            scaled = scaled_chain(chain, 7)
+            for db, metric in ((default_db(), MEMORY), (DATABASES["zero"], FLOPS)):
+                monkeypatch.setattr(sequence, "_structural", (None, {}))
+                first_log, second_log = PricingLog(metric), PricingLog(metric)
+                first = build_tables(chain, db, first_log)
+                table = sequence._structural[1]
+                size = len(table)
+                del decided[:]
+                second = build_tables(scaled, db, second_log)
+                assert decided == []
+                assert sequence._structural[1] is table and len(table) == size
+                assert second.stats == first.stats
+                assert second_log.priced == [tuple(7 * x for x in mkn) for mkn in first_log.priced]
+                monkeypatch.setattr(sequence, "_structural", (None, {}))
+                assert second == build_tables(scaled, db, metric)
+                pairs += second.stats.pairs
+        assert pairs > 1000, pairs
+
+    def test_fills_equal_fresh_fills_across_databases_and_metrics(self, monkeypatch):
+        # The databases and metrics alternate, in a shuffled order, over the
+        # same chains, so a table is kept across metrics and chains while
+        # its database stays, and replaced when it changes. The zero
+        # database's kernels differ from the built-ins only by their costs.
+        # Each fill must equal a fill from a fresh table.
+        rng = random.Random(20261025)
+        combos = [(db, metric) for db in DATABASES.values() for metric in (FLOPS, MEMORY)]
+        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        fills = 0
+        for _ in range(20):
+            chain = random_chain(rng, n_max=8, dim_max=6, index_pool=INDEX_POOL)
+            rng.shuffle(combos)
+            for db, metric in combos + combos[:2]:
+                got = build_tables(chain, db, metric)
+                warm = sequence._structural
+                sequence._structural = (None, {})
+                assert got == build_tables(chain, db, metric)
+                sequence._structural = warm
+                fills += 1
+        assert fills == 160
 
 
 class TestFillIsolation:
