@@ -20,7 +20,7 @@ from math import inf
 from .codegen import emit_records, emit_text, write_number
 from .errors import MatchainError
 from .expr import check_target, load_problem, validate
-from .kernels import cost_value, load_kernel_config, metric_by_name
+from .kernels import cost_value, default_db, load_kernel_config, metric_by_name, unit_of
 from .solver import naive_cost, solve
 
 
@@ -99,7 +99,8 @@ def _naive_line(naive: float | int, plan, records: bool) -> str:
 
 def _verify_line(chain, db, metric, plan, records: bool) -> tuple[bool, str]:
     """Whether the brute-force oracle's minimum equals the plan's total,
-    and the ``--verify`` annotation that says so. Loads the oracle."""
+    compared exactly in the database's units, and the ``--verify``
+    annotation that says so. Loads the oracle."""
     from . import oracle
 
     if len(chain.factors) > oracle.MAX_FACTORS:
@@ -107,8 +108,11 @@ def _verify_line(chain, db, metric, plan, records: bool) -> tuple[bool, str]:
             f"--verify supports at most {oracle.MAX_FACTORS} factors, "
             f"got {len(chain.factors)}"
         )
-    oracle_min, _ = oracle.brute_force_min(chain, db, metric)
-    agree = plan.total_cost == oracle_min
+    if db is None:
+        db = default_db()
+    oracle_units, _ = oracle._min_units(chain, db, metric)
+    agree = plan.units == oracle_units
+    oracle_min = cost_value(oracle_units, unit_of(db))
     if records:
         word = "agree" if agree else "disagree"
         shown = write_number(oracle_min, "the oracle total")

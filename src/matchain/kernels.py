@@ -20,16 +20,20 @@ turns a unit count into the value a plan reports.
 A new metric subclasses :class:`Metric` and needs only
 ``kernel_cost(kernel)``, the function of (m, k, n) that prices the
 kernel's calls; ``call_cost(kernel, mkn)`` applies it. The search relies
-on two things of it: costs are additive over calls, and a call's cost is
-a non-negative int, in the kernel's units, as a function of the kernel
-and (m, k, n) alone. Non-negativity is what lets ``sequence.py`` drop
-``copy`` as a prep, which can only add cost, and more generally drop a
-candidate whose preps contain another's before the same binary call
-(see its dominance rule); it also lets the solver skip a split whose two
-sub-costs alone already reach the best split found. Both built-in
-metrics are products of positive dims; config polynomials use only ``+``
-and ``*`` over non-negative integers and dims of at least 1, and ``/``
-by a positive integer literal.
+on three things of it: costs are additive over calls; a call's cost is a
+non-negative int, in the kernel's units, as a function of the kernel and
+(m, k, n) alone; and that cost is non-decreasing in each of m, k and n.
+Non-negativity is what lets ``sequence.py`` drop ``copy`` as a prep,
+which can only add cost, and more generally drop a candidate whose preps
+contain another's before the same binary call (see its dominance rule);
+it also lets the solver skip a split whose two sub-costs alone already
+reach the best split found. Monotonicity lets the solver put a floor
+under a split's charge: a binary call at a cell's least inner dim costs
+no more than at any of its splits (see ``solver.py``). Both built-in
+metrics are products of positive dims, and MEMORY's ignores k; config
+polynomials use only ``+`` and ``*`` over non-negative integers and dims
+of at least 1, and ``/`` by a positive integer literal, so they are both
+non-negative and non-decreasing.
 
 Every kernel comes from one reader, :func:`load_kernel_config`. The
 built-in database is a kernel-config text at the end of this module,
@@ -207,7 +211,14 @@ def unit_of(db: Sequence[Kernel]) -> int:
 
 class Metric:
     """A cost metric: a subclass's ``kernel_cost(kernel)`` is the function
-    of (m, k, n) that prices ``kernel``'s calls; ``call_cost`` applies it."""
+    of (m, k, n) that prices ``kernel``'s calls; ``call_cost`` applies it.
+
+    Its value is an int in the kernel's units, non-negative and
+    non-decreasing in each of m, k and n. The solver relies on both: a
+    split's charge is at least its binary call's cost, and that call costs
+    at least what it would at the cell's least inner dim, the floor under
+    which the fill skips a split without pricing it.
+    """
 
     def call_cost(self, kernel: Kernel, mkn: tuple[int, int, int]) -> int:
         return self.kernel_cost(kernel)(*mkn)

@@ -119,6 +119,13 @@ def brute_force_min(
     """
     if db is None:
         db = default_db()
+    units, tree = _min_units(chain, db, metric)
+    return cost_value(units, unit_of(db)), tree
+
+
+def _min_units(chain: Chain, db: Sequence[Kernel], metric) -> tuple[int, object]:
+    """``brute_force_min``'s minimum, exact, in ``db``'s units, and its
+    tree."""
     factors = chain.factors
     n = len(factors)
     if n > MAX_FACTORS:
@@ -180,7 +187,7 @@ def brute_force_min(
                 f"no unary sequence materializes a {op.rows}x{op.cols} operand "
                 f"tagged {op.tag.name} with props {props}"
             )
-        return cost_value(best * seg_range(0, 0), unit_of(db)), 0
+        return best * seg_range(0, 0), 0
 
     best, best_tree = inf, None
     for tree in _trees(0, n - 1):
@@ -190,7 +197,7 @@ def brute_force_min(
             best_tree = tree
     if best_tree is None:
         raise NoKernelApplicableError("no parenthesization is computable")
-    return cost_value(best, unit_of(db)), best_tree
+    return best, best_tree
 
 
 # --------------------------------------------------------------------------

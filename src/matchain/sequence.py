@@ -45,15 +45,24 @@ own, so both still check the pruned entries.
 
 Each database has one structural table (``_structural_table``), kept
 across calls while the database is unchanged, so its structure ids last
-across solves and never reach another database's table. It also holds
-the two parts of the structural step, so a new pair only joins lists
-made before:
-each operand's discharge chains, once per ``(props, tag, target)``, and
-the binary kernels accepting two end states, once per
-``((props, tag), (props, tag))``. Those are matched on structure alone:
-the caller checks that the dims conform, and preps keep effective dims,
-so a cached end state may carry the dims of whichever operand first
-reached it.
+across solves and never reach another database's table. Its keys are:
+
+- ``(props, tag)``: the structure's id, ``_sid``;
+- ``(props, tag, target)``: the operand's discharge chains for
+  ``"op1"`` or ``"op2"``, ``_preps``;
+- ``((props, tag), (props, tag))``: the binary kernels accepting two end
+  states, ``_binary``;
+- ``(sa, sb)``: a pair's entry, ``_entry``;
+- ``(sa, sb, square)``: the product's structure id and properties,
+  ``_output``;
+- ``(sid, "ends")``: the binary kernels that can end a route from the
+  structure as op1 and as op2, ``_ends``, which the solver's floor reads;
+- ``"patterns"``: each side's patterns of the binary kernels, ``_ends``.
+
+So a new pair only joins lists made before. The chains and kernels are
+matched on structure alone: the caller checks that the dims conform, and
+preps keep effective dims, so a cached end state may carry the dims of
+whichever operand first reached it.
 
 The same chains plan a single-factor chain (``materialize``): the
 cheapest that ends tag-free, or one ``copy`` for a tag-free operand.
@@ -227,6 +236,36 @@ def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
             lone = candidates[0][0].kernel
         entry = table[skey] = (candidates, lone)
     return entry
+
+
+def _ends(sid: int, op: TaggedOperand, db, table: dict) -> tuple[int, int]:
+    """The binary kernels that can end a route with ``op``, of structure
+    ``sid``, as op1, and those with it as op2: two sets of ``db``'s
+    positions, as int bitmasks. Position p is in a side's set when
+    ``db[p]``'s pattern for that side accepts an end state of ``op``'s
+    discharge chains for it. ``table`` keeps them by ``(sid, "ends")``, so
+    a structure is matched once per database, and keeps each side's
+    ``(bit, pattern)`` pairs of the binary kernels under ``"patterns"``,
+    listed once per database."""
+    ends = table.get((sid, "ends"))
+    if ends is None:
+        patterns = table.get("patterns")
+        if patterns is None:
+            patterns = table["patterns"] = [
+                [(1 << at, variant[side]) for at, kernel in enumerate(db)
+                 if kernel.arity == 2 for variant in kernel.variants]
+                for side in (0, 1)
+            ]
+        masks = []
+        for side, target in enumerate(("op1", "op2")):
+            mask = 0
+            for _, cur in _preps(op, db, target, table):
+                for bit, pattern in patterns[side]:
+                    if pattern.matches(cur):
+                        mask |= bit
+            masks.append(mask)
+        ends = table[sid, "ends"] = tuple(masks)
+    return ends
 
 
 def _output(op1, op2, square: bool, table: dict) -> tuple[int, frozenset]:

@@ -59,6 +59,26 @@ skipped split costs more than the seed, so it can neither win nor tie,
 and every split that costs no more is still scanned in increasing k under
 the strict less-than, so the same k wins, at the same cost.
 
+The bound also puts a floor under the charge. Every route of a pair ends
+in one binary call, run ``r = ranges[i][j]`` times at
+``(d[i], d[k + 1], d[j + 1])``, and its preps cost at least 0. The
+structural table records, per structure and side, the binary kernels
+that can end a route from it (``sequence._ends``); the fill unions them
+over the structures it meets. While the op1 and op2 sets share one
+kernel K alone, every route of every pair met so far ends in K, and
+since costs are non-decreasing in k (the metric contract), each split of
+[i, j] charges at least ``floor = r * K(d[i], kmin, d[j + 1])``, where
+``kmin = min(d[i + 1 .. j])`` is the least inner dim of the cell's
+splits. So the scan skips a split once ``lb + floor >= best``: it
+compares ``lb`` with ``cut = best - floor``, updated as ``best`` falls.
+That is the same argument with ``lb + floor`` for ``lb``. The sets only
+grow during a fill, so once they share two kernels the floor is off for
+the rest of it, and ``floor`` is 0 as before; while they share none, no
+pair has a route and ``floor`` is 0 too. On an untagged, unstructured
+chain every route ends in gemm, so the floor stays on. A cell of two
+factors has one split and needs no floor, and neither does a fill of two
+factors or one restricted to given splits.
+
 One planner serves both orders. ``solve`` and ``naive_cost`` each return
 ``_plan``, which validates the chain, runs the fill, names the smallest
 uncovered segment when the root is uncovered, and extracts the plan.
@@ -81,7 +101,7 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, prod
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import count
@@ -91,7 +111,7 @@ from .errors import InvalidChainError, NoKernelApplicableError, UnsatisfiableErr
 from .expr import Chain, Factor, IndexDecl, UnaryTag, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
 from .kernels import default_db, unit_of
-from .sequence import _cheapest, _describe, _entry, _output, _sid, _structural_table
+from .sequence import _cheapest, _describe, _ends, _entry, _output, _sid, _structural_table
 from .sequence import find_sequence, materialize
 
 
@@ -116,9 +136,9 @@ class DPStats(NamedTuple):
     distinct (operand, free indices) keys among the filled cells,
     ``pairs`` the distinct pairs of keys looked up (each priced once; a
     cell's seed looks up its pair even when another split wins, and a
-    split whose sub-costs already reach the best cost of its cell looks up
-    none) and ``no_route`` the pairs among them that the database cannot
-    cover.
+    split whose sub-costs plus the cell's floor already reach the best
+    cost of its cell looks up none) and ``no_route`` the pairs among them
+    that the database cannot cover.
     """
 
     splits: int
@@ -153,7 +173,11 @@ class Plan:
 
     ``parenthesization`` is a nested tuple over factor positions (a bare
     int for a leaf); ``total_cost`` already includes index multiplicities,
-    as ``kernels.cost_value`` reports it.
+    as ``kernels.cost_value`` reports it. ``units`` is the same total,
+    exact, in the database's units (see ``kernels.py``): above 2^53 two
+    totals a unit apart can report one float, so ``--verify`` compares
+    ``units``. A plan read back from records has None; plan equality
+    ignores it.
     """
 
     target: str
@@ -161,6 +185,7 @@ class Plan:
     total_cost: float | int
     parenthesization: object
     metric_name: str
+    units: int | None = field(default=None, compare=False)
 
 
 def build_tables(
@@ -212,19 +237,43 @@ def build_tables(
     unfilled = False
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
     kernel_cost = metric.kernel_cost
+    # The floor (see the module docstring). ends1 and ends2 are the binary
+    # kernels, as bitmasks over db, that can end a route from the
+    # structures of the ids made so far as op1 and as op2. While they share
+    # at most one kernel the fill tracks them and, per row i, kmins[i], the
+    # least d[k + 1] over the splits of the row's latest cell; floor_cost
+    # is the shared kernel's cost, None while they share none. Once they
+    # share two the floor is off for the rest of the fill. A cell of two
+    # factors has one split, so it needs no floor, and neither does a fill
+    # that tries at most one split per cell: of two factors, or restricted
+    # to given splits.
+    tracking, floor_cost = splits is None and n > 2, None
+    ends1 = ends2 = 0
+    kmins = d[1:]
 
     def intern(sid, rows, cols, seg_free, props, tag=UnaryTag.ID) -> int:
         """The id over ``seg_free`` of the rows x cols operand of structure
         ``sid``, ``(props, tag)``; a new id builds it and owns it, ``sid``
-        and two empty rows."""
+        and two empty rows, and adds its structure to the floor's sets."""
+        nonlocal ends1, ends2, tracking, floor_cost
         key = (sid, rows, cols, seg_free)
         at = interned.get(key)
         if at is None:
             at = interned[key] = len(ops)
-            ops.append(TaggedOperand._make((rows, cols, props, tag)))
+            op = TaggedOperand._make((rows, cols, props, tag))
+            ops.append(op)
             sids.append(sid)
             charges.append({})
             outs.append({})
+            if tracking:
+                end1, end2 = table.get((sid, "ends")) or _ends(sid, op, db, table)
+                ends1 |= end1
+                ends2 |= end2
+                shared = ends1 & ends2
+                if shared & (shared - 1):  # two kernels or more
+                    tracking, floor_cost = False, None
+                elif shared:
+                    floor_cost = kernel_cost(db[shared.bit_length() - 1])
         return at
 
     def price(i, k, j):
@@ -268,7 +317,15 @@ def build_tables(
             if unfilled:  # only splits whose parts are covered
                 ks = [k for k in ks if ids_i[k] and ids[k + 1][j]]
             tried += len(ks)
-            best, best_k = inf, None
+            # Every split's charge is at least floor, and the scan skips a
+            # split once lb + floor reaches best, so it compares lb with cut.
+            floor = 0
+            if tracking and l > 1:
+                if d[j] < kmins[i]:
+                    kmins[i] = d[j]
+                if floor_cost is not None:
+                    floor = floor_cost(d[i], kmins[i], d[j + 1]) * r
+            best, best_k, cut = inf, None, inf
             # The seed: the right neighbour's split, priced first (a leaf's
             # solution is None). Only splits that cost no more pass the scan.
             k0 = solution[i + 1][j] if splits is None else None
@@ -278,9 +335,10 @@ def build_tables(
                     charge = price(i, k0, j)
                 if charge is not None:
                     best = costs_i[k0] + costs[k0 + 1][j] + charge + 1
+                    cut = best - floor
             for k in ks:
                 lb = costs_i[k] + costs[k + 1][j]
-                if lb >= best:  # its cost, lb + charge, cannot be < best
+                if lb >= cut:  # lb + charge >= lb + floor >= best
                     continue
                 charge = charges[ids_i[k]].get(ids[k + 1][j])
                 if charge is None:
@@ -289,7 +347,7 @@ def build_tables(
                         continue
                 cost = lb + charge
                 if cost < best:
-                    best, best_k = cost, k
+                    best, best_k, cut = cost, k, cost - floor
             if best_k is not None:
                 costs_i[j] = best
                 solution[i][j] = best_k
@@ -432,16 +490,16 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
             raise UnsatisfiableError(f"no unary kernel sequence materializes {detail}")
         free = factors[0].operand.indices
         calls, _ = _render(seq, (op, name), None, {"op1": free}, target, names, metric)
-        total = cost_value(seq.total_cost * index_range(free), unit)
-        return Plan(target, tuple(calls), total, 0, metric.name)
+        units = seq.total_cost * index_range(free)
+        return Plan(target, tuple(calls), cost_value(units, unit), 0, metric.name, units)
 
     tables = build_tables(chain, db, metric, splits=splits)
     n = tables.n
     if not tables.ids[0][n - 1]:
         raise _uncovered_error(tables, factors, splits)
     calls, tree = _extract(tables, factors, target, names, db, metric)
-    total = cost_value(tables.costs[0][n - 1], unit)
-    return Plan(target, calls, total, tree, metric.name)
+    units = tables.costs[0][n - 1]
+    return Plan(target, calls, cost_value(units, unit), tree, metric.name, units)
 
 
 def solve(

@@ -1,11 +1,12 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from matchain import parse_records
+from matchain import cli, parse_records
 from matchain.cli import main
 
 from helpers import child_env
@@ -520,12 +521,41 @@ class TestFailureModes:
         ],
     )
     def test_verify_disagreement_exits_two(self, tmp_path, capsys, monkeypatch, fmt, line):
-        # The only report of a solver bug: the oracle finds a different minimum.
-        monkeypatch.setattr("matchain.oracle.brute_force_min", lambda *args: (12345.0, None))
+        # The only report of a solver bug: the oracle finds a different
+        # minimum, here 12,345 flops in the built-ins' thirds of a flop.
+        monkeypatch.setattr("matchain.oracle._min_units", lambda *args: (3 * 12345, None))
         code, out, err = run(tmp_path, capsys, VECTOR_CHAIN, "--verify", "--format", fmt)
         assert code == 2
         assert out.rstrip("\n").endswith(line)
         assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_verify_tells_apart_one_unit_beyond_a_float(self, tmp_path, capsys, monkeypatch, fmt):
+        # At dims of 10^100 the plan costs 4 * 10^200 flops, 1.2 * 10^201
+        # thirds of a flop, far beyond 2^53: a plan one third of a flop off
+        # reports the same float total, yet the oracle's exact minimum tells
+        # it apart.
+        big = 10 ** 100
+        text = VECTOR_CHAIN.replace("100", str(big))
+        code, out, _ = run(tmp_path, capsys, text, "--verify", "--format", fmt)
+        assert code == 0
+        assert ("oracle=agree" in out) and ("disagree" not in out)
+        solve = cli.solve
+
+        def one_unit_off(*args):
+            plan = solve(*args)
+            return dataclasses.replace(plan, units=plan.units + 1)
+
+        monkeypatch.setattr(cli, "solve", one_unit_off)
+        code, out, err = run(tmp_path, capsys, text, "--verify", "--format", fmt)
+        assert code == 2
+        assert err == ""
+        if fmt == "records":
+            assert " total=4e+200 " in out
+            assert out.endswith("verify oracle=disagree oracle_total=4e+200\n")
+        else:
+            assert f"# total_flops={int(4e200)}\n" in out
+            assert out.endswith(f"# oracle=disagree oracle_flops={int(4e200)}\n")
 
     @pytest.mark.parametrize(
         "source, kernels, message",

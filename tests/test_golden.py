@@ -59,7 +59,7 @@ import gen  # noqa: E402
 DIGEST = "8ce21580a6365fc72608a82adacac2d63df25d9031f94efffcfd8d02e1ac52f2"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
 LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
-LONG_STATS = DPStats(splits=202_352, keys=22_234, pairs=79_829, no_route=92)
+LONG_STATS = DPStats(splits=202_352, keys=22_234, pairs=50_319, no_route=92)
 EXTREME_DIGEST = "db1f5eabc41d1118e45758f37f641c4b662d03a0547cf03278878e54435f24c3"
 GEN_DIGEST = "a02f1f39a949928e62d08e5f9d8fe8dca928b3b27e08545bf7694edd963c32bf"
 

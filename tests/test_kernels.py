@@ -254,6 +254,47 @@ class TestCostSign:
         assert type(cost_value(3 * 10 ** 300, 3)) is float
 
 
+#: Accepted cost polynomials: + and * over m, k, n and integer constants,
+#: and / by a positive integer literal.
+ACCEPTED_POLYNOMIALS = st.recursive(
+    st.one_of(st.sampled_from("mkn"), st.integers(0, 10 ** 6).map(str)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+*"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(inner, st.integers(1, 10 ** 6)).map(lambda t: f"({t[0]}/{t[1]})"),
+    ),
+    max_leaves=12,
+)
+
+
+class TestMetricContract:
+    """A kernel's cost is non-negative and non-decreasing in each of m, k
+    and n under every metric: the solver's floor under a split's charge
+    prices a binary call at the cell's least inner dim."""
+
+    @given(
+        ACCEPTED_POLYNOMIALS,
+        POSITIVE_DIMS,
+        POSITIVE_DIMS,
+        POSITIVE_DIMS,
+        st.integers(0, 2),
+        st.one_of(st.integers(1, 64), st.integers(1, 10 ** 120)),
+    )
+    @example("(m*k)/3+((n/2)*7)", 5, 1, 3, 1, 1)
+    def test_config_costs_are_nondecreasing_in_each_dim(self, poly, m, k, n, axis, step):
+        kernel = load_kernel_config(f"kernel p arity=2 tags=id;id req=; cost={poly}\n")[-1]
+        mkn = [m, k, n]
+        grown = list(mkn)
+        grown[axis] += step
+        for metric in (FLOPS, MEMORY):
+            cost = metric.kernel_cost(kernel)
+            assert 0 <= cost(*mkn) <= cost(*grown)
+
+    @pytest.mark.parametrize("poly", ["m-n", "2*m*k*n-1", "-m", "m*(0-k)", "m/(3)/-2"])
+    def test_reader_rejects_subtraction(self, poly):
+        with pytest.raises(KernelConfigError):
+            load_kernel_config(f"kernel p arity=2 tags=id;id req=; cost={poly}\n")
+
+
 class TestMetrics:
     def test_names(self):
         assert metric_by_name("flops") is FLOPS

@@ -249,9 +249,11 @@ class TestTables:
         # D = A * B * C that is (A B) C at 10,000 + 5,000 flops. At k=0 the
         # sub-cost B C alone is 50,000, so A (B C), a pair of operands seen
         # nowhere else, is skipped before it is priced. Each pair is priced
-        # as one gemm at its (m, k, n), which the metric logs. Every operand
-        # here has one structure, so the three pairs share one structural
-        # entry, made once.
+        # as one gemm at its (m, k, n), which the metric logs. Every route
+        # here ends in gemm, so a cell of two splits or more first
+        # evaluates its floor, gemm at the cell's least inner dim, which the
+        # metric logs too. Every operand here has one structure, so the
+        # three pairs share one structural entry, made once.
         entries = []
 
         def recording(op1, op2, *args):
@@ -274,7 +276,7 @@ class TestTables:
         assert tables.solution[0][2] == 1
         a_bc = (10, 100, 50)
         assert a_bc not in log.priced
-        assert log.priced == [(10, 100, 5), (100, 5, 50), (10, 5, 50)]
+        assert log.priced == [(10, 100, 5), (100, 5, 50), (10, 5, 50), (10, 5, 50)]
         assert len(entries) == 1
         assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
 
@@ -296,10 +298,35 @@ class TestTables:
         assert tables.costs[0][2] == U * 32_000
         assert tables.solution[0][2] == 0
         ab_x, a_bx = (100, 100, 1), (100, 80, 1)
-        assert log.priced[-2:] == [ab_x, a_bx]
-        assert len(log.priced) == 4
+        floor = (100, 80, 1)
+        assert log.priced == [(100, 80, 100), (80, 100, 1), floor, ab_x, a_bx]
         assert len(entries) == 2
         assert tables.stats == DPStats(splits=4, keys=5, pairs=4, no_route=0)
+
+    def test_split_below_the_floor_is_never_looked_up(self):
+        # In D = A * B * C, of dims 10, 15, 5 and 20, every route ends in
+        # gemm, so a split of [0, 2] charges at least gemm at the cell's
+        # least inner dim, 2 * 10 * 5 * 20 = 2,000 flops. The seed, (A B) C,
+        # costs 1,500 + 2,000. At k=0 the sub-cost B C is 3,000, below the
+        # seed, but 3,000 + 2,000 is not, so A (B C), which would cost
+        # 3,000 + 6,000, is skipped before it is priced. The metric logs
+        # the pairs each cell prices, after the floor of [0, 2].
+        chain = chain_of(
+            "D = A * B * C",
+            matrix("A", 10, 15),
+            matrix("B", 15, 5),
+            matrix("C", 5, 20),
+            matrix("D", 10, 20),
+        )
+        log = PricingLog(FLOPS)
+        tables = build_tables(chain, metric=log)
+        costs = tables.costs
+        assert costs[0][1] == U * 1_500 and costs[1][2] == U * 3_000
+        assert costs[0][2] == U * 3_500 and tables.solution[0][2] == 1
+        assert costs[1][2] < costs[0][2] <= costs[1][2] + U * 2_000
+        assert (10, 15, 20) not in log.priced
+        assert log.priced == [(10, 15, 5), (15, 5, 20), (10, 5, 20), (10, 5, 20)]
+        assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self):
         # perfbench's tracer counts distinct pairs through the memo. The
@@ -1140,17 +1167,29 @@ class TestSeed:
         assert solve(chain).parenthesization == (0, (1, 2))
 
 
-def scaled_chain(chain, factor):
-    """``chain`` with every stored dim but 1 times ``factor``, so each
-    operand keeps its structural key."""
-    def scale(d):
-        return d if d == 1 else d * factor
-
+def rescaled_chain(chain, scale):
+    """``chain`` with every stored dim d replaced by ``scale(d)``."""
     factors = tuple(
         f._replace(operand=f.operand._replace(rows=scale(f.operand.rows), cols=scale(f.operand.cols)))
         for f in chain.factors
     )
     return chain._replace(factors=factors)
+
+
+def scaled_chain(chain, factor):
+    """``chain`` with every stored dim but 1 times ``factor``, so each
+    operand keeps its structural key."""
+    return rescaled_chain(chain, lambda d: d if d == 1 else d * factor)
+
+
+def spread_chain(chain, rng):
+    """``chain`` with each distinct stored dim but 1 times its own power of
+    ten, 10^50 to 10^200, as ``test_golden.extreme_chains`` draws them, so
+    costs leave the float range and the dims' ratios change."""
+    powers = {}
+    return rescaled_chain(
+        chain, lambda d: d if d == 1 else d * 10 ** powers.setdefault(d, rng.randint(50, 200))
+    )
 
 
 class TestLoneRoute:
@@ -1281,6 +1320,48 @@ class TestStructureIds:
                 sequence._structural = warm
                 fills += 1
         assert fills == 160
+
+
+class TestFloor:
+    """While the structures a fill has met can end a route in one binary
+    kernel only, each split's charge is at least that kernel's cost at the
+    cell's least inner dim, and the scan skips a split whose sub-costs and
+    that floor reach the best cost."""
+
+    def test_fills_equal_fills_without_the_floor(self, monkeypatch):
+        # With every structure's kernel sets forced to two kernels, from a
+        # fresh table, the floor is off from the first leaf on. Plain
+        # chains end every route in gemm, so their floor stays on; indexed
+        # chains charge it r times; spread dims take costs beyond the float
+        # range. The zero database's floor is 0, and tagged chains soon
+        # turn it off.
+        rng = random.Random(20261026)
+        skipped = {"plain": 0, "indexed": 0, "spread": 0}
+        for at in range(60):
+            kind = ("plain", "indexed", "spread")[at % 3]
+            tagged = at % 4 == 3
+            pool = INDEX_POOL if kind == "indexed" else ()
+            chain = random_chain(
+                rng, n_min=3, n_max=9, dim_max=6,
+                with_tags=tagged, with_props=tagged, index_pool=pool,
+            )
+            if kind == "spread":
+                chain = spread_chain(chain, rng)
+            for db in DATABASES.values():
+                for metric in (FLOPS, MEMORY):
+                    monkeypatch.setattr(solver, "_ends", sequence._ends)
+                    got = build_tables(chain, db, metric)
+                    monkeypatch.setattr(solver, "_ends", lambda *args: (0b11, 0b11))
+                    monkeypatch.setattr(sequence, "_structural", (None, {}))
+                    want = build_tables(chain, db, metric)
+                    assert got.costs == want.costs
+                    assert got.solution == want.solution
+                    assert (got.ids, got.ops) == (want.ids, want.ops)
+                    assert got.stats.splits == want.stats.splits
+                    assert got.stats.keys == want.stats.keys
+                    assert got.stats.pairs <= want.stats.pairs
+                    skipped[kind] += got.stats.pairs < want.stats.pairs
+        assert min(skipped.values()) > 30, skipped
 
 
 class TestFillIsolation:
