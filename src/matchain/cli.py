@@ -8,11 +8,25 @@ digits than Python writes out, oracle rejection or disagreement under
 Any other :class:`MatchainError` ends the same way, reported without a
 traceback: with 1 while the inputs are read, with 2 while a statement is
 compiled.
+
+:func:`run` is the entry of ``python -m matchain`` and of the installed
+``matchain`` script. Once :func:`main` returns, the process ends right
+after its exit handlers have run and its output is flushed, with no
+interpreter teardown: freeing every module and object takes several
+milliseconds and changes nothing that a caller sees. Run in-process, by
+``runpy.run_module`` for instance, the entry returns its code and the
+process ends as usual. The output and exit codes are those of
+:func:`main`, which an in-process caller calls directly, but for one:
+when standard output is closed before the listing is written, as under
+``matchain big.mc | head -1``, the process exits 141
+(:data:`CLOSED_STDOUT`), with nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import shlex
 import sys
 from math import inf
@@ -187,5 +201,71 @@ def main(argv=None) -> int:
     return 2 if failed else 0
 
 
+#: The exit code when standard output closes before the listing is
+#: written: 128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ends.
+CLOSED_STDOUT = 141
+
+
+def run(argv=None) -> int:
+    """The process entry: :func:`main`'s exit code, or :data:`CLOSED_STDOUT`.
+
+    Called from the top level of the process's main module, with only
+    :mod:`runpy` below it, as ``python -m matchain`` and the ``matchain``
+    script call it, :func:`run` ends the process itself: it runs the exit
+    handlers, flushes the output and exits with the code, skipping the
+    interpreter's teardown. The only code that could still follow is a
+    ``try`` around the call in that same top level, so a script that calls
+    :func:`run` from its own top level hands it the process. Any other
+    caller, ``runpy.run_module`` under a harness included, gets the code
+    back, and the process ends as it always has.
+    """
+    try:
+        code = main(argv)
+        if sys.stdout is not None:  # None when the process has no fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. The null device takes what is still
+        # buffered, so that the interpreter's last flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_STDOUT
+    if _ends_the_process(sys._getframe(1)):
+        _exit_now(code)
+    return code
+
+
+def _ends_the_process(frame) -> bool:
+    """Whether returning from ``frame`` ends the process at once: it runs
+    the main module's top level, started by the interpreter or by
+    :mod:`runpy`, no other thread is alive for the interpreter to wait
+    for, and no interactive prompt (``python -i``) follows."""
+    main_globals = getattr(sys.modules.get("__main__"), "__dict__", None)
+    if frame.f_code.co_name != "<module>" or frame.f_globals is not main_globals:
+        return False
+    runpy = sys.modules.get("runpy")
+    frame = frame.f_back
+    while frame is not None:
+        if runpy is None or frame.f_globals is not vars(runpy):
+            return False
+        frame = frame.f_back
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return False
+    return not (sys.flags.inspect or os.environ.get("PYTHONINSPECT"))
+
+
+def _exit_now(code: int) -> None:
+    """Run the exit handlers, flush the standard streams and end the process
+    with ``code``, skipping the interpreter's teardown. If a flush fails,
+    return: the interpreter then ends the process as usual, but for the
+    exit handlers, which have run and are not run again."""
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a stream is None or closed
+        return
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

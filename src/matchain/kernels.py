@@ -50,6 +50,7 @@ which no real machine delivers. The charge approximates its traffic.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -239,8 +240,14 @@ class MemoryMetric(Metric):
     name = "memory"
 
     def kernel_cost(self, kernel: Kernel) -> Callable[[int, int, int], int]:
-        unit = kernel.unit
-        return lambda m, k, n: m * n * unit
+        return _writes(kernel.unit)
+
+
+@functools.cache
+def _writes(unit: int) -> Callable[[int, int, int], int]:
+    # One cost function per cost unit: the fill asks for one per pair it
+    # prices, and building it each time cost more than calling it.
+    return lambda m, k, n: m * n * unit
 
 
 FLOPS = FlopMetric()

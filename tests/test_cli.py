@@ -1,8 +1,10 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -651,3 +653,235 @@ class TestInstalledScript:
         )
         assert result.returncode == 0
         assert "# total_flops=40000" in result.stdout
+
+    def test_console_script_is_the_fast_exit_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"matchain": "matchain.cli:run"}
+
+
+def many_statements(count):
+    """A problem of ``count`` statements, each planned as several calls."""
+    lines = ["matrix L 40 40 lower_triangular", "matrix A 40 30", "matrix B 30 40"]
+    for at in range(count):
+        lines.append(f"vector y{at} 40")
+        lines.append(f"compute y{at} = L^-1 * A * B * L^T * y{at}")
+    return "\n".join(lines) + "\n"
+
+
+def buffered_env():
+    """``child_env`` with the child's stdout block-buffered, as a pipe's is
+    unless PYTHONUNBUFFERED is set, so that a missed flush loses output."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def python_m_matchain(*args, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "matchain", *args],
+        capture_output=True,
+        env=env or buffered_env(),
+    )
+
+
+class TestProcessExit:
+    """``python -m matchain`` ends right after flushing its output; what it
+    prints and its exit code are those of ``main`` in this process."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_long_listing_through_a_pipe(self, tmp_path, capsys, unbuffered):
+        problem = tmp_path / "problem.mc"
+        problem.write_text(many_statements(400))
+        code = main([str(problem), "--format", "records"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert len(captured.out) > 2 * 65536  # several pipe buffers' worth
+        env = dict(buffered_env(), PYTHONUNBUFFERED=unbuffered)
+        result = python_m_matchain(str(problem), "--format", "records", env=env)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == captured.out.encode()
+
+    @pytest.mark.parametrize("failure", ["unreadable", "no_route"])
+    def test_failure_keeps_its_code_and_stderr(self, tmp_path, capsys, failure):
+        problem = tmp_path / "problem.mc"
+        args = [str(problem)]
+        if failure == "no_route":
+            # gemm takes only transposed inputs: A * B has no kernel route.
+            kernels = tmp_path / "kernels.cfg"
+            kernels.write_text("kernel gemm arity=2 tags=t;t req=; cost=2*m*k*n\n")
+            problem.write_text(
+                "matrix A 4 4\nmatrix B 4 4\nmatrix C 4 4\n"
+                "compute C = A * B\ncompute C = A^T * B^T\ncompute C = B * A\n"
+            )
+            args += ["--kernels", str(kernels)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == (1 if failure == "unreadable" else 2)
+        assert captured.err.count("matchain: ") == (1 if failure == "unreadable" else 2)
+        result = python_m_matchain(*args)
+        assert result.returncode == code
+        assert result.stdout == captured.out.encode()
+        assert result.stderr == captured.err.encode()
+
+    def test_earlier_exit_handler_still_runs(self, tmp_path):
+        # The handler's line ends unflushed; the exit flushes it after it.
+        harness = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'handler ran', end='')\n"
+            "sys.argv = ['matchain'] + sys.argv[1:]\n"
+            "runpy.run_module('matchain', run_name='__main__')\n"
+        )
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        result = subprocess.run(
+            [sys.executable, "-c", harness, str(problem)],
+            capture_output=True,
+            text=True,
+            env=buffered_env(),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.endswith("# total_flops=40000\nhandler ran")
+
+    @pytest.mark.parametrize("alter_sys", [False, True])
+    def test_harness_that_catches_the_exit_keeps_its_own(self, tmp_path, alter_sys):
+        # Run in-process, the entry returns: the harness's own exit code
+        # and its unflushed output stand.
+        harness = (
+            "import runpy, sys\n"
+            "sys.argv = ['matchain'] + sys.argv[1:]\n"
+            "try:\n"
+            f"    runpy.run_module('matchain', run_name='__main__', alter_sys={alter_sys})\n"
+            "except SystemExit as exc:\n"
+            "    print('matchain exited', exc.code, end='')\n"
+            "    sys.exit(3)\n"
+        )
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        result = subprocess.run(
+            [sys.executable, "-c", harness, str(problem)],
+            capture_output=True,
+            text=True,
+            env=buffered_env(),
+        )
+        assert (result.returncode, result.stderr) == (3, "")
+        assert result.stdout.endswith("# total_flops=40000\nmatchain exited 0")
+
+    @pytest.mark.parametrize("entry", ["module", "script", "harness"])
+    def test_entry_skips_only_the_teardown(self, tmp_path, entry):
+        # sitecustomize registers an exit handler before the entry runs and
+        # keeps an object whose finalizer reports the interpreter's
+        # teardown. The handler runs and its unflushed output arrives at
+        # every entry; only an in-process harness tears the interpreter down.
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(
+            "import atexit, os\n"
+            "atexit.register(print, 'handler ran', end='')\n"
+            "class Probe:\n"
+            "    def __del__(self, write=os.write):\n"
+            "        write(2, b'teardown')\n"
+            "probe = Probe()\n"
+        )
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        script = tmp_path / "matchain-script.py"
+        # The shape of the script that installing the package generates.
+        script.write_text("import sys\nfrom matchain.cli import run\nsys.exit(run())\n")
+        command = {
+            "module": ["-m", "matchain"],
+            "script": [str(script)],
+            "harness": [
+                "-c",
+                "import runpy, sys; sys.argv[0] = 'matchain'; "
+                "runpy.run_module('matchain', run_name='__main__')",
+            ],
+        }[entry]
+        env = buffered_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+        result = subprocess.run(
+            [sys.executable, *command, str(problem)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0
+        assert result.stdout.endswith("# total_flops=40000\nhandler ran")
+        assert result.stderr == ("teardown" if entry == "harness" else "")
+
+    def test_live_thread_is_waited_for(self, tmp_path):
+        # A thread that outlives main() still finishes its work, as it
+        # does when the interpreter ends the process.
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(
+            "import threading, time\n"
+            "threading.Thread(target=lambda: (time.sleep(0.5), print('thread ran'))).start()\n"
+        )
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        env = buffered_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+        result = python_m_matchain(str(problem), env=env)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert b"thread ran\n" in result.stdout
+
+    def test_interactive_prompt_still_follows(self, tmp_path):
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        result = subprocess.run(
+            [sys.executable, "-i", "-m", "matchain", str(problem)],
+            input="print('prompt ran')\n",
+            capture_output=True,
+            text=True,
+            env=buffered_env(),
+        )
+        assert "# total_flops=40000\n" in result.stdout
+        assert "prompt ran" in result.stdout
+
+    def test_in_process_run_returns_the_code(self, tmp_path, capsys):
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        assert main([str(problem)]) == 0
+        listing = capsys.readouterr()
+        assert cli.run([str(problem)]) == 0
+        assert capsys.readouterr() == listing
+
+    @pytest.mark.parametrize("module", ["matchain", "matchain.cli"])
+    def test_reader_that_leaves_early(self, tmp_path, module):
+        # The listing is far longer than a pipe holds, so the process is
+        # still writing when the reader closes its end.
+        problem = tmp_path / "problem.mc"
+        problem.write_text(many_statements(400))
+        with subprocess.Popen(
+            [sys.executable, "-m", module, str(problem), "--format", "records"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=buffered_env(),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"statement lineno=5 ")
+        assert err == b""
+        assert proc.returncode == cli.CLOSED_STDOUT == 141
+
+    def test_reader_gone_before_any_output(self, tmp_path):
+        # A short listing waits in the stdout buffer until the entry's own
+        # flush, which meets the closed pipe.
+        problem = tmp_path / "problem.mc"
+        problem.write_text(VECTOR_CHAIN)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "matchain", str(problem)],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=buffered_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (cli.CLOSED_STDOUT, b"")

@@ -316,6 +316,18 @@ class TestMetrics:
         assert MEMORY.call_cost(kernels["gemm"], (8, 5, 3)) == 3 * 24
         assert MEMORY.call_cost(kernels["copy"], (8, 8, 8)) == 3 * 64
 
+    def test_memory_keeps_one_cost_function_per_unit(self):
+        kernels = by_id(default_db())
+        cost = MEMORY.kernel_cost(kernels["gemm"])
+        assert MEMORY.kernel_cost(kernels["trsm"]) is cost
+        halves = by_id(load_kernel_config("kernel p arity=2 tags=id;id req=; cost=m*k*n/2\n"))
+        assert halves["gemm"].unit == 6
+        other = MEMORY.kernel_cost(halves["gemm"])
+        assert MEMORY.kernel_cost(halves["p"]) is other
+        assert other is not cost
+        assert MEMORY.call_cost(halves["p"], (8, 5, 3)) == 6 * 24
+        assert MEMORY.call_cost(kernels["gemm"], (8, 5, 3)) == 3 * 24
+
 
 class TestApply:
     def test_states_of_equal_structure_are_one_key(self):
