@@ -6,8 +6,8 @@ annotations (:mod:`matchain.expr`), infer symbolic operand properties
 (:mod:`matchain.sequence`) over a kernel database
 (:mod:`matchain.kernels`), run the generalized matrix-chain dynamic
 program (:mod:`matchain.solver`), and emit the resulting program
-(:mod:`matchain.codegen`). :mod:`matchain.oracle` holds brute-force
-references for certifying results on small chains.
+(:mod:`matchain.codegen`). :mod:`matchain.oracle` holds independent
+exact references for certifying results on chains of any length.
 
 Names load on first use (PEP 562): ``import matchain`` imports no
 submodule, and ``matchain.solve`` imports :mod:`matchain.solver` (and

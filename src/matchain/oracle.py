@@ -1,13 +1,18 @@
-"""Brute-force references for certifying the optimizer on small inputs.
+"""Independent references for certifying the optimizer.
 
 ``best_pair_cost`` re-enumerates every kernel sequence for one product,
-and ``brute_force_min`` evaluates every parenthesization tree with it.
-Both are deliberately written from scratch against the kernel database
-and property engine only, sharing no code with the DP solver or the
-sequence finder they certify. Exponential in the factor count; capped at
-``MAX_FACTORS``. They sum the metric's int costs, in the database's
-units (see ``kernels.py``), and ``brute_force_min`` reports its minimum
-as ``kernels.cost_value`` does.
+and ``brute_force_min`` finds the cheapest parenthesization with it:
+for each run of factors it keeps, per output operand that some tree of
+the run computes, the least cost of such a tree. That is exact over all
+trees, because a product's cost and result depend only on its two
+operands and the loop multiplicities, and it is polynomial in the factor
+count, so it certifies a chain of any length. Both are deliberately
+written from scratch against the kernel database and property engine
+only, sharing no code with the DP solver or the sequence finder they
+certify: no bound, no seed, no structural table and no pruning. They sum
+the metric's int costs, in the database's units (see ``kernels.py``),
+and ``brute_force_min`` reports its minimum as ``kernels.cost_value``
+does.
 
 ``random_instance`` and ``structural_residual`` ground the symbolic
 property claims numerically: an inferred property is sound when a random
@@ -34,9 +39,6 @@ from .kernels import (
     unit_of,
 )
 from .properties import Property, infer_properties
-
-#: Parenthesization trees grow as Catalan numbers; 8 factors is 429 trees.
-MAX_FACTORS = 8
 
 _SEQ_LEN = 3
 
@@ -88,22 +90,6 @@ def best_pair_cost(
     return best
 
 
-def _trees(i: int, j: int):
-    if i == j:
-        yield i
-        return
-    for k in range(i, j):
-        for left in _trees(i, k):
-            for right in _trees(k + 1, j):
-                yield (left, right)
-
-
-def _span(tree) -> tuple[int, int]:
-    if isinstance(tree, int):
-        return tree, tree
-    return _span(tree[0])[0], _span(tree[1])[1]
-
-
 def brute_force_min(
     chain: Chain,
     db: Sequence[Kernel] | None = None,
@@ -112,10 +98,10 @@ def brute_force_min(
     """Global minimum cost over all parenthesizations and kernel sequences.
 
     Returns the cost, as ``kernels.cost_value`` reports it, and the first
-    tree attaining it (enumeration order:
-    split index ascending, recursively). Raises ``ValueError`` beyond
-    ``MAX_FACTORS`` factors and :class:`NoKernelApplicableError` when no
-    tree is computable at all.
+    tree attaining it (enumeration order: split index ascending, then
+    the left part's order, then the right part's). Takes a chain of any
+    length; raises :class:`NoKernelApplicableError` when no tree is
+    computable at all.
     """
     if db is None:
         db = default_db()
@@ -128,8 +114,6 @@ def _min_units(chain: Chain, db: Sequence[Kernel], metric) -> tuple[int, object]
     tree."""
     factors = chain.factors
     n = len(factors)
-    if n > MAX_FACTORS:
-        raise ValueError(f"oracle is limited to {MAX_FACTORS} factors, got {n}")
 
     def seg_range(i: int, j: int) -> int:
         seen = set()
@@ -153,26 +137,6 @@ def _min_units(chain: Chain, db: Sequence[Kernel], metric) -> tuple[int, object]
         op = factors[i].operand
         return TaggedOperand(op.rows, op.cols, op.properties, factors[i].tag)
 
-    def evaluate(tree) -> tuple[int | float, TaggedOperand | None]:
-        # A combination runs its binary call once per value of the indices
-        # of its whole span, and each operand's unary calls once per value
-        # of the indices of that operand's span.
-        if isinstance(tree, int):
-            return 0, leaf(tree)
-        lcost, lop = evaluate(tree[0])
-        rcost, rop = evaluate(tree[1])
-        if lcost == inf or rcost == inf:
-            return inf, None
-        (i, k), (_, j) = _span(tree[0]), _span(tree[1])
-        mults = (seg_range(i, k), seg_range(k + 1, j), seg_range(i, j))
-        step = pair_cost(lop, rop, mults)
-        if step == inf:
-            return inf, None
-        ldims, rdims = lop.eff_dims, rop.eff_dims
-        props = infer_properties(lop.eff_props, ldims, rop.eff_props, rdims)
-        out = TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID)
-        return lcost + rcost + step, out
-
     if n == 1:
         # Exhaustive unary search (copy included, unlike discharge before a
         # product): the cheapest chain of 1..3 calls ending tag-free.
@@ -189,15 +153,47 @@ def _min_units(chain: Chain, db: Sequence[Kernel], metric) -> tuple[int, object]
             )
         return best * seg_range(0, 0), 0
 
-    best, best_tree = inf, None
-    for tree in _trees(0, n - 1):
-        cost, _ = evaluate(tree)
-        if cost < best:
-            best = cost
-            best_tree = tree
-    if best_tree is None:
+    # For each run i..j of factors, a map from every operand that some tree
+    # of the run computes to (least cost, rank, first tree of that cost).
+    # A tree's rank is its place in the enumeration order: the trees that
+    # split at k come after those that split earlier, and among them the
+    # left part's rank counts before the right part's. ``trees[m]`` counts
+    # the trees over m + 1 factors. A combination runs its binary call once
+    # per value of the indices of its whole run, and each operand's unary
+    # calls once per value of the indices of that operand's run.
+    trees = [1]
+    for m in range(1, n):
+        trees.append(sum(trees[a] * trees[m - 1 - a] for a in range(m)))
+    maps = {(i, i): {leaf(i): (0, 0, i)} for i in range(n)}
+    for length in range(1, n):
+        for i in range(n - length):
+            j = i + length
+            found: dict = {}
+            first = 0  # the rank of the first tree that splits at k
+            for k in range(i, j):
+                mults = (seg_range(i, k), seg_range(k + 1, j), seg_range(i, j))
+                right_trees = trees[j - k - 1]
+                for lop, (lcost, lrank, ltree) in maps[i, k].items():
+                    for rop, (rcost, rrank, rtree) in maps[k + 1, j].items():
+                        step = pair_cost(lop, rop, mults)
+                        if step == inf:
+                            continue
+                        ldims, rdims = lop.eff_dims, rop.eff_dims
+                        props = infer_properties(lop.eff_props, ldims, rop.eff_props, rdims)
+                        out = TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID)
+                        entry = (
+                            lcost + rcost + step,
+                            first + lrank * right_trees + rrank,
+                            (ltree, rtree),
+                        )
+                        if out not in found or entry[:2] < found[out][:2]:
+                            found[out] = entry
+                first += trees[k - i] * right_trees
+            maps[i, j] = found
+    if not maps[0, n - 1]:
         raise NoKernelApplicableError("no parenthesization is computable")
-    return best, best_tree
+    cost, _, tree = min(maps[0, n - 1].values(), key=lambda entry: entry[:2])
+    return cost, tree
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Shared test utilities: seeded random chains with consistent properties,
-and the environment of a child Python process."""
+the environment of a child Python process, and a reference oracle that
+enumerates every parenthesization tree."""
 
 from __future__ import annotations
 
 import os
 import random
+from math import inf
 from pathlib import Path
 
 import matchain
 from matchain import Chain, Factor, IndexDecl, Operand, TaggedOperand, UnaryTag
-from matchain.properties import Property
+from matchain.errors import NoKernelApplicableError
+from matchain.oracle import _SEQ_LEN, _unary_chains, best_pair_cost
+from matchain.properties import Property, infer_properties
 
 #: The directory that holds the ``matchain`` package under test.
 SRC = str(Path(matchain.__file__).resolve().parents[1])
@@ -128,3 +132,103 @@ def tree_splits(tree) -> dict[tuple[int, int], tuple[int]]:
 
     span(tree)
     return out
+
+
+#: Parenthesization trees grow as Catalan numbers; 8 factors is 429 trees.
+MAX_FACTORS = 8
+
+
+def _trees(i: int, j: int):
+    if i == j:
+        yield i
+        return
+    for k in range(i, j):
+        for left in _trees(i, k):
+            for right in _trees(k + 1, j):
+                yield (left, right)
+
+
+def _span(tree) -> tuple[int, int]:
+    if isinstance(tree, int):
+        return tree, tree
+    return _span(tree[0])[0], _span(tree[1])[1]
+
+
+def enumerated_min_units(chain: Chain, db, metric) -> tuple[int, object]:
+    """The least cost over every parenthesization tree, in ``db``'s units,
+    and the first tree attaining it (split index ascending, recursively),
+    found by evaluating each tree in turn: a reference for
+    ``oracle._min_units`` on chains of at most ``MAX_FACTORS`` factors.
+    Exponential in the factor count."""
+    factors = chain.factors
+    n = len(factors)
+    if n > MAX_FACTORS:
+        raise ValueError(f"the enumeration is limited to {MAX_FACTORS} factors, got {n}")
+
+    def seg_range(i: int, j: int) -> int:
+        seen = set()
+        r = 1
+        for f in factors[i : j + 1]:
+            for ix in f.operand.indices:
+                if ix not in seen:
+                    seen.add(ix)
+                    r *= ix.range
+        return r
+
+    pair_memo: dict = {}
+
+    def pair_cost(a: TaggedOperand, b: TaggedOperand, mults) -> int | float:
+        key = (a, b, mults)
+        if key not in pair_memo:
+            pair_memo[key] = best_pair_cost(a, b, db, metric, mults)
+        return pair_memo[key]
+
+    def leaf(i: int) -> TaggedOperand:
+        op = factors[i].operand
+        return TaggedOperand(op.rows, op.cols, op.properties, factors[i].tag)
+
+    def evaluate(tree) -> tuple[int | float, TaggedOperand | None]:
+        # A combination runs its binary call once per value of the indices
+        # of its whole span, and each operand's unary calls once per value
+        # of the indices of that operand's span.
+        if isinstance(tree, int):
+            return 0, leaf(tree)
+        lcost, lop = evaluate(tree[0])
+        rcost, rop = evaluate(tree[1])
+        if lcost == inf or rcost == inf:
+            return inf, None
+        (i, k), (_, j) = _span(tree[0]), _span(tree[1])
+        mults = (seg_range(i, k), seg_range(k + 1, j), seg_range(i, j))
+        step = pair_cost(lop, rop, mults)
+        if step == inf:
+            return inf, None
+        ldims, rdims = lop.eff_dims, rop.eff_dims
+        props = infer_properties(lop.eff_props, ldims, rop.eff_props, rdims)
+        out = TaggedOperand(ldims[0], rdims[1], props, UnaryTag.ID)
+        return lcost + rcost + step, out
+
+    if n == 1:
+        # Exhaustive unary search (copy included, unlike discharge before a
+        # product): the cheapest chain of 1..3 calls ending tag-free.
+        best = inf
+        op = leaf(0)
+        for cost, length, cur in _unary_chains(op, db, metric, _SEQ_LEN, True):
+            if length >= 1 and cur.tag is UnaryTag.ID and cost < best:
+                best = cost
+        if best == inf:
+            props = ",".join(sorted(p.value for p in op.props)) or "none"
+            raise NoKernelApplicableError(
+                f"no unary sequence materializes a {op.rows}x{op.cols} operand "
+                f"tagged {op.tag.name} with props {props}"
+            )
+        return best * seg_range(0, 0), 0
+
+    best, best_tree = inf, None
+    for tree in _trees(0, n - 1):
+        cost, _ = evaluate(tree)
+        if cost < best:
+            best = cost
+            best_tree = tree
+    if best_tree is None:
+        raise NoKernelApplicableError("no parenthesization is computable")
+    return best, best_tree

@@ -9,7 +9,9 @@ few splits, so ``LONG_DIGEST`` covers ``emit_records`` of 20 chains of 20
 to 30 factors, with tags, properties and indices, under the default
 database and both metrics, and ``LONG_NAIVE_DIGEST`` their ``naive_cost``,
 pinned from the left-to-right loop that ``naive_cost`` ran before it
-became the DP fill restricted to the left-deep tree. Speed-ups and
+became the DP fill restricted to the left-deep tree. The oracle, exact at
+any length, certifies each long chain's plan, its tree included, under
+both databases and both metrics. Speed-ups and
 refactorings must leave the digests unchanged. They change only when
 plans or costs change on purpose, as they did when discharge steps came
 to be charged their own input's loops; such a change updates the digests
@@ -50,6 +52,7 @@ from matchain import (
     solve,
 )
 from matchain.errors import MatchainError, NoKernelApplicableError
+from matchain.oracle import _min_units
 
 from helpers import random_chain
 
@@ -128,6 +131,16 @@ def test_long_fill_work_counts_match_golden():
                 stats = build_tables(chain, db, metric).stats
                 total = [a + b for a, b in zip(total, stats)]
     assert DPStats(*total) == LONG_STATS
+
+
+def test_oracle_certifies_long_chains():
+    # The oracle's exact minimum and the first tree attaining it are the
+    # plan's, on chains far beyond what an enumeration of every tree visits.
+    for chain in long_chains():
+        for db in DATABASES:
+            for metric in (FLOPS, MEMORY):
+                plan = solve(chain, db, metric)
+                assert _min_units(chain, db, metric) == (plan.units, plan.parenthesization)
 
 
 def extreme_chains():

@@ -9,7 +9,9 @@ import pytest
 from matchain import (
     Chain,
     FLOPS,
+    MEMORY,
     Factor,
+    IndexDecl,
     Operand,
     TaggedOperand,
     UnaryTag,
@@ -22,14 +24,21 @@ from matchain import (
     matrix,
     parse,
     random_instance,
+    solve,
     structural_residual,
     vector,
 )
 from matchain.errors import NoKernelApplicableError
-from matchain.oracle import MAX_FACTORS
+from matchain.oracle import _min_units
 from matchain.properties import Property
 
-from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
+from helpers import (
+    RECT_MENU,
+    SQUARE_MENU,
+    enumerated_min_units,
+    random_chain,
+    random_operand_pair,
+)
 
 P = Property
 
@@ -84,13 +93,59 @@ class TestBruteForce:
             assert cost == seq.total_cost / 3  # in flops, and in thirds of one
             assert tree == (0, 1)
 
-    def test_factor_limit(self):
-        decls = [matrix(f"A{t}", 4, 4) for t in range(MAX_FACTORS + 1)]
-        decls.append(matrix("Z", 4, 4))
-        text = "Z = " + " * ".join(f"A{t}" for t in range(MAX_FACTORS + 1))
-        chain = parse(text, decls)
-        with pytest.raises(ValueError):
-            brute_force_min(chain)
+    def test_long_chain_agrees_with_solve(self):
+        rng = random.Random(35)
+        pool = (IndexDecl("i", 3), IndexDecl("j", 4))
+        chain = random_chain(rng, n_min=20, n_max=20, dim_max=30, index_pool=pool)
+        assert len(chain.factors) == 20
+        for metric in (FLOPS, MEMORY):
+            plan = solve(chain, None, metric)
+            assert brute_force_min(chain, None, metric) == (
+                plan.total_cost,
+                plan.parenthesization,
+            )
+
+    def test_matches_the_tree_enumeration(self):
+        # The per-run maps against the exponential reference that evaluates
+        # every tree: the same minimum and the same first tree attaining it,
+        # or the same error, on chains of 1 to 8 factors.
+        pool = (IndexDecl("i", 3), IndexDecl("j", 4))
+        gapped = [k for k in default_db() if k.id not in ("getri", "gesv")]
+
+        def outcome(find, chain, db, metric):
+            try:
+                return find(chain, db, metric)
+            except NoKernelApplicableError as exc:
+                return str(exc)
+
+        for seed in range(500):
+            rng = random.Random(seed)
+            chain = random_chain(rng, n_min=1, n_max=8, index_pool=pool if seed % 2 else ())
+            db = gapped if seed % 3 == 0 else default_db()
+            for metric in (FLOPS, MEMORY):
+                assert outcome(_min_units, chain, db, metric) == outcome(
+                    enumerated_min_units, chain, db, metric
+                ), (seed, metric.name)
+
+    def test_tie_rule_holds_when_a_run_has_several_states(self, monkeypatch):
+        # Today's inference gives every tree of a run the same result, so
+        # each run's map holds one state. Under a rule that makes the result
+        # depend on the tree, maps hold several, and equal totals reached
+        # through different states must still return the first tree in the
+        # enumeration's order, which the entries' ranks keep.
+        lower = frozenset({P.LOWER_TRIANGULAR})
+
+        def tree_dependent(props_a, dims_a, props_b, dims_b):
+            return frozenset() if P.LOWER_TRIANGULAR in props_a else lower
+
+        monkeypatch.setattr("matchain.oracle.infer_properties", tree_dependent)
+        monkeypatch.setattr("helpers.infer_properties", tree_dependent)
+        for seed in range(150):
+            chain = random_chain(random.Random(seed), n_min=3, n_max=7, dim_max=3)
+            for metric in (FLOPS, MEMORY):
+                assert _min_units(chain, default_db(), metric) == (
+                    enumerated_min_units(chain, default_db(), metric)
+                ), (seed, metric.name)
 
     def test_single_factor_error_lists_props_sorted(self):
         db = [k for k in default_db() if k.arity == 2]
