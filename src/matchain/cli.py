@@ -34,7 +34,7 @@ from math import inf
 from .codegen import emit_records, emit_text, write_number
 from .errors import MatchainError
 from .expr import check_target, load_problem, validate
-from .kernels import cost_value, default_db, load_kernel_config, metric_by_name, unit_of
+from .kernels import METRICS, cost_value, default_db, load_kernel_config, unit_of
 from .solver import naive_cost, solve
 
 
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("problem", help="problem file with declarations and compute statements")
     parser.add_argument(
         "--metric",
-        choices=("flops", "memory"),
+        choices=METRICS,
         default="flops",
         help="additive cost metric (default: flops)",
     )
@@ -134,7 +134,7 @@ def _verify_line(chain, db, metric, plan, records: bool) -> tuple[bool, str]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    metric = metric_by_name(args.metric)
+    metric = METRICS[args.metric]
 
     problem_text = _read(args.problem)
     if problem_text is None:

@@ -13,6 +13,9 @@ from matchain.cli import main
 
 from helpers import child_env
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+
 VECTOR_CHAIN = """\
 # vector chain
 matrix M1 100 100
@@ -37,6 +40,26 @@ matrix L2 100 100 lower_triangular
 matrix C 100 100
 compute C = L1 * L2
 """
+
+#: Twelve factors, with an inverse, a transpose and structure: 58,786 trees.
+TWELVE_FACTORS = (
+    "matrix S 20 20 spd\nmatrix L 20 20 lower_triangular\n"
+    "matrix A 20 35\nmatrix B 35 8\nmatrix C 8 50\nmatrix D 50 20\n"
+    "matrix E 20 12\nmatrix F 12 40\nmatrix G 40 5\nmatrix H 5 20\n"
+    "matrix K 20 20 symmetric\nvector x 20\nvector y 20\n"
+    "compute y = S^-1 * L * A * B * C * D * E * F * G * H * K^T * x\n"
+)
+
+#: Chains of one factor, each planned as its cheapest discharge chain
+#: ending tag-free, or as one copy: an inverse, an indexed copy and a
+#: transpose.
+SINGLE_FACTORS = (
+    "index i 3\nmatrix A 4 4 indices=i\nmatrix B 4 4\nvector v 4\n"
+    "compute X = B^-1\ncompute Y[i] = A[i]\ncompute Z = v^T\n"
+)
+
+#: Dims of 200 digits make every cost an int too large for a float.
+BEYOND_FLOATS = VECTOR_CHAIN.replace("100", str(10 ** 200))
 
 
 def run(tmp_path, capsys, text, *args):
@@ -69,25 +92,24 @@ class TestTextOutput:
         )
 
     @pytest.mark.parametrize(
-        "fmt, line",
-        [("text", "# oracle=agree"), ("records", "verify oracle=agree oracle_total=")],
+        "text, fmt, line",
+        [
+            (TWELVE_FACTORS, "text", "# oracle=agree"),
+            (TWELVE_FACTORS, "records", "verify oracle=agree oracle_total="),
+            (SINGLE_FACTORS, "records", "verify oracle=agree oracle_total="),
+            (BEYOND_FLOATS, "records", "verify oracle=agree oracle_total="),
+        ],
+        ids=["twelve-text", "twelve-records", "single-records", "beyond_floats-records"],
     )
-    def test_verify_takes_a_chain_of_any_length(self, tmp_path, capsys, fmt, line):
-        # Twelve factors, with an inverse, a transpose and structure: the
-        # oracle's per-run maps grow polynomially with the length, not with
-        # the 58,786 trees of twelve factors.
-        text = (
-            "matrix S 20 20 spd\n"
-            "matrix L 20 20 lower_triangular\n"
-            "matrix A 20 35\nmatrix B 35 8\nmatrix C 8 50\nmatrix D 50 20\n"
-            "matrix E 20 12\nmatrix F 12 40\nmatrix G 40 5\nmatrix H 5 20\n"
-            "matrix K 20 20 symmetric\nvector x 20\nvector y 20\n"
-            "compute y = S^-1 * L * A * B * C * D * E * F * G * H * K^T * x\n"
-        )
-        code, out, err = run(tmp_path, capsys, text, "--verify", "--format", fmt)
-        assert code == 0
-        assert err == ""
-        assert out.splitlines()[-1].startswith(line)
+    def test_verify_takes_a_chain_of_any_length(self, tmp_path, capsys, text, fmt, line):
+        # The oracle's per-run maps grow polynomially with the length, not
+        # with the trees, and it compares costs beyond a float exactly.
+        code, out, err = run(tmp_path, capsys, text, "--naive", "--verify", "--format", fmt)
+        assert (code, err) == (0, "")
+        blocks = out.split("\n\n")
+        assert len(blocks) == text.count("compute ")
+        for block in blocks:
+            assert block.splitlines()[-1].startswith(line)
 
     def test_indexed_loops_rendered(self, tmp_path, capsys):
         code, out, err = run(tmp_path, capsys, INDEXED)
@@ -271,10 +293,23 @@ class TestFailureModes:
         assert code == 0 and captured.err == ""
         assert "C := fastmm(A, B)" in captured.out
 
-    def test_problem_error_line_number(self, tmp_path, capsys):
-        code, out, err = run(tmp_path, capsys, "matrix A 4\n")
-        assert code == 1
-        assert "line 1" in err
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("matrix A 4\n", "line 1: expected: matrix <name> <dims...> [...]"),
+            # int() reads 3_0, but a dim is ASCII digits.
+            ("matrix A 3_0 30\n", "line 1: bad dimension"),
+            (
+                "index i 3\nindex j 4\nmatrix A 3 3 indices=i indices=j\n",
+                "line 3: second indices= group 'indices=j'",
+            ),
+        ],
+        ids=["missing_dim", "bad_dimension", "second_indices_group"],
+    )
+    def test_problem_error_line_number(self, tmp_path, capsys, text, message):
+        code, out, err = run(tmp_path, capsys, text)
+        assert (code, out) == (1, "")
+        assert err == f"matchain: {tmp_path / 'problem.mc'}: {message}\n"
 
     def test_declared_name_that_no_statement_can_write_exits_one(self, tmp_path, capsys):
         text = "index i 3\nmatrix A[i] 3 3\ncompute B[i] = A[i]\n"
@@ -591,6 +626,12 @@ class TestFailureModes:
                 "kernel k arity=1 tags=t req= cost=m bogus=1",
                 "line 1: unexpected field 'bogus=1'",
             ),
+            (
+                # No operand carries full, so no kernel can require it.
+                "X[i] = A[i]",
+                "kernel fmm arity=2 tags=id;id req=full;full cost=m*k*n",
+                "line 1: unknown property 'full'",
+            ),
         ],
     )
     def test_input_errors_exit_one(self, tmp_path, capsys, source, kernels, message):
@@ -702,10 +743,19 @@ class TestProcessExit:
     """``python -m matchain`` ends right after flushing its output; what it
     prints and its exit code are those of ``main`` in this process."""
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"])
-    def test_long_listing_through_a_pipe(self, tmp_path, capsys, unbuffered):
+    @pytest.mark.parametrize(
+        "source, unbuffered",
+        [("many", ""), ("many", "1"), ("cli_mix", "")],
+        ids=["", "1", "cli_mix"],
+    )
+    def test_long_listing_through_a_pipe(self, tmp_path, capsys, source, unbuffered):
+        if source == "cli_mix":  # the benchmark's 1000-statement file, seed 1
+            stem, text, _ = gen.cli_files(1)[0]
+            assert stem == "p00_1000"
+        else:
+            text = many_statements(400)
         problem = tmp_path / "problem.mc"
-        problem.write_text(many_statements(400))
+        problem.write_text(text)
         code = main([str(problem), "--format", "records"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
@@ -715,23 +765,38 @@ class TestProcessExit:
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == captured.out.encode()
 
-    @pytest.mark.parametrize("failure", ["unreadable", "no_route"])
+    @pytest.mark.parametrize("failure", ["unreadable", "no_route", "no_unary_route"])
     def test_failure_keeps_its_code_and_stderr(self, tmp_path, capsys, failure):
         problem = tmp_path / "problem.mc"
+        kernels = tmp_path / "kernels.cfg"
         args = [str(problem)]
         if failure == "no_route":
             # gemm takes only transposed inputs: A * B has no kernel route.
-            kernels = tmp_path / "kernels.cfg"
             kernels.write_text("kernel gemm arity=2 tags=t;t req=; cost=2*m*k*n\n")
             problem.write_text(
                 "matrix A 4 4\nmatrix B 4 4\nmatrix C 4 4\n"
                 "compute C = A * B\ncompute C = A^T * B^T\ncompute C = B * A\n"
             )
+        elif failure == "no_unary_route":
+            # getri takes only spd operands: neither inverse has a unary
+            # route, and each statement fails alone, naming its factor.
+            kernels.write_text("kernel getri arity=1 tags=inv,invt req=spd,square cost=2*m*m*m\n")
+            problem.write_text(
+                "index i 3\nmatrix A 4 4 indices=i\nmatrix B 4 4\n"
+                "compute X = B^-1\ncompute Y[i] = A[i]^-T\n"
+            )
+        if failure != "unreadable":
             args += ["--kernels", str(kernels)]
         code = main(args)
         captured = capsys.readouterr()
         assert code == (1 if failure == "unreadable" else 2)
         assert captured.err.count("matchain: ") == (1 if failure == "unreadable" else 2)
+        if failure == "no_unary_route":
+            assert captured.err == "".join(
+                f"matchain: {problem}: line {lineno}: no unary kernel sequence "
+                f"materializes {factor} (4x4, props: square)\n"
+                for lineno, factor in ((4, "B^-1"), (5, "A[i]^-T"))
+            )
         result = python_m_matchain(*args)
         assert result.returncode == code
         assert result.stdout == captured.out.encode()

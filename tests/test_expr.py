@@ -397,10 +397,10 @@ class TestProblemFiles:
         [("full", ""), ("[full]", ""), ("full,lower_triangular", "lower_triangular")],
     )
     def test_full_declares_nothing(self, declared, without):
-        # ``full`` says that there is no structure, so it stores nothing.
-        got = load_problem(f"matrix A 4 4 {declared}\n").operands[0]
-        want = load_problem(f"matrix A 4 4 {without}\n").operands[0]
-        assert got.properties == want.properties
+        # ``full`` says that there is no structure, so it stores nothing:
+        # the problem, and so every plan of it, is that of the file without it.
+        text = "matrix A 4 4 {}\nmatrix B 4 6\ncompute X = A * A * B\n"
+        assert load_problem(text.format(declared)) == load_problem(text.format(without))
 
     def test_square_not_declarable(self):
         with pytest.raises(ProblemFileError):

@@ -47,6 +47,26 @@ def op(rows, cols, props=(), tag=UnaryTag.ID):
     return TaggedOperand(rows, cols, close(props, rows, cols), tag)
 
 
+def textbook_chain_min(d, metric):
+    """The least cost of the chain of matrices d[t] x d[t + 1] by the
+    textbook matrix-chain DP, where an m x k times k x n product costs 2mkn
+    flops or writes mn entries."""
+
+    def product(m, k, n):
+        return 2 * m * k * n if metric is FLOPS else m * n
+
+    n = len(d) - 1
+    cost = [[0] * n for _ in range(n)]
+    for length in range(1, n):
+        for i in range(n - length):
+            j = i + length
+            cost[i][j] = min(
+                cost[i][k] + cost[k + 1][j] + product(d[i], d[k + 1], d[j + 1])
+                for k in range(i, j)
+            )
+    return cost[0][n - 1]
+
+
 class TestBruteForce:
     def test_classic_chain_value(self):
         chain = parse(
@@ -93,17 +113,30 @@ class TestBruteForce:
             assert cost == seq.total_cost / 3  # in flops, and in thirds of one
             assert tree == (0, 1)
 
-    def test_long_chain_agrees_with_solve(self):
-        rng = random.Random(35)
-        pool = (IndexDecl("i", 3), IndexDecl("j", 4))
-        chain = random_chain(rng, n_min=20, n_max=20, dim_max=30, index_pool=pool)
-        assert len(chain.factors) == 20
+    @pytest.mark.parametrize("kind", ["indexed", "plain"])
+    def test_long_chain_agrees_with_solve(self, kind):
+        if kind == "indexed":
+            rng = random.Random(35)
+            pool = (IndexDecl("i", 3), IndexDecl("j", 4))
+            chain = random_chain(rng, n_min=20, n_max=20, dim_max=30, index_pool=pool)
+            assert len(chain.factors) == 20
+        else:
+            # Forty unstructured matrices over dims {16, 32, 48, 64}: every
+            # product is a gemm, so the fill's floor under a split's charge
+            # stays on throughout.
+            rng = random.Random(33)
+            d = [rng.choice((16, 32, 48, 64)) for _ in range(41)]
+            names = [f"A{t}" for t in range(40)]
+            decls = [matrix(name, d[t], d[t + 1]) for t, name in enumerate(names)]
+            chain = parse("Y = " + " * ".join(names), [*decls, matrix("Y", d[0], d[40])])
         for metric in (FLOPS, MEMORY):
             plan = solve(chain, None, metric)
             assert brute_force_min(chain, None, metric) == (
                 plan.total_cost,
                 plan.parenthesization,
             )
+            if kind == "plain":
+                assert plan.total_cost == textbook_chain_min(d, metric)
 
     def test_matches_the_tree_enumeration(self):
         # The per-run maps against the exponential reference that evaluates
