@@ -110,9 +110,11 @@ def emit_records(plan: Plan) -> str:
 
 
 def _parse_parens(text: str):
-    """The tree that :func:`_parens_str` wrote as ``text``."""
+    """The tree that :func:`_parens_str` wrote as ``text``: its leaves, in
+    order, are 0, 1, ..., n - 1 in canonical decimal, as in every plan."""
     # stack[-1] holds the parsed children of the innermost open "(".
     stack: list[list] = [[]]
+    leaves = 0
     for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
             stack.append([])
@@ -121,8 +123,11 @@ def _parse_parens(text: str):
             stack[-1].append(node)
         elif tok == ")":
             raise ValueError(f"malformed parenthesization {text!r}")
+        elif tok == str(leaves):
+            stack[-1].append(leaves)
+            leaves += 1
         else:
-            stack[-1].append(int(tok))
+            raise ValueError(f"parenthesization {text!r} has {tok!r} where leaf {leaves} belongs")
     if len(stack) != 1 or len(stack[0]) != 1:
         raise ValueError(f"malformed parenthesization {text!r}")
     return stack[0][0]
@@ -160,9 +165,10 @@ _REQUIRED = {
 def parse_records(text: str) -> Plan:
     """Reconstruct a Plan from :func:`emit_records` output, and from
     nothing else it could not have written: numbers are read by
-    :func:`_read_number`, loops by :func:`_parse_loops`, a call's ``mult=``
-    is the product of its loop ranges (1 when omitted), ``metric=`` names
-    one of ``kernels.METRICS``, and a field appears once per record.
+    :func:`_read_number`, loops by :func:`_parse_loops`, the tree by
+    :func:`_parse_parens`, a call's ``mult=`` is the product of its loop
+    ranges (1 when omitted), ``metric=`` names one of ``kernels.METRICS``,
+    and a field appears once per record.
     Raises ``ValueError`` on any malformed stream, naming what is wrong.
     """
     calls = []

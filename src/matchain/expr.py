@@ -495,8 +495,9 @@ def _parse_optional_tokens(tokens, lineno, indexes):
     """Split trailing matrix/vector tokens into properties and indices.
 
     Both groups may be wrapped in literal square brackets, which are
-    stripped; the indices group is recognized by its ``indices=`` prefix,
-    and a declaration has at most one.
+    stripped, so an empty group, ``[]``, declares nothing; the indices
+    group is recognized by its ``indices=`` prefix, and a declaration has
+    at most one.
     """
     props: list[Property] = []
     indices: tuple[IndexDecl, ...] | None = None

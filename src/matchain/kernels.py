@@ -438,8 +438,9 @@ def load_kernel_config(text: str, base: Sequence[Kernel] | None = None) -> list[
 
     where each ``tags`` group lists allowed pending tags (id, t, inv,
     invt; a unary kernel takes ``id`` alone, a copy, or tags from t, inv
-    and invt), each ``req`` group lists required stored properties, and the
-    cost polynomial uses + and * over integers and m, k, n, and / by a
+    and invt; an empty group reads as ``id``, so ``tags=`` makes a copy),
+    each ``req`` group lists required stored properties, and the cost
+    polynomial uses + and * over integers and m, k, n, and / by a
     positive integer literal. ``req`` may hold ``|``-separated
     alternatives, such as the two orientations of a triangular operand;
     each is one variant with the line's tags, and the kernel applies when

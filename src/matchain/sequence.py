@@ -10,21 +10,22 @@ length and then by the tuple of kernel ids.
 The search has a structural step and a cost step. Which sequences apply
 depends only on the operands' structures, ``(props, tag)`` each: unary
 matching never looks at dimensions, and binary matching only checks that
-the effective dims conform. So the table numbers each distinct structure
-with a small int (``_sid``), and enumerates the candidates once per pair
-of structure ids ``(sa, sb)``; an empty list records a gap in the
-database. Every prep keeps its operand's effective dims (peeling a
-pending transpose stores the transposed shape; an inverse is square) and
-effective properties. So for op1 of effective shape m x k and op2 of
-k x n, the cost step prices op1's preps at (m, k, k), op2's at (k, n, n)
-and the binary kernel at (m, k, n). Every route yields one result,
-``kernels.product``, whose structure id and properties ``_output`` keeps
-per ``(sa, sb, square)``. ``find_sequence`` is the two steps, ``_entry``
-and ``_cheapest``, then ``_output``. The DP fill reads the same entries
-by the structure ids it keeps per operand, so dims reach only its cost
-step (a lone one-call route is that call's cost, without ``_cheapest``).
+the effective dims conform. So :class:`Structures` numbers each distinct
+structure with a small int, its structure id, and enumerates the
+candidates once per pair of structure ids ``(sa, sb)``; an empty list
+records a gap in the database. Every prep keeps its operand's effective
+dims (peeling a pending transpose stores the transposed shape; an inverse
+is square) and effective properties. So for op1 of effective shape m x k
+and op2 of k x n, the cost step prices op1's preps at (m, k, k), op2's at
+(k, n, n) and the binary kernel at (m, k, n). Every route yields one
+result, ``kernels.product``, whose structure id and properties
+``Structures.output`` keeps per ``(sa, sb, square)``. ``find_sequence``
+is the two steps, ``Structures.entry`` and ``_cheapest``, then
+``Structures.output``. The DP fill reads the same maps by the structure
+ids it keeps per operand, so dims reach only its cost step (a lone
+one-call route is that call's cost, without ``_cheapest``).
 
-A key's entry keeps only the undominated candidates. Candidate A is
+A pair's entry keeps only the undominated candidates. Candidate A is
 dominated by candidate B when both end in the same binary kernel and B's
 preps are a proper subsequence of A's. Dropping A never changes the
 result, under any metric, dims and multiplicities:
@@ -40,29 +41,15 @@ result, under any metric, dims and multiplicities:
 ``copy`` never appears as a prep. That is the rule's special case,
 applied at enumeration: ``copy`` leaves its input unchanged, so a
 candidate with it is dominated by the same candidate without it.
-``_candidates`` lists every candidate, and the oracle enumerates its
-own, so both still check the pruned entries.
+``Structures.candidates`` lists every candidate, and the oracle
+enumerates its own, so both still check the pruned entries.
 
-Each database has one structural table (``_structural_table``), kept
-across calls while the database is unchanged, so its structure ids last
-across solves and never reach another database's table. Its keys are:
-
-- ``(props, tag)``: the structure's id, ``_sid``;
-- ``(props, tag, target)``: the operand's discharge chains for
-  ``"op1"`` or ``"op2"``, ``_preps``;
-- ``((props, tag), (props, tag))``: the binary kernels accepting two end
-  states, ``_binary``;
-- ``(sa, sb)``: a pair's entry, ``_entry``;
-- ``(sa, sb, square)``: the product's structure id and properties,
-  ``_output``;
-- ``(sid, "ends")``: the binary kernels that can end a route from the
-  structure as op1 and as op2, ``_ends``, which the solver's floor reads;
-- ``"patterns"``: each side's patterns of the binary kernels, ``_ends``.
-
-So a new pair only joins lists made before. The chains and kernels are
-matched on structure alone: the caller checks that the dims conform, and
-preps keep effective dims, so a cached end state may carry the dims of
-whichever operand first reached it.
+Each database has one :class:`Structures`, kept across calls while the
+database is unchanged (``Structures.of``), so its structure ids last
+across solves and never reach another database's maps. A new pair only
+joins lists made before. The chains and kernels are matched on structure
+alone: the caller checks that the dims conform, and preps keep effective
+dims, so one structure id stands for its operands at every shape.
 
 The same chains plan a single-factor chain (``materialize``): the
 cheapest that ends tag-free, or one ``copy`` for a tag-free operand.
@@ -82,9 +69,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from . import kernels
 from .errors import NoKernelApplicableError
 from .expr import UnaryTag
-from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, product, unit_of
+from .kernels import FLOPS, Kernel, TaggedOperand, default_db, match, unit_of
 
 #: Maximum number of kernel calls per combination step.
 L = 3
@@ -118,50 +106,152 @@ def _kernel_ids(steps: tuple[SeqStep, ...]) -> tuple[str, ...]:
     return tuple(step.kernel.id for step in steps)
 
 
-def _preps(op: TaggedOperand, db, target: str, table: dict) -> list:
-    """``op``'s discharge chains as preps for ``target``: every chain of at
-    most L - 1 peeling kernels, as (steps, result) pairs in breadth-first
-    order, starting with the empty chain. Enumerated once per
-    ``(props, tag, target)`` key of ``table``."""
-    key = (op.props, op.tag, target)
-    chains = table.get(key)
-    if chains is None:
-        frontier = chains = table[key] = [((), op)]
+class _Facts(dict):
+    """A map that makes a missing key's value with ``make(key)`` and keeps
+    it, so a hit is a plain dict subscript."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class Structures:
+    """The structural facts of one database, one map per fact, each keyed
+    by structure ids and filled on a miss:
+
+    - ``sid[props, tag]``: the structure's id, its position in
+      ``structure``, which holds an operand of that structure whose dims
+      nothing reads;
+    - ``chains[sid, target]``: the structure's discharge chains as preps
+      for ``"op1"`` or ``"op2"``: every chain of at most L - 1 peeling
+      kernels, as ``(steps, end sid)`` pairs in breadth-first order,
+      starting with the empty chain;
+    - ``binary[s1, s2]``: the binary kernels accepting the end states
+      ``s1`` and ``s2``, in database order;
+    - ``entry[sa, sb]``: the pair's entry ``(candidates, lone)``.
+      ``candidates`` are the undominated ones (see the module docstring),
+      in search order. ``lone`` is the binary kernel when the one
+      candidate left is that single call, else None: such a pair costs
+      the call at (m, k, n) charged r times, under any multiplicities, and
+      the fill prices it so without :func:`_cheapest`;
+    - ``output[sa, sb, square]``: the structure id and properties of the
+      product, whichever route computes it, by whether it is square;
+    - ``ends[sid]``: the binary kernels that can end a route from the
+      structure as op1, and those as op2: two sets of the database's
+      positions, as int bitmasks, which the solver's floor reads.
+    """
+
+    def __init__(self, db: Sequence[Kernel]):
+        self.kernels = tuple(db)
+        unit_of(self.kernels)
+        self.structure: list[TaggedOperand] = []
+        self.sid = _Facts(self._new_sid)
+        self.chains = _Facts(self._chains)
+        self.binary = _Facts(self._binary)
+        self.entry = _Facts(self._entry)
+        self.output = _Facts(self._output)
+        self.ends = _Facts(self._ends)
+
+    @classmethod
+    def of(cls, db: Sequence[Kernel]) -> Structures:
+        """The structures of ``db``, kept while the database is unchanged.
+
+        They depend only on the kernels, so one object serves every call
+        on an equal database. The built-in kernels are shared objects, so
+        the comparison of two default databases is one identity test per
+        kernel. Any other database gets a new object, once ``unit_of``
+        accepts it.
+        """
+        global _latest
+        kept = tuple(db)
+        if kept != _latest.kernels:
+            _latest = cls(kept)
+        return _latest
+
+    def _new_sid(self, key) -> int:
+        self.structure.append(TaggedOperand(1, 1, *key))
+        return len(self.structure) - 1
+
+    def _chains(self, key) -> list:
+        sid, target = key
+        frontier = chains = [((), sid)]
         for _ in range(L - 1):
-            frontier = [
-                (steps + (SeqStep(kernel, target),), kernel.apply_unary(cur))
-                for steps, cur in frontier
-                for kernel in match(cur, None, db)
-                if kernel.peel is not None
-            ]
-            chains.extend(frontier)
-    return chains
+            grown = []
+            for steps, end in frontier:
+                cur = self.structure[end]
+                for kernel in match(cur, None, self.kernels):
+                    if kernel.peel is not None:
+                        out = kernel.apply_unary(cur)
+                        step = SeqStep(kernel, target)
+                        grown.append((steps + (step,), self.sid[out.props, out.tag]))
+            chains.extend(grown)
+            frontier = grown
+        return chains
+
+    def _binary(self, key) -> list:
+        pair = (self.structure[key[0]], self.structure[key[1]])
+        return [kernel for kernel in self.kernels if kernel.accepts(pair)]
+
+    def candidates(self, sa: int, sb: int) -> list:
+        """Structural step: the steps of every sequence computing a product
+        of structures ``sa`` and ``sb``, in search order."""
+        chains2 = self.chains[sb, "op2"]
+        out = []
+        for pre1, end1 in self.chains[sa, "op1"]:
+            for pre2, end2 in chains2:
+                if len(pre1) + len(pre2) < L:
+                    for kernel in self.binary[end1, end2]:
+                        out.append(pre1 + pre2 + (SeqStep(kernel, "both"),))
+        return out
+
+    def _entry(self, key) -> tuple:
+        # A dominator precedes what it dominates, and dominance is
+        # transitive, so the candidates kept so far are enough to test.
+        candidates = []
+        for a in self.candidates(*key):
+            if not any(_dominates(b, a) for b in candidates):
+                candidates.append(a)
+        lone = None
+        if len(candidates) == 1 and len(candidates[0]) == 1:
+            lone = candidates[0][0].kernel
+        return candidates, lone
+
+    def _output(self, key) -> tuple[int, frozenset]:
+        # Inference reads the dims only through ``close``, which reads only
+        # whether the product is square and whether it is one column; it is
+        # one column whenever op2 is a vector, so an m x 1 times 1 x 1
+        # product, m = 1 exactly when square, gives every product's props.
+        # infer_properties is read from its module at each call, so a
+        # wrapper installed there (perfbench's tracer, a test's) sees it.
+        sa, sb, square = key
+        m = 1 if square else 2
+        props = kernels.infer_properties(
+            self.structure[sa].eff_props, (m, 1), self.structure[sb].eff_props, (1, 1)
+        )
+        return self.sid[props, UnaryTag.ID], props
+
+    def _ends(self, sid: int) -> tuple[int, int]:
+        masks = []
+        for side, target in enumerate(("op1", "op2")):
+            ends = [self.structure[end] for _, end in self.chains[sid, target]]
+            mask = 0
+            for at, kernel in enumerate(self.kernels):
+                if kernel.arity == 2 and any(
+                    variant[side].matches(cur) for variant in kernel.variants for cur in ends
+                ):
+                    mask |= 1 << at
+            masks.append(mask)
+        return tuple(masks)
 
 
-def _binary(cur1: TaggedOperand, cur2: TaggedOperand, db, table: dict) -> list:
-    """The binary kernels accepting the end states ``cur1`` and ``cur2``,
-    in database order, matched once per ``((props, tag), (props, tag))``
-    key of ``table``. Structure only: ``find_sequence`` checks that the
-    dims conform, and preps keep effective dims."""
-    key = ((cur1.props, cur1.tag), (cur2.props, cur2.tag))
-    kernels = table.get(key)
-    if kernels is None:
-        pair = (cur1, cur2)
-        kernels = table[key] = [kernel for kernel in db if kernel.accepts(pair)]
-    return kernels
-
-
-def _candidates(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> list:
-    """Structural step: the steps of every sequence computing ``op1 * op2``,
-    in search order."""
-    chains2 = _preps(op2, db, "op2", table)
-    out = []
-    for pre1, cur1 in _preps(op1, db, "op1", table):
-        for pre2, cur2 in chains2:
-            if len(pre1) + len(pre2) < L:
-                for kernel in _binary(cur1, cur2, db, table):
-                    out.append(pre1 + pre2 + (SeqStep(kernel, "both"),))
-    return out
+#: The structures of the most recent database.
+_latest = Structures(())
 
 
 def _cheapest(candidates, m: int, k: int, n: int, metric, mults: tuple[int, int, int]):
@@ -204,103 +294,6 @@ def _dominates(b: tuple, a: tuple) -> bool:
     )
 
 
-def _sid(props, tag, table: dict) -> int:
-    """The structure id of ``(props, tag)`` in ``table``: the table's size
-    when first met, so no two structures share one."""
-    key = (props, tag)
-    sid = table.get(key)
-    if sid is None:
-        sid = table[key] = len(table)
-    return sid
-
-
-def _entry(op1: TaggedOperand, op2: TaggedOperand, db, table: dict) -> tuple:
-    """Structural step: ``table``'s entry ``(candidates, lone)`` for
-    ``op1 * op2``, made on first use and kept by the operands' structure
-    ids ``(sa, sb)``. ``candidates`` are the undominated ones (see the
-    module docstring), in search order. ``lone`` is the binary kernel when
-    the one candidate left is that single call, else None: such a pair
-    costs the call at (m, k, n) charged r times, under any
-    multiplicities, and the fill prices it so without :func:`_cheapest`."""
-    skey = (_sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table))
-    entry = table.get(skey)
-    if entry is None:
-        # A dominator precedes what it dominates, and dominance is
-        # transitive, so the candidates kept so far are enough to test.
-        candidates = []
-        for a in _candidates(op1, op2, db, table):
-            if not any(_dominates(b, a) for b in candidates):
-                candidates.append(a)
-        lone = None
-        if len(candidates) == 1 and len(candidates[0]) == 1:
-            lone = candidates[0][0].kernel
-        entry = table[skey] = (candidates, lone)
-    return entry
-
-
-def _ends(sid: int, op: TaggedOperand, db, table: dict) -> tuple[int, int]:
-    """The binary kernels that can end a route with ``op``, of structure
-    ``sid``, as op1, and those with it as op2: two sets of ``db``'s
-    positions, as int bitmasks. Position p is in a side's set when
-    ``db[p]``'s pattern for that side accepts an end state of ``op``'s
-    discharge chains for it. ``table`` keeps them by ``(sid, "ends")``, so
-    a structure is matched once per database, and keeps each side's
-    ``(bit, pattern)`` pairs of the binary kernels under ``"patterns"``,
-    listed once per database."""
-    ends = table.get((sid, "ends"))
-    if ends is None:
-        patterns = table.get("patterns")
-        if patterns is None:
-            patterns = table["patterns"] = [
-                [(1 << at, variant[side]) for at, kernel in enumerate(db)
-                 if kernel.arity == 2 for variant in kernel.variants]
-                for side in (0, 1)
-            ]
-        masks = []
-        for side, target in enumerate(("op1", "op2")):
-            mask = 0
-            for _, cur in _preps(op, db, target, table):
-                for bit, pattern in patterns[side]:
-                    if pattern.matches(cur):
-                        mask |= bit
-            masks.append(mask)
-        ends = table[sid, "ends"] = tuple(masks)
-    return ends
-
-
-def _output(op1, op2, square: bool, table: dict) -> tuple[int, frozenset]:
-    """The structure id and properties of the product ``op1 * op2``,
-    whichever route computes it. They depend only on the operands'
-    structures and on whether the product is ``square``, so ``table``
-    keeps them once per ``(sa, sb, square)`` key."""
-    sa, sb = _sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table)
-    out = table.get((sa, sb, square))
-    if out is None:
-        props = product(op1, op2).props
-        out = table[sa, sb, square] = (_sid(props, UnaryTag.ID, table), props)
-    return out
-
-
-#: The structural table of the most recent database: (its kernels, table).
-_structural: tuple[tuple[Kernel, ...] | None, dict] = (None, {})
-
-
-def _structural_table(db: Sequence[Kernel]) -> dict:
-    """The structural table for ``db``, kept while the database is unchanged.
-
-    Candidates depend only on the kernels, so one table serves every call
-    on an equal database. The built-in kernels are shared objects, so the
-    comparison of two default databases is one identity test per kernel.
-    Any other database gets a fresh table, once ``unit_of`` accepts it.
-    """
-    global _structural
-    kernels = tuple(db)
-    if kernels != _structural[0]:
-        unit_of(kernels)
-        _structural = (kernels, {})
-    return _structural[1]
-
-
 def find_sequence(
     op1: TaggedOperand,
     op2: TaggedOperand,
@@ -311,13 +304,13 @@ def find_sequence(
 ) -> SequenceResult:
     """Cheapest sequence of at most L calls computing ``op1 * op2``.
 
-    The structural step uses ``db``'s structural table (see
-    ``_structural_table``), so a key met by an earlier call on an equal
-    database is not enumerated again. ``mults`` gives the multiplicities
-    ``(r1, r2, r)`` at which op1's preps, op2's preps and the binary call
-    run; then the search minimizes, and ``total_cost`` is, the charged
-    cost (see ``_cheapest``). Raises :class:`NoKernelApplicableError` when
-    the database has no route.
+    The structural step reads ``db``'s :class:`Structures`, so a pair of
+    structures met by an earlier call on an equal database is not
+    enumerated again. ``mults`` gives the multiplicities ``(r1, r2, r)``
+    at which op1's preps, op2's preps and the binary call run; then the
+    search minimizes, and ``total_cost`` is, the charged cost (see
+    ``_cheapest``). Raises :class:`NoKernelApplicableError` when the
+    database has no route.
     """
     if db is None:
         db = default_db()
@@ -326,16 +319,16 @@ def find_sequence(
         raise ValueError(
             f"nonconforming product: {op1.eff_dims} times {op2.eff_dims}"
         )
-    table = _structural_table(db)
-    sa, sb = _sid(op1.props, op1.tag, table), _sid(op2.props, op2.tag, table)
-    candidates, _ = table.get((sa, sb)) or _entry(op1, op2, db, table)
+    facts = Structures.of(db)
+    sa, sb = facts.sid[op1.props, op1.tag], facts.sid[op2.props, op2.tag]
+    candidates, _ = facts.entry[sa, sb]
     if not candidates:
         raise NoKernelApplicableError(
             f"no kernel sequence of length <= {L} computes "
             f"{_describe(op1)} * {_describe(op2)}"
         )
     steps, total = _cheapest(candidates, m, k, n, metric, mults)
-    _, props = table.get((sa, sb, m == n)) or _output(op1, op2, m == n, table)
+    _, props = facts.output[sa, sb, m == n]
     return SequenceResult(steps, total, TaggedOperand(m, n, props))
 
 
@@ -353,12 +346,12 @@ def materialize(
     """
     if db is None:
         db = default_db()
-    table = _structural_table(db)
+    facts = Structures.of(db)
     if op.tag is UnaryTag.ID:
         candidates = [(SeqStep(kernel, "op1"),) for kernel in match(op, None, db)]
     else:
-        chains = _preps(op, db, "op1", table)
-        candidates = [steps for steps, cur in chains if cur.tag is UnaryTag.ID]
+        chains = facts.chains[facts.sid[op.props, op.tag], "op1"]
+        candidates = [steps for steps, end in chains if facts.structure[end].tag is UnaryTag.ID]
     if not candidates:
         return None
     m, n = op.eff_dims

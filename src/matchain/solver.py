@@ -17,21 +17,21 @@ index wins exact ties.
 The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
 meets few distinct operand pairs. So each filled cell gets a small int
 id per distinct operand and free-index tuple, and each id owns its
-operand, the operand's structure id (see ``sequence``) and a row, a dict
-over right ids that the fill owns: a split looks its pair up in its left
-id's row, with no key built. A pair of ids fixes the dims and the three
-multiplicities, so the row holds each pair's charged cost: each distinct
-pair is priced once. Its structural entry is read by its two structure
-ids, so which kernels apply is decided once per structural pair, and the
-dims reach only the cost: the cost step, or a lone one-call route's cost
-charged r times. A pair the database cannot cover keeps None. A second
-row per id keeps, once the pair wins a cell, its output's id, shared by
-every cell it wins; the output's structure comes from the table by the
-pair's structure ids and squareness, and only a new id builds its
-operand. No cell keeps a sequence: extraction asks
-``find_sequence`` for each of the at most n - 1 segments of the tree,
-and the cost step depends on its arguments alone, so it returns the
-route the fill priced.
+operand, the operand's structure id (see ``sequence.Structures``) and a
+row, a dict over right ids that the fill owns: a split looks its pair up
+in its left id's row, with no key built. A pair of ids fixes the dims
+and the three multiplicities, so the row holds each pair's charged cost:
+each distinct pair is priced once. Its structural entry is read by its
+two structure ids, so which kernels apply is decided once per structural
+pair, and the dims reach only the cost: the cost step, or a lone
+one-call route's cost charged r times. A pair the database cannot cover
+keeps None. A second row per id keeps, once the pair wins a cell, its
+output's id, shared by every cell it wins; the output's structure comes
+from ``Structures.output`` by the pair's structure ids and squareness,
+and only a new id builds its operand. No cell keeps a sequence:
+extraction asks ``find_sequence`` for each of the at most n - 1
+segments of the tree, and the cost step depends on its arguments alone,
+so it returns the route the fill priced.
 
 Every cost is an int in the database's units (see ``kernels.py``), and
 integer addition is exact, so a cell's cost is its tree's exact cost and
@@ -62,9 +62,9 @@ the strict less-than, so the same k wins, at the same cost.
 The bound also puts a floor under the charge. Every route of a pair ends
 in one binary call, run ``r = ranges[i][j]`` times at
 ``(d[i], d[k + 1], d[j + 1])``, and its preps cost at least 0. The
-structural table records, per structure and side, the binary kernels
-that can end a route from it (``sequence._ends``); the fill unions them
-over the structures it meets. While the op1 and op2 sets share one
+database's ``Structures.ends`` records, per structure and side, the
+binary kernels that can end a route from it; the fill unions them over
+the structures it meets. While the op1 and op2 sets share one
 kernel K alone, every route of every pair met so far ends in K, and
 since costs are non-decreasing in k (the metric contract), each split of
 [i, j] charges at least ``floor = r * K(d[i], kmin, d[j + 1])``, where
@@ -85,8 +85,9 @@ uncovered segment when the root is uncovered, and extracts the plan.
 ``naive_cost`` restricts the fill to the left-deep tree's splits
 (``build_tables(splits=)``), so the left-to-right order is priced,
 charged and diagnosed as the optimal order is. The fill, extraction and
-the error report share their database's structural table, which
-``sequence`` keeps (``_structural_table``).
+the error report share their database's structural facts, which
+``sequence`` alone keys and keeps (``Structures.of``): the fill reads
+them as plain subscripts of its maps by structure ids.
 
 Operands carry no names (``kernels.TaggedOperand``): extraction names
 each leaf from its factor, and each product as it renders the calls.
@@ -111,8 +112,7 @@ from .errors import InvalidChainError, NoKernelApplicableError, UnsatisfiableErr
 from .expr import Chain, Factor, IndexDecl, UnaryTag, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
 from .kernels import default_db, unit_of
-from .sequence import _cheapest, _describe, _ends, _entry, _output, _sid, _structural_table
-from .sequence import find_sequence, materialize
+from .sequence import Structures, _cheapest, _describe, find_sequence, materialize
 
 
 def index_range(indices: Iterable[IndexDecl]) -> int:
@@ -212,7 +212,8 @@ def build_tables(
     """
     if db is None:
         db = default_db()
-    table = _structural_table(db)
+    facts = Structures.of(db)
+    entry, output, ends = facts.entry, facts.output, facts.ends
     factors = chain.factors
     n = len(factors)
 
@@ -260,13 +261,12 @@ def build_tables(
         at = interned.get(key)
         if at is None:
             at = interned[key] = len(ops)
-            op = TaggedOperand._make((rows, cols, props, tag))
-            ops.append(op)
+            ops.append(TaggedOperand._make((rows, cols, props, tag)))
             sids.append(sid)
             charges.append({})
             outs.append({})
             if tracking:
-                end1, end2 = table.get((sid, "ends")) or _ends(sid, op, db, table)
+                end1, end2 = ends[sid]
                 ends1 |= end1
                 ends2 |= end2
                 shared = ends1 & ends2
@@ -282,7 +282,7 @@ def build_tables(
         nonlocal no_route
         a, b = ids[i][k], ids[k + 1][j]
         row = charges[a]
-        candidates, lone = table.get((sids[a], sids[b])) or _entry(ops[a], ops[b], db, table)
+        candidates, lone = entry[sids[a], sids[b]]
         if lone is not None:  # one binary call, run r times
             charge = kernel_cost(lone)(d[i], d[k + 1], d[j + 1]) * ranges[i][j]
         elif candidates:
@@ -300,7 +300,7 @@ def build_tables(
         free[i][i] = factors[i].operand.indices
         ranges[i][i] = index_range(free[i][i])
         op, tag = factors[i].operand, factors[i].tag
-        sid = _sid(op.properties, tag, table)
+        sid = facts.sid[op.properties, tag]
         ids[i][i] = intern(sid, op.rows, op.cols, free[i][i], op.properties, tag)
 
     for l in range(1, n):
@@ -355,10 +355,7 @@ def build_tables(
                 won = outs[a].get(b)
                 if won is None:
                     m, n_out = d[i], d[j + 1]
-                    square = m == n_out
-                    sid, props = table.get((sids[a], sids[b], square)) or _output(
-                        ops[a], ops[b], square, table
-                    )
+                    sid, props = output[sids[a], sids[b], m == n_out]
                     won = outs[a][b] = intern(sid, m, n_out, seg_free, props)
                 ids_i[j] = won
             elif ks:

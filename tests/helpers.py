@@ -10,7 +10,7 @@ from math import inf
 from pathlib import Path
 
 import matchain
-from matchain import Chain, Factor, IndexDecl, Operand, TaggedOperand, UnaryTag
+from matchain import Chain, Factor, IndexDecl, Operand, TaggedOperand, UnaryTag, sequence
 from matchain.errors import NoKernelApplicableError
 from matchain.oracle import _SEQ_LEN, _unary_chains, best_pair_cost
 from matchain.properties import Property, infer_properties
@@ -26,6 +26,21 @@ def child_env(**extra: str) -> dict[str, str]:
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     path = os.pathsep.join([SRC] + [p for p in inherited if p])
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def fresh_structures(monkeypatch, db=()) -> sequence.Structures:
+    """A new, empty :class:`~matchain.sequence.Structures` for ``db``, kept
+    as the latest for the test's duration: the next call on ``db`` fills
+    it, and a call on another database replaces it."""
+    facts = sequence.Structures(db)
+    monkeypatch.setattr(sequence, "_latest", facts)
+    return facts
+
+
+def pair_sids(facts, op1, op2) -> tuple[int, int]:
+    """The structure ids of ``op1`` and ``op2`` in ``facts``."""
+    return facts.sid[op1.props, op1.tag], facts.sid[op2.props, op2.tag]
+
 
 #: Property menus compatible with the stored dimensions they are drawn for.
 #: Each lists the empty set twice, because a seeded draw depends on a menu's

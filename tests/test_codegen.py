@@ -255,6 +255,12 @@ class TestRecords:
                 "malformed parenthesization '\\(0'",
             ),
             ("summary target=x metric=flops total=1.0 parens=", "malformed"),
+            ("summary target=x metric=flops total=1.0 parens='(-1 +1)'", "'-1' where leaf 0"),
+            ("summary target=x metric=flops total=1.0 parens='(00 1)'", "'00' where leaf 0"),
+            ("summary target=x metric=flops total=1.0 parens='(0 1_0)'", "'1_0' where leaf 1"),
+            ("summary target=x metric=flops total=1.0 parens='(0 \u0661)'", "where leaf 1"),
+            ("summary target=x metric=flops total=1.0 parens='(1 0)'", "'1' where leaf 0"),
+            ("summary target=x metric=flops total=1.0 parens='(0 (1 3))'", "'3' where leaf 2"),
             ("summary target=x metric=flops total=one parens=0", "could not convert"),
             ("call kernel=copy in1=A out=B cost=0.0 math=B loops=i:0", "range >= 1"),
             ("call kernel=copy in1=A out=B cost=nan math=B", "'nan' is not a number"),

@@ -376,9 +376,10 @@ class TestProblemFiles:
         assert first.chain.factors[1].tag is UnaryTag.INV
 
     def test_brackets_optional(self):
-        text = "matrix L 4 4 lower_triangular\ncompute X = L * L\n"
-        problem = load_problem(text)
-        assert Property.LOWER_TRIANGULAR in problem.operands[0].properties
+        # An empty bracket group declares nothing.
+        for decl in ("matrix L 4 4 lower_triangular", "matrix L 4 4 [] lower_triangular"):
+            problem = load_problem(decl + "\ncompute X = L * L\n")
+            assert Property.LOWER_TRIANGULAR in problem.operands[0].properties
 
     def test_properties_and_indices_together(self):
         text = "index i 3\nmatrix A 4 4 [spd] [indices=i]\n"

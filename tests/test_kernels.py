@@ -23,7 +23,7 @@ from matchain import (
     solve,
 )
 from matchain.errors import KernelConfigError
-from matchain.kernels import call_mkn, cost_value, product
+from matchain.kernels import InputPattern, call_mkn, cost_value, product
 from matchain.properties import Property
 
 from helpers import random_operand_pair
@@ -411,6 +411,23 @@ class TestConfig:
         assert scale.peel == "t"
         out = scale.apply_unary(op(4, 6, tag=UnaryTag.T))
         assert (out.rows, out.cols) == (6, 4)
+
+    def test_empty_tags_group_reads_as_id(self):
+        # tags=;id and tags=id;id make one kernel, and a unary line's empty
+        # group makes a copy.
+        db = load_kernel_config(
+            "kernel left arity=2 tags=;id req=; cost=m*k*n\n"
+            "kernel dup arity=1 tags= req= cost=m*n\n",
+            base=[],
+        )
+        spelled = load_kernel_config("kernel left arity=2 tags=id;id req=; cost=m*k*n\n", base=[])
+        left, dup = db
+        assert left.variants == spelled[0].variants
+        copy = InputPattern(frozenset({UnaryTag.ID}), frozenset())
+        assert dup.peel is None and dup.variants == ((copy,),)
+        assert match(op(3, 3, tag=UnaryTag.T), op(3, 3), db) == []
+        assert match(op(3, 3), op(3, 3), db) == [left]
+        assert match(op(3, 3), None, db) == [dup]
 
     def test_cost_division_is_real(self):
         db = load_kernel_config("kernel third arity=1 tags=inv req=square cost=m*m*m/3\n")

@@ -206,7 +206,8 @@ class TestBruteForce:
 class TestRandomInstance:
     def test_square_menu_conforms(self):
         rng = np.random.default_rng(83)
-        for props in SQUARE_MENU:
+        diagonal = [{P.DIAGONAL, extra} for extra in (P.SPD, P.ORTHOGONAL, P.NONSINGULAR)]
+        for props in [*SQUARE_MENU, *diagonal]:
             closed = close(props, 9, 9)
             for _ in range(5):
                 m = random_instance(closed, 9, 9, rng)
@@ -215,7 +216,7 @@ class TestRandomInstance:
 
     def test_rect_menu_conforms(self):
         rng = np.random.default_rng(89)
-        for props in RECT_MENU:
+        for props in [*RECT_MENU, {P.DIAGONAL}]:
             closed = close(props, 7, 4)
             for _ in range(5):
                 m = random_instance(closed, 7, 4, rng)

@@ -27,18 +27,11 @@ from matchain import (
 from matchain.errors import NoKernelApplicableError
 from matchain.kernels import Kernel, call_mkn, product
 from matchain import kernels, sequence
-from matchain.sequence import (
-    L,
-    SeqStep,
-    _candidates,
-    _cheapest,
-    _describe,
-    _entry,
-)
+from matchain.sequence import L, SeqStep, Structures, _cheapest, _describe
 from matchain.solver import _render
 from matchain.properties import Property
 
-from helpers import RECT_MENU, SQUARE_MENU, random_operand_pair
+from helpers import RECT_MENU, SQUARE_MENU, fresh_structures, pair_sids, random_operand_pair
 
 P = Property
 
@@ -322,9 +315,9 @@ class TestFailure:
 
 
 # --------------------------------------------------------------------------
-# Reference: the exhaustive search without a structural table. It
-# prices every step on the operand it actually applies to, so it checks
-# that preps keep effective dims and that candidates share output props.
+# Reference: the exhaustive search without Structures. It prices every
+# step on the operand it actually applies to, so it checks that preps keep
+# effective dims and that candidates share output props.
 
 
 def _reference_chains(op, db, metric, max_len, with_copy=False):
@@ -447,7 +440,7 @@ class TestAgainstReference:
         metric=st.sampled_from([FLOPS, MEMORY]),
     )
     def test_find_sequence_matches_exhaustive_search(self, pairs, factor, db_name, metric):
-        # The database keeps one structural table across calls: each
+        # The database keeps one Structures across calls: each
         # rescaled pair hits the entry (or recorded gap) made at the first
         # dims.
         db = DATABASES[db_name]
@@ -487,7 +480,7 @@ class TestAgainstReference:
 
     def test_each_solve_uses_its_own_database(self):
         # Both databases meet the same structural keys, and both live in
-        # one list object, as a recycled id() would look. A table kept
+        # one list object, as a recycled id() would look. Structures kept
         # across solve calls would hand the second the first one's kernels.
         chain = parse("D = A * B * C", [matrix(x, 6, 6) for x in "ABCD"])
         cases = (
@@ -503,7 +496,7 @@ class TestAgainstReference:
 
 
 def uncached_candidates(op1, op2, db):
-    """The structural step without a table: every pair of discharge chains
+    """The structural step without Structures: every pair of discharge chains
     matched against the whole database, dims checked."""
     out = []
     for pre1, _, cur1 in _reference_chains(op1, db, FLOPS, L - 1):
@@ -516,13 +509,6 @@ def uncached_candidates(op1, op2, db):
     return out
 
 
-def prep_chains(table):
-    """The discharge chains ``table`` holds, by ``(props, tag, target)``
-    key, in the order they were enumerated. Only these keys end in a
-    target; a product's ``(sa, sb, square)`` key has three items too."""
-    return {key: chains for key, chains in table.items() if key[-1] in ("op1", "op2")}
-
-
 class TestStructuralTable:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -531,16 +517,17 @@ class TestStructuralTable:
         db_name=st.sampled_from(sorted(DATABASES)),
     )
     def test_warm_table_gives_the_fresh_candidate_list(self, pairs, factor, db_name):
-        # The other pairs warm the table at other dims, so the operand
-        # chains and state pairs it holds were filled by other operands.
+        # The other pairs warm the maps at other dims, so the operand
+        # chains and state pairs they hold were filled by other operands.
         # Ties go to the earlier candidate, so the order must match too.
         db = DATABASES[db_name]
-        table = {}
+        warm = Structures(db)
         *others, (op1, op2) = pairs
         for a, b in others:
-            _candidates(rescaled(a, factor), rescaled(b, factor), db, table)
-        want = _candidates(op1, op2, db, {})
-        got = _candidates(op1, op2, db, table)
+            warm.candidates(*pair_sids(warm, rescaled(a, factor), rescaled(b, factor)))
+        fresh = Structures(db)
+        want = fresh.candidates(*pair_sids(fresh, op1, op2))
+        got = warm.candidates(*pair_sids(warm, op1, op2))
         assert got == want == uncached_candidates(op1, op2, db)
 
     def test_find_sequence_keeps_its_databases_table(self, monkeypatch):
@@ -548,17 +535,17 @@ class TestStructuralTable:
         # The second call is a new key, but its op1 state is the first
         # call's, so only its op2 state is enumerated; the first call's
         # chains are kept as they were.
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        facts = fresh_structures(monkeypatch, default_db())
         a, b = op(6, 6, tag=UnaryTag.INV), op(6, 6)
         b_inv = b._replace(tag=UnaryTag.INV)
         assert find_sequence(a, b).kernel_ids == ("gesv",)
-        table = sequence._structural[1]
-        first = prep_chains(table)
-        assert list(first) == [(b.props, b.tag, "op2"), (a.props, a.tag, "op1")]
+        sa, sb = pair_sids(facts, a, b)
+        first = dict(facts.chains)
+        assert list(first) == [(sb, "op2"), (sa, "op1")]
         assert find_sequence(a, b_inv).kernel_ids == ("getri", "gesv")
-        assert sequence._structural[1] is table
-        second = prep_chains(table)
-        assert list(second) == [*first, (b.props, UnaryTag.INV, "op2")]
+        assert sequence._latest is facts
+        second = dict(facts.chains)
+        assert list(second) == [*first, (facts.sid[b.props, UnaryTag.INV], "op2")]
         assert all(second[key] is chains for key, chains in first.items())
 
     def test_materialize_reuses_the_discharge_chains(self, monkeypatch):
@@ -573,7 +560,7 @@ class TestStructuralTable:
             return match_(*args)
 
         monkeypatch.setattr(sequence, "match", counted)
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        fresh_structures(monkeypatch)
         a, b = op(6, 6, tag=UnaryTag.INVT), op(6, 6)
         assert find_sequence(a, b).kernel_ids == ("transp", "gesv")
         del matched[:]
@@ -586,6 +573,26 @@ class TestStructuralTable:
             assert materialize(b).kernel_ids == ("copy",)
             assert matched == [UnaryTag.ID]
             del matched[:]
+
+    def test_planning_reaches_the_traced_hooks(self, monkeypatch):
+        # perfbench's tracer replaces these module attributes with wrappers
+        # and counts their calls. A structural step that bound either name
+        # at import would bypass the wrappers and read 0 calls. A database
+        # unequal to the built-ins starts from new Structures, so the step
+        # runs whatever earlier tests have filled.
+        calls = dict.fromkeys(("match", "infer_properties"), 0)
+        for module, name in ((sequence, "match"), (kernels, "infer_properties")):
+
+            def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        db = load_kernel_config("kernel scale arity=1 tags=t req= cost=m*n\n")
+        ops = [matrix("A", 5, 4), matrix("B", 5, 5), matrix("C", 5, 3), matrix("D", 4, 3)]
+        plan = solve(parse("D = A^T * B^-1 * C", ops), db)
+        assert [call.kernel_id for call in plan.calls] == ["gesv", "gemm"]
+        assert calls["match"] > 0 and calls["infer_properties"] > 0, calls
 
     def test_a_fifth_positional_argument_is_refused(self):
         # mults is keyword-only, so an old call that passed a table before
@@ -607,7 +614,7 @@ class TestStructuralTable:
             return infer(*args)
 
         monkeypatch.setattr(kernels, "infer_properties", counted)
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        fresh_structures(monkeypatch)
         shapes = ((4, 3, 4), (4, 3, 5), (5, 2, 5), (6, 2, 3))
         outs = [find_sequence(op(m, k), op(k, n)).output for m, k, n in shapes]
         assert len(inferred) == 2
@@ -652,7 +659,8 @@ class TestCostStep:
             factor = rng.choice((1, 7, 10 ** 100, 10 ** 110))
             op1, op2 = rescaled(op1, factor), rescaled(op2, factor)
             db, metric = rng.choice(dbs), rng.choice((FLOPS, MEMORY))
-            candidates = _candidates(op1, op2, db, {})
+            facts = Structures(db)
+            candidates = facts.candidates(*pair_sids(facts, op1, op2))
             if not candidates:
                 continue
             r, r1, r2 = rng.choice(ranges), rng.choice(ranges), rng.choice(ranges)
@@ -682,8 +690,9 @@ class TestDominance:
 
     def test_transposed_left_operand_keeps_only_gemm(self):
         a, b = op(5, 3, tag=UnaryTag.T), op(5, 2)
-        full = _candidates(a, b, default_db(), {})
-        candidates, lone = _entry(a, b, default_db(), {})
+        facts = Structures(default_db())
+        full = facts.candidates(*pair_sids(facts, a, b))
+        candidates, lone = facts.entry[pair_sids(facts, a, b)]
         assert [tuple(s.kernel.id for s in steps) for steps in full] == [
             ("gemm",),
             ("transp", "gemm"),
@@ -702,18 +711,19 @@ class TestDominance:
             base=[],
         )
         a, b = op(4, 4, tag=UnaryTag.INVT), op(4, 2)
-        candidates, lone = _entry(a, b, db, {})
+        facts = Structures(db)
+        candidates, lone = facts.entry[pair_sids(facts, a, b)]
         routes = [tuple(s.kernel.id for s in steps) for steps in candidates]
         assert routes == [("slowinv", "gemm"), ("transp", "fastinv", "gemm")]
         assert lone is None
         assert find_sequence(a, b, db).kernel_ids == ("transp", "fastinv", "gemm")
 
     def test_pruned_entry_prices_as_the_full_list(self):
-        # Each database keeps one table across dims, so an entry made at
-        # one scale prices pairs at another. A lone one-call route is also
-        # charged directly, as the DP fill charges it.
+        # Each database keeps one Structures across dims, so an entry made
+        # at one scale prices pairs at another. A lone one-call route is
+        # also charged directly, as the DP fill charges it.
         dbs = (*DATABASES.values(), ZERO_DB, HUGE_DB)
-        tables = [{} for _ in dbs]
+        kept = [Structures(db) for db in dbs]
         ranges = (1, 3, 10 ** 11, 10 ** 160, 10 ** 400)
         rng = random.Random(20261023)
         seen = dict.fromkeys(("pruned", "kept", "lone", "unequal", "beyond float"), 0)
@@ -723,8 +733,9 @@ class TestDominance:
             op1, op2 = rescaled(op1, factor), rescaled(op2, factor)
             at = rng.randrange(len(dbs))
             db, metric = dbs[at], rng.choice((FLOPS, MEMORY))
-            full = _candidates(op1, op2, db, {})
-            candidates, lone = _entry(op1, op2, db, tables[at])
+            fresh = Structures(db)
+            full = fresh.candidates(*pair_sids(fresh, op1, op2))
+            candidates, lone = kept[at].entry[pair_sids(kept[at], op1, op2)]
             assert is_sublist(candidates, full)
             assert bool(candidates) == bool(full)
             if not full:

@@ -37,9 +37,10 @@ from matchain.errors import (
     NoKernelApplicableError,
     UnsatisfiableError,
 )
+from matchain.sequence import Structures
 from matchain.solver import _base_operand
 
-from helpers import child_env, random_chain, tree_splits
+from helpers import child_env, fresh_structures, pair_sids, random_chain, tree_splits
 
 P = Property
 
@@ -254,14 +255,7 @@ class TestTables:
         # evaluates its floor, gemm at the cell's least inner dim, which the
         # metric logs too. Every operand here has one structure, so the
         # three pairs share one structural entry, made once.
-        entries = []
-
-        def recording(op1, op2, *args):
-            entries.append((op1, op2))
-            return sequence._entry(op1, op2, *args)
-
-        monkeypatch.setattr(solver, "_entry", recording)
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        facts = fresh_structures(monkeypatch, default_db())
         chain = chain_of(
             "D = A * B * C",
             matrix("A", 10, 100),
@@ -277,7 +271,7 @@ class TestTables:
         a_bc = (10, 100, 50)
         assert a_bc not in log.priced
         assert log.priced == [(10, 100, 5), (100, 5, 50), (10, 5, 50), (10, 5, 50)]
-        assert len(entries) == 1
+        assert len(facts.entry) == 1
         assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
 
         # The seed's pair is priced even when it loses: in y = A * B * x,
@@ -285,7 +279,6 @@ class TestTables:
         # 32,000. The seed's pair (A B, x) is one seen nowhere else, and
         # y has the key of x. A B has the structures of the pairs above, and
         # A (B x) those of B x, so two of the four pairs make an entry.
-        entries.clear()
         chain = chain_of(
             "y = A * B * x",
             matrix("A", 100, 80),
@@ -300,7 +293,7 @@ class TestTables:
         ab_x, a_bx = (100, 100, 1), (100, 80, 1)
         floor = (100, 80, 1)
         assert log.priced == [(100, 80, 100), (80, 100, 1), floor, ab_x, a_bx]
-        assert len(entries) == 2
+        assert len(facts.entry) == 1 + 2
         assert tables.stats == DPStats(splits=4, keys=5, pairs=4, no_route=0)
 
     def test_split_below_the_floor_is_never_looked_up(self):
@@ -332,8 +325,8 @@ class TestTables:
         # perfbench's tracer counts distinct pairs through the memo. The
         # fill prices a pair from the structural entry of its operands'
         # structures: a lone one-call route directly, any other list by its
-        # cost step. After the fill the database's table still holds that
-        # entry, and _entry returns it.
+        # cost step. After the fill the database's Structures still holds
+        # that entry.
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
@@ -342,7 +335,7 @@ class TestTables:
                 want = build_tables(chain, db)
                 memo = {}
                 got = build_tables(chain, db, memo=memo)
-                table = sequence._structural_table(db)
+                facts = Structures.of(db)
                 assert got == want
                 assert len(memo) == got.stats.pairs - got.stats.no_route
                 # Each key pairs two filled cells' (operand, free indices)
@@ -357,7 +350,7 @@ class TestTables:
                 }
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
-                    routes, _ = sequence._entry(key1[0], key2[0], db, table)
+                    routes, _ = facts.entry[pair_sids(facts, key1[0], key2[0])]
                     assert any(seq.steps is route for route in routes)
                 # A winning pair has a memo entry.
                 for i in range(got.n):
@@ -902,18 +895,18 @@ class TestStructuralTable:
         assert {k.unit for k in halves} == {6}
         mixed = default_db() + halves[-1:]
         with pytest.raises(ValueError, match="mix cost units"):
-            sequence._structural_table(mixed)
+            Structures.of(mixed)
         with pytest.raises(ValueError, match="mix cost units"):
             solve(chain_of("B = A^T", matrix("A", 4, 4), matrix("B", 4, 4)), mixed)
         with pytest.raises(ValueError, match="mix cost units"):
             materialize(TaggedOperand(4, 4, frozenset(), UnaryTag.T), mixed)
 
     def test_kept_for_equal_databases_only(self):
-        table = sequence._structural_table(default_db())
-        assert sequence._structural_table(default_db()) is table
+        facts = Structures.of(default_db())
+        assert Structures.of(default_db()) is facts
         db = default_db()
         db[-1] = load_kernel_config("kernel copy arity=1 tags=id req= cost=m*n")[-1]
-        assert sequence._structural_table(db) is not table
+        assert Structures.of(db) is not facts
 
     @pytest.mark.parametrize(
         "second, kernel_ids",
@@ -938,26 +931,21 @@ class TestStructuralTable:
         # The second chain is new at every key: other dims, and a pair of
         # states, (A^-1, B^-1), that the first never met together. Yet
         # each of its operand states was met on its side by the first.
-        # The table's (props, tag, target) keys are its operand states;
-        # no other key ends in a target.
-        def states(table):
-            return {key: chains for key, chains in table.items() if key[-1] in ("op1", "op2")}
-
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        # The chains map is keyed by those states and sides.
+        facts = fresh_structures(monkeypatch, default_db())
         solve(chain_of("D = A * B^-1 * C", *(matrix(x, 4, 4) for x in "ABCD")))
-        table = sequence._structural[1]
-        first = states(table)
-        assert {tag for _, tag, _ in first} == {UnaryTag.ID, UnaryTag.INV}
+        first = dict(facts.chains)
+        assert {facts.structure[sid].tag for sid, _ in first} == {UnaryTag.ID, UnaryTag.INV}
         plan = solve(chain_of("C = A^-1 * B^-1", *(matrix(x, 6, 6) for x in "ABC")))
-        assert sequence._structural[1] is table
-        second = states(table)
+        assert sequence._latest is facts
+        second = dict(facts.chains)
         assert list(second) == list(first)
         assert all(second[key] is chains for key, chains in first.items())
         assert [c.kernel_id for c in plan.calls] == ["getri", "gesv"]
 
     def test_second_fill_infers_no_properties(self, monkeypatch):
-        # A product's properties are kept in the database's table, per
-        # structural key and squareness, so refilling a chain infers none.
+        # A product's properties are kept in the database's Structures, per
+        # structural pair and squareness, so refilling a chain infers none.
         inferred = []
         infer = kernels.infer_properties
 
@@ -966,7 +954,7 @@ class TestStructuralTable:
             return infer(*args)
 
         monkeypatch.setattr(kernels, "infer_properties", counted)
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        fresh_structures(monkeypatch)
         chain = chain_of(
             "E = A * B^-1 * C^T * D",
             matrix("A", 6, 6, {P.LOWER_TRIANGULAR}),
@@ -989,35 +977,34 @@ class TestStructuralTable:
             "kernel gesv arity=2 tags=inv;id req=spd; cost=2*m*m*m/3+2*m*m*n"
         )
         assert [c.kernel_id for c in solve(chain).calls] == ["gesv"]
-        first_table = sequence._structural_table(default_db())
+        first_facts = Structures.of(default_db())
         plan = solve(chain, second)
-        second_table = sequence._structural_table(second)
-        assert second_table is not first_table
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        second_facts = Structures.of(second)
+        assert second_facts is not first_facts
+        fresh_structures(monkeypatch)
         assert plan == solve(chain, second)
         assert [c.kernel_id for c in plan.calls] == ["getri", "gemm"]
 
         a, b = (_base_operand(f) for f in chain.factors)
-        pair = ((a.props, a.tag), (b.props, b.tag))
-        assert [k.id for k in first_table[pair]] == ["gesv"]
-        assert second_table[pair] == []
-        # A pair of (props, tag) states is the only key made of two tuples.
-        for table, db in ((first_table, default_db()), (second_table, second)):
-            for key, kernels in table.items():
-                if len(key) == 2 and isinstance(key[0], tuple):
-                    assert all(any(k is own for own in db) for k in kernels)
+        for facts, want in ((first_facts, ["gesv"]), (second_facts, [])):
+            pair = pair_sids(facts, a, b)
+            assert pair in facts.binary
+            assert [k.id for k in facts.binary[pair]] == want
+        for facts, db in ((first_facts, default_db()), (second_facts, second)):
+            for matched in facts.binary.values():
+                assert all(any(k is own for own in db) for k in matched)
 
 
 # --------------------------------------------------------------------------
 # Reference: the DP loop without interned ids, asking find_sequence at
-# every split from a structural table made afresh for the chain, and
+# every split from Structures made afresh for the chain, and
 # charging each split's preps the multiplicity of their own part.
 
 
 def reference_tables(chain, db, metric):
     factors = chain.factors
     n = len(factors)
-    sequence._structural = (None, {})
+    sequence._latest = sequence.Structures(())
     tmps = [[None] * n for _ in range(n)]
     costs = [[math.inf] * n for _ in range(n)]
     solution = [[None] * n for _ in range(n)]
@@ -1096,7 +1083,7 @@ class TestAgainstReference:
 
     def test_winning_results_equal_find_sequence(self, monkeypatch):
         # A cell's operand is built from its pair's structural entry; it must
-        # be what find_sequence, from a table made after the fill, returns
+        # be what find_sequence, from Structures made after the fill, returns
         # for the cell's operands at the winning split. One structural key
         # may give both a square and a non-square output, whose properties
         # differ.
@@ -1108,7 +1095,7 @@ class TestAgainstReference:
             for db in DATABASES.values():
                 for metric in (FLOPS, MEMORY):
                     got = build_tables(chain, db, metric)
-                    monkeypatch.setattr(sequence, "_structural", (None, {}))
+                    fresh_structures(monkeypatch)
                     r, n = got.ranges, got.n
                     for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
                         k = got.solution[i][j]
@@ -1206,36 +1193,32 @@ class TestLoneRoute:
         )
         dbs = (*DATABASES.values(), huge)
         pools = (INDEX_POOL, (IndexDecl("i", 10 ** 160), IndexDecl("j", 10 ** 11)))
-        # Each fill starts from a fresh table, so every structural pair's
-        # entry is made through the wrapper; without the shortcut, the entry
-        # is kept without its lone route, so later pairs of the same
-        # structures take the cost step too.
-        shortcut = True
+        # Each fill starts from new Structures whose entry map makes its
+        # entries through the wrapper; without the shortcut, the entry is
+        # kept without its lone route, so later pairs of the same structures
+        # take the cost step too.
         seen = {"lone": 0, "other": 0, "uncovered": 0, "beyond float": 0}
 
-        def entry(op1, op2, db, table):
-            candidates, lone = sequence._entry(op1, op2, db, table)
-            seen["lone" if lone else "other"] += bool(candidates)
-            if not shortcut:
-                lone = None
-                sa = sequence._sid(op1.props, op1.tag, table)
-                sb = sequence._sid(op2.props, op2.tag, table)
-                table[sa, sb] = (candidates, lone)
-            return candidates, lone
+        def fill(db, shortcut):
+            facts = fresh_structures(monkeypatch, db)
+            make = facts.entry.make
 
-        monkeypatch.setattr(solver, "_entry", entry)
+            def entry(key):
+                candidates, lone = make(key)
+                seen["lone" if lone else "other"] += bool(candidates)
+                return candidates, lone if shortcut else None
+
+            facts.entry.make = entry
+            return build_tables(chain, db, metric)
+
         rng = random.Random(20261022)
         for at in range(60):
             chain = random_chain(rng, n_max=7, dim_max=6, index_pool=pools[at % 2])
             chain = scaled_chain(chain, rng.choice((1, 10 ** 100, 10 ** 110)))
             for db in dbs:
                 for metric in (FLOPS, MEMORY):
-                    shortcut = True
-                    monkeypatch.setattr(sequence, "_structural", (None, {}))
-                    got = build_tables(chain, db, metric)
-                    shortcut = False
-                    monkeypatch.setattr(sequence, "_structural", (None, {}))
-                    assert got == build_tables(chain, db, metric)
+                    got = fill(db, shortcut=True)
+                    assert got == fill(db, shortcut=False)
                     costs = [cost for row in got.costs for cost in row]
                     seen["uncovered"] += math.inf in costs
                     seen["beyond float"] += any(U * 10 ** 309 < cost < math.inf for cost in costs)
@@ -1253,9 +1236,10 @@ class TestStructureIds:
         # 49 times the first fill's; under the zero database every cost is
         # 0. Either way the second fill makes the first fill's choices, so
         # it meets only structural pairs and products the first decided: it
-        # matches no kernel, infers no properties and adds no entry to the
-        # table. Yet it prices every pair again, at the scaled dims, in the
-        # same order, and equals a fill from a fresh table.
+        # matches no kernel, infers no properties and adds nothing to any
+        # map of the database's Structures. Yet it prices every pair again,
+        # at the scaled dims, in the same order, and equals a fill from new
+        # Structures.
         decided = []
         match_, accepts, infer = sequence.match, kernels.Kernel.accepts, kernels.infer_properties
 
@@ -1283,41 +1267,41 @@ class TestStructureIds:
                 chain = random_chain(rng, n_min=3, n_max=9, dim_max=6, index_pool=pool)
             scaled = scaled_chain(chain, 7)
             for db, metric in ((default_db(), MEMORY), (DATABASES["zero"], FLOPS)):
-                monkeypatch.setattr(sequence, "_structural", (None, {}))
+                facts = fresh_structures(monkeypatch, db)
                 first_log, second_log = PricingLog(metric), PricingLog(metric)
                 first = build_tables(chain, db, first_log)
-                table = sequence._structural[1]
-                size = len(table)
+                sizes = {name: len(value) for name, value in vars(facts).items()}
                 del decided[:]
                 second = build_tables(scaled, db, second_log)
                 assert decided == []
-                assert sequence._structural[1] is table and len(table) == size
+                assert sequence._latest is facts
+                assert {name: len(value) for name, value in vars(facts).items()} == sizes
                 assert second.stats == first.stats
                 assert second_log.priced == [tuple(7 * x for x in mkn) for mkn in first_log.priced]
-                monkeypatch.setattr(sequence, "_structural", (None, {}))
+                fresh_structures(monkeypatch)
                 assert second == build_tables(scaled, db, metric)
                 pairs += second.stats.pairs
         assert pairs > 1000, pairs
 
     def test_fills_equal_fresh_fills_across_databases_and_metrics(self, monkeypatch):
         # The databases and metrics alternate, in a shuffled order, over the
-        # same chains, so a table is kept across metrics and chains while
-        # its database stays, and replaced when it changes. The zero
+        # same chains, so Structures are kept across metrics and chains
+        # while their database stays, and replaced when it changes. The zero
         # database's kernels differ from the built-ins only by their costs.
-        # Each fill must equal a fill from a fresh table.
+        # Each fill must equal a fill from new Structures.
         rng = random.Random(20261025)
         combos = [(db, metric) for db in DATABASES.values() for metric in (FLOPS, MEMORY)]
-        monkeypatch.setattr(sequence, "_structural", (None, {}))
+        fresh_structures(monkeypatch)
         fills = 0
         for _ in range(20):
             chain = random_chain(rng, n_max=8, dim_max=6, index_pool=INDEX_POOL)
             rng.shuffle(combos)
             for db, metric in combos + combos[:2]:
                 got = build_tables(chain, db, metric)
-                warm = sequence._structural
-                sequence._structural = (None, {})
+                warm = sequence._latest
+                sequence._latest = Structures(())
                 assert got == build_tables(chain, db, metric)
-                sequence._structural = warm
+                sequence._latest = warm
                 fills += 1
         assert fills == 160
 
@@ -1329,8 +1313,8 @@ class TestFloor:
     that floor reach the best cost."""
 
     def test_fills_equal_fills_without_the_floor(self, monkeypatch):
-        # With every structure's kernel sets forced to two kernels, from a
-        # fresh table, the floor is off from the first leaf on. Plain
+        # With every structure's kernel sets forced to two kernels, in new
+        # Structures, the floor is off from the first leaf on. Plain
         # chains end every route in gemm, so their floor stays on; indexed
         # chains charge it r times; spread dims take costs beyond the float
         # range. The zero database's floor is 0, and tagged chains soon
@@ -1349,11 +1333,12 @@ class TestFloor:
                 chain = spread_chain(chain, rng)
             for db in DATABASES.values():
                 for metric in (FLOPS, MEMORY):
-                    monkeypatch.setattr(solver, "_ends", sequence._ends)
                     got = build_tables(chain, db, metric)
-                    monkeypatch.setattr(solver, "_ends", lambda *args: (0b11, 0b11))
-                    monkeypatch.setattr(sequence, "_structural", (None, {}))
+                    warm = sequence._latest
+                    forced = fresh_structures(monkeypatch, db)
+                    forced.ends.make = lambda sid: (0b11, 0b11)
                     want = build_tables(chain, db, metric)
+                    monkeypatch.setattr(sequence, "_latest", warm)
                     assert got.costs == want.costs
                     assert got.solution == want.solution
                     assert (got.ids, got.ops) == (want.ids, want.ops)
