@@ -1,12 +1,12 @@
 """The generalized matrix-chain dynamic program and plan extraction.
 
-The DP fills three tables over subchains [i, j]: the id of the cell's
-operand, the accumulated cost, and the split index. Each combination step
-prices a kernel sequence for the two sub-results and charges each call the
-index multiplicity of what it reads, the product of the ranges of its
-free indices: op1's discharge preps run under the left part's loops,
-op2's under the right part's, and the binary call under the whole
-segment's, whose multiplicity is r. So a discharge of a loop
+The DP fills tables over subchains [i, j]: the accumulated cost and the
+split index, with the cell's free indices and their multiplicity. Each
+combination step prices a kernel sequence for the two sub-results and
+charges each call the index multiplicity of what it reads, the product of
+the ranges of its free indices: op1's discharge preps run under the left
+part's loops, op2's under the right part's, and the binary call under the
+whole segment's, whose multiplicity is r. So a discharge of a loop
 invariant operand is paid once, not once per iteration, and is emitted
 outside the loops. When both parts have the segment's multiplicity, as at
 every split of an unindexed chain, the sequence's total is charged r
@@ -14,39 +14,59 @@ times as a whole (``find_sequence``'s ``mults``). The update keeps the
 strict less-than comparison of the recurrence, so the smallest split
 index wins exact ties.
 
-The DP asks for a sequence at every split (i, k, j), O(n^3) times, but
-meets few distinct operand pairs. So each filled cell gets a small int
-id per distinct operand and free-index tuple, and each id owns its
-operand, the operand's structure id (see ``sequence.Structures``) and a
-row, a dict over right ids that the fill owns: a split looks its pair up
-in its left id's row, with no key built. A pair of ids fixes the dims
-and the three multiplicities, so the row holds each pair's charged cost:
-each distinct pair is priced once. Its structural entry is read by its
-two structure ids, so which kernels apply is decided once per structural
-pair, and the dims reach only the cost: the cost step, or a lone
-one-call route's cost charged r times. A pair the database cannot cover
-keeps None. A second row per id keeps, once the pair wins a cell, its
-output's id, shared by every cell it wins; the output's structure comes
-from ``Structures.output`` by the pair's structure ids and squareness,
-and only a new id builds its operand. No cell keeps a sequence:
-extraction asks ``find_sequence`` for each of the at most n - 1
-segments of the tree, and the cost step depends on its arguments alone,
-so it returns the route the fill priced.
+Each covered cell's operand has a structure id (see
+``sequence.Structures``). A split's structural entry is read by its two
+parts' structure ids, so which kernels apply is decided once per
+structural pair, and the dims reach only the charge: the cost step, or a
+lone one-call route's cost charged r times. A winning split gives its
+cell the structure that ``Structures.output`` keeps for the pair's
+structure ids and squareness. The fill prices a split in one of two
+ways, and both charge it the same int, computed by the same function
+from the same structure ids, dims and multiplicities:
+
+- *inline pricing* keeps one structure id per cell and computes a
+  split's charge where the scan meets it. The seed's charge (below) is
+  kept for when the scan reaches the seed's split again;
+- *memo pricing* gives each covered cell a small int id per distinct
+  cell key: structure id, rows, cols and free indices. Each id owns a
+  row, a dict over right ids, so a split looks its pair up in its left
+  id's row with no key built. A pair of ids fixes the dims and the three
+  multiplicities, so the row keeps each pair's charge, None when it has
+  no route, and each distinct pair is priced once. A second row keeps,
+  once the pair wins a cell, its output's id.
+
+Memo pricing pays only when cell keys repeat often. A chain of n
+factors over D distinct dims has n(n - 1)/2 product cells but at most
+D^2 shapes, so ``_inline_pays`` picks inline pricing when 3 D^2 reaches
+the cell count. Measured on plain and tagged chains of 12 to 100
+factors, fill time on Python 3.11 and 2 vCPUs: the two cross where D^2
+is 0.15 to 0.45 of the cells, lower on longer chains. From a third on,
+inline pricing was at most 1% slower; below 0.15, memo pricing was 3% to
+2.5 times faster. Tagged chains cross a little above plain ones.
+Free indices make keys more distinct and move it lower (at 44 factors,
+inline was 4% faster from 0.07 on), which the rule leaves out. The
+benchmark's dp_mixed chains reach 1.8 to 3.3 times the bound, and its
+dp_plain chains 0.03 of it.
+
+No cell keeps its operand or a sequence. ``DPTables.operand`` derives an
+operand from the split table, and extraction asks ``find_sequence`` for
+each of the at most n - 1 segments of the tree; the cost step depends
+on its arguments alone, so it returns the route the fill priced.
 
 Every cost is an int in the database's units (see ``kernels.py``), and
 integer addition is exact, so a cell's cost is its tree's exact cost and
-exact ties really are ties. An uncovered cell keeps ``inf``, and a pair
-with no route keeps None, but neither is ever added to an int, where
+exact ties really are ties. An uncovered cell keeps ``inf``, and a split
+with no route is charged None, but neither is ever added to an int, where
 ``10**400 + inf`` would raise: once a cell is left uncovered, the fill
-tries only the splits whose two parts are covered, and a split whose pair
-has no route is dropped where the pair is priced, off the path of a
-split that finds its charge.
+tries only the splits whose two parts are covered, and a split with no
+route is dropped where it is priced, off the path of a split that finds
+its charge.
 
 Most splits are never looked up at all. A split (i, k, j) costs its two
 sub-costs plus its pair's charge, and every cost is non-negative (the
 metric contract in ``kernels.py``). So when the sub-costs alone,
 ``lb = costs[i][k] + costs[k+1][j]``, already reach the best cost found at
-a smaller k, the split is skipped before its pair is built. The plans stay
+a smaller k, the split is skipped before it is priced. The plans stay
 exactly those of the unbounded loop: ``lb + charge >= lb``, so a skipped
 split could at best tie, which the smaller k wins anyway under the strict
 less-than.
@@ -109,7 +129,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import InvalidChainError, NoKernelApplicableError, UnsatisfiableError
-from .expr import Chain, Factor, IndexDecl, UnaryTag, indexed_name, validate
+from .expr import Chain, Factor, IndexDecl, indexed_name, validate
 from .kernels import FLOPS, Kernel, KernelCall, TaggedOperand, call_mkn, cost_value
 from .kernels import default_db, unit_of
 from .sequence import Structures, _cheapest, _describe, find_sequence, materialize
@@ -132,39 +152,58 @@ class DPStats(NamedTuple):
 
     ``splits`` counts the splits (i, k, j) the fill tried whose two parts
     were both covered: at most ``(n^3 - n) / 6`` when it tries every split,
-    at most ``n - 1`` over the left-deep tree. ``keys`` counts the
-    distinct (operand, free indices) keys among the filled cells,
-    ``pairs`` the distinct pairs of keys looked up (each priced once; a
-    cell's seed looks up its pair even when another split wins, and a
+    at most ``n - 1`` over the left-deep tree. ``charges`` counts the
+    charges it computed. Inline pricing computes one per split it looks
+    up, the seed's once; memo pricing one per pair of cell keys, when it
+    first looks the pair up, and again at each lookup of a pair with no
+    route. A cell's seed is looked up even when another split wins, and a
     split whose sub-costs plus the cell's floor already reach the best
-    cost of its cell looks up none) and ``no_route`` the pairs among them
-    that the database cannot cover.
+    cost of its cell is not. ``no_route`` counts the charges among them
+    that the database cannot cover, and ``pricing`` names the pricing that
+    ran, ``"inline"`` or ``"memo"``.
     """
 
     splits: int
-    keys: int
-    pairs: int
+    charges: int
     no_route: int
+    pricing: str
 
 
 class DPTables(NamedTuple):
     """Filled DP state for one chain; indices run over factor positions.
 
     The tuple is immutable, but its tables are lists that the fill built
-    and the caller owns. ``ops[ids[i][j]]`` is cell [i, j]'s operand; id
-    0, whose ``ops[0]`` is None, marks an uncovered cell. Costs
-    are ints in the database's units, ``inf`` for an uncovered cell, and
-    include index multiplicities; no cell keeps its sequence.
+    and the caller owns. Costs are ints in the database's units, ``inf``
+    for an uncovered cell, and include index multiplicities; a product
+    cell is covered exactly when it has a split. No cell keeps its operand
+    or its sequence: ``operand(i, j)`` derives the operand from the
+    chain's ``factors`` and the split table, by the structural facts of
+    the database's ``kernels``, as the fill did.
     """
 
     n: int
-    ids: list[list[int]]
-    ops: list[TaggedOperand | None]
     costs: list[list[int | float]]
     solution: list[list[int | None]]
     free: list[list[tuple[IndexDecl, ...]]]
     ranges: list[list[int]]
     stats: DPStats
+    factors: tuple[Factor, ...]
+    kernels: tuple[Kernel, ...]
+
+    def operand(self, i: int, j: int) -> TaggedOperand | None:
+        """Cell [i, j]'s operand, None when the cell is uncovered. A leaf's
+        is its factor's, with the tag pending; a product's is its two
+        parts' product, whichever route computes it."""
+        if i == j:
+            return _base_operand(self.factors[i])
+        k = self.solution[i][j]
+        if k is None:
+            return None
+        left, right = self.operand(i, k), self.operand(k + 1, j)
+        (m, _), (_, n) = left.eff_dims, right.eff_dims
+        facts = Structures.of(self.kernels)
+        sa, sb = facts.sid[left.props, left.tag], facts.sid[right.props, right.tag]
+        return TaggedOperand(m, n, facts.output[sa, sb, m == n][1])
 
 
 @dataclass(frozen=True)
@@ -206,41 +245,47 @@ def build_tables(
     splits that cannot win (see the module's bound and seed); if a whole
     segment has no solution the error surfaces in ``solve`` or
     ``naive_cost``, naming the smallest offending segment among the cells
-    tried. A given ``memo`` receives, after the fill, ``find_sequence``'s
-    result for each priced pair with a route, under its operands' keys,
+    tried. The fill prices inline or through its memo, as the chain alone
+    decides (see the module docstring); both charge every split alike, so
+    only ``stats`` tells them apart. A given ``memo`` receives, after the
+    fill, ``find_sequence``'s result for each distinct priced pair with a
+    route, under its operands' keys,
     ``((operand, free indices), (operand, free indices)) -> sequence``.
     """
     if db is None:
         db = default_db()
-    facts = Structures.of(db)
-    entry, output, ends = facts.entry, facts.output, facts.ends
     factors = chain.factors
-    n = len(factors)
+    return _fill(factors, Structures.of(db), metric, memo, splits, _inline_pays(factors))
 
+
+def _inline_pays(factors: Sequence[Factor]) -> bool:
+    """Whether the fill of a chain of ``factors`` prices inline: when its
+    D distinct dims make D^2 at least a third of its n(n - 1)/2 product
+    cells (see the module docstring)."""
+    n = len(factors)
+    dims = len({f.operand.rows for f in factors} | {f.operand.cols for f in factors})
+    return 3 * dims * dims >= n * (n - 1) // 2
+
+
+def _fill(factors, facts: Structures, metric, memo, splits, inline: bool) -> DPTables:
+    """``build_tables``' fill of a chain of ``factors``, under inline
+    pricing when ``inline``, else under memo pricing."""
+    entry, output, ends = facts.entry, facts.output, facts.ends
+    n = len(factors)
     costs = [[inf] * n for _ in range(n)]
     solution: list[list[int | None]] = [[None] * n for _ in range(n)]
     free = [[()] * n for _ in range(n)]
     ranges = [[1] * n for _ in range(n)]
-    # ids[i][j] numbers the (operand, free indices) key of cell [i, j]; 0
-    # marks an uncovered cell. Each id a owns ops[a], its key's operand,
-    # sids[a], its structure id, and a row in charges and outs, appended
-    # by intern; a split looks its pair up in its left id's row.
-    # charges[a][b] is the pair's charged cost, None when it has no route,
-    # and outs[a][b], once it wins, its output's id (a pair fixes the free
-    # indices). Cell [i, j] is d[i] x d[j + 1], d the effective dims.
-    ids = [[0] * n for _ in range(n)]
-    interned: dict = {}
-    ops: list[TaggedOperand | None] = [None]
-    sids: list[int | None] = [None]
-    charges: list[dict] = [{}]
-    outs: list[dict] = [{}]
-    tried = no_route = 0
+    tried = charged = no_route = 0
     unfilled = False
+    # Cell [i, j] is d[i] x d[j + 1], d the effective dims.
     d = [factor.eff_rows for factor in factors] + [factors[-1].eff_cols]
     kernel_cost = metric.kernel_cost
+    # The splits (i, k, j) priced with a route, kept for a given memo only.
+    priced = [] if memo is not None else None
     # The floor (see the module docstring). ends1 and ends2 are the binary
-    # kernels, as bitmasks over db, that can end a route from the
-    # structures of the ids made so far as op1 and as op2. While they share
+    # kernels, as bitmasks over the database, that can end a route from the
+    # structures met so far, ``met``, as op1 and as op2. While they share
     # at most one kernel the fill tracks them and, per row i, kmins[i], the
     # least d[k + 1] over the splits of the row's latest cell; floor_cost
     # is the shared kernel's cost, None while they share none. Once they
@@ -250,50 +295,73 @@ def build_tables(
     # to given splits.
     tracking, floor_cost = splits is None and n > 2, None
     ends1 = ends2 = 0
+    met = set()
     kmins = d[1:]
 
-    def intern(sid, rows, cols, seg_free, props, tag=UnaryTag.ID) -> int:
-        """The id over ``seg_free`` of the rows x cols operand of structure
-        ``sid``, ``(props, tag)``; a new id builds it and owns it, ``sid``
-        and two empty rows, and adds its structure to the floor's sets."""
+    def meet(sid):
+        """Adds structure ``sid`` to ``met`` and its ending kernels to the
+        floor's sets."""
         nonlocal ends1, ends2, tracking, floor_cost
-        key = (sid, rows, cols, seg_free)
-        at = interned.get(key)
-        if at is None:
-            at = interned[key] = len(ops)
-            ops.append(TaggedOperand._make((rows, cols, props, tag)))
-            sids.append(sid)
-            charges.append({})
-            outs.append({})
-            if tracking:
-                end1, end2 = ends[sid]
-                ends1 |= end1
-                ends2 |= end2
-                shared = ends1 & ends2
-                if shared & (shared - 1):  # two kernels or more
-                    tracking, floor_cost = False, None
-                elif shared:
-                    floor_cost = kernel_cost(db[shared.bit_length() - 1])
-        return at
+        met.add(sid)
+        end1, end2 = ends[sid]
+        ends1 |= end1
+        ends2 |= end2
+        shared = ends1 & ends2
+        if shared & (shared - 1):  # two kernels or more
+            tracking, floor_cost = False, None
+        elif shared:
+            floor_cost = kernel_cost(facts.kernels[shared.bit_length() - 1])
 
-    def price(i, k, j):
-        """The charge of the pair met at split (i, k, j), kept on first
-        use; None when the pair has no route."""
-        nonlocal no_route
-        a, b = ids[i][k], ids[k + 1][j]
-        row = charges[a]
-        candidates, lone = entry[sids[a], sids[b]]
+    def price(i, k, j, sa, sb):
+        """The charge of split (i, k, j), whose parts have structures ``sa``
+        and ``sb``; None when their pair has no route."""
+        nonlocal charged, no_route
+        charged += 1
+        candidates, lone = entry[sa, sb]
         if lone is not None:  # one binary call, run r times
             charge = kernel_cost(lone)(d[i], d[k + 1], d[j + 1]) * ranges[i][j]
         elif candidates:
             mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
             charge = _cheapest(candidates, d[i], d[k + 1], d[j + 1], metric, mults)[1]
         else:
-            if b not in row:  # else met before, and counted
-                no_route += 1
-            charge = None
-        row[b] = charge
+            no_route += 1
+            return None
+        if priced is not None:
+            priced.append((i, k, j))
         return charge
+
+    if inline:
+        # sids[i][j] is cell [i, j]'s structure id, once it is covered.
+        sids: list[list[int | None]] = [[None] * n for _ in range(n)]
+    else:
+        # ids[i][j] numbers the cell's key (structure id, rows, cols, free
+        # indices); 0 marks an uncovered cell. Each id a owns id_sids[a],
+        # its structure id, and a row in charges and outs, appended by
+        # intern; a split looks its pair up in its left id's row.
+        # charges[a][b] is the pair's charge, None when it has no route, and
+        # outs[a][b], once it wins, its output's id (a pair fixes the free
+        # indices).
+        ids = [[0] * n for _ in range(n)]
+        interned: dict = {}
+        id_sids: list[int | None] = [None]
+        charges: list[dict] = [{}]
+        outs: list[dict] = [{}]
+
+        def intern(key) -> int:
+            """The id of cell key ``key``; a new id gets two empty rows."""
+            at = interned.get(key)
+            if at is None:
+                at = interned[key] = len(id_sids)
+                id_sids.append(key[0])
+                charges.append({})
+                outs.append({})
+            return at
+
+        def memo_price(i, k, j):
+            """The charge of the pair met at split (i, k, j), kept."""
+            a, b = ids[i][k], ids[k + 1][j]
+            charge = charges[a][b] = price(i, k, j, id_sids[a], id_sids[b])
+            return charge
 
     for i in range(n):
         costs[i][i] = 0
@@ -301,7 +369,12 @@ def build_tables(
         ranges[i][i] = index_range(free[i][i])
         op, tag = factors[i].operand, factors[i].tag
         sid = facts.sid[op.properties, tag]
-        ids[i][i] = intern(sid, op.rows, op.cols, free[i][i], op.properties, tag)
+        if tracking and sid not in met:
+            meet(sid)
+        if inline:
+            sids[i][i] = sid
+        else:
+            ids[i][i] = intern((sid, op.rows, op.cols, free[i][i]))
 
     for l in range(1, n):
         for i in range(n - l):
@@ -313,9 +386,9 @@ def build_tables(
                     r *= ix.range
             free[i][j], ranges[i][j] = seg_free, r
             ks = range(i, j) if splits is None else splits.get((i, j), ())
-            costs_i, ids_i = costs[i], ids[i]
+            costs_i = costs[i]
             if unfilled:  # only splits whose parts are covered
-                ks = [k for k in ks if ids_i[k] and ids[k + 1][j]]
+                ks = [k for k in ks if costs_i[k] < inf and costs[k + 1][j] < inf]
             tried += len(ks)
             # Every split's charge is at least floor, and the scan skips a
             # split once lb + floor reaches best, so it compares lb with cut.
@@ -326,13 +399,45 @@ def build_tables(
                 if floor_cost is not None:
                     floor = floor_cost(d[i], kmins[i], d[j + 1]) * r
             best, best_k, cut = inf, None, inf
-            # The seed: the right neighbour's split, priced first (a leaf's
-            # solution is None). Only splits that cost no more pass the scan.
+            # The seed: the right neighbour's split, priced first when its
+            # left part is covered (a leaf's solution is None). Only splits
+            # that cost no more pass the scan.
             k0 = solution[i + 1][j] if splits is None else None
+            if inline:
+                # The scan reaches the seed again, and takes its charge.
+                sids_i, charge0 = sids[i], None
+                if k0 is not None and sids_i[k0] is not None:
+                    charge0 = price(i, k0, j, sids_i[k0], sids[k0 + 1][j])
+                    if charge0 is not None:
+                        best = costs_i[k0] + costs[k0 + 1][j] + charge0 + 1
+                        cut = best - floor
+                for k in ks:
+                    lb = costs_i[k] + costs[k + 1][j]
+                    if lb >= cut:  # lb + charge >= lb + floor >= best
+                        continue
+                    if k == k0:
+                        charge = charge0
+                    else:
+                        charge = price(i, k, j, sids_i[k], sids[k + 1][j])
+                    if charge is None:  # no route
+                        continue
+                    cost = lb + charge
+                    if cost < best:
+                        best, best_k, cut = cost, k, cost - floor
+                if best_k is not None:
+                    costs_i[j], solution[i][j] = best, best_k
+                    sa, sb = sids_i[best_k], sids[best_k + 1][j]
+                    sid = sids_i[j] = output[sa, sb, d[i] == d[j + 1]][0]
+                    if tracking and sid not in met:
+                        meet(sid)
+                elif ks:
+                    unfilled = True
+                continue
+            ids_i = ids[i]
             if k0 is not None and ids_i[k0]:
                 charge = charges[ids_i[k0]].get(ids[k0 + 1][j])
                 if charge is None:
-                    charge = price(i, k0, j)
+                    charge = memo_price(i, k0, j)
                 if charge is not None:
                     best = costs_i[k0] + costs[k0 + 1][j] + charge + 1
                     cut = best - floor
@@ -342,54 +447,59 @@ def build_tables(
                     continue
                 charge = charges[ids_i[k]].get(ids[k + 1][j])
                 if charge is None:
-                    charge = price(i, k, j)
+                    charge = memo_price(i, k, j)
                     if charge is None:  # no route
                         continue
                 cost = lb + charge
                 if cost < best:
                     best, best_k, cut = cost, k, cost - floor
             if best_k is not None:
-                costs_i[j] = best
-                solution[i][j] = best_k
+                costs_i[j], solution[i][j] = best, best_k
                 a, b = ids_i[best_k], ids[best_k + 1][j]
                 won = outs[a].get(b)
                 if won is None:
-                    m, n_out = d[i], d[j + 1]
-                    sid, props = output[sids[a], sids[b], m == n_out]
-                    won = outs[a][b] = intern(sid, m, n_out, seg_free, props)
+                    sid = output[id_sids[a], id_sids[b], d[i] == d[j + 1]][0]
+                    if tracking and sid not in met:
+                        meet(sid)
+                    won = outs[a][b] = intern((sid, d[i], d[j + 1], seg_free))
                 ids_i[j] = won
             elif ks:
                 unfilled = True
 
     if memo is not None:
-        keys = [None, *((op, key[3]) for op, key in zip(ops[1:], interned))]
-        for a, row in enumerate(charges):
-            for b, charge in row.items():
-                if charge is None:
-                    continue
-                (_, free1), (_, free2) = keys[a], keys[b]
-                r = index_range(dict.fromkeys(free1 + free2))
-                mults = (index_range(free1), index_range(free2), r)
-                seq = find_sequence(ops[a], ops[b], db, metric, mults=mults)
-                memo[keys[a], keys[b]] = seq
-    stats = DPStats(tried, len(interned), sum(map(len, charges)), no_route)
-    return DPTables(n, ids, ops, costs, solution, free, ranges, stats)
+        if not inline:
+            sids = [list(map(id_sids.__getitem__, row)) for row in ids]
+
+        def key(i, j):
+            """Cell [i, j]'s (operand, free indices) key."""
+            if i == j:
+                return _base_operand(factors[i]), free[i][i]
+            props = facts.structure[sids[i][j]].props
+            return TaggedOperand(d[i], d[j + 1], props), free[i][j]
+
+        for i, k, j in priced:
+            key1, key2 = key(i, k), key(k + 1, j)
+            if (key1, key2) not in memo:
+                mults = (ranges[i][k], ranges[k + 1][j], ranges[i][j])
+                seq = find_sequence(key1[0], key2[0], facts.kernels, metric, mults=mults)
+                memo[key1, key2] = seq
+    stats = DPStats(tried, charged, no_route, "inline" if inline else "memo")
+    return DPTables(n, costs, solution, free, ranges, stats, factors, facts.kernels)
 
 
 def _extract(
-    tables: DPTables, factors, target: str, names: Iterator[int], db, metric
+    tables: DPTables, target: str, names: Iterator[int], db, metric
 ) -> tuple[tuple[KernelCall, ...], object]:
     """Post-order walk of the split table from the root, as a loop.
 
     Returns the rendered calls and the parenthesization tree. A leaf is
-    its cell's operand named from its own factor, since equal leaves share
-    one id. Each segment emits its left part's calls, then its right
+    its cell's operand named from its own factor. Each segment emits its left part's calls, then its right
     part's, then its own, the route ``find_sequence`` gives for the two
     parts at the fill's multiplicities, whose output is named before its
     prep temps; the root writes ``target``. The walk keeps its own stack,
     so a tree of any depth, such as the left-deep one, is extracted.
     """
-    ops, ids = tables.ops, tables.ids
+    factors = tables.factors
     free, ranges, solution = tables.free, tables.ranges, tables.solution
     root = (0, tables.n - 1)
     calls: list[KernelCall] = []
@@ -400,7 +510,7 @@ def _extract(
     while todo:
         i, j, k = todo.pop()
         if i == j:
-            done.append(((ops[ids[i][i]], factors[i].operand.display), i))
+            done.append(((tables.operand(i, i), factors[i].operand.display), i))
         elif k is None:
             k = solution[i][j]
             todo += ((i, j, k), (k + 1, j, None), (i, k, None))
@@ -492,9 +602,9 @@ def _plan(chain: Chain, db, metric, splits) -> Plan:
 
     tables = build_tables(chain, db, metric, splits=splits)
     n = tables.n
-    if not tables.ids[0][n - 1]:
-        raise _uncovered_error(tables, factors, splits)
-    calls, tree = _extract(tables, factors, target, names, db, metric)
+    if tables.solution[0][n - 1] is None:
+        raise _uncovered_error(tables, splits)
+    calls, tree = _extract(tables, target, names, db, metric)
     units = tables.costs[0][n - 1]
     return Plan(target, calls, cost_value(units, unit), tree, metric.name, units)
 
@@ -532,17 +642,17 @@ def naive_cost(
     return _plan(chain, db, metric, left_deep).total_cost
 
 
-def _uncovered_error(tables: DPTables, factors, splits) -> NoKernelApplicableError:
+def _uncovered_error(tables: DPTables, splits) -> NoKernelApplicableError:
     """The error that names the smallest uncovered segment among the cells
     that ``splits``, as given to ``build_tables``, lets the fill try.
     Every part of that segment is covered, so none of its splits has a
     kernel sequence."""
-    n, ids = tables.n, tables.ids
+    n, solution, factors = tables.n, tables.solution, tables.factors
     i, j = next(
         (i, i + l)
         for l in range(1, n)
         for i in range(n - l)
-        if not ids[i][i + l] and (splits is None or (i, i + l) in splits)
+        if solution[i][i + l] is None and (splits is None or (i, i + l) in splits)
     )
     return NoKernelApplicableError(
         f"no kernel sequence covers factors {i}..{j} "

@@ -120,6 +120,21 @@ def random_chain(
     return Chain("Y", tuple(used_indices), tuple(factors))
 
 
+def rescaled_chain(chain: Chain, scale) -> Chain:
+    """``chain`` with every stored dim d replaced by ``scale(d)``."""
+    factors = tuple(
+        f._replace(operand=f.operand._replace(rows=scale(f.operand.rows), cols=scale(f.operand.cols)))
+        for f in chain.factors
+    )
+    return chain._replace(factors=factors)
+
+
+def scaled_chain(chain: Chain, factor: int) -> Chain:
+    """``chain`` with every stored dim but 1 times ``factor``, so each
+    operand keeps its structural key."""
+    return rescaled_chain(chain, lambda d: d if d == 1 else d * factor)
+
+
 def random_operand_pair(
     rng: random.Random, dim_max: int = 20
 ) -> tuple[TaggedOperand, TaggedOperand]:

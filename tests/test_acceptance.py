@@ -62,7 +62,7 @@ def test_criterion_2_triangular_multiply_speedup():
     assert plan.total_cost == pytest.approx(100 ** 3 / 3, rel=1e-9)
     assert plan.total_cost * 6 == pytest.approx(2_000_000)
     tables = build_tables(chain)
-    assert P.LOWER_TRIANGULAR in tables.ops[tables.ids[0][1]].props
+    assert P.LOWER_TRIANGULAR in tables.operand(0, 1).props
 
 
 def test_criterion_3_inverse_becomes_solve():
@@ -94,7 +94,7 @@ def test_criterion_4_property_propagation_is_sound():
         ],
     )
     tables = build_tables(chain)
-    product_props = tables.ops[tables.ids[0][1]].props
+    product_props = tables.operand(0, 1).props
     assert P.LOWER_TRIANGULAR in product_props
 
     rng = np.random.default_rng(2024)

@@ -62,7 +62,7 @@ import gen  # noqa: E402
 DIGEST = "8ce21580a6365fc72608a82adacac2d63df25d9031f94efffcfd8d02e1ac52f2"
 LONG_DIGEST = "ded081bbdc4a97d40d090d824b6c4be9b49eca2f0ac2d0598607de7a5eb2e8e5"
 LONG_NAIVE_DIGEST = "18194c7023c893d0baf9da30ce176f6c2bc4a6b4e60cc5a86dbb7caf7bd0fbf6"
-LONG_STATS = DPStats(splits=202_352, keys=22_234, pairs=50_319, no_route=92)
+LONG_STATS = DPStats(splits=202_352, charges=54_748, no_route=94, pricing="inline")
 EXTREME_DIGEST = "db1f5eabc41d1118e45758f37f641c4b662d03a0547cf03278878e54435f24c3"
 GEN_DIGEST = "a02f1f39a949928e62d08e5f9d8fe8dca928b3b27e08545bf7694edd963c32bf"
 
@@ -124,13 +124,14 @@ def test_long_naive_costs_match_golden_digest():
 
 
 def test_long_fill_work_counts_match_golden():
-    total = [0, 0, 0, 0]
+    total = [0, 0, 0]
     for chain in long_chains():
         for db in DATABASES:
             for metric in (FLOPS, MEMORY):
-                stats = build_tables(chain, db, metric).stats
-                total = [a + b for a, b in zip(total, stats)]
-    assert DPStats(*total) == LONG_STATS
+                *counts, pricing = build_tables(chain, db, metric).stats
+                assert pricing == LONG_STATS.pricing
+                total = [a + b for a, b in zip(total, counts)]
+    assert DPStats(*total, LONG_STATS.pricing) == LONG_STATS
 
 
 def test_oracle_certifies_long_chains():

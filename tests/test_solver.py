@@ -41,6 +41,7 @@ from matchain.sequence import Structures
 from matchain.solver import _base_operand
 
 from helpers import child_env, fresh_structures, pair_sids, random_chain, tree_splits
+from helpers import rescaled_chain, scaled_chain
 
 P = Property
 
@@ -50,6 +51,16 @@ U = 3
 
 def chain_of(text, *decls):
     return parse(text, decls)
+
+
+def fill(chain, db=None, metric=FLOPS, memo=None, *, inline, splits=None):
+    """``build_tables``' fill of ``chain`` under inline pricing when
+    ``inline``, else under memo pricing, whichever the chain would get."""
+    facts = Structures.of(default_db() if db is None else db)
+    return solver._fill(chain.factors, facts, metric, memo, splits, inline)
+
+
+PRICINGS = pytest.mark.parametrize("inline", [True, False], ids=["inline", "memo"])
 
 
 class PricingLog(kernels.Metric):
@@ -156,34 +167,34 @@ class TestTables:
             matrix("C", 8, 4),
         )
         tables = build_tables(chain)
-        ops, ids = tables.ops, tables.ids
         for i, tag in enumerate((UnaryTag.T, UnaryTag.INV, UnaryTag.ID)):
             assert tables.costs[i][i] == 0
-            assert ops[ids[i][i]].tag is tag
-        assert P.LOWER_TRIANGULAR in ops[ids[1][1]].props
+            assert tables.operand(i, i).tag is tag
+        assert P.LOWER_TRIANGULAR in tables.operand(1, 1).props
 
-    def test_equal_leaves_share_an_id_and_keep_their_names(self):
-        # A and B have one (operand, free indices) key, so one id, whose
-        # operand is structure only: each leaf is named from its own factor.
+    def test_equal_leaves_share_an_operand_and_keep_their_names(self):
+        # A and B have one operand, which is structure only: each leaf is
+        # named from its own factor.
         chain = chain_of("C = A * B", *(matrix(x, 8, 8) for x in "ABC"))
         tables = build_tables(chain)
-        assert tables.ids[0][0] == tables.ids[1][1]
-        assert tables.ops[tables.ids[0][0]] == _base_operand(chain.factors[1])
+        assert tables.operand(0, 0) == tables.operand(1, 1)
+        assert tables.operand(0, 0) == _base_operand(chain.factors[1])
         assert emit_text(solve(chain)).splitlines()[0].startswith("C := gemm(A, B) ")
 
-    def test_one_structure_is_one_key(self):
+    @PRICINGS
+    def test_one_structure_is_one_operand(self, inline):
         # A product that no inference rule covers is an unstructured
         # operand, just like an undeclared leaf of its shape, and a leaf
         # declared ``full`` is one too.
         chain = chain_of("X = A * B * C", *(matrix(x, 8, 8) for x in "ABCX"))
-        tables = build_tables(chain)
-        assert tables.ids[0][1] == tables.ids[2][2]
-        assert tables.ids[0][2] == tables.ids[0][0]
+        tables = fill(chain, inline=inline)
+        assert tables.operand(0, 1) == tables.operand(2, 2)
+        assert tables.operand(0, 2) == tables.operand(0, 0)
         problem = load_problem(
             "matrix A 8 8 full\nmatrix B 8 8\ncompute X = A * B\n"
         )
-        tables = build_tables(problem.computes[0].chain)
-        assert tables.ids[0][0] == tables.ids[1][1]
+        tables = fill(problem.computes[0].chain, inline=inline)
+        assert tables.operand(0, 0) == tables.operand(1, 1)
 
     def test_split_points_recorded(self):
         chain = chain_of(
@@ -224,28 +235,34 @@ class TestTables:
             matrix("C", 8, 4),
         )
         tables = build_tables(chain)
-        assert P.LOWER_TRIANGULAR in tables.ops[tables.ids[0][1]].props
+        assert P.LOWER_TRIANGULAR in tables.operand(0, 1).props
         plan = solve(chain)
         ids = [c.kernel_id for c in plan.calls]
         assert ids == ["trtrmm", "trmm"]
 
     def test_stats_count_distinct_pairs(self):
         # An untagged chain over two dims meets few distinct operand pairs,
-        # so far fewer pairs are priced than there are splits.
+        # so it gets memo pricing, which prices far fewer pairs than there
+        # are splits: at most 8 keys (two structures, two dims each way).
         rng = random.Random(67)
         dims = [rng.choice((16, 32)) for _ in range(41)]
         decls = [matrix(f"A{t}", dims[t], dims[t + 1]) for t in range(40)]
         text = "Y = " + " * ".join(f"A{t}" for t in range(40))
         chain = chain_of(text, *decls, matrix("Y", dims[0], dims[40]))
         stats = build_tables(chain).stats
+        assert stats.pricing == "memo"
         assert stats.splits == (40 ** 3 - 40) // 6
         assert stats.no_route == 0
-        assert stats.keys <= 8
-        assert stats.pairs <= stats.keys ** 2
-        assert stats.pairs * 100 < stats.splits
+        assert stats.charges <= 8 ** 2
+        assert stats.charges * 100 < stats.splits
+        # Inline pricing charges each split that passes the bound.
+        inline = fill(chain, inline=True).stats
+        assert inline._replace(pricing="memo", charges=stats.charges) == stats
+        assert inline.charges > 10 * stats.charges
 
 
-    def test_split_that_cannot_win_is_never_looked_up(self, monkeypatch):
+    @PRICINGS
+    def test_split_that_cannot_win_is_never_looked_up(self, monkeypatch, inline):
         # Cell [0, 2] is seeded with its right neighbour's split, k=1. In
         # D = A * B * C that is (A B) C at 10,000 + 5,000 flops. At k=0 the
         # sub-cost B C alone is 50,000, so A (B C), a pair of operands seen
@@ -254,7 +271,9 @@ class TestTables:
         # here ends in gemm, so a cell of two splits or more first
         # evaluates its floor, gemm at the cell's least inner dim, which the
         # metric logs too. Every operand here has one structure, so the
-        # three pairs share one structural entry, made once.
+        # three pairs share one structural entry, made once. Both pricings
+        # price the seed's pair once: the memo keeps its charge, and inline
+        # pricing reuses it when the scan reaches the seed.
         facts = fresh_structures(monkeypatch, default_db())
         chain = chain_of(
             "D = A * B * C",
@@ -264,7 +283,7 @@ class TestTables:
             matrix("D", 10, 50),
         )
         log = PricingLog(FLOPS)
-        tables = build_tables(chain, metric=log)
+        tables = fill(chain, metric=log, inline=inline)
         assert tables.costs[1][2] == U * 50_000
         assert tables.costs[0][2] == U * 15_000
         assert tables.solution[0][2] == 1
@@ -272,7 +291,8 @@ class TestTables:
         assert a_bc not in log.priced
         assert log.priced == [(10, 100, 5), (100, 5, 50), (10, 5, 50), (10, 5, 50)]
         assert len(facts.entry) == 1
-        assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
+        pricing = "inline" if inline else "memo"
+        assert tables.stats == DPStats(splits=4, charges=3, no_route=0, pricing=pricing)
 
         # The seed's pair is priced even when it loses: in y = A * B * x,
         # (A B) x costs 1,600,000 + 20,000 flops, and A (B x) wins at
@@ -287,16 +307,17 @@ class TestTables:
             vector("y", 100),
         )
         log = PricingLog(FLOPS)
-        tables = build_tables(chain, metric=log)
+        tables = fill(chain, metric=log, inline=inline)
         assert tables.costs[0][2] == U * 32_000
         assert tables.solution[0][2] == 0
         ab_x, a_bx = (100, 100, 1), (100, 80, 1)
         floor = (100, 80, 1)
         assert log.priced == [(100, 80, 100), (80, 100, 1), floor, ab_x, a_bx]
         assert len(facts.entry) == 1 + 2
-        assert tables.stats == DPStats(splits=4, keys=5, pairs=4, no_route=0)
+        assert tables.stats == DPStats(splits=4, charges=4, no_route=0, pricing=pricing)
 
-    def test_split_below_the_floor_is_never_looked_up(self):
+    @PRICINGS
+    def test_split_below_the_floor_is_never_looked_up(self, inline):
         # In D = A * B * C, of dims 10, 15, 5 and 20, every route ends in
         # gemm, so a split of [0, 2] charges at least gemm at the cell's
         # least inner dim, 2 * 10 * 5 * 20 = 2,000 flops. The seed, (A B) C,
@@ -312,54 +333,60 @@ class TestTables:
             matrix("D", 10, 20),
         )
         log = PricingLog(FLOPS)
-        tables = build_tables(chain, metric=log)
+        tables = fill(chain, metric=log, inline=inline)
         costs = tables.costs
         assert costs[0][1] == U * 1_500 and costs[1][2] == U * 3_000
         assert costs[0][2] == U * 3_500 and tables.solution[0][2] == 1
         assert costs[1][2] < costs[0][2] <= costs[1][2] + U * 2_000
         assert (10, 15, 20) not in log.priced
         assert log.priced == [(10, 15, 5), (15, 5, 20), (10, 5, 20), (10, 5, 20)]
-        assert tables.stats == DPStats(splits=4, keys=6, pairs=3, no_route=0)
+        pricing = "inline" if inline else "memo"
+        assert tables.stats == DPStats(splits=4, charges=3, no_route=0, pricing=pricing)
 
     def test_given_memo_holds_one_entry_per_routed_pair(self):
-        # perfbench's tracer counts distinct pairs through the memo. The
-        # fill prices a pair from the structural entry of its operands'
-        # structures: a lone one-call route directly, any other list by its
-        # cost step. After the fill the database's Structures still holds
-        # that entry.
+        # perfbench's tracer counts distinct pairs through the memo. Memo
+        # pricing prices each routed pair once, and inline pricing each
+        # split it looks up; either way the memo receives each distinct
+        # routed pair once, the same under both. The fill prices a pair
+        # from the structural entry of its operands' structures: a lone
+        # one-call route directly, any other list by its cost step. After
+        # the fill the database's Structures still holds that entry.
         rng = random.Random(71)
         no_route = 0
         for _ in range(40):
             chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
             for db in DATABASES.values():
-                want = build_tables(chain, db)
-                memo = {}
-                got = build_tables(chain, db, memo=memo)
+                memos = []
+                for inline in (True, False):
+                    want = fill(chain, db, inline=inline)
+                    memo = {}
+                    got = fill(chain, db, memo=memo, inline=inline)
+                    assert got == want
+                    routed = got.stats.charges - got.stats.no_route
+                    assert len(memo) <= routed if inline else len(memo) == routed
+                    memos.append(memo)
+                assert memos[0] == memos[1]
                 facts = Structures.of(db)
-                assert got == want
-                assert len(memo) == got.stats.pairs - got.stats.no_route
                 # Each key pairs two filled cells' (operand, free indices)
                 # keys, and each value holds steps of a route the fill
                 # priced for that pair.
-                ops, ids = got.ops, got.ids
+                cells = [(i, j) for i in range(got.n) for j in range(i, got.n)]
                 filled = {
-                    (ops[ids[i][j]], got.free[i][j])
-                    for i in range(got.n)
-                    for j in range(i, got.n)
-                    if ids[i][j]
+                    (got.operand(i, j), got.free[i][j])
+                    for i, j in cells
+                    if got.operand(i, j) is not None
                 }
                 for (key1, key2), seq in memo.items():
                     assert key1 in filled and key2 in filled
                     routes, _ = facts.entry[pair_sids(facts, key1[0], key2[0])]
                     assert any(seq.steps is route for route in routes)
                 # A winning pair has a memo entry.
-                for i in range(got.n):
-                    for j in range(i + 1, got.n):
-                        k = got.solution[i][j]
-                        if k is not None:
-                            key1 = (ops[ids[i][k]], got.free[i][k])
-                            key2 = (ops[ids[k + 1][j]], got.free[k + 1][j])
-                            assert (key1, key2) in memo
+                for i, j in cells:
+                    k = got.solution[i][j]
+                    if k is not None:
+                        key1 = (got.operand(i, k), got.free[i][k])
+                        key2 = (got.operand(k + 1, j), got.free[k + 1][j])
+                        assert (key1, key2) in memo
                 no_route += got.stats.no_route
         assert no_route > 0
 
@@ -665,11 +692,11 @@ class TestFailures:
         assert info.value.segment == (0, 1)
         assert "factors 0..1" in str(info.value)
         # Four splits: A * B^-1 has no route, which leaves one split of
-        # [0, 2] with an uncovered part. A, C and both covered products are
-        # unstructured 4x4 operands, so they share one key.
-        assert build_tables(chain, db).stats == DPStats(
-            splits=3, keys=2, pairs=3, no_route=1
-        )
+        # [0, 2] with an uncovered part. Each pricing charges three pairs.
+        for inline, pricing in ((True, "inline"), (False, "memo")):
+            assert fill(chain, db, inline=inline).stats == DPStats(
+                splits=3, charges=3, no_route=1, pricing=pricing
+            )
 
     def test_uncovered_part_inside_uncovered_chain(self):
         db = [k for k in default_db() if k.id in ("trmm", "copy")]
@@ -1062,24 +1089,16 @@ class TestAgainstReference:
         rng = random.Random(seed)
         chain = random_chain(rng, n_max=9, dim_max=6, index_pool=INDEX_POOL)
         db = DATABASES[db_name]
-        got = build_tables(chain, db, metric)
         tmps, *want = reference_tables(chain, db, metric)
-        assert [got.costs, got.solution, got.free, got.ranges] == want
-        # Each id owns one operand; id 0, with none, marks exactly the
-        # uncovered cells, and two covered cells share an id exactly when
-        # their (operand, free indices) keys are equal.
-        ops, ids, n = got.ops, got.ids, got.n
-        assert ops[0] is None
-        assert len(ops) == got.stats.keys + 1
-        id_of = {}
-        for i in range(n):
-            for j in range(i, n):
-                assert (ids[i][j] == 0) == (tmps[i][j] is None)
-                if tmps[i][j] is not None:
-                    assert ops[ids[i][j]] == tmps[i][j]
-                    key = (tmps[i][j], got.free[i][j])
-                    assert id_of.setdefault(key, ids[i][j]) == ids[i][j]
-        assert len(set(id_of.values())) == len(id_of)
+        for inline in (True, False):
+            got = fill(chain, db, metric, inline=inline)
+            assert [got.costs, got.solution, got.free, got.ranges] == want
+            # Each cell's operand is the reference's, None exactly when the
+            # cell is uncovered.
+            n = got.n
+            assert [[got.operand(i, j) for j in range(i, n)] for i in range(n)] == [
+                tmps[i][i:] for i in range(n)
+            ]
 
     def test_winning_results_equal_find_sequence(self, monkeypatch):
         # A cell's operand is built from its pair's structural entry; it must
@@ -1101,11 +1120,10 @@ class TestAgainstReference:
                         k = got.solution[i][j]
                         if k is None:
                             continue
-                        ops, ids = got.ops, got.ids
-                        left, right = ops[ids[i][k]], ops[ids[k + 1][j]]
+                        left, right = got.operand(i, k), got.operand(k + 1, j)
                         mults = (r[i][k], r[k + 1][j], r[i][j])
                         want = find_sequence(left, right, db, metric, mults=mults)
-                        assert ops[ids[i][j]] == want.output
+                        assert got.operand(i, j) == want.output
                         square = want.output.rows == want.output.cols
                         seen["square" if square else "non-square"] += 1
                         seen["unequal mults"] += len(set(mults)) > 1
@@ -1152,21 +1170,6 @@ class TestSeed:
         assert tables.costs[0][2] == U * 60
         assert tables.solution[0][2] == 0
         assert solve(chain).parenthesization == (0, (1, 2))
-
-
-def rescaled_chain(chain, scale):
-    """``chain`` with every stored dim d replaced by ``scale(d)``."""
-    factors = tuple(
-        f._replace(operand=f.operand._replace(rows=scale(f.operand.rows), cols=scale(f.operand.cols)))
-        for f in chain.factors
-    )
-    return chain._replace(factors=factors)
-
-
-def scaled_chain(chain, factor):
-    """``chain`` with every stored dim but 1 times ``factor``, so each
-    operand keeps its structural key."""
-    return rescaled_chain(chain, lambda d: d if d == 1 else d * factor)
 
 
 def spread_chain(chain, rng):
@@ -1280,7 +1283,7 @@ class TestStructureIds:
                 assert second_log.priced == [tuple(7 * x for x in mkn) for mkn in first_log.priced]
                 fresh_structures(monkeypatch)
                 assert second == build_tables(scaled, db, metric)
-                pairs += second.stats.pairs
+                pairs += second.stats.charges
         assert pairs > 1000, pairs
 
     def test_fills_equal_fresh_fills_across_databases_and_metrics(self, monkeypatch):
@@ -1341,11 +1344,9 @@ class TestFloor:
                     monkeypatch.setattr(sequence, "_latest", warm)
                     assert got.costs == want.costs
                     assert got.solution == want.solution
-                    assert (got.ids, got.ops) == (want.ids, want.ops)
                     assert got.stats.splits == want.stats.splits
-                    assert got.stats.keys == want.stats.keys
-                    assert got.stats.pairs <= want.stats.pairs
-                    skipped[kind] += got.stats.pairs < want.stats.pairs
+                    assert got.stats.charges <= want.stats.charges
+                    skipped[kind] += got.stats.charges < want.stats.charges
         assert min(skipped.values()) > 30, skipped
 
 
